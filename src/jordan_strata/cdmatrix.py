@@ -7,9 +7,8 @@ the momentum-map layer for the V = K^6 matrix models.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .cayley_dickson import CDNumber, cd_mul
+from . import linalg
+from .cayley_dickson import CDNumber, cd_mul, unit_product
 from .scalars import Scalar
 
 
@@ -78,14 +77,6 @@ def is_zero(a):
     return all(x.is_zero() for row in a for x in row)
 
 
-def is_hermitian(a):
-    return a == conj_transpose(a)
-
-
-def equal(a, b):
-    return a == b
-
-
 def trace_real(a) -> Scalar:
     """Real part of the trace (a base-ring scalar)."""
     g = a[0][0].gaussian
@@ -98,38 +89,39 @@ def trace_real(a) -> Scalar:
 def inverse(a):
     """Inverse over an associative division level (0..2, rational base).
 
-    Row operations multiply from the left, which is the correct side for
-    solving g X = I over a noncommutative division ring.
+    x -> L_x, the rational matrix of y -> x y, is an injective ring map at
+    the associative levels, so the block matrix (L_{a_ij}) inverts to
+    (L_{(a^-1)_ij}), and column 0 of L_x holds the coordinates of x.
     """
     n = len(a)
     level = a[0][0].level
     gaussian = a[0][0].gaussian
     if gaussian and level > 0:
         raise ValueError("inverse over a non-division ring is not supported")
-    aug = [list(row) + list(idrow) for row, idrow in zip(a, identity(n, level, gaussian))]
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if not aug[r][c].is_zero():
-                piv = r
-                break
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        # left-multiply the row by the entry inverse
-        x = aug[c][c]
-        xinv = x.conjugate().scale(x.norm().inverse())
-        aug[c] = [cd_mul(xinv, y) for y in aug[c]]
-        for r in range(n):
-            if r != c and not aug[r][c].is_zero():
-                f = aug[r][c]
-                aug[r] = [y - cd_mul(f, z) for y, z in zip(aug[r], aug[c])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
-def lift_scalar_matrix(m, level, gaussian=False):
-    """Embed a Scalar matrix as a CD matrix of the given level."""
+    blocks = [[_left_regular(x) for x in row] for row in a]
+    d = len(blocks[0][0])
+    big = [[v for blk in brow for v in blk[k]] for brow in blocks for k in range(d)]
+    cols = linalg._inverse_columns(big, d)
     out = []
-    for row in m:
-        out.append(tuple(CDNumber.from_scalar(level, s if isinstance(s, Scalar) else Scalar(Fraction(s), 0, gaussian)) for s in row))
+    for i in range(n):
+        coords = [[cols[i * d + k][j] for k in range(d)] for j in range(n)]
+        if gaussian:
+            out.append(tuple(CDNumber(0, (Scalar(re, im, True),)) for re, im in coords))
+        else:
+            out.append(tuple(CDNumber(level, [Scalar(c) for c in x]) for x in coords))
     return tuple(out)
+
+
+def _left_regular(x):
+    """Rational matrix of y -> x y on the coordinates of x over Q."""
+    if x.gaussian:  # level 0 over Q(i): rho(a + bi) = [[a, -b], [b, a]]
+        s = x.coeffs[0]
+        return ((s.re, -s.im), (s.im, s.re))
+    d = 1 << x.level
+    m = [[0] * d for _ in range(d)]
+    for i, c in enumerate(x.coeffs):
+        if c.re:
+            for j in range(d):
+                k, sign = unit_product(x.level, i, j)
+                m[k][j] += sign * c.re
+    return m

@@ -111,6 +111,14 @@ def _read_json(path):
         return json.load(fh)
 
 
+def _decode(decoder, obj):
+    """Decode parsed JSON input; a malformed encoding is a usage error."""
+    try:
+        return decoder(obj)
+    except (TypeError, ZeroDivisionError) as exc:
+        raise UsageError(f"malformed input: {exc}") from exc
+
+
 def _scalar_from_entry(entry) -> Scalar:
     if isinstance(entry, int):
         return Scalar(entry, 0, True)
@@ -148,8 +156,7 @@ def _render(report, fmt):
 
 
 def cmd_classify(args):
-    obj = _read_json(args.input)
-    elt = JordanElement.from_json(obj)
+    elt = _decode(JordanElement.from_json, _read_json(args.input))
     rank = jordan_rank(elt)
     checks = [
         {
@@ -178,6 +185,8 @@ def cmd_classify(args):
 
 
 def cmd_verify(args):
+    if args.samples < 1:
+        raise UsageError("--samples must be at least 1")
     checks = run_suite(args.suite, case=args.case, samples=args.samples, seed=args.seed)
     return _report(
         [
@@ -192,8 +201,9 @@ def cmd_verify(args):
 
 
 def cmd_reduce(args):
-    obj = _read_json(args.input)
-    config = OscillatorConfig.from_json(_normalize_config(obj))
+    config = _decode(
+        lambda obj: OscillatorConfig.from_json(_normalize_config(obj)), _read_json(args.input)
+    )
     j = angular_momentum(config)
     j_zero = all(x == 0 for row in j for x in row)
     record = {
@@ -226,12 +236,13 @@ def cmd_embed(args):
     rng = random.Random(args.seed)
     if args.kind == "octonionic":
         elt = rank1_sample("O", rng)
-        vectors = None
     else:
         if args.vectors is None:
             raise UsageError(f"--vectors is required for kind={args.kind}")
-        vectors = json.loads(args.vectors)
-        parsed = [[_scalar_from_entry(e) for e in vec] for vec in vectors]
+        parsed = _decode(
+            lambda vectors: [[_scalar_from_entry(e) for e in vec] for vec in vectors],
+            json.loads(args.vectors),
+        )
         if args.kind == "veronese":
             if len(parsed) != 1 or len(parsed[0]) != 3:
                 raise UsageError("veronese expects one 3-vector")

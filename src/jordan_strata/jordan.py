@@ -421,12 +421,6 @@ def _cd1_to_scalar(q: CDNumber) -> Scalar:
     return Scalar(a.re - b.im, a.im + b.re, gaussian=True)
 
 
-def _scalar_to_cd1(s: Scalar, gaussian: bool) -> CDNumber:
-    if gaussian:
-        return CDNumber(1, (Scalar(s.re, 0, True), Scalar(s.im, 0, True)))
-    return CDNumber(1, (Scalar(s.re), Scalar(s.im)))
-
-
 def to_general_matrix(x: JordanElement):
     """Algebra C: first component of the (M, M^T) splitting; a 3x3 Q(i) matrix.
 

@@ -182,10 +182,6 @@ def _real_components(m):
     return out
 
 
-def _ident3():
-    return linalg.identity(3, gaussian=True)
-
-
 def _sym_rank1(coeff, v):
     return tuple(tuple(coeff * v[i] * v[j] for j in range(3)) for i in range(3))
 

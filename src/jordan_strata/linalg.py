@@ -1,14 +1,25 @@
 """Exact linear algebra over Scalar entries (Q or Q(i)).
 
-Matrices are tuples of row-tuples.  Everything is fraction-exact; the only
-optimization is an integer-scaled fast path for products of purely rational
-matrices, which the Lie-algebra layer leans on heavily.
+Matrices are tuples of row-tuples and everything is fraction-exact.  Two
+integer kernels carry the work.  Products of purely rational matrices go
+through a single integer rescale (``frac_mul``).  Every row reduction -- rank,
+solve, inverse and kernel here, the structure-algebra span of ``tkk``, the
+bivector ranks of ``poisson`` and the inverses of ``cdmatrix`` -- goes
+through one fraction-free integer echelon (``_Echelon``).  A Q(i) matrix
+reaches it through the interleaved realification
+
+    rho: a + bi -> [[a, -b], [b, a]],
+
+an injective ring map, so RREF(rho A) = rho(RREF A) and every result over
+Q(i) is read off the even columns of a rational one.  The cofactor
+``determinant`` and ``congruent_diagonal`` stay independent of the echelon.
 """
 
 from __future__ import annotations
 
+from bisect import bisect
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .scalars import Scalar
 
@@ -70,23 +81,6 @@ def mul(a, b):
     return tuple(out)
 
 
-def mat_vec(a, v):
-    out = []
-    for row in a:
-        acc = None
-        for x, y in zip(row, v):
-            if x.is_zero() or y.is_zero():
-                continue
-            term = x * y
-            acc = term if acc is None else acc + term
-        out.append(acc if acc is not None else Scalar.zero(row[0].gaussian))
-    return tuple(out)
-
-
-def is_zero_matrix(a):
-    return all(x.is_zero() for row in a for x in row)
-
-
 # -- fast path for rational (Fraction-entry) matrices -------------------------
 
 
@@ -136,169 +130,170 @@ def frac_commutator(a, b):
 
 
 def frac_rank(rows) -> int:
-    """Rank of a Fraction matrix by integer fraction-free elimination."""
-    if not rows:
-        return 0
-    m, _ = _int_scaled(rows)
-    nrows, ncols = len(m), len(m[0])
-    rank = 0
-    row = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(row, nrows):
-            if m[r][col]:
-                piv = r
-                break
+    """Rank of a rational (Fraction or int entry) matrix."""
+    ech = _Echelon()
+    for row in rows:
+        ech.insert(row)
+    return len(ech.pivots)
+
+
+# -- the elimination core --------------------------------------------------------
+
+
+class _Echelon:
+    """Reduced row echelon form over Q, kept in integers and built row by row.
+
+    Rows are primitive integer vectors sorted by pivot (leading) column and
+    fully reduced: a pivot column is zero in every other row, so row r divided
+    by its pivot entry is row r of the unique RREF of the rows inserted so
+    far.  As in Bareiss's fraction-free elimination (Math. Comp. 22, 1968) no
+    fraction is formed; each combined row is divided by its content instead.
+    """
+
+    def __init__(self):
+        self.pivots = []
+        self.rows = []
+
+    def reduce(self, row):
+        """A multiple of the integer ``row`` minus a combination of the rows,
+        zero in every pivot column; zero exactly when ``row`` is in the span."""
+        for p, prow in zip(self.pivots, self.rows):
+            if row[p]:
+                row = _eliminate(row, prow, p)
+        return row
+
+    def insert(self, row) -> bool:
+        """Add a rational row; False, and no change, when it is in the span."""
+        row = self.reduce(_int_row(row)[0])
+        piv = next((c for c, x in enumerate(row) if x), None)
         if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        pv = m[row][col]
-        for r in range(row + 1, nrows):
-            if m[r][col]:
-                f = m[r][col]
-                m[r] = [pv * x - f * y for x, y in zip(m[r], m[row])]
-                g = 0
-                for x in m[r]:
-                    g = gcd(g, x)
-                if g > 1:
-                    m[r] = [x // g for x in m[r]]
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+            return False
+        row = _primitive(row)
+        for k, prow in enumerate(self.rows):
+            if prow[piv]:
+                self.rows[k] = _eliminate(prow, row, piv)
+        k = bisect(self.pivots, piv)
+        self.pivots.insert(k, piv)
+        self.rows.insert(k, row)
+        return True
+
+    def entry(self, r, c) -> Fraction:
+        """Entry (r, c) of the RREF."""
+        row = self.rows[r]
+        return Fraction(row[c], row[self.pivots[r]])
 
 
-# -- generic elimination over Scalar fields ------------------------------------
+def _eliminate(row, prow, p):
+    """Primitive combination of ``row`` and ``prow`` that vanishes in column p."""
+    f, q = row[p], prow[p]
+    g = gcd(f, q)
+    f, q = f // g, q // g
+    return _primitive([q * x - f * y for x, y in zip(row, prow)])
+
+
+def _primitive(row):
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _int_row(xs):
+    """(row, den): the integer row den * xs for the least such den."""
+    den = lcm(*(x.denominator for x in xs))
+    return [x.numerator * (den // x.denominator) for x in xs], den
+
+
+def _realify(a):
+    """Rational matrix of a Scalar matrix: its real parts over Q, rho over Q(i)."""
+    if not a[0][0].gaussian:
+        return [[x.re for x in row] for row in a]
+    out = []
+    for row in a:
+        out.append([y for x in row for y in (x.re, -x.im)])
+        out.append([y for x in row for y in (x.im, x.re)])
+    return out
+
+
+def _rref(a):
+    """Pivot columns of RREF(a) over the entry field, and a reader of its
+    entries.  Over Q(i) the real pivots of rho(a) come in pairs (2c, 2c + 1)
+    and row 2r holds row r of RREF(a) as (Re, -Im) pairs."""
+    ech = _Echelon()
+    for row in _realify(a):
+        ech.insert(row)
+    if not a[0][0].gaussian:
+        return ech.pivots, lambda r, c: Scalar(ech.entry(r, c))
+    return [p // 2 for p in ech.pivots[::2]], lambda r, c: Scalar(
+        ech.entry(2 * r, 2 * c), -ech.entry(2 * r, 2 * c + 1), True
+    )
+
+
+def _inverse_columns(m, d=1):
+    """Columns 0, d, 2d, ... of the inverse of a square rational matrix.
+
+    For m = phi(A), with phi a ring map sending each entry to a d x d block
+    whose column 0 holds the entry's coordinates, these columns are the
+    coordinates of A^-1.  Raises ZeroDivisionError when m is singular.
+    """
+    size = len(m)
+    ech = _Echelon()
+    for r, row in enumerate(m):
+        ech.insert(list(row) + [int(r == c) for c in range(0, size, d)])
+    if ech.pivots[size - 1 : size] != [size - 1]:
+        raise ZeroDivisionError("singular matrix")
+    return [[ech.entry(r, size + j) for j in range(size // d)] for r in range(size)]
+
+
+# -- elimination over the Scalar fields --------------------------------------------
 
 
 def rank(a) -> int:
     """Rank over the entry field (works for Q and Q(i) entries alike)."""
-    if not a:
+    if not a or not a[0]:
         return 0
-    rows = [list(r) for r in a]
-    nrows, ncols = len(rows), len(rows[0])
-    rnk = 0
-    r0 = 0
-    for c in range(ncols):
-        piv = None
-        for r in range(r0, nrows):
-            if not rows[r][c].is_zero():
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[r0], rows[piv] = rows[piv], rows[r0]
-        inv = rows[r0][c].inverse()
-        rows[r0] = [inv * x for x in rows[r0]]
-        for r in range(nrows):
-            if r != r0 and not rows[r][c].is_zero():
-                f = rows[r][c]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[r0])]
-        rnk += 1
-        r0 += 1
-        if r0 == nrows:
-            break
-    return rnk
+    return len(_rref(a)[0])
 
 
 def solve(a, b):
     """One solution x of a x = b over the entry field, or None.
 
-    ``b`` is a vector; ``a`` may be rectangular.
+    ``b`` is a vector; ``a`` may be rectangular.  Free unknowns are zero.
     """
     if not a:
         return None
-    nrows, ncols = len(a), len(a[0])
-    gaussian = a[0][0].gaussian
-    aug = [list(row) + [bv] for row, bv in zip(a, b)]
-    pivots = []
-    r0 = 0
-    for c in range(ncols):
-        piv = None
-        for r in range(r0, nrows):
-            if not aug[r][c].is_zero():
-                piv = r
-                break
-        if piv is None:
-            continue
-        aug[r0], aug[piv] = aug[piv], aug[r0]
-        inv = aug[r0][c].inverse()
-        aug[r0] = [inv * x for x in aug[r0]]
-        for r in range(nrows):
-            if r != r0 and not aug[r][c].is_zero():
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[r0])]
-        pivots.append(c)
-        r0 += 1
-        if r0 == nrows:
-            break
-    for r in range(r0, nrows):
-        if not aug[r][ncols].is_zero():
-            return None
-    x = [Scalar.zero(gaussian)] * ncols
+    n = len(a[0])
+    pivots, entry = _rref([tuple(row) + (bv,) for row, bv in zip(a, b)])
+    if pivots and pivots[-1] == n:
+        return None
+    x = [Scalar.zero(a[0][0].gaussian)] * n
     for r, c in enumerate(pivots):
-        x[c] = aug[r][ncols]
+        x[c] = entry(r, n)
     return tuple(x)
 
 
 def inverse(a):
-    n = len(a)
-    gaussian = a[0][0].gaussian
-    aug = [list(row) + list(idrow) for row, idrow in zip(a, identity(n, gaussian))]
-    for c in range(n):
-        piv = None
-        for r in range(c, n):
-            if not aug[r][c].is_zero():
-                piv = r
-                break
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = aug[c][c].inverse()
-        aug[c] = [inv * x for x in aug[c]]
-        for r in range(n):
-            if r != c and not aug[r][c].is_zero():
-                f = aug[r][c]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[c])]
-    return tuple(tuple(row[n:]) for row in aug)
+    if not a[0][0].gaussian:
+        return tuple(tuple(Scalar(x) for x in row) for row in _inverse_columns(_realify(a)))
+    cols = _inverse_columns(_realify(a), 2)  # rows 2i and 2i + 1: Re and Im of row i
+    return tuple(
+        tuple(Scalar(re, im, True) for re, im in zip(re_row, im_row))
+        for re_row, im_row in zip(cols[::2], cols[1::2])
+    )
 
 
 def kernel_basis(a):
-    """Basis of the right kernel of ``a`` over the entry field."""
+    """Basis of the right kernel of ``a`` over the entry field: one vector per
+    free column of RREF(a), with a one there."""
     if not a:
         return []
-    nrows, ncols = len(a), len(a[0])
+    ncols = len(a[0])
     gaussian = a[0][0].gaussian
-    rows = [list(r) for r in a]
-    pivots = {}
-    r0 = 0
-    for c in range(ncols):
-        piv = None
-        for r in range(r0, nrows):
-            if not rows[r][c].is_zero():
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[r0], rows[piv] = rows[piv], rows[r0]
-        inv = rows[r0][c].inverse()
-        rows[r0] = [inv * x for x in rows[r0]]
-        for r in range(nrows):
-            if r != r0 and not rows[r][c].is_zero():
-                f = rows[r][c]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[r0])]
-        pivots[c] = r0
-        r0 += 1
-        if r0 == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
+    pivots, entry = _rref(a)
     out = []
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         v = [Scalar.zero(gaussian)] * ncols
         v[fc] = Scalar.one(gaussian)
-        for c, r in pivots.items():
-            v[c] = -rows[r][fc]
+        for r, c in enumerate(pivots):
+            v[c] = -entry(r, fc)
         out.append(tuple(v))
     return out
 
@@ -382,23 +377,3 @@ def congruent_diagonal(a):
                 row_col_add(r, k, -(m[r][k] * inv))
     diag = tuple(m[k][k] for k in range(n))
     return diag, tuple(tuple(r) for r in basis_change)
-
-
-def pinv_psd(a):
-    """Moore-Penrose inverse of a (conjugate-)symmetric PSD Scalar matrix.
-
-    Uses a column basis V of a: pinv = V (V* a V)^-1 V*.
-    """
-    n = len(a)
-    cols = transpose(a)
-    chosen = []
-    for j in range(n):
-        trial = chosen + [cols[j]]
-        if rank(tuple(trial)) == len(trial):
-            chosen.append(cols[j])
-    if not chosen:
-        return zeros(n, n, a[0][0].gaussian)
-    v = transpose(tuple(chosen))  # n x k
-    vs = conj_transpose(v)
-    core = inverse(mul(vs, mul(a, v)))
-    return mul(v, mul(core, vs))

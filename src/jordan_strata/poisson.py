@@ -29,7 +29,6 @@ from . import linalg
 from .cayley_dickson import CDNumber
 from .jordan import JordanElement
 from .reduction import CASE_LEVEL
-from .scalars import Scalar
 from .tkk import TKKAlgebra, TKKElement, tkk_algebra
 
 
@@ -147,7 +146,7 @@ class CasePoisson:
         self.alg: TKKAlgebra = tkk_algebra(case)
         self.dim = self.alg.dim
         self.gram = self.alg.gram_matrix()
-        self.gram_inv = _frac_inverse(self.gram)
+        self.gram_inv = linalg._inverse_columns(self.gram)
         self.basis = self.alg.basis()
         self._bivector_polys = None
 
@@ -221,12 +220,6 @@ def case_poisson(case) -> CasePoisson:
     return CasePoisson(case)
 
 
-def _frac_inverse(g):
-    sc = tuple(tuple(Scalar(x) for x in row) for row in g)
-    inv = linalg.inverse(sc)
-    return tuple(tuple(x.re for x in row) for row in inv)
-
-
 def poisson_rank_at(x: TKKElement) -> int:
     """Rank of the Poisson bivector at x: the adjoint-orbit dimension."""
     alg = tkk_algebra(x.case)
@@ -279,27 +272,6 @@ def matrix_g_basis(case):
                     m[rows_off[0] + j][rows_off[1] + i] = u.conjugate()
                     out.append(cdm.from_rows(m))
     return out
-
-
-def matrix_half_trace(a, b) -> Fraction:
-    """Re tr(a b) / 2 without forming the full product."""
-    acc = Fraction(0)
-    n = len(a)
-    for r in range(n):
-        for s in range(n):
-            x, y = a[r][s], b[s][r]
-            if x.is_zero() or y.is_zero():
-                continue
-            acc += _cd_product_real(x, y)
-    return acc / 2
-
-
-def _cd_product_real(x: CDNumber, y: CDNumber) -> Fraction:
-    # Re(x y) = x0 y0 - sum_k x_k y_k for the Cayley-Dickson basis
-    acc = x.coeffs[0].re * y.coeffs[0].re
-    for cx, cy in zip(x.coeffs[1:], y.coeffs[1:]):
-        acc -= cx.re * cy.re
-    return acc
 
 
 @lru_cache(maxsize=None)
@@ -384,40 +356,7 @@ def poisson_rank_at_matrix(case, m) -> int:
                 acc += term if sgn > 0 else -term
             row.append(-acc)
         rows.append(row)
-    return _int_rank(rows, dim)
-
-
-def _int_rank(rows, ncols) -> int:
-    from math import gcd
-
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    rank = 0
-    r0 = 0
-    for col in range(ncols):
-        piv = None
-        for r in range(r0, nrows):
-            if m[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[r0], m[piv] = m[piv], m[r0]
-        pv = m[r0][col]
-        for r in range(r0 + 1, nrows):
-            if m[r][col]:
-                f = m[r][col]
-                m[r] = [pv * x - f * y for x, y in zip(m[r], m[r0])]
-                g = 0
-                for x in m[r]:
-                    g = gcd(g, x)
-                if g > 1:
-                    m[r] = [x // g for x in m[r]]
-        rank += 1
-        r0 += 1
-        if r0 == nrows:
-            break
-    return rank
+    return linalg.frac_rank(rows)
 
 
 def matrix_p_element(case, xc: JordanElement):

@@ -149,7 +149,10 @@ class Scalar:
         )
 
     def __hash__(self):
-        return hash((self.re, self.im, self.gaussian))
+        # equal to the hash of the rational it equals, whatever the ring tag
+        if not self.im:
+            return hash(self.re)
+        return hash((self.re, self.im))
 
     def __repr__(self):
         if not self.gaussian:

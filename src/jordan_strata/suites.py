@@ -81,11 +81,13 @@ from .tkk import CASES as TKK_CASES, TKKElement, jcoords, tkk_algebra
 CLASSICAL_CASES = ("real", "complex", "quaternionic")
 
 SUITES = {}
+SUITE_CASES = {}  # suite -> the cases --case may name; empty when it takes none
 
 
-def register(name):
+def register(name, cases=()):
     def deco(fn):
         SUITES[name] = fn
+        SUITE_CASES[name] = cases
         return fn
 
     return deco
@@ -94,6 +96,11 @@ def register(name):
 def run_suite(name, case=None, samples=25, seed=0):
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
+    cases = SUITE_CASES[name]
+    if cases and case not in (None, "-", "all") and case not in cases:
+        raise ValueError(
+            f"unknown case {case!r} for suite {name}; valid cases: {', '.join(cases)}"
+        )
     return SUITES[name](case=case, samples=samples, seed=seed)
 
 
@@ -235,7 +242,7 @@ def _algebras_for(case):
     return [(case, False)]
 
 
-@register("jordan-identities")
+@register("jordan-identities", cases=ALGEBRAS + tuple(a + "_C" for a in ALGEBRAS))
 def jordan_suite(case=None, samples=50, seed=0):
     rng = random.Random(seed)
     checks = []
@@ -312,7 +319,7 @@ def jordan_suite(case=None, samples=50, seed=0):
     return checks
 
 
-@register("rank-identification")
+@register("rank-identification", cases=("R", "C", "H"))
 def rank_identification_suite(case=None, samples=125, seed=0):
     rng = random.Random(seed)
     algebras = ["R", "C", "H"] if case in (None, "-", "all") else [case]
@@ -398,7 +405,7 @@ def singular_locus_suite(case=None, samples=25, seed=0):
     return checks
 
 
-@register("tkk")
+@register("tkk", cases=TKK_CASES)
 def tkk_suite(case=None, samples=20, seed=0):
     rng = random.Random(seed)
     cases = list(TKK_CASES) if case in (None, "-", "all") else [case]
@@ -501,7 +508,7 @@ def tkk_suite(case=None, samples=20, seed=0):
     return checks
 
 
-@register("moment-identity")
+@register("moment-identity", cases=CLASSICAL_CASES)
 def moment_suite(case=None, samples=25, seed=0):
     rng = random.Random(seed)
     cases = list(CLASSICAL_CASES) if case in (None, "-", "all") else [case]
@@ -668,7 +675,7 @@ def moment_suite(case=None, samples=25, seed=0):
     return checks
 
 
-@register("reduction")
+@register("reduction", cases=CLASSICAL_CASES)
 def reduction_suite(case=None, samples=20, seed=0):
     rng = random.Random(seed)
     cases = list(CLASSICAL_CASES) if case in (None, "-", "all") else [case]
@@ -759,7 +766,7 @@ def oscillator_suite(case=None, samples=30, seed=0):
     return checks
 
 
-@register("poisson-rank")
+@register("poisson-rank", cases=CLASSICAL_CASES)
 def poisson_suite(case=None, samples=10, seed=0):
     rng = random.Random(seed)
     cases = list(CLASSICAL_CASES) if case in (None, "-", "all") else [case]

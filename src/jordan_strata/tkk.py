@@ -132,9 +132,6 @@ class JordanSpace:
                 acc += u[i] * v[i] * gi
         return acc
 
-    def trace_of(self, u):
-        return u[0] + u[1] + u[2]
-
     def box(self, u, v):
         """u box v = L_{u o v} + [L_u, L_v] as an operator matrix."""
         luv = self.lmat(self.mul_coords(u, v))
@@ -145,41 +142,6 @@ class JordanSpace:
 @lru_cache(maxsize=None)
 def jordan_space(algebra: str) -> JordanSpace:
     return JordanSpace(algebra)
-
-
-class _IntEchelon:
-    """Incremental echelon over Q kept in primitive integer rows."""
-
-    def __init__(self, width):
-        self.width = width
-        self.rows = []  # (pivot_col, int_row)
-
-    def insert(self, frac_vec) -> bool:
-        den = 1
-        from math import gcd
-
-        for x in frac_vec:
-            den = den * x.denominator // gcd(den, x.denominator)
-        row = [int(x * den) for x in frac_vec]
-        for piv, prow in self.rows:
-            if row[piv]:
-                f, p = row[piv], prow[piv]
-                row = [p * a - f * b for a, b in zip(row, prow)]
-        for c, v in enumerate(row):
-            if v:
-                g = 0
-                for x in row:
-                    g = gcd(g, x)
-                if g > 1:
-                    row = [x // g for x in row]
-                self.rows.append((c, row))
-                self.rows.sort(key=lambda t: t[0])
-                return True
-        return False
-
-    @property
-    def rank(self):
-        return len(self.rows)
 
 
 class StrBasisOp:
@@ -291,8 +253,8 @@ class TKKAlgebra:
         self.case = case
         self.algebra = CASE_TO_ALGEBRA[case]
         self.space = jordan_space(self.algebra)
+        self._str_cols = None
         self._build_str_basis()
-        self._solver = None
         self._gram = None
 
     # -- structure algebra ------------------------------------------------------
@@ -300,7 +262,7 @@ class TKKAlgebra:
     def _build_str_basis(self):
         sp = self.space
         n = sp.dim
-        ech = _IntEchelon(n * n)
+        ech = linalg._Echelon()
         ops = []
 
         def flat(m):
@@ -321,19 +283,29 @@ class TKKAlgebra:
         self.str_basis = ops
         self.str_dim = len(ops)
         self.dim = 2 * sp.dim + self.str_dim
-
-    def str_solver(self):
-        if self._solver is None:
-            vecs = [tuple(x for row in op.matrix for x in row) for op in self.str_basis]
-            self._solver = _SpanSolver(vecs)
-        return self._solver
+        self._str_echelon = ech
 
     def str_coords(self, t):
-        """Coordinates of an operator matrix in the selected str basis."""
-        coords = self.str_solver().solve(tuple(x for row in t for x in row))
-        if coords is None:
+        """Coordinates of an operator matrix in the selected str basis.
+
+        The basis B is independent, so its echelon has one pivot column per
+        operator and B restricted to the pivot columns P is invertible: a
+        member t of the span has coordinates t[P] B[:, P]^-1.
+        """
+        ech = self._str_echelon
+        if self._str_cols is None:
+            n = self.space.dim
+            b_p = [[op.matrix[p // n][p % n] for p in ech.pivots] for op in self.str_basis]
+            # each column of B[:, P]^-1 as an integer row and its denominator
+            self._str_cols = [linalg._int_row(col) for col in zip(*linalg._inverse_columns(b_p))]
+        ti, den = linalg._int_row([x for row in t for x in row])
+        if any(ech.reduce(ti)):
             raise ValueError("operator does not lie in the structure algebra")
-        return coords
+        tp = [ti[p] for p in ech.pivots]
+        return tuple(
+            Fraction(sum(x * y for x, y in zip(tp, col)), den * cden)
+            for col, cden in self._str_cols
+        )
 
     # -- elements ---------------------------------------------------------------
 
@@ -568,43 +540,3 @@ class TKKAlgebra:
 @lru_cache(maxsize=None)
 def tkk_algebra(case: str) -> TKKAlgebra:
     return TKKAlgebra(case)
-
-
-class _SpanSolver:
-    """Express vectors in the span of a fixed list of Fraction vectors."""
-
-    def __init__(self, vecs):
-        self.n = len(vecs[0])
-        self.m = len(vecs)
-        rows = []
-        for k, v in enumerate(vecs):
-            coeff = [Fraction(0)] * self.m
-            coeff[k] = Fraction(1)
-            rows.append((list(v), coeff))
-        reduced = []
-        for vec, coeff in rows:
-            for piv, pvec, pcoeff in reduced:
-                if vec[piv]:
-                    f = vec[piv]
-                    vec = [x - f * y for x, y in zip(vec, pvec)]
-                    coeff = [x - f * y for x, y in zip(coeff, pcoeff)]
-            piv = next((c for c, x in enumerate(vec) if x), None)
-            if piv is None:
-                continue
-            inv = vec[piv]
-            vec = [x / inv for x in vec]
-            coeff = [x / inv for x in coeff]
-            reduced.append((piv, vec, coeff))
-        self.reduced = reduced
-
-    def solve(self, target):
-        vec = list(target)
-        out = [Fraction(0)] * self.m
-        for piv, pvec, pcoeff in self.reduced:
-            if vec[piv]:
-                f = vec[piv]
-                vec = [x - f * y for x, y in zip(vec, pvec)]
-                out = [x + f * y for x, y in zip(out, pcoeff)]
-        if any(vec):
-            return None
-        return tuple(out)

@@ -46,10 +46,27 @@ def test_classify_identity(tmp_path):
     assert rep["checks"][0]["det"] == [[1, 1], [0, 1]]
 
 
-def test_classify_bad_json_exits_2(tmp_path):
+def test_classify_bad_json_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     rc, _ = run_cli(["classify", str(path)])
+    assert rc == 2
+    good = JordanElement.identity("R").to_json()
+    malformed = [
+        {**good, "diag": [[1, 0], [1, 1], [1, 1]]},  # zero denominator
+        {**good, "diag": 5},
+        [good],
+    ]
+    for obj in malformed:
+        path.write_text(json.dumps(obj))
+        capsys.readouterr()
+        rc, _ = run_cli(["classify", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("error:") and err.count("\n") == 1
+    rc, _ = run_cli(["embed", "--kind", "veronese", "--vectors", "[[[1,0],0,0]]"])
+    assert rc == 2
+    path.write_text(json.dumps({"q": [[[1, 0]], [0], [0]], "p": [[0], [0], [0]]}))
+    rc, _ = run_cli(["reduce", str(path)])
     assert rc == 2
 
 
@@ -121,9 +138,18 @@ def test_verify_deterministic_and_pass():
     assert out1 == out2
 
 
-def test_verify_unknown_suite_exits_2():
+def test_verify_unknown_suite_exits_2(capsys):
     rc, _ = run_cli(["verify", "--suite", "nope"])
     assert rc == 2
+    rc, out = run_cli(["verify", "--suite", "dimension-audit", "--samples", "-3"])
+    assert rc == 2 and out == ""
+    rc, _ = run_cli(["verify", "--suite", "dimension-audit", "--samples", "0"])
+    assert rc == 2
+    capsys.readouterr()
+    rc, _ = run_cli(["verify", "--suite", "tkk", "--case", "xx"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "'xx'" in err and all(c in err for c in ("sp3", "u33", "so12", "e7"))
 
 
 def test_out_file_and_text_format(tmp_path):

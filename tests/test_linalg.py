@@ -1,0 +1,146 @@
+import random
+from fractions import Fraction
+
+import pytest
+
+from jordan_strata import cdmatrix as cdm
+from jordan_strata import linalg
+from jordan_strata.cayley_dickson import CDNumber
+from jordan_strata.scalars import Scalar
+from jordan_strata.tkk import tkk_algebra
+
+SHAPES = [(n, n) for n in range(1, 7)] + [(1, 4), (2, 5), (3, 6), (4, 2), (5, 3), (6, 1)]
+RINGS = [(False, False), (True, False), (False, True), (True, True)]  # (gaussian, tall)
+
+
+def rand_scalar(rng, gaussian, tall):
+    def part():
+        if rng.random() < 0.25:
+            return Fraction(0)
+        if tall:
+            return Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**40))
+        return Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+
+    return Scalar(part(), part() if gaussian else 0, gaussian)
+
+
+def rand_matrix(rng, m, n, gaussian, tall, rank=None):
+    """An m x n matrix; with ``rank`` given, a product of m x rank and rank x n."""
+    if rank is None:
+        return tuple(tuple(rand_scalar(rng, gaussian, tall) for _ in range(n)) for _ in range(m))
+    u = rand_matrix(rng, m, rank, gaussian, tall)
+    v = rand_matrix(rng, rank, n, gaussian, tall)
+    return linalg.mul(u, v) if rank else linalg.zeros(m, n, gaussian)
+
+
+def mat_vec(a, v):
+    return tuple(row[0] for row in linalg.mul(a, tuple((x,) for x in v)))
+
+
+def cases(seed):
+    rng = random.Random(seed)
+    for gaussian, tall in RINGS:
+        for m, n in SHAPES:
+            for rank in (None, rng.randint(0, min(m, n))):
+                yield rng, gaussian, tall, rand_matrix(rng, m, n, gaussian, tall, rank)
+
+
+def test_solve_in_and_outside_the_column_space():
+    for rng, gaussian, tall, a in cases(1):
+        m, n = len(a), len(a[0])
+        x = tuple(rand_scalar(rng, gaussian, tall) for _ in range(n))
+        b = mat_vec(a, x)
+        assert mat_vec(a, linalg.solve(a, b)) == b
+        # with a zero last row, any b with a nonzero last entry is outside the
+        # column space; a unit lower-triangular mix hides the zero row
+        low = tuple(
+            tuple(
+                Scalar.one(gaussian) if i == j else rand_scalar(rng, gaussian, tall) if j < i
+                else Scalar.zero(gaussian)
+                for j in range(m)
+            )
+            for i in range(m)
+        )
+        a0 = a[:-1] + ((Scalar.zero(gaussian),) * n,)
+        b0 = mat_vec(a0, x)[:-1] + (Scalar.one(gaussian),)
+        assert linalg.solve(linalg.mul(low, a0), mat_vec(low, b0)) is None
+
+
+def test_kernel_basis_is_killed_and_has_the_right_size():
+    for _, gaussian, _, a in cases(2):
+        ker = linalg.kernel_basis(a)
+        assert len(ker) == len(a[0]) - linalg.rank(a)
+        zero = (Scalar.zero(gaussian),) * len(a)
+        assert all(mat_vec(a, v) == zero for v in ker)
+        assert linalg.rank(tuple(ker)) == len(ker)
+
+
+def test_inverse_and_rank_against_the_cofactor_determinant():
+    for _, gaussian, _, a in cases(3):
+        n = len(a)
+        if len(a[0]) != n:
+            continue
+        invertible = not linalg.determinant(a).is_zero()
+        assert (linalg.rank(a) == n) == invertible
+        if invertible:
+            assert linalg.mul(a, linalg.inverse(a)) == linalg.identity(n, gaussian)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                linalg.inverse(a)
+
+
+def test_rref_canonical_vectors_over_gaussian_rationals():
+    i = Scalar.i()
+
+    def g(re, im=0):
+        return Scalar(re, im, True)
+
+    # row 2 = i * row 1; RREF = [[1, 0, 3 - i], [0, 1, 1 + i], [0, 0, 0]]
+    a = ((g(1), i, g(2)), (i, g(-1), g(0, 2)), (g(0), g(1), g(1, 1)))
+    assert linalg.rank(a) == 2
+    assert linalg.kernel_basis(a) == [(g(-3, 1), g(-1, -1), g(1))]
+    assert linalg.solve(a, (g(2), g(0, 2), g(1))) == (g(2, -1), g(1), g(0))
+    assert linalg.solve(a, (g(1), g(0), g(0))) is None
+    assert all(x.gaussian for x in linalg.solve(a, (g(2), g(0, 2), g(1))))
+
+
+def test_frac_rank_matches_scalar_rank():
+    for _, gaussian, _, a in cases(4):
+        if not gaussian:
+            assert linalg.frac_rank([[x.re for x in row] for row in a]) == linalg.rank(a)
+
+
+@pytest.mark.parametrize("level, gaussian", [(0, False), (0, True), (1, False), (2, False)])
+def test_cdmatrix_inverse(level, gaussian):
+    rng = random.Random(5 + level)
+    for n in (1, 2, 3, 4):
+        a = tuple(
+            tuple(
+                CDNumber(level, [rand_scalar(rng, gaussian, False) for _ in range(1 << level)])
+                for _ in range(n)
+            )
+            for _ in range(n)
+        )
+        try:
+            inv = cdm.inverse(a)
+        except ZeroDivisionError:
+            continue
+        ident = cdm.identity(n, level, gaussian)
+        assert cdm.mul(a, inv) == ident
+        assert cdm.mul(inv, a) == ident
+    with pytest.raises(ZeroDivisionError, match="singular matrix"):
+        cdm.inverse((a[0],) + a[:-1])
+    one = CDNumber.one(1, gaussian=True)
+    with pytest.raises(ValueError):
+        cdm.inverse(((one,),))
+
+
+def test_str_coords_rejects_an_operator_outside_the_structure_algebra():
+    alg = tkk_algebra("sp3")
+    n = alg.space.dim
+    unit = [[Fraction(int((r, c) == (0, 1))) for c in range(n)] for r in range(n)]
+    with pytest.raises(ValueError):
+        alg.str_coords(unit)
+    op = alg.str_basis[-1].matrix
+    coords = alg.str_coords(op)
+    assert coords == tuple(Fraction(int(k == alg.str_dim - 1)) for k in range(alg.str_dim))

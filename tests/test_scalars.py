@@ -28,6 +28,14 @@ def test_field_ops_gaussian():
         assert (a * b).conjugate() == a.conjugate() * b.conjugate()
 
 
+def test_hash_agrees_with_equality():
+    assert Scalar(1) == 1 and Scalar(1, 0, True) == 1
+    assert len({Scalar(1), 1, Fraction(1)}) == 1
+    assert len({Scalar(1, 0, True), 1}) == 1
+    assert hash(Scalar(Fraction(-2, 3))) == hash(Fraction(-2, 3))
+    assert len({Scalar(1, 2, True), Scalar(1, 2, True), Scalar(1, -2, True)}) == 2
+
+
 def test_ring_mixing_raises():
     with pytest.raises(RingMismatch):
         Scalar(1) + Scalar(1, 0, True)
