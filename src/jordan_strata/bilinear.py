@@ -1,0 +1,92 @@
+"""Sparse integer bilinear products: the one engine behind ``cd_mul``,
+``jordan_mul`` and the coordinate product of ``tkk.JordanSpace``.
+
+A structure-constant table e_i e_j = sum_k c_ijk e_k with rational c_ijk is
+compiled once into integer constants over one common denominator.  Over the
+Gaussian base ring Q(i) the same constants act on 2n rational coordinates
+(the real parts, then the imaginary parts), so one contraction serves both
+rings.  An operand enters as one integer vector and its least common
+denominator (``linalg._int_row``), the sum runs in Python ints, and each
+output coordinate is boxed back into a ``Scalar`` once.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import lcm
+
+from .linalg import _int_row
+from .scalars import Scalar
+
+
+class Bilinear:
+    """A bilinear product compiled from its structure constants.
+
+    ``rows[i][j]`` lists the (k, c) with e_i e_j = sum (c / den) e_k and c a
+    nonzero integer.
+    """
+
+    __slots__ = ("dim", "den", "rows", "_gauss_rows")
+
+    def __init__(self, table):
+        """``table[i][j]`` lists the (k, c) with e_i e_j = sum c e_k."""
+        n = len(table)
+        den = lcm(*[Fraction(c).denominator for row in table for cell in row for _, c in cell])
+        rows = [[tuple((k, int(c * den)) for k, c in cell) for cell in row] for row in table]
+        # (a + bi)(a' + b'i) = (aa' - bb') + (ab' + ba')i, coordinate by coordinate
+        gauss = [[()] * (2 * n) for _ in range(2 * n)]
+        for p in (0, 1):
+            for q in (0, 1):
+                sign = -1 if p and q else 1
+                shift = n if p != q else 0
+                for i in range(n):
+                    for j in range(n):
+                        gauss[p * n + i][q * n + j] = tuple(
+                            (k + shift, sign * c) for k, c in rows[i][j]
+                        )
+        self.dim = n
+        self.den = den
+        self.rows = rows
+        self._gauss_rows = gauss
+
+    def contract(self, xv, yv, gaussian=False):
+        """den * (x y) for integer coordinate vectors x, y (2n long over Q(i))."""
+        rows = self._gauss_rows if gaussian else self.rows
+        acc = [0] * len(xv)
+        ys = [(j, b) for j, b in enumerate(yv) if b]
+        for i, a in enumerate(xv):
+            if a:
+                row = rows[i]
+                for j, b in ys:
+                    p = a * b
+                    for k, c in row[j]:
+                        acc[k] += p * c
+        return acc
+
+    def mul(self, xs, ys, gaussian: bool):
+        """Scalar coordinates of the product of two Scalar coordinate vectors."""
+        xv, dx = _int_coords(xs, gaussian)
+        yv, dy = _int_coords(ys, gaussian)
+        acc = self.contract(xv, yv, gaussian)
+        den = dx * dy * self.den
+        if not gaussian:
+            return [Scalar(Fraction(v, den)) for v in acc]
+        n = self.dim
+        return [
+            Scalar(Fraction(acc[k], den), Fraction(acc[n + k], den), True)
+            for k in range(n)
+        ]
+
+    def mul_fractions(self, u, v):
+        """The product of two rational coordinate vectors, as Fractions."""
+        uv, du = _int_row(u)
+        vv, dv = _int_row(v)
+        den = du * dv * self.den
+        return tuple(Fraction(x, den) for x in self.contract(uv, vv))
+
+
+def _int_coords(xs, gaussian):
+    """One integer vector and one denominator for Scalar coordinates."""
+    if gaussian:
+        return _int_row([x.re for x in xs] + [x.im for x in xs])
+    return _int_row([x.re for x in xs])

@@ -5,10 +5,13 @@ Levels 0..3 double the base ring, with the product convention
 
     (p, q) (r, s) = (p r - conj(s) q,  s p + q conj(r))
 
-fixed once for the whole package.  The basis multiplication table is generated
-from this recursion (never entered by hand) and drives the fast bilinear
-product; the pair recursion itself is kept as ``cd_mul_doubling`` so tests can
-cross-check the two routes against each other.
+fixed once for the whole package.  The signed basis multiplication table is
+generated from this recursion (``unit_product``, never entered by hand),
+compiled once per level into a sparse integer tensor and contracted in
+integers by the bilinear engine (``bilinear.Bilinear``), which is how
+``cd_mul`` multiplies.  The pair recursion itself is kept as
+``cd_mul_doubling``, an independent route that shares no code with the
+engine, so tests can cross-check the two against each other.
 
 Complexification is a base-ring swap (rational -> Gaussian rational), not a
 fourth doubling, so the Gaussian-base level-3 algebra stays 8-dimensional over
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from .bilinear import Bilinear
 from .scalars import RingMismatch, Scalar
 
 MAX_LEVEL = 3
@@ -190,21 +194,19 @@ class CDNumber:
         return CDNumber(level, coeffs)
 
 
+@lru_cache(maxsize=None)
+def _cd_product(level: int) -> Bilinear:
+    """The signed unit table of one level, compiled for the bilinear engine."""
+    n = 1 << level
+    return Bilinear(
+        [[(unit_product(level, i, j),) for j in range(n)] for i in range(n)]
+    )
+
+
 def cd_mul(a: CDNumber, b: CDNumber) -> CDNumber:
-    """Bilinear product through the generated basis table."""
+    """Bilinear product through the compiled basis table."""
     a._check(b)
-    n = 1 << a.level
-    out = [Scalar.zero(a.gaussian)] * n
-    for i, ca in enumerate(a.coeffs):
-        if ca.is_zero():
-            continue
-        for j, cb in enumerate(b.coeffs):
-            if cb.is_zero():
-                continue
-            k, sign = unit_product(a.level, i, j)
-            term = ca * cb
-            out[k] = out[k] + term if sign > 0 else out[k] - term
-    return CDNumber(a.level, out)
+    return CDNumber(a.level, _cd_product(a.level).mul(a.coeffs, b.coeffs, a.gaussian))
 
 
 def cd_mul_doubling(a: CDNumber, b: CDNumber) -> CDNumber:

@@ -20,6 +20,16 @@ pinned by three independent oracles exercised in the tests (classical
 determinants for R and C, X o sharp(X) = det(X) I everywhere, and the
 quadratic-representation multiplicativity of det).
 
+The Jordan product x o y = (xy + yx)/2 runs on structure constants.  The
+table ``_mult_table`` is generated straight from the Cayley-Dickson unit
+table by the hermitian-matrix rule, compiled once into a sparse integer
+tensor (``structure_tensor``) and contracted in integers by the bilinear
+engine; it drives the fast product ``jordan_mul`` and, with ``cd_mul``,
+``sharp``, ``det``, ``trace_form`` and ``quadratic_rep``.  The matrix route
+``jordan_mul_matrices`` multiplies the hermitian matrices entry by entry with
+``cd_mul_doubling`` and never reads the table, so it shares no code with the
+engine and stays an independent check of it.
+
 Matrix models used for rank identification:
 
   * algebra R: the element is itself a symmetric 3x3 scalar matrix;
@@ -41,7 +51,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import linalg
-from .cayley_dickson import CDNumber, LEVEL_OF_ALGEBRA, cd_mul
+from .bilinear import Bilinear
+from .cayley_dickson import CDNumber, LEVEL_OF_ALGEBRA, cd_mul, cd_mul_doubling, unit_product
 from .scalars import RingMismatch, Scalar
 
 ALGEBRAS = ("R", "C", "H", "O")
@@ -273,13 +284,18 @@ class JordanElement:
 
 
 def _mat_mul(a, b):
+    """3x3 matrix product with entries multiplied by the pair recursion
+    ``cd_mul_doubling``, so the matrix route shares no code with the
+    bilinear engine behind ``cd_mul`` and ``jordan_mul``."""
+    zero = CDNumber.zero(a[0][0].level, a[0][0].gaussian)
     rows = []
     for i in range(3):
         row = []
         for j in range(3):
-            acc = cd_mul(a[i][0], b[0][j])
-            acc = acc + cd_mul(a[i][1], b[1][j])
-            acc = acc + cd_mul(a[i][2], b[2][j])
+            acc = zero
+            for m in range(3):
+                if not (a[i][m].is_zero() or b[m][j].is_zero()):
+                    acc = acc + cd_mul_doubling(a[i][m], b[m][j])
             row.append(acc)
         rows.append(tuple(row))
     return tuple(rows)
@@ -299,50 +315,59 @@ def jordan_mul_matrices(x: JordanElement, y: JordanElement) -> JordanElement:
 
 @lru_cache(maxsize=None)
 def _mult_table(algebra: str):
-    """Sparse structure constants of the Jordan product in the coordinate
-    basis, generated from the hermitian-matrix product on basis pairs (the
-    tests cross-check the two routes on random elements)."""
-    basis = JordanElement.space_basis(algebra)
-    dim = len(basis)
-    table = []
+    """Sparse structure constants of the Jordan product in the coordinate basis.
+
+    Generated straight from the Cayley-Dickson unit table: each basis element
+    is a hermitian 3x3 matrix of integer coefficient dicts {unit: coeff},
+    and e_i o e_j = (e_i e_j + e_j e_i) / 2 is read back into coordinates.
+    It never calls ``jordan_mul_matrices``, which therefore stays an
+    independent check of the product that this table drives.
+    """
+    level = LEVEL_OF_ALGEBRA[algebra]
+    # matrix position (r, c), r < c, and unit of each off-diagonal coordinate
+    offs = [(pos, u) for pos in ((1, 2), (0, 2), (0, 1)) for u in range(1 << level)]
+    mats = [{(k, k): {0: 1}} for k in range(3)]
+    for (r, c), u in offs:
+        mats.append({(r, c): {u: 1}, (c, r): {u: 1 if u == 0 else -1}})
+
+    def matmul(x, y):
+        out = {}
+        for (r, m), p in x.items():
+            for (m2, c), q in y.items():
+                if m != m2:
+                    continue
+                cell = out.setdefault((r, c), {})
+                for u, a in p.items():
+                    for v, b in q.items():
+                        k, sign = unit_product(level, u, v)
+                        cell[k] = cell.get(k, 0) + sign * a * b
+        return out
+
+    dim = len(mats)
+    table = [[None] * dim for _ in range(dim)]
     for i in range(dim):
-        row = []
-        for j in range(dim):
-            if j < i:
-                row.append(table[j][i])
-                continue
-            prod = jordan_mul_matrices(basis[i], basis[j]).coords()
-            row.append(tuple((k, c.re) for k, c in enumerate(prod) if not c.is_zero()))
-        table.append(row)
+        for j in range(i, dim):
+            xy, yx = matmul(mats[i], mats[j]), matmul(mats[j], mats[i])
+            twice = lambda pos, u: xy.get(pos, {}).get(u, 0) + yx.get(pos, {}).get(u, 0)
+            coords = [twice((k, k), 0) for k in range(3)]
+            coords += [twice(pos, u) for pos, u in offs]
+            table[i][j] = table[j][i] = tuple(
+                (k, Fraction(c, 2)) for k, c in enumerate(coords) if c
+            )
     return tuple(tuple(r) for r in table)
 
 
+@lru_cache(maxsize=None)
+def structure_tensor(algebra: str) -> Bilinear:
+    """The Jordan structure constants compiled for the bilinear engine."""
+    return Bilinear(_mult_table(algebra))
+
+
 def jordan_mul(x: JordanElement, y: JordanElement) -> JordanElement:
-    """x o y = (xy + yx)/2, through the cached structure constants."""
+    """x o y = (xy + yx)/2, through the compiled structure constants."""
     x._check(y)
-    table = _mult_table(x.algebra)
-    gaussian = x.gaussian
-    dim = JordanElement.space_dim(x.algebra)
-    xc, yc = x.coords(), y.coords()
-    zero = Fraction(0)
-    out_re = [zero] * dim
-    out_im = [zero] * dim
-    for i, xi in enumerate(xc):
-        if xi.is_zero():
-            continue
-        row = table[i]
-        xr, xi_im = xi.re, xi.im
-        for j, yj in enumerate(yc):
-            if yj.is_zero():
-                continue
-            cr = xr * yj.re - xi_im * yj.im
-            ci = xr * yj.im + xi_im * yj.re
-            for k, c in row[j]:
-                out_re[k] += cr * c
-                if ci:
-                    out_im[k] += ci * c
-    coords = [Scalar(r, m, gaussian) for r, m in zip(out_re, out_im)]
-    return JordanElement.from_coords(x.algebra, coords, gaussian)
+    coords = structure_tensor(x.algebra).mul(x.coords(), y.coords(), x.gaussian)
+    return JordanElement.from_coords(x.algebra, coords, x.gaussian)
 
 
 def trace(x: JordanElement) -> Scalar:

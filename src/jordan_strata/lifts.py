@@ -35,6 +35,7 @@ from .reduction import (
     zero_level_sample,
 )
 from .scalars import Scalar, four_squares, two_squares
+from .strata import draws
 
 ALGEBRA_CASE = {v: k for k, v in CASE_ALGEBRA.items()}
 
@@ -566,7 +567,7 @@ def _rand_gauss(rng, span=2):
 
 
 def _real_liftable(rank, s, rng):
-    while True:
+    for _ in draws("lifts._real_liftable"):
         v1 = tuple(_rand_gauss(rng) for _ in range(3))
         if _herm_dot(v1, v1).is_zero():
             continue
@@ -621,7 +622,7 @@ def _rand_quat(rng, span=2):
 
 
 def _quat_liftable(rank, s, rng):
-    while True:
+    for _ in draws("lifts._quat_liftable"):
         b1 = tuple(_rand_quat(rng) for _ in range(3))
         n1 = sum((q.norm().re for q in b1), Fraction(0))
         if not n1:

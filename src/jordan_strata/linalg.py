@@ -198,7 +198,9 @@ def _primitive(row):
 
 def _int_row(xs):
     """(row, den): the integer row den * xs for the least such den."""
-    den = lcm(*(x.denominator for x in xs))
+    # a list, not a generator: CPython builds the argument tuple of a
+    # generator by resizing, and such tuples pile up on its tuple free list
+    den = lcm(*[x.denominator for x in xs])
     return [x.numerator * (den // x.denominator) for x in xs], den
 
 

@@ -35,6 +35,7 @@ from . import linalg
 from .cayley_dickson import CDNumber
 from .jordan import JordanElement, jordan_rank
 from .scalars import Scalar
+from .strata import draws
 
 CASE_LEVEL = {"real": 0, "complex": 1, "quaternionic": 2}
 CASE_ALGEBRA = {"real": "R", "complex": "C", "quaternionic": "H"}
@@ -294,7 +295,7 @@ def _g_shear(case, rng, upper=True):
 
 def _g_block_diag(case, rng):
     level = CASE_LEVEL[case]
-    while True:
+    for _ in draws("reduction._g_block_diag"):
         g = [
             [
                 CDNumber(

@@ -24,8 +24,10 @@ class Scalar:
     __slots__ = ("re", "im", "gaussian")
 
     def __init__(self, re=0, im=0, gaussian=False):
-        re = Fraction(re)
-        im = Fraction(im)
+        if type(re) is not Fraction:
+            re = Fraction(re)
+        if type(im) is not Fraction:
+            im = Fraction(im)
         if not gaussian and im:
             raise ValueError("rational scalar with nonzero imaginary part")
         object.__setattr__(self, "re", re)

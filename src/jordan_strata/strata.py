@@ -27,6 +27,21 @@ from .jordan import (
 )
 from .scalars import Scalar
 
+# Draws a rejection sampler may make before it gives up.  Every sampler here
+# accepts most draws, so an honest stream needs a handful; only a degenerate
+# random source comes near this.
+MAX_DRAWS = 1000
+
+
+class SamplerExhausted(RuntimeError):
+    """A rejection sampler made MAX_DRAWS draws and accepted none."""
+
+
+def draws(sampler: str):
+    """The attempts of a rejection loop: MAX_DRAWS of them, then an error."""
+    yield from range(MAX_DRAWS)
+    raise SamplerExhausted(f"{sampler}: no acceptable draw in {MAX_DRAWS} attempts")
+
 
 class ProjPoint:
     """A point of P(J_C): a nonzero complexified element up to scale."""
@@ -140,7 +155,7 @@ def _vec6_entry(c):
 def rank1_sample(algebra: str, rng) -> JordanElement:
     """A random rank-one element, as U_A(E11) for random invertible A."""
     e11 = JordanElement.diagonal(algebra, 1, 0, 0, gaussian=True)
-    while True:
+    for _ in draws("strata.rank1_sample"):
         a = random_element(algebra, rng, gaussian=True)
         if not det(a).is_zero():
             out = quadratic_rep(a, e11)
@@ -166,7 +181,7 @@ def rank_k_sample(algebra: str, k: int, rng, gaussian=True) -> JordanElement:
     if k == 0:
         return JordanElement.zero(algebra, gaussian)
     seed = JordanElement.diagonal(algebra, 1, 1 if k > 1 else 0, 1 if k > 2 else 0, gaussian)
-    while True:
+    for _ in draws("strata.rank_k_sample"):
         a = random_element(algebra, rng, gaussian)
         if det(a).is_zero():
             continue

@@ -97,6 +97,8 @@ def run_suite(name, case=None, samples=25, seed=0):
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     cases = SUITE_CASES[name]
+    if not cases and case is not None:
+        raise ValueError(f"suite {name} takes no --case")
     if cases and case not in (None, "-", "all") and case not in cases:
         raise ValueError(
             f"unknown case {case!r} for suite {name}; valid cases: {', '.join(cases)}"

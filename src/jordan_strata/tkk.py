@@ -34,7 +34,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
-from .jordan import JordanElement, jordan_mul, trace_form
+from .jordan import JordanElement, structure_tensor, trace_form
 from .scalars import Scalar
 
 CASES = ("sp3", "u33", "so12", "e7")
@@ -54,56 +54,35 @@ def from_jcoords(algebra: str, coords) -> JordanElement:
 
 
 class JordanSpace:
-    """Coordinate model of one real Jordan algebra: basis, product table,
-    trace-form Gram and the matrices of left multiplications."""
+    """Coordinate model of one real Jordan algebra: basis, the compiled
+    product (``jordan.structure_tensor``), trace-form Gram and the matrices
+    of left multiplications read off the product's structure constants."""
 
     def __init__(self, algebra: str):
         self.algebra = algebra
         self.basis = JordanElement.space_basis(algebra)
         self.dim = len(self.basis)
-        table = {}
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                prod = jcoords(jordan_mul(self.basis[i], self.basis[j]))
-                entry = tuple((k, c) for k, c in enumerate(prod) if c)
-                if entry:
-                    table[(i, j)] = entry
-        self.table = table
+        self.product = structure_tensor(algebra)
         self.gram = tuple(
             tuple(trace_form(bi, bj).re for bj in self.basis) for bi in self.basis
         )
         self.unit = jcoords(JordanElement.identity(algebra))
-        zero_row = (Fraction(0),) * self.dim
+        # L_{e_i} has entry (k, j) = c / den for each (k, c) in rows[i][j]
+        den = self.product.den
         self._lmats = []
         self._lmats_sparse = []
-        for i in range(self.dim):
-            rows = [list(zero_row) for _ in range(self.dim)]
-            for j in range(self.dim):
-                key = (i, j) if i <= j else (j, i)
-                for k, c in table.get(key, ()):
-                    rows[k][j] = c
-            self._lmats.append(tuple(tuple(r) for r in rows))
-            self._lmats_sparse.append(
-                tuple(
-                    (r, c, v)
-                    for r, row in enumerate(rows)
-                    for c, v in enumerate(row)
-                    if v
-                )
+        for row in self.product.rows:
+            entries = sorted(
+                (k, j, Fraction(c, den)) for j, cell in enumerate(row) for k, c in cell
             )
+            mat = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+            for k, j, v in entries:
+                mat[k][j] = v
+            self._lmats.append(tuple(tuple(r) for r in mat))
+            self._lmats_sparse.append(tuple(entries))
 
     def mul_coords(self, u, v):
-        out = [Fraction(0)] * self.dim
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                key = (i, j) if i <= j else (j, i)
-                for k, c in self.table.get(key, ()):
-                    out[k] += ui * vj * c
-        return tuple(out)
+        return self.product.mul_fractions(u, v)
 
     def lmat(self, w):
         """Matrix of L_w, accumulated sparsely from the basis multiplications."""

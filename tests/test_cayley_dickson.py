@@ -40,12 +40,29 @@ def test_unit_law():
         assert x * one == x
 
 
+def _big_scalar(rng, gaussian):
+    """0 now and then, else 40-digit numerators over unrelated denominators."""
+    def part():
+        if rng.random() < 0.15:
+            return Fraction(0)
+        return Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**40))
+
+    return Scalar(part(), part() if gaussian else 0, gaussian)
+
+
 def test_table_matches_doubling_recursion():
     rng = random.Random(2)
     for level in (0, 1, 2, 3):
         for _ in range(15):
             a, b = rand_cd(rng, level), rand_cd(rng, level)
             assert cd_mul(a, b) == cd_mul_doubling(a, b)
+        for gaussian in (False, True):
+            for _ in range(6):
+                a, b = (
+                    CDNumber(level, [_big_scalar(rng, gaussian) for _ in range(1 << level)])
+                    for _ in range(2)
+                )
+                assert cd_mul(a, b) == cd_mul_doubling(a, b)
 
 
 def test_composition_norm_all_levels():

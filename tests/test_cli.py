@@ -150,6 +150,11 @@ def test_verify_unknown_suite_exits_2(capsys):
     err = capsys.readouterr().err
     assert rc == 2
     assert "'xx'" in err and all(c in err for c in ("sp3", "u33", "so12", "e7"))
+    for suite in ("division-algebra", "singular-locus", "oscillator", "dimension-audit"):
+        rc, out = run_cli(["verify", "--suite", suite, "--case", "xx", "--samples", "1"])
+        err = capsys.readouterr().err
+        assert rc == 2 and out == ""
+        assert err == f"error: suite {suite} takes no --case\n"
 
 
 def test_out_file_and_text_format(tmp_path):

@@ -64,6 +64,47 @@ def test_table_route_matches_matrix_route():
                 y = random_element(algebra, rng, gaussian)
                 assert jordan_mul(x, y) == mat_route(x, y)
 
+    def big():  # 0 now and then, else 40-digit over unrelated denominators
+        if rng.random() < 0.15:
+            return Fraction(0)
+        return Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**40))
+
+    for algebra in ALGEBRAS:
+        dim = JordanElement.space_dim(algebra)
+        for _ in range(3):
+            x, y = (
+                JordanElement.from_coords(
+                    algebra, [Scalar(big(), big(), True) for _ in range(dim)], True
+                )
+                for _ in range(2)
+            )
+            assert jordan_mul(x, y) == mat_route(x, y)
+
+
+def test_generated_table_matches_matrix_route_on_basis_pairs():
+    for algebra in ALGEBRAS:
+        basis = JordanElement.space_basis(algebra)
+        for i, x in enumerate(basis):
+            for y in basis[i:]:
+                assert jordan_mul(x, y) == jordan_mul_matrices(x, y)
+
+
+def test_table_is_generated_without_the_matrix_route(monkeypatch):
+    from jordan_strata import jordan
+
+    def refuse(x, y):
+        raise AssertionError("the table must not be built from the matrix route")
+
+    before = {a: jordan._mult_table(a) for a in ALGEBRAS}
+    monkeypatch.setattr(jordan, "jordan_mul_matrices", refuse)
+    jordan._mult_table.cache_clear()
+    jordan.structure_tensor.cache_clear()
+    rng = random.Random(23)
+    for algebra in ALGEBRAS:
+        assert jordan._mult_table(algebra) == before[algebra]
+        x = random_element(algebra, rng, True)
+        assert jordan_mul(x, JordanElement.identity(algebra, True)) == x
+
 
 def test_trace_form():
     rng = random.Random(2)

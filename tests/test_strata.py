@@ -3,10 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from jordan_strata import reduction
 from jordan_strata.jordan import JordanElement, det, jordan_rank, sharp, trace_form
+from jordan_strata.lifts import liftable_sample
 from jordan_strata.scalars import Scalar
 from jordan_strata.strata import (
+    MAX_DRAWS,
     ProjPoint,
+    SamplerExhausted,
     chord,
     closed_orbit_tangent_dim,
     closure_chain_audit,
@@ -205,3 +209,28 @@ def test_proj_point_json():
     obj = p.to_json()
     assert obj["projective"] is True
     assert ProjPoint.from_json(obj) == p
+
+
+class _StuckRandom:
+    """A degenerate random source: randint always 0, choice always the first item."""
+
+    def randint(self, a, b):
+        return 0
+
+    def choice(self, seq):
+        return seq[0]
+
+
+def test_rejection_samplers_give_up_on_a_stuck_source():
+    stuck = _StuckRandom()
+    samplers = {
+        "strata.rank1_sample": lambda: rank1_sample("O", stuck),
+        "strata.rank_k_sample": lambda: rank_k_sample("H", 2, stuck),
+        "lifts._real_liftable": lambda: liftable_sample("real", 2, 3, stuck),
+        "lifts._quat_liftable": lambda: liftable_sample("quaternionic", 1, 3, stuck),
+        "reduction._g_block_diag": lambda: reduction._g_block_diag("quaternionic", stuck),
+    }
+    for name, draw in samplers.items():
+        with pytest.raises(SamplerExhausted) as info:
+            draw()
+        assert name in str(info.value) and str(MAX_DRAWS) in str(info.value)
