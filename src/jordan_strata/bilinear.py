@@ -1,13 +1,15 @@
 """Sparse integer bilinear products: the one engine behind ``cd_mul``,
-``jordan_mul`` and the coordinate product of ``tkk.JordanSpace``.
+``jordan_mul``, the coordinate product of ``tkk.JordanSpace`` and the Lie
+bracket of ``tkk.TKKAlgebra``.
 
 A structure-constant table e_i e_j = sum_k c_ijk e_k with rational c_ijk is
 compiled once into integer constants over one common denominator.  Over the
 Gaussian base ring Q(i) the same constants act on 2n rational coordinates
 (the real parts, then the imaginary parts), so one contraction serves both
-rings.  An operand enters as one integer vector and its least common
-denominator (``linalg._int_row``), the sum runs in Python ints, and each
-output coordinate is boxed back into a ``Scalar`` once.
+rings; that doubled table is compiled on the first Gaussian product only.
+An operand enters as one integer vector and its least common denominator
+(``linalg._int_row``), the sum runs in Python ints, and each output
+coordinate is boxed back into a ``Scalar`` once.
 """
 
 from __future__ import annotations
@@ -33,25 +35,32 @@ class Bilinear:
         n = len(table)
         den = lcm(*[Fraction(c).denominator for row in table for cell in row for _, c in cell])
         rows = [[tuple((k, int(c * den)) for k, c in cell) for cell in row] for row in table]
-        # (a + bi)(a' + b'i) = (aa' - bb') + (ab' + ba')i, coordinate by coordinate
-        gauss = [[()] * (2 * n) for _ in range(2 * n)]
-        for p in (0, 1):
-            for q in (0, 1):
-                sign = -1 if p and q else 1
-                shift = n if p != q else 0
-                for i in range(n):
-                    for j in range(n):
-                        gauss[p * n + i][q * n + j] = tuple(
-                            (k + shift, sign * c) for k, c in rows[i][j]
-                        )
         self.dim = n
         self.den = den
         self.rows = rows
-        self._gauss_rows = gauss
+        self._gauss_rows = None
+
+    def _gauss(self):
+        """The constants on 2n coordinates, compiled on first use."""
+        if self._gauss_rows is None:
+            n, rows = self.dim, self.rows
+            # (a + bi)(a' + b'i) = (aa' - bb') + (ab' + ba')i, coordinate by coordinate
+            gauss = [[()] * (2 * n) for _ in range(2 * n)]
+            for p in (0, 1):
+                for q in (0, 1):
+                    sign = -1 if p and q else 1
+                    shift = n if p != q else 0
+                    for i in range(n):
+                        for j in range(n):
+                            gauss[p * n + i][q * n + j] = tuple(
+                                (k + shift, sign * c) for k, c in rows[i][j]
+                            )
+            self._gauss_rows = gauss
+        return self._gauss_rows
 
     def contract(self, xv, yv, gaussian=False):
         """den * (x y) for integer coordinate vectors x, y (2n long over Q(i))."""
-        rows = self._gauss_rows if gaussian else self.rows
+        rows = self._gauss() if gaussian else self.rows
         acc = [0] * len(xv)
         ys = [(j, b) for j, b in enumerate(yv) if b]
         for i, a in enumerate(xv):
@@ -67,6 +76,8 @@ class Bilinear:
         """Scalar coordinates of the product of two Scalar coordinate vectors."""
         xv, dx = _int_coords(xs, gaussian)
         yv, dy = _int_coords(ys, gaussian)
+        if not any(xv) or not any(yv):
+            return [Scalar.zero(gaussian)] * self.dim
         acc = self.contract(xv, yv, gaussian)
         den = dx * dy * self.den
         if not gaussian:

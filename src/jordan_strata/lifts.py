@@ -34,7 +34,7 @@ from .reduction import (
     reduced_point,
     zero_level_sample,
 )
-from .scalars import Scalar, four_squares, two_squares
+from .scalars import Scalar, SearchExhausted, four_squares, two_squares
 from .strata import draws
 
 ALGEBRA_CASE = {v: k for k, v in CASE_ALGEBRA.items()}
@@ -62,12 +62,11 @@ def hilbert_lift(z: JordanElement, s: int) -> WMap:
     case = ALGEBRA_CASE[z.algebra]
     if rank == 0:
         return WMap.zero(case, s)
-    if case == "real":
-        alpha = _lift_real(z, s, rank)
-    elif case == "complex":
-        alpha = _lift_complex(z, s, rank)
-    else:
-        alpha = _lift_quaternionic(z, s, rank)
+    lift = {"real": _lift_real, "complex": _lift_complex}.get(case, _lift_quaternionic)
+    try:
+        alpha = lift(z, s, rank)
+    except SearchExhausted as exc:
+        raise LiftError(f"square-sum search cut: {exc}") from exc
     if not cdm.is_zero(mu_h(alpha)):
         raise LiftError("constructed map missed the zero level")
     if reduced_point(alpha) != z:

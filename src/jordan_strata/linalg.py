@@ -1,11 +1,9 @@
 """Exact linear algebra over Scalar entries (Q or Q(i)).
 
-Matrices are tuples of row-tuples and everything is fraction-exact.  Two
-integer kernels carry the work.  Products of purely rational matrices go
-through a single integer rescale (``frac_mul``).  Every row reduction -- rank,
-solve, inverse and kernel here, the structure-algebra span of ``tkk``, the
-bivector ranks of ``poisson`` and the inverses of ``cdmatrix`` -- goes
-through one fraction-free integer echelon (``_Echelon``).  A Q(i) matrix
+Matrices are tuples of row-tuples and everything is fraction-exact.  Every
+row reduction -- rank, solve, inverse and kernel here, the structure-algebra
+span of ``tkk``, the bivector ranks of ``poisson`` and the inverses of
+``cdmatrix`` -- goes through one fraction-free integer echelon (``_Echelon``).  A Q(i) matrix
 reaches it through the interleaved realification
 
     rho: a + bi -> [[a, -b], [b, a]],
@@ -79,54 +77,6 @@ def mul(a, b):
             out_row.append(acc)
         out.append(tuple(out_row))
     return tuple(out)
-
-
-# -- fast path for rational (Fraction-entry) matrices -------------------------
-
-
-def frac_mat(rows):
-    return tuple(tuple(Fraction(x) for x in r) for r in rows)
-
-
-def _int_scaled(a):
-    den = 1
-    for row in a:
-        for x in row:
-            d = x.denominator
-            den = den * d // gcd(den, d)
-    return [[int(x * den) for x in row] for row in a], den
-
-
-def frac_mul(a, b):
-    """Product of Fraction matrices via a single integer rescale."""
-    ai, da = _int_scaled(a)
-    bi, db = _int_scaled(b)
-    bt = list(zip(*bi))
-    den = da * db
-    return tuple(
-        tuple(Fraction(sum(x * y for x, y in zip(row, col)), den) for col in bt)
-        for row in ai
-    )
-
-
-def frac_add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def frac_sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def frac_scale(a, s):
-    return tuple(tuple(s * x for x in row) for row in a)
-
-
-def frac_vec(a, v):
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
-
-
-def frac_commutator(a, b):
-    return frac_sub(frac_mul(a, b), frac_mul(b, a))
 
 
 def frac_rank(rows) -> int:

@@ -29,7 +29,7 @@ from . import linalg
 from .cayley_dickson import CDNumber
 from .jordan import JordanElement
 from .reduction import CASE_LEVEL
-from .tkk import TKKAlgebra, TKKElement, tkk_algebra
+from .tkk import ALGEBRA_TO_CASE, TKKAlgebra, TKKElement, tkk_algebra
 
 
 class PolyFn:
@@ -147,21 +147,28 @@ class CasePoisson:
         self.dim = self.alg.dim
         self.gram = self.alg.gram_matrix()
         self.gram_inv = linalg._inverse_columns(self.gram)
-        self.basis = self.alg.basis()
         self._bivector_polys = None
 
     def bivector_polys(self):
-        """Linear polynomials Lambda_ij(x) = form(x, [b_i, b_j]), i < j."""
+        """Linear polynomials Lambda_ij(x) = form(x, [b_i, b_j]), i < j.
+
+        form(x, [b_i, b_j]) = sum_k c_ij^k (G x)_k, read off the structure
+        constants c and the sparse Gram G of the algebra.
+        """
         if self._bivector_polys is not None:
             return self._bivector_polys
+        lie, gram = self.alg.lie, self.alg.gram_rows
+        den = lie.den * self.alg.gram_den
         out = {}
-        for i in range(self.dim):
+        for i, row in enumerate(lie.rows):
             for j in range(i + 1, self.dim):
-                c = self.alg.bracket(self.basis[i], self.basis[j])
-                row = self.alg.form_against_basis(c)
-                # form(x, c) = coords(x)^T G coords(c) = sum_k row'_k x_k with
-                # row' the pairing of c against the basis
-                poly = PolyFn.linear(self.case, self.dim, row)
+                coeffs = {}
+                for k, c in row[j]:
+                    for m, g in gram[k]:
+                        coeffs[m] = coeffs.get(m, 0) + c * g
+                poly = PolyFn(
+                    self.case, self.dim, {((m, 1),): Fraction(v, den) for m, v in coeffs.items()}
+                )
                 if not poly.is_zero():
                     out[(i, j)] = poly
         self._bivector_polys = out
@@ -191,13 +198,8 @@ class CasePoisson:
             term = gf[i] * gg[j] - gf[j] * gg[i]
             if term.is_zero():
                 continue
-            for k1, c1 in term.terms.items():
-                for k2, c2 in lam_ij.terms.items():
-                    merged = {}
-                    for var, e in k1 + k2:
-                        merged[var] = merged.get(var, 0) + e
-                    key = tuple(sorted(merged.items()))
-                    acc[key] = acc.get(key, Fraction(0)) + c1 * c2
+            for key, c in (term * lam_ij).terms.items():
+                acc[key] = acc.get(key, Fraction(0)) + c
         return PolyFn(self.case, self.dim, acc)
 
     def casimir(self) -> PolyFn:
@@ -221,19 +223,19 @@ def case_poisson(case) -> CasePoisson:
 
 
 def poisson_rank_at(x: TKKElement) -> int:
-    """Rank of the Poisson bivector at x: the adjoint-orbit dimension."""
+    """Rank of the Poisson bivector at x: the adjoint-orbit dimension.
+
+    Lambda_ij(x) = sum_k c_ij^k (G x)_k, one contraction of the structure
+    constants with the integer vector G x.
+    """
     alg = tkk_algebra(x.case)
-    rows = []
-    for b in alg.basis():
-        c = alg.bracket(b, x)
-        rows.append(tuple(-v for v in alg.form_against_basis(c)))
+    gx, _ = linalg._int_row(alg.form_against_basis(x))
+    rows = [[sum(c * gx[k] for k, c in cell) for cell in row] for row in alg.lie.rows]
     return linalg.frac_rank(rows)
 
 
 def embed_reduced_point(xc: JordanElement) -> TKKElement:
     """Embed a complexified Jordan element into p inside its case algebra."""
-    from .tkk import ALGEBRA_TO_CASE
-
     alg = tkk_algebra(ALGEBRA_TO_CASE[xc.algebra])
     return alg.complexified_to_p(xc)
 

@@ -233,11 +233,40 @@ def _rational_sqrt(q: Fraction):
     return None
 
 
+# Candidates a square-sum search tries before it gives up: well above what
+# the lifts of bounded-height samples need, far below what large heights do.
+MAX_TWO_SQUARE_CANDIDATES = 10_000_000
+MAX_FOUR_SQUARE_CANDIDATES = 50_000
+
+_SQUARES_MOD_64 = frozenset(x * x % 64 for x in range(64))
+
+
+class SearchExhausted(RuntimeError):
+    """A square-sum search used up its candidates and found no decomposition."""
+
+
+def _candidates(search: str, q: Fraction, limit: int):
+    """The attempts of a search: ``limit`` of them, then an error."""
+    yield from range(limit)
+    raise SearchExhausted(f"{search}({q}): no decomposition in {limit} candidates")
+
+
+def _no_two_squares(n: int) -> bool:
+    """n > 0 with odd part 3 mod 4, hence no sum of two squares."""
+    return (n >> ((n & -n).bit_length() - 1)) & 3 == 3
+
+
+def _no_three_squares(n: int) -> bool:
+    """n = 4^k (8j + 7), no sum of three squares (Legendre)."""
+    v = (n & -n).bit_length() - 1
+    return n > 0 and v % 2 == 0 and (n >> v) & 7 == 7
+
+
 def two_squares(q: Fraction):
     """Write a positive rational as x^2 + y^2 over Q, or return None.
 
-    Searches n*d = a^2 + b^2 over the integers; values fed in here stay small
-    (they come from bounded-height samplers), so brute force is adequate.
+    Searches n*d = a^2 + b^2 over the integers, a upward; raises
+    SearchExhausted when the search is cut before it decides.
     """
     if q < 0:
         return None
@@ -245,18 +274,26 @@ def two_squares(q: Fraction):
         return Fraction(0), Fraction(0)
     n, d = q.numerator, q.denominator
     m = n * d
-    for a in range(isqrt(m) + 1):
-        b2 = m - a * a
-        b = isqrt(b2)
-        if b * b == b2:
-            return Fraction(a, d), Fraction(b, d)
+    if _no_two_squares(m):
+        return None
+    tries = _candidates("two_squares", q, MAX_TWO_SQUARE_CANDIDATES)
+    b2 = m
+    for a, _ in zip(range(isqrt(m) + 1), tries):
+        if b2 & 63 in _SQUARES_MOD_64:  # else b2 = m - a^2 is no square
+            b = isqrt(b2)
+            if b * b == b2:
+                return Fraction(a, d), Fraction(b, d)
+        b2 -= a + a + 1
     return None
 
 
 def four_squares(q: Fraction):
     """Write a nonnegative rational as a sum of four rational squares.
 
-    Always solvable; the search runs over n*d which stays small here.
+    Always solvable.  Searches n*d = a^2 + b^2 + c^2 + e^2 with a, b, c
+    downward, skipping an a or b whose remainder is no sum of three or two
+    squares (so the full search would find nothing there); raises
+    SearchExhausted when it is cut.
     """
     if q < 0:
         raise ValueError("negative rational is not a sum of squares")
@@ -265,11 +302,19 @@ def four_squares(q: Fraction):
         return z, z, z, z
     n, d = q.numerator, q.denominator
     m = n * d
+    tries = _candidates("four_squares", q, MAX_FOUR_SQUARE_CANDIDATES)
     for a in range(isqrt(m), -1, -1):
+        next(tries)
         r1 = m - a * a
+        if _no_three_squares(r1):
+            continue
         for b in range(isqrt(r1), -1, -1):
+            next(tries)
             r2 = r1 - b * b
+            if r2 and _no_two_squares(r2):
+                continue
             for c in range(isqrt(r2), -1, -1):
+                next(tries)
                 e2 = r2 - c * c
                 e = isqrt(e2)
                 if e * e == e2:

@@ -19,13 +19,25 @@ box operator that normalization would need sqrt(2).  The identification of p
 with the complexified Jordan algebra sends (x, L_w, x) to w/2 + i x, and
 ad(z) then corresponds to multiplication by i.
 
+An element is one rational coordinate vector laid out as plus | str | minus:
+Jordan coordinates, coordinates in the selected basis B_k of str(J), Jordan
+coordinates.  The first n = dim J operators B_k are L_{e_0}..L_{e_{n-1}}, so
+L_w has coordinates w in this "L block"; the rest (the "D block") are the
+independent commutators [L_{e_i}, L_{e_j}] in order.  An operator known to lie
+in str(J) has coordinates t[P] B[:, P]^-1, P the pivots of the basis echelon.
+The graded bracket is applied once, to basis pairs, giving the structure
+constants c_ij^k of [b_i, b_j] = sum_k c_ij^k b_k; ``bilinear.Bilinear``
+compiles them, and every bracket is one contraction of that tensor.
+
 The invariant symmetric form is
 
     B((x,T,y), (x',T',y')) = <x,y'> + <y,x'> + tau(T,T')
 
 with <,> the Jordan trace form and tau the pairing on str(J) determined by
 tau(u box v, T) = <T u, v> / 2; it is ad-invariant, negative definite on k
-and positive definite on p.
+and positive definite on p.  Its sparse Gram is computed once, so the form is
+a contraction too.  The Cartan involution (x, T, y) -> (-y, -T^, -x) keeps the
+skew-adjoint D block and negates the self-adjoint L block.
 """
 
 from __future__ import annotations
@@ -34,6 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import linalg
+from .bilinear import Bilinear
 from .jordan import JordanElement, structure_tensor, trace_form
 from .scalars import Scalar
 
@@ -53,69 +66,70 @@ def from_jcoords(algebra: str, coords) -> JordanElement:
     return JordanElement.from_coords(algebra, [Scalar(c) for c in coords])
 
 
+# Operators on J are kept sparse: a tuple of rows, each a {column: entry} dict.
+
+
+def _commutator(a, b):
+    """AB - BA for two sparse operators."""
+    out = []
+    for ra, rb in zip(a, b):
+        acc = {}
+        for m, x in ra.items():
+            for c, y in b[m].items():
+                acc[c] = acc.get(c, 0) + x * y
+        for m, x in rb.items():
+            for c, y in a[m].items():
+                acc[c] = acc.get(c, 0) - x * y
+        out.append({c: v for c, v in acc.items() if v})
+    return tuple(out)
+
+
+def _sparse(m):
+    return tuple({c: x for c, x in enumerate(row) if x} for row in m)
+
+
+def _dense(n, terms):
+    """The Fraction matrix sum f * A over the (f, sparse operator A) in terms."""
+    acc = [[Fraction(0)] * n for _ in range(n)]
+    for f, op in terms:
+        if f:
+            for r, row in enumerate(op):
+                for c, v in row.items():
+                    acc[r][c] += f * v
+    return tuple(tuple(r) for r in acc)
+
+
 class JordanSpace:
     """Coordinate model of one real Jordan algebra: basis, the compiled
-    product (``jordan.structure_tensor``), trace-form Gram and the matrices
-    of left multiplications read off the product's structure constants."""
+    product (``jordan.structure_tensor``), the diagonal trace-form Gram and
+    the left multiplications L_{e_i} read off the product's structure
+    constants as integer operators (den * L_{e_i}, den the product's)."""
 
     def __init__(self, algebra: str):
-        self.algebra = algebra
         self.basis = JordanElement.space_basis(algebra)
         self.dim = len(self.basis)
         self.product = structure_tensor(algebra)
-        self.gram = tuple(
-            tuple(trace_form(bi, bj).re for bj in self.basis) for bi in self.basis
-        )
+        # the standard basis is trace-form orthogonal
+        self.gram = tuple(trace_form(b, b).re for b in self.basis)
         self.unit = jcoords(JordanElement.identity(algebra))
-        # L_{e_i} has entry (k, j) = c / den for each (k, c) in rows[i][j]
-        den = self.product.den
-        self._lmats = []
-        self._lmats_sparse = []
+        self.lops = []
         for row in self.product.rows:
-            entries = sorted(
-                (k, j, Fraction(c, den)) for j, cell in enumerate(row) for k, c in cell
-            )
-            mat = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-            for k, j, v in entries:
-                mat[k][j] = v
-            self._lmats.append(tuple(tuple(r) for r in mat))
-            self._lmats_sparse.append(tuple(entries))
-
-    def mul_coords(self, u, v):
-        return self.product.mul_fractions(u, v)
+            op = tuple({} for _ in range(self.dim))
+            for j, cell in enumerate(row):
+                for k, c in cell:
+                    op[k][j] = c
+            self.lops.append(op)
 
     def lmat(self, w):
-        """Matrix of L_w, accumulated sparsely from the basis multiplications."""
-        rows = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for i, wi in enumerate(w):
-            if not wi:
-                continue
-            for r, c, v in self._lmats_sparse[i]:
-                rows[r][c] += wi * v
-        return tuple(tuple(r) for r in rows)
-
-    def adjoint(self, t):
-        """Trace-form adjoint G^-1 T^t G (G is diagonal for this basis)."""
-        g = [self.gram[i][i] for i in range(self.dim)]
-        return tuple(
-            tuple(t[j][i] * g[j] / g[i] for j in range(self.dim))
-            for i in range(self.dim)
-        )
-
-    def pair(self, u, v):
-        """Trace form on coordinate vectors."""
-        acc = Fraction(0)
-        for i in range(self.dim):
-            gi = self.gram[i][i]
-            if u[i] and v[i]:
-                acc += u[i] * v[i] * gi
-        return acc
+        """Matrix of L_w."""
+        den = self.product.den
+        return _dense(self.dim, ((wi / den, op) for wi, op in zip(w, self.lops)))
 
     def box(self, u, v):
         """u box v = L_{u o v} + [L_u, L_v] as an operator matrix."""
-        luv = self.lmat(self.mul_coords(u, v))
-        lu, lv = self.lmat(u), self.lmat(v)
-        return linalg.frac_add(luv, linalg.frac_commutator(lu, lv))
+        luv = _sparse(self.lmat(self.product.mul_fractions(u, v)))
+        comm = _commutator(_sparse(self.lmat(u)), _sparse(self.lmat(v)))
+        return _dense(self.dim, ((1, luv), (1, comm)))
 
 
 @lru_cache(maxsize=None)
@@ -124,84 +138,98 @@ def jordan_space(algebra: str) -> JordanSpace:
 
 
 class StrBasisOp:
-    """A selected structure-algebra basis operator with its provenance, which
-    the invariant form's pairing recipe consumes."""
+    """A selected structure-algebra basis operator, rows / den with integer
+    sparse rows, and its provenance, which the invariant form's pairing
+    recipe consumes."""
 
-    __slots__ = ("matrix", "kind", "data")
+    __slots__ = ("rows", "den", "kind", "data")
 
-    def __init__(self, matrix, kind, data):
-        self.matrix = matrix
+    def __init__(self, rows, den, kind, data):
+        self.rows = rows
+        self.den = den
         self.kind = kind  # "L" (data = basis index) or "D" (data = index pair)
         self.data = data
 
+    def entry(self, r, c) -> Fraction:
+        return Fraction(self.rows[r].get(c, 0), self.den)
+
 
 class TKKElement:
-    __slots__ = ("case", "plus", "mid", "minus")
+    """An element of a case algebra, held as its coordinate vector in the
+    standard basis (plus | str | minus); ``plus``, ``mid`` and ``minus`` are
+    read back from it."""
+
+    __slots__ = ("case", "coords")
 
     def __init__(self, case, plus: JordanElement, mid, minus: JordanElement):
+        """``mid`` is an operator matrix in str(J), or None for zero."""
         if case not in CASES:
             raise ValueError(f"unknown case {case!r}")
         algebra = CASE_TO_ALGEBRA[case]
         if plus.algebra != algebra or minus.algebra != algebra:
             raise ValueError("component algebra does not match the case")
-        if plus.gaussian or minus.gaussian:
-            raise ValueError("TKK components live on the rational base")
+        alg = tkk_algebra(case)
+        mid_coords = alg.str_coords(mid) if mid is not None else (Fraction(0),) * alg.str_dim
         object.__setattr__(self, "case", case)
-        object.__setattr__(self, "plus", plus)
-        object.__setattr__(self, "mid", linalg.frac_mat(mid))
-        object.__setattr__(self, "minus", minus)
+        object.__setattr__(self, "coords", jcoords(plus) + mid_coords + jcoords(minus))
+
+    @staticmethod
+    def of(case, coords) -> "TKKElement":
+        """The element with the given Fraction coordinates, unchecked."""
+        elt = object.__new__(TKKElement)
+        object.__setattr__(elt, "case", case)
+        object.__setattr__(elt, "coords", tuple(coords))
+        return elt
 
     def __setattr__(self, name, value):
         raise AttributeError("TKKElement is immutable")
 
-    def __add__(self, other):
+    def _blocks(self):
+        n = JordanElement.space_dim(CASE_TO_ALGEBRA[self.case])
+        c = self.coords
+        return c[:n], c[n:-n], c[-n:]
+
+    @property
+    def plus(self) -> JordanElement:
+        return from_jcoords(CASE_TO_ALGEBRA[self.case], self._blocks()[0])
+
+    @property
+    def mid(self):
+        """The operator matrix sum c_k B_k."""
+        ops = tkk_algebra(self.case).str_basis
+        terms = ((c / op.den, op.rows) for c, op in zip(self._blocks()[1], ops))
+        return _dense(len(ops[0].rows), terms)
+
+    @property
+    def minus(self) -> JordanElement:
+        return from_jcoords(CASE_TO_ALGEBRA[self.case], self._blocks()[2])
+
+    def _check(self, other):
         if other.case != self.case:
             raise ValueError("case mismatch")
-        return TKKElement(
-            self.case,
-            self.plus + other.plus,
-            linalg.frac_add(self.mid, other.mid),
-            self.minus + other.minus,
-        )
+
+    def __add__(self, other):
+        self._check(other)
+        return TKKElement.of(self.case, (x + y for x, y in zip(self.coords, other.coords)))
 
     def __sub__(self, other):
-        if other.case != self.case:
-            raise ValueError("case mismatch")
-        return TKKElement(
-            self.case,
-            self.plus - other.plus,
-            linalg.frac_sub(self.mid, other.mid),
-            self.minus - other.minus,
-        )
+        self._check(other)
+        return TKKElement.of(self.case, (x - y for x, y in zip(self.coords, other.coords)))
 
     def __neg__(self):
-        return TKKElement(self.case, -self.plus, linalg.frac_scale(self.mid, -1), -self.minus)
+        return TKKElement.of(self.case, (-x for x in self.coords))
 
     def scale(self, c) -> "TKKElement":
         c = Fraction(c)
-        return TKKElement(
-            self.case,
-            self.plus.scale(Scalar(c)),
-            linalg.frac_scale(self.mid, c),
-            self.minus.scale(Scalar(c)),
-        )
+        return TKKElement.of(self.case, (c * x for x in self.coords))
 
     def is_zero(self) -> bool:
-        return (
-            self.plus.is_zero()
-            and self.minus.is_zero()
-            and all(not x for row in self.mid for x in row)
-        )
+        return not any(self.coords)
 
     def __eq__(self, other):
         if not isinstance(other, TKKElement):
             return NotImplemented
-        return (
-            self.case == other.case
-            and self.plus == other.plus
-            and self.minus == other.minus
-            and self.mid == other.mid
-        )
+        return self.case == other.case and self.coords == other.coords
 
     def __repr__(self):
         return f"TKKElement({self.case}, plus={self.plus!r}, minus={self.minus!r})"
@@ -217,102 +245,166 @@ class TKKElement:
     @staticmethod
     def from_json(obj) -> "TKKElement":
         mid = [[Scalar.from_json(x).re for x in row] for row in obj["mid"]]
-        return TKKElement(
-            obj["case"],
-            JordanElement.from_json(obj["plus"]),
-            mid,
-            JordanElement.from_json(obj["minus"]),
-        )
+        plus, minus = (JordanElement.from_json(obj[k]) for k in ("plus", "minus"))
+        return TKKElement(obj["case"], plus, mid, minus)
 
 
 class TKKAlgebra:
-    """One of the four case algebras, with exact bracket and invariant form."""
+    """One of the four case algebras: the str(J) basis, the Lie structure
+    constants compiled once (``lie``), and the sparse Gram matrix of the
+    invariant form."""
 
     def __init__(self, case: str):
         self.case = case
         self.algebra = CASE_TO_ALGEBRA[case]
         self.space = jordan_space(self.algebra)
-        self._str_cols = None
         self._build_str_basis()
-        self._gram = None
+        self.lie = Bilinear(self._structure_constants())
+        self._build_gram()
 
     # -- structure algebra ------------------------------------------------------
 
     def _build_str_basis(self):
         sp = self.space
-        n = sp.dim
+        n, den = sp.dim, sp.product.den
         ech = linalg._Echelon()
+
+        def flat(op):
+            return [row.get(c, 0) for row in op for c in range(n)]
+
+        # L is injective (L_x 1 = x), so every L_{e_i} enters the basis
         ops = []
-
-        def flat(m):
-            return tuple(x for row in m for x in row)
-
+        for i, op in enumerate(sp.lops):
+            ech.insert(flat(op))
+            ops.append(StrBasisOp(op, den, "L", i))
         for i in range(n):
-            m = sp._lmats[i]
-            if ech.insert(flat(m)):
-                ops.append(StrBasisOp(m, "L", i))
-        for i in range(n):
-            li = sp._lmats[i]
             for j in range(i + 1, n):
-                m = linalg.frac_commutator(li, sp._lmats[j])
-                if all(not x for row in m for x in row):
-                    continue
-                if ech.insert(flat(m)):
-                    ops.append(StrBasisOp(m, "D", (i, j)))
+                op = _commutator(sp.lops[i], sp.lops[j])
+                if any(op) and ech.insert(flat(op)):
+                    ops.append(StrBasisOp(op, den * den, "D", (i, j)))
         self.str_basis = ops
-        self.str_dim = len(ops)
-        self.dim = 2 * sp.dim + self.str_dim
+        self.str_dim = s = len(ops)
+        self.dim = 2 * n + s
         self._str_echelon = ech
+        # B is independent, so B restricted to the pivot columns P is
+        # invertible; keep B[:, P]^-1 as integer rows over one denominator
+        self._pivots = [divmod(p, n) for p in ech.pivots]
+        b_p = [[op.entry(r, c) for r, c in self._pivots] for op in ops]
+        inv, self._inv_den = linalg._int_row(
+            [x for row in linalg._inverse_columns(b_p) for x in row]
+        )
+        self._inv_rows = [inv[k * s : (k + 1) * s] for k in range(s)]
+
+    def _pivot_coords(self, tp, den):
+        """(v, d) with v / d the str coordinates t[P] B[:, P]^-1 of the member
+        T of str(J) whose pivot entries are tp / den; v is an integer list."""
+        acc = [0] * self.str_dim
+        for x, row in zip(tp, self._inv_rows):
+            if x:
+                for k, y in enumerate(row):
+                    acc[k] += x * y
+        return acc, den * self._inv_den
 
     def str_coords(self, t):
-        """Coordinates of an operator matrix in the selected str basis.
-
-        The basis B is independent, so its echelon has one pivot column per
-        operator and B restricted to the pivot columns P is invertible: a
-        member t of the span has coordinates t[P] B[:, P]^-1.
-        """
-        ech = self._str_echelon
-        if self._str_cols is None:
-            n = self.space.dim
-            b_p = [[op.matrix[p // n][p % n] for p in ech.pivots] for op in self.str_basis]
-            # each column of B[:, P]^-1 as an integer row and its denominator
-            self._str_cols = [linalg._int_row(col) for col in zip(*linalg._inverse_columns(b_p))]
-        ti, den = linalg._int_row([x for row in t for x in row])
-        if any(ech.reduce(ti)):
+        """Coordinates of an operator matrix in the selected str basis;
+        ValueError when it does not lie in str(J)."""
+        ti, den = linalg._int_row([Fraction(x) for row in t for x in row])
+        if any(self._str_echelon.reduce(ti)):
             raise ValueError("operator does not lie in the structure algebra")
-        tp = [ti[p] for p in ech.pivots]
-        return tuple(
-            Fraction(sum(x * y for x, y in zip(tp, col)), den * cden)
-            for col, cden in self._str_cols
-        )
+        n = self.space.dim
+        acc, d = self._pivot_coords([ti[r * n + c] for r, c in self._pivots], den)
+        return tuple(Fraction(v, d) for v in acc)
+
+    def _structure_constants(self):
+        """The table [b_i, b_j] = sum c b_k as lists of (k, c), from the
+        graded bracket on basis pairs."""
+        sp, ops = self.space, self.str_basis
+        n, s, g = sp.dim, self.str_dim, sp.gram
+        table = [[()] * self.dim for _ in range(self.dim)]
+
+        def put(i, j, vec):
+            table[i][j] = [(k, c) for k, c in vec if c]
+            table[j][i] = [(k, -c) for k, c in table[i][j]]
+
+        def commutator(a, b, den):
+            """[A, B] / den, a member of str(J), as str-block coordinates."""
+            comm = _commutator(a, b)
+            acc, d = self._pivot_coords([comm[r].get(c, 0) for r, c in self._pivots], den)
+            return [(n + k, Fraction(v, d)) for k, v in enumerate(acc) if v]
+
+        for a, op in enumerate(ops):
+            rows, den = op.rows, op.den
+            for j in range(n):
+                # [B, e_j+] = (B e_j)+ and [B, e_j-] = -(B^ e_j)-, B^ = G^-1 B^t G
+                put(n + a, j, ((r, Fraction(x[j], den)) for r, x in enumerate(rows) if j in x))
+                put(n + a, n + s + j,
+                    ((n + s + i, -v * g[j] / (g[i] * den)) for i, v in sorted(rows[j].items())))
+            for b in range(a + 1, s):
+                put(n + a, n + b, commutator(rows, ops[b].rows, den * ops[b].den))
+        pden = sp.product.den
+        for i in range(n):
+            for j in range(n):
+                # [e_i+, e_j-] = 2 (L_{e_i o e_j} + [L_{e_i}, L_{e_j}])
+                vec = dict(commutator(sp.lops[i], sp.lops[j], pden * pden))
+                for k, c in sp.product.rows[i][j]:
+                    vec[n + k] = vec.get(n + k, 0) + Fraction(c, pden)
+                put(i, n + s + j, ((k, 2 * c) for k, c in vec.items()))
+        return table
+
+    def _build_gram(self):
+        """Sparse Gram of the invariant form on the standard basis, as
+        integer rows over one denominator.
+
+        Only the plus/minus cross block and the str/str block are nonzero.
+        The str pairings follow the provenance recipe (the trace-form Gram is
+        diagonal, so each is a handful of matrix entries):
+            tau(T, L_{e_i})           = <T e_i, 1>/2
+            tau(T, [L_{e_i},L_{e_j}]) = (<T e_i, e_j> - <T e_j, e_i>)/4
+        """
+        sp = self.space
+        n, s = sp.dim, self.str_dim
+        g = sp.gram
+        entries = []
+        for i in range(n):
+            entries += [(i, n + s + i, g[i]), (n + s + i, i, g[i])]
+        for a, t in enumerate(self.str_basis):
+            for b, op in enumerate(self.str_basis):
+                if op.kind == "L":  # 1 = e_0 + e_1 + e_2, each of norm 1
+                    val = sum(t.entry(r, op.data) for r in range(3)) / 2
+                else:
+                    i, j = op.data
+                    val = (g[j] * t.entry(j, i) - g[i] * t.entry(i, j)) / 4
+                if val:
+                    entries.append((n + a, n + b, val))
+        ints, self.gram_den = linalg._int_row([v for _, _, v in entries])
+        rows = [[] for _ in range(self.dim)]
+        for (i, j, _), v in zip(entries, ints):
+            rows[i].append((j, v))
+        self.gram_rows = tuple(tuple(r) for r in rows)
 
     # -- elements ---------------------------------------------------------------
 
-    def zero(self) -> TKKElement:
-        z = JordanElement.zero(self.algebra)
-        n = self.space.dim
-        return TKKElement(self.case, z, [[0] * n for _ in range(n)], z)
+    def _vec(self, *entries) -> TKKElement:
+        v = [Fraction(0)] * self.dim
+        for k, c in entries:
+            v[k] = Fraction(c)
+        return TKKElement.of(self.case, v)
 
     def element(self, plus=None, mid=None, minus=None) -> TKKElement:
         z = JordanElement.zero(self.algebra)
-        n = self.space.dim
-        if mid is None:
-            mid = [[0] * n for _ in range(n)]
         return TKKElement(self.case, plus or z, mid, minus or z)
 
+    def lmul_element(self, w: JordanElement) -> TKKElement:
+        """The element L_w of str(J): coordinates w in the L block."""
+        n = self.space.dim
+        return self._vec(*((n + i, c) for i, c in enumerate(jcoords(w))))
+
     def grading_element(self) -> TKKElement:
-        return self.element(mid=linalg.frac_mat([[1 if i == j else 0 for j in range(self.space.dim)] for i in range(self.space.dim)]))
+        return self.lmul_element(JordanElement.identity(self.algebra))
 
     def basis(self):
         """plus basis, then str basis, then minus basis."""
-        out = []
-        for b in self.space.basis:
-            out.append(self.element(plus=b))
-        for op in self.str_basis:
-            out.append(self.element(mid=op.matrix))
-        for b in self.space.basis:
-            out.append(self.element(minus=b))
-        return out
+        return [self._vec((k, 1)) for k in range(self.dim)]
 
     # -- bracket ------------------------------------------------------------------
 
@@ -325,67 +417,29 @@ class TKKAlgebra:
     def bracket(self, a: TKKElement, b: TKKElement) -> TKKElement:
         if a.case != self.case or b.case != self.case:
             raise ValueError("case mismatch")
-        sp = self.space
-        xa, ya = jcoords(a.plus), jcoords(a.minus)
-        xb, yb = jcoords(b.plus), jcoords(b.minus)
-        ta, tb = a.mid, b.mid
-
-        plus = tuple(
-            p - q for p, q in zip(linalg.frac_vec(ta, xb), linalg.frac_vec(tb, xa))
-        )
-        minus = tuple(
-            p - q
-            for p, q in zip(
-                linalg.frac_vec(sp.adjoint(tb), ya), linalg.frac_vec(sp.adjoint(ta), yb)
-            )
-        )
-        mid = linalg.frac_commutator(ta, tb)
-        if any(xa) and any(yb):
-            mid = linalg.frac_add(mid, linalg.frac_scale(sp.box(xa, yb), 2))
-        if any(xb) and any(ya):
-            mid = linalg.frac_sub(mid, linalg.frac_scale(sp.box(xb, ya), 2))
-        return TKKElement(
-            self.case,
-            from_jcoords(self.algebra, plus),
-            mid,
-            from_jcoords(self.algebra, minus),
-        )
+        return TKKElement.of(self.case, self.lie.mul_fractions(a.coords, b.coords))
 
     # -- Cartan data ----------------------------------------------------------------
 
     def theta(self, a: TKKElement) -> TKKElement:
-        return TKKElement(
-            self.case,
-            -a.minus,
-            linalg.frac_scale(self.space.adjoint(a.mid), -1),
-            -a.plus,
-        )
+        n = self.space.dim
+        plus, mid, minus = a._blocks()
+        neg = lambda xs: tuple(-x for x in xs)
+        return TKKElement.of(self.case, neg(minus + mid[:n]) + mid[n:] + neg(plus))
 
     def k_basis(self):
-        out = []
-        for b in self.space.basis:
-            out.append(TKKElement(self.case, b, self._zero_mid(), -b))
-        for op in self.str_basis:
-            if op.kind == "D":
-                out.append(self.element(mid=op.matrix))
-        return out
+        n, s = self.space.dim, self.str_dim
+        out = [self._vec((i, 1), (n + s + i, -1)) for i in range(n)]
+        return out + [self._vec((n + k, 1)) for k in range(n, s)]
 
     def p_basis(self):
-        out = []
-        for b in self.space.basis:
-            out.append(TKKElement(self.case, b, self._zero_mid(), b))
-        for op in self.str_basis:
-            if op.kind == "L":
-                out.append(self.element(mid=op.matrix))
-        return out
+        n, s = self.space.dim, self.str_dim
+        out = [self._vec((i, 1), (n + s + i, 1)) for i in range(n)]
+        return out + [self._vec((n + k, 1)) for k in range(n)]
 
     def cartan_split(self):
         """(basis of k, basis of p) for the involution (x,T,y) -> (-y,-T^,-x)."""
         return self.k_basis(), self.p_basis()
-
-    def _zero_mid(self):
-        n = self.space.dim
-        return [[0] * n for _ in range(n)]
 
     def h_element(self) -> TKKElement:
         """The central element of k acting on p as a complex structure.
@@ -394,126 +448,64 @@ class TKKAlgebra:
         candidate; the normalization 1/2 gives ad(z)^2 = -1 on p exactly, and
         the sign is the one matching the p -> complexified-J identification.
         """
-        unit = JordanElement.identity(self.algebra)
-        half = Scalar(Fraction(1, 2))
-        return TKKElement(
-            self.case,
-            (-unit).scale(half),
-            self._zero_mid(),
-            unit.scale(half),
-        )
+        half = tuple(c / 2 for c in self.space.unit)
+        mid = (Fraction(0),) * self.str_dim
+        return TKKElement.of(self.case, tuple(-c for c in half) + mid + half)
 
     # -- p <-> complexified Jordan algebra --------------------------------------------
 
     def p_to_complexified(self, a: TKKElement) -> JordanElement:
         """(x, L_w, x) -> w/2 + i x; requires a p-type element."""
-        if a.plus != a.minus:
+        plus, mid, minus = a._blocks()
+        if plus != minus:
             raise ValueError("element is not in p")
-        w = linalg.frac_vec(a.mid, self.space.unit)
-        if self.space.lmat(w) != a.mid:
+        n = self.space.dim
+        if any(mid[n:]):
             raise ValueError("mid part of a p-element must be a left multiplication")
-        re_part = from_jcoords(self.algebra, [c / 2 for c in w])
-        return JordanElement.combine_real_imag(re_part, a.plus)
+        re_part = from_jcoords(self.algebra, [c / 2 for c in mid[:n]])
+        return JordanElement.combine_real_imag(re_part, from_jcoords(self.algebra, plus))
 
     def complexified_to_p(self, xc: JordanElement) -> TKKElement:
         re_part, im_part = xc.split_real_imag()
+        x = jcoords(im_part)
         w = tuple(2 * c for c in jcoords(re_part))
-        return TKKElement(self.case, im_part, self.space.lmat(w), im_part)
+        zeros = (Fraction(0),) * (self.str_dim - len(w))
+        return TKKElement.of(self.case, x + w + zeros + x)
 
     # -- invariant form -------------------------------------------------------------
 
-    def _tau_against_basis(self, t, op: StrBasisOp) -> Fraction:
-        # The provenance data are basis indices and the trace-form Gram is
-        # diagonal, so both recipes reduce to a handful of matrix entries:
-        #   tau(T, L_{b_i})        = <T b_i, 1>/2
-        #   tau(T, [L_{b_i},L_{b_j}]) = (<T b_i, b_j> - <T b_j, b_i>)/4
-        g = self.space.gram
-        if op.kind == "L":
-            i = op.data
-            return (t[0][i] + t[1][i] + t[2][i]) / 2
-        i, j = op.data
-        return (g[j][j] * t[j][i] - g[i][i] * t[i][j]) / 4
-
-    def tau(self, t, s) -> Fraction:
-        coords = self.str_coords(s)
-        acc = Fraction(0)
-        for c, op in zip(coords, self.str_basis):
-            if c:
-                acc += c * self._tau_against_basis(t, op)
-        return acc
+    def _gram_times(self, a: TKKElement):
+        """(v, den) with G a = v / den and v an integer vector."""
+        av, da = linalg._int_row(a.coords)
+        acc = [0] * self.dim
+        for x, row in zip(av, self.gram_rows):
+            if x:
+                for j, g in row:
+                    acc[j] += x * g
+        return acc, da * self.gram_den
 
     def invariant_form(self, a: TKKElement, b: TKKElement) -> Fraction:
         if a.case != self.case or b.case != self.case:
             raise ValueError("case mismatch")
-        sp = self.space
-        acc = sp.pair(jcoords(a.plus), jcoords(b.minus))
-        acc += sp.pair(jcoords(a.minus), jcoords(b.plus))
-        acc += self.tau(a.mid, b.mid)
-        return acc
-
-    def gram_matrix(self):
-        """Gram of the invariant form on the standard basis (cached).
-
-        Only the plus/minus cross block and the mid/mid block are nonzero;
-        mid pairings go through the provenance recipe, no solve needed.
-        """
-        if self._gram is not None:
-            return self._gram
-        sp = self.space
-        nj, ns = sp.dim, self.str_dim
-        dim = self.dim
-        g = [[Fraction(0)] * dim for _ in range(dim)]
-        for i in range(nj):
-            for j in range(nj):
-                val = sp.gram[i][j]
-                g[i][nj + ns + j] = val
-                g[nj + ns + i][j] = val
-        for a in range(ns):
-            for b in range(ns):
-                g[nj + a][nj + b] = self._tau_against_basis(
-                    self.str_basis[a].matrix, self.str_basis[b]
-                )
-        self._gram = tuple(tuple(r) for r in g)
-        return self._gram
-
-    def coords_in_basis(self, a: TKKElement):
-        """Coordinates of an element in the plus/str/minus standard basis."""
-        return (
-            tuple(jcoords(a.plus))
-            + tuple(self.str_coords(a.mid))
-            + tuple(jcoords(a.minus))
-        )
-
-    def from_coords(self, coords) -> TKKElement:
-        sp = self.space
-        nj, ns = sp.dim, self.str_dim
-        plus = from_jcoords(self.algebra, coords[:nj])
-        minus = from_jcoords(self.algebra, coords[nj + ns :])
-        mid = None
-        for c, op in zip(coords[nj : nj + ns], self.str_basis):
-            if c:
-                term = linalg.frac_scale(op.matrix, c)
-                mid = term if mid is None else linalg.frac_add(mid, term)
-        if mid is None:
-            mid = self._zero_mid()
-        return TKKElement(self.case, plus, mid, minus)
+        ga, den = self._gram_times(a)
+        bv, db = linalg._int_row(b.coords)
+        return Fraction(sum(x * y for x, y in zip(ga, bv)), den * db)
 
     def form_against_basis(self, a: TKKElement):
-        """Row of invariant-form pairings of ``a`` with the standard basis.
+        """Row of invariant-form pairings of ``a`` with the standard basis: G a."""
+        ga, den = self._gram_times(a)
+        return tuple(Fraction(v, den) for v in ga)
 
-        Cheap path used by the Poisson-rank computation: basis mid elements
-        carry provenance, so no structure-algebra solve is needed.
-        """
-        sp = self.space
-        xa, ya = jcoords(a.plus), jcoords(a.minus)
-        row = []
-        for b in sp.basis:
-            row.append(sp.pair(ya, jcoords(b)))
-        for op in self.str_basis:
-            row.append(self._tau_against_basis(a.mid, op))
-        for b in sp.basis:
-            row.append(sp.pair(xa, jcoords(b)))
-        return tuple(row)
+    def gram_matrix(self):
+        """Gram of the invariant form on the standard basis, as a dense matrix."""
+        g = [[Fraction(0)] * self.dim for _ in range(self.dim)]
+        for i, row in enumerate(self.gram_rows):
+            for j, v in row:
+                g[i][j] = Fraction(v, self.gram_den)
+        return tuple(tuple(r) for r in g)
+
+    def from_coords(self, coords) -> TKKElement:
+        return TKKElement.of(self.case, (Fraction(c) for c in coords))
 
 
 @lru_cache(maxsize=None)

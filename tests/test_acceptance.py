@@ -12,7 +12,6 @@ from fractions import Fraction
 import pytest
 
 from jordan_strata import cdmatrix as cdm
-from jordan_strata import linalg
 from jordan_strata.cayley_dickson import (
     CDNumber,
     basis as cd_basis,
@@ -57,7 +56,7 @@ from jordan_strata.strata import (
     random_element,
 )
 from jordan_strata.suites import moment_suite
-from jordan_strata.tkk import CASES as TKK_CASES, TKKElement, jcoords, tkk_algebra
+from jordan_strata.tkk import CASES as TKK_CASES, tkk_algebra
 
 ALGEBRAS = ("R", "C", "H", "O")
 CLASSICAL = ("real", "complex", "quaternionic")
@@ -184,20 +183,15 @@ def test_criterion_5_tkk():
         assert alg.dim == dims[case]
 
         def rand_elt():
-            sp = alg.space
-            mid = linalg.frac_add(
-                sp.lmat(jcoords(random_element(alg.algebra, rng, span=1))),
-                linalg.frac_commutator(
-                    sp.lmat(jcoords(random_element(alg.algebra, rng, span=1))),
-                    sp.lmat(jcoords(random_element(alg.algebra, rng, span=1))),
-                ),
+            # (x, L_w + [L_a, L_b], y), drawn in the order w, a, b, x, y
+            w, a, b = (
+                alg.lmul_element(random_element(alg.algebra, rng, span=1)) for _ in range(3)
             )
-            return TKKElement(
-                case,
-                random_element(alg.algebra, rng, span=1),
-                mid,
-                random_element(alg.algebra, rng, span=1),
+            xy = alg.element(
+                plus=random_element(alg.algebra, rng, span=1),
+                minus=random_element(alg.algebra, rng, span=1),
             )
+            return xy + w + alg.bracket(a, b)
 
         for _ in range(100):
             a, b, c = rand_elt(), rand_elt(), rand_elt()

@@ -141,6 +141,6 @@ def test_str_coords_rejects_an_operator_outside_the_structure_algebra():
     unit = [[Fraction(int((r, c) == (0, 1))) for c in range(n)] for r in range(n)]
     with pytest.raises(ValueError):
         alg.str_coords(unit)
-    op = alg.str_basis[-1].matrix
+    op = alg.basis()[n + alg.str_dim - 1].mid
     coords = alg.str_coords(op)
     assert coords == tuple(Fraction(int(k == alg.str_dim - 1)) for k in range(alg.str_dim))

@@ -124,3 +124,15 @@ def test_e7_embedded_ranks_monotone():
     r1 = poisson_rank_at(embed_reduced_point(rank_k_sample("O", 1, rng)))
     r2 = poisson_rank_at(embed_reduced_point(rank_k_sample("O", 2, rng)))
     assert 0 < r1 < r2
+
+
+def test_e7_rank_constant_per_stratum_and_rising():
+    rng = random.Random(7)
+    per = {}
+    for k in (1, 2, 3):
+        vals = {
+            poisson_rank_at(embed_reduced_point(rank_k_sample("O", k, rng))) for _ in range(3)
+        }
+        assert len(vals) == 1, (k, vals)
+        per[k] = vals.pop()
+    assert per == {1: 66, 2: 100, 3: 102}

@@ -1,9 +1,13 @@
+import io
 import random
+import time
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
 
 from jordan_strata import cdmatrix as cdm
+from jordan_strata import scalars
 from jordan_strata.cayley_dickson import CDNumber, cd_mul
 from jordan_strata.jordan import JordanElement, jordan_rank
 from jordan_strata.lifts import LiftError, hilbert_lift, liftable_sample
@@ -35,7 +39,9 @@ from jordan_strata.reduction import (
     symplectic_form,
     zero_level_sample,
 )
+from jordan_strata.cli import main
 from jordan_strata.scalars import Scalar
+from jordan_strata.suites import run_suite
 
 CASES = ("real", "complex", "quaternionic")
 
@@ -262,6 +268,31 @@ def test_hilbert_lift_obstruction_reported():
     with pytest.raises(LiftError):
         hilbert_lift(bad, 1)
     del target
+
+
+def test_large_height_lift_fails_fast():
+    # a liftable rank-one point scaled by a 40-digit rational: the lift needs
+    # a four-square decomposition of a 40-digit number, which the bounded
+    # search gives up on
+    z = liftable_sample("quaternionic", 1, 2, random.Random(1))
+    z = z.scale(Scalar(Fraction(10**39 + 7), 0, True))
+    t0 = time.perf_counter()
+    with pytest.raises(LiftError, match="square-sum search cut"):
+        hilbert_lift(z, 2)
+    assert time.perf_counter() - t0 < 1
+
+
+def test_cut_search_is_a_failed_round_trip_with_a_witness(monkeypatch):
+    monkeypatch.setattr(scalars, "MAX_FOUR_SQUARE_CANDIDATES", 0)
+    checks = run_suite("reduction", case="quaternionic", samples=3, seed=0)
+    (lift,) = [c for c in checks if c["name"] == "hilbert-lift-round-trip"]
+    assert lift["failures"] > 0
+    assert lift["witness"].startswith("JordanElement(H")
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        rc = main(["verify", "--suite", "reduction", "--case", "quaternionic",
+                   "--samples", "3", "--seed", "0"])
+    assert rc == 1
 
 
 def test_dims_projective_chain():

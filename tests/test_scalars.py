@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
-from jordan_strata.scalars import RingMismatch, Scalar, four_squares, two_squares
+from jordan_strata import scalars
+from jordan_strata.scalars import RingMismatch, Scalar, SearchExhausted, four_squares, two_squares
 
 
 def test_field_ops_rational():
@@ -60,6 +62,37 @@ def test_square_sums():
     for q in (Fraction(7), Fraction(3, 2), Fraction(15, 4)):
         parts = four_squares(q)
         assert sum(x * x for x in parts) == q
+
+
+def test_square_sums_keep_the_first_decomposition_of_the_full_search():
+    def two_full(m):
+        for a in range(isqrt(m) + 1):
+            b = isqrt(m - a * a)
+            if a * a + b * b == m:
+                return a, b
+
+    def four_full(m):
+        for a in range(isqrt(m), -1, -1):
+            for b in range(isqrt(m - a * a), -1, -1):
+                for c in range(isqrt(m - a * a - b * b), -1, -1):
+                    e = isqrt(m - a * a - b * b - c * c)
+                    if a * a + b * b + c * c + e * e == m:
+                        return a, b, c, e
+
+    for m in range(1, 1500):
+        two = two_squares(Fraction(m))
+        assert (None if two is None else tuple(two)) == two_full(m)
+        assert tuple(four_squares(Fraction(m))) == four_full(m)
+
+
+def test_square_sum_searches_are_bounded(monkeypatch):
+    m = Fraction(10**39 + 1)  # odd part 1 mod 4, so no shortcut decides it
+    monkeypatch.setattr(scalars, "MAX_TWO_SQUARE_CANDIDATES", 1000)
+    with pytest.raises(SearchExhausted, match="1000 candidates"):
+        two_squares(m)
+    monkeypatch.setattr(scalars, "MAX_FOUR_SQUARE_CANDIDATES", 10)
+    with pytest.raises(SearchExhausted, match="10 candidates"):
+        four_squares(m)
 
 
 def test_json_round_trip():

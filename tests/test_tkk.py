@@ -4,13 +4,12 @@ from fractions import Fraction
 import pytest
 
 from jordan_strata import linalg
-from jordan_strata.jordan import JordanElement
+from jordan_strata.jordan import JordanElement, jordan_mul, trace_form
 from jordan_strata.scalars import Scalar
 from jordan_strata.strata import random_element
 from jordan_strata.tkk import (
     CASES,
     TKKElement,
-    jcoords,
     tkk_algebra,
 )
 
@@ -19,16 +18,34 @@ SMALL_CASES = ("sp3", "u33")
 
 
 def rand_tkk(alg, rng):
-    sp = alg.space
-    w = random_element(alg.algebra, rng)
-    a = random_element(alg.algebra, rng)
-    b = random_element(alg.algebra, rng)
-    mid = linalg.frac_add(
-        sp.lmat(jcoords(w)),
-        linalg.frac_commutator(sp.lmat(jcoords(a)), sp.lmat(jcoords(b))),
+    """(x, L_w + [L_a, L_b], y) for random Jordan elements."""
+    w, a, b = (alg.lmul_element(random_element(alg.algebra, rng)) for _ in range(3))
+    x, y = random_element(alg.algebra, rng), random_element(alg.algebra, rng)
+    xy = alg.element(plus=x, minus=y)
+    return xy + w + alg.bracket(a, b)
+
+
+# plain matrix arithmetic, independent of the structure constants
+
+
+def mat_mul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def mat_comb(*terms):
+    """sum c * A over the (c, A) in terms."""
+    n = len(terms[0][1])
+    return tuple(
+        tuple(sum(c * m[r][k] for c, m in terms) for k in range(n)) for r in range(n)
     )
-    return TKKElement(alg.case, random_element(alg.algebra, rng), mid,
-                      random_element(alg.algebra, rng))
+
+
+def mat_vec(a, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def commutator(a, b):
+    return mat_comb((1, mat_mul(a, b)), (-1, mat_mul(b, a)))
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -44,20 +61,64 @@ def test_left_mul_and_box_basics(case):
     alg = tkk_algebra(case)
     rng = random.Random(1)
     ident = JordanElement.identity(alg.algebra)
-    id_op = linalg.frac_mat(
-        [[1 if i == j else 0 for j in range(alg.space.dim)] for i in range(alg.space.dim)]
-    )
+    n = alg.space.dim
+    id_op = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
     assert alg.left_mul(ident) == id_op
     assert alg.box(ident, ident) == id_op
     for _ in range(5):
         x = random_element(alg.algebra, rng)
         y = random_element(alg.algebra, rng)
-        lhs = linalg.frac_sub(alg.box(x, y), alg.box(y, x))
-        comm = linalg.frac_commutator(alg.left_mul(x), alg.left_mul(y))
-        assert lhs == linalg.frac_scale(comm, 2)
+        lx, ly = alg.left_mul(x), alg.left_mul(y)
+        lxy = alg.left_mul(jordan_mul(x, y))
+        assert alg.box(x, y) == mat_comb((1, lxy), (1, commutator(lx, ly)))
+        lhs = mat_comb((1, alg.box(x, y)), (-1, alg.box(y, x)))
+        assert lhs == mat_comb((2, commutator(lx, ly)))
+
+
+def graded_bracket(alg, a, b):
+    """The graded bracket of (x, T, y) parts, by matrix products:
+    [T, u+] = (T u)+, [T, v-] = -(T^ v)-, [u+, v-] = 2 (L_{u o v} + [L_u, L_v]),
+    [T, S] = TS - ST."""
+    algebra = alg.algebra
+    basis = JordanElement.space_basis(algebra)
+    g = [trace_form(e, e).re for e in basis]
+    n = len(g)
+
+    def adjoint(t):
+        return tuple(tuple(t[j][i] * g[j] / g[i] for j in range(n)) for i in range(n))
+
+    def coords(x):
+        return [c.re for c in x.coords()]
+
+    def box(x, y):
+        lx, ly = alg.left_mul(x), alg.left_mul(y)
+        return mat_comb((1, alg.left_mul(jordan_mul(x, y))), (1, commutator(lx, ly)))
+
+    xa, ta, ya = a.plus, a.mid, a.minus
+    xb, tb, yb = b.plus, b.mid, b.minus
+    plus = [p - q for p, q in zip(mat_vec(ta, coords(xb)), mat_vec(tb, coords(xa)))]
+    minus = [
+        p - q
+        for p, q in zip(mat_vec(adjoint(tb), coords(ya)), mat_vec(adjoint(ta), coords(yb)))
+    ]
+    mid = mat_comb((1, commutator(ta, tb)), (2, box(xa, yb)), (-2, box(xb, ya)))
+    make = lambda cs: JordanElement.from_coords(algebra, [Scalar(c) for c in cs])
+    return make(plus), mid, make(minus)
 
 
 @pytest.mark.parametrize("case", SMALL_CASES)
+def test_bracket_matches_the_graded_formulas(case):
+    # dense random coordinate vectors, so every block of the tensor is used
+    alg = tkk_algebra(case)
+    rng = random.Random(10)
+    coord = lambda: Fraction(rng.randint(-3, 3), rng.choice((1, 2)))
+    for _ in range(4):
+        a, b = (alg.from_coords([coord() for _ in range(alg.dim)]) for _ in range(2))
+        c = alg.bracket(a, b)
+        assert (c.plus, c.mid, c.minus) == graded_bracket(alg, a, b)
+
+
+@pytest.mark.parametrize("case", CASES)
 def test_bracket_antisymmetry_and_jacobi(case):
     alg = tkk_algebra(case)
     rng = random.Random(2)
@@ -92,7 +153,7 @@ def test_grading_element(case):
     assert alg.bracket(d, ym) == (-ym)
 
 
-@pytest.mark.parametrize("case", SMALL_CASES)
+@pytest.mark.parametrize("case", CASES)
 def test_theta_is_involutive_automorphism(case):
     alg = tkk_algebra(case)
     rng = random.Random(5)
@@ -170,7 +231,7 @@ def test_z_spans_center_of_k():
     for x in kb:
         row = []
         for y in kb:
-            row.extend(alg.coords_in_basis(alg.bracket(x, y)))
+            row.extend(alg.bracket(x, y).coords)
         rows.append(tuple(Scalar(v) for v in row))
     ker = linalg.kernel_basis(linalg.transpose(linalg.mat(rows)))
     assert len(ker) == 1
@@ -187,7 +248,7 @@ def test_z_spans_center_of_k():
 
 def _k_coords(alg, elt):
     # coordinates of a k-element in the k-basis: (plus part, D part)
-    full = alg.coords_in_basis(elt)
+    full = elt.coords
     nj, ns = alg.space.dim, alg.str_dim
     plus = full[:nj]
     mids = full[nj:nj + ns]
