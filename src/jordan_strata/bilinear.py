@@ -76,8 +76,6 @@ class Bilinear:
         """Scalar coordinates of the product of two Scalar coordinate vectors."""
         xv, dx = _int_coords(xs, gaussian)
         yv, dy = _int_coords(ys, gaussian)
-        if not any(xv) or not any(yv):
-            return [Scalar.zero(gaussian)] * self.dim
         acc = self.contract(xv, yv, gaussian)
         den = dx * dy * self.den
         if not gaussian:

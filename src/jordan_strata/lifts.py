@@ -62,9 +62,13 @@ def hilbert_lift(z: JordanElement, s: int) -> WMap:
     case = ALGEBRA_CASE[z.algebra]
     if rank == 0:
         return WMap.zero(case, s)
-    lift = {"real": _lift_real, "complex": _lift_complex}.get(case, _lift_quaternionic)
     try:
-        alpha = lift(z, s, rank)
+        if case == "real":
+            alpha = _lift_real(z, s, rank)
+        elif case == "complex":
+            alpha = _lift_complex(z, s, rank)
+        else:
+            alpha = _lift_quaternionic(z, s, rank)
     except SearchExhausted as exc:
         raise LiftError(f"square-sum search cut: {exc}") from exc
     if not cdm.is_zero(mu_h(alpha)):

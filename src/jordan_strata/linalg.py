@@ -3,8 +3,8 @@
 Matrices are tuples of row-tuples and everything is fraction-exact.  Every
 row reduction -- rank, solve, inverse and kernel here, the structure-algebra
 span of ``tkk``, the bivector ranks of ``poisson`` and the inverses of
-``cdmatrix`` -- goes through one fraction-free integer echelon (``_Echelon``).  A Q(i) matrix
-reaches it through the interleaved realification
+``cdmatrix`` -- goes through one fraction-free integer echelon (``_Echelon``).
+A Q(i) matrix reaches it through the interleaved realification
 
     rho: a + bi -> [[a, -b], [b, a]],
 

@@ -229,7 +229,7 @@ def poisson_rank_at(x: TKKElement) -> int:
     constants with the integer vector G x.
     """
     alg = tkk_algebra(x.case)
-    gx, _ = linalg._int_row(alg.form_against_basis(x))
+    gx = alg._gram_times(x)[0]
     rows = [[sum(c * gx[k] for k, c in cell) for cell in row] for row in alg.lie.rows]
     return linalg.frac_rank(rows)
 

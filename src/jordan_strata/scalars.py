@@ -238,8 +238,6 @@ def _rational_sqrt(q: Fraction):
 MAX_TWO_SQUARE_CANDIDATES = 10_000_000
 MAX_FOUR_SQUARE_CANDIDATES = 50_000
 
-_SQUARES_MOD_64 = frozenset(x * x % 64 for x in range(64))
-
 
 class SearchExhausted(RuntimeError):
     """A square-sum search used up its candidates and found no decomposition."""
@@ -277,13 +275,11 @@ def two_squares(q: Fraction):
     if _no_two_squares(m):
         return None
     tries = _candidates("two_squares", q, MAX_TWO_SQUARE_CANDIDATES)
-    b2 = m
     for a, _ in zip(range(isqrt(m) + 1), tries):
-        if b2 & 63 in _SQUARES_MOD_64:  # else b2 = m - a^2 is no square
-            b = isqrt(b2)
-            if b * b == b2:
-                return Fraction(a, d), Fraction(b, d)
-        b2 -= a + a + 1
+        b2 = m - a * a
+        b = isqrt(b2)
+        if b * b == b2:
+            return Fraction(a, d), Fraction(b, d)
     return None
 
 

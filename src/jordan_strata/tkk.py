@@ -84,10 +84,6 @@ def _commutator(a, b):
     return tuple(out)
 
 
-def _sparse(m):
-    return tuple({c: x for c, x in enumerate(row) if x} for row in m)
-
-
 def _dense(n, terms):
     """The Fraction matrix sum f * A over the (f, sparse operator A) in terms."""
     acc = [[Fraction(0)] * n for _ in range(n)]
@@ -124,12 +120,6 @@ class JordanSpace:
         """Matrix of L_w."""
         den = self.product.den
         return _dense(self.dim, ((wi / den, op) for wi, op in zip(w, self.lops)))
-
-    def box(self, u, v):
-        """u box v = L_{u o v} + [L_u, L_v] as an operator matrix."""
-        luv = _sparse(self.lmat(self.product.mul_fractions(u, v)))
-        comm = _commutator(_sparse(self.lmat(u)), _sparse(self.lmat(v)))
-        return _dense(self.dim, ((1, luv), (1, comm)))
 
 
 @lru_cache(maxsize=None)
@@ -245,8 +235,12 @@ class TKKElement:
     @staticmethod
     def from_json(obj) -> "TKKElement":
         mid = [[Scalar.from_json(x).re for x in row] for row in obj["mid"]]
-        plus, minus = (JordanElement.from_json(obj[k]) for k in ("plus", "minus"))
-        return TKKElement(obj["case"], plus, mid, minus)
+        return TKKElement(
+            obj["case"],
+            JordanElement.from_json(obj["plus"]),
+            mid,
+            JordanElement.from_json(obj["minus"]),
+        )
 
 
 class TKKAlgebra:
@@ -411,9 +405,6 @@ class TKKAlgebra:
     def left_mul(self, x: JordanElement):
         return self.space.lmat(jcoords(x))
 
-    def box(self, x: JordanElement, y: JordanElement):
-        return self.space.box(jcoords(x), jcoords(y))
-
     def bracket(self, a: TKKElement, b: TKKElement) -> TKKElement:
         if a.case != self.case or b.case != self.case:
             raise ValueError("case mismatch")
@@ -424,8 +415,8 @@ class TKKAlgebra:
     def theta(self, a: TKKElement) -> TKKElement:
         n = self.space.dim
         plus, mid, minus = a._blocks()
-        neg = lambda xs: tuple(-x for x in xs)
-        return TKKElement.of(self.case, neg(minus + mid[:n]) + mid[n:] + neg(plus))
+        coords = [-x for x in minus + mid[:n]] + list(mid[n:]) + [-x for x in plus]
+        return TKKElement.of(self.case, coords)
 
     def k_basis(self):
         n, s = self.space.dim, self.str_dim

@@ -48,6 +48,16 @@ def commutator(a, b):
     return mat_comb((1, mat_mul(a, b)), (-1, mat_mul(b, a)))
 
 
+def box(alg, x, y):
+    """x box y = L_{x o y} + [L_x, L_y]."""
+    lx, ly = alg.left_mul(x), alg.left_mul(y)
+    return mat_comb((1, alg.left_mul(jordan_mul(x, y))), (1, commutator(lx, ly)))
+
+
+def jcoords(x):
+    return [c.re for c in x.coords()]
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_dimension_audit(case):
     alg = tkk_algebra(case)
@@ -64,14 +74,13 @@ def test_left_mul_and_box_basics(case):
     n = alg.space.dim
     id_op = tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
     assert alg.left_mul(ident) == id_op
-    assert alg.box(ident, ident) == id_op
+    assert box(alg, ident, ident) == id_op
     for _ in range(5):
         x = random_element(alg.algebra, rng)
         y = random_element(alg.algebra, rng)
         lx, ly = alg.left_mul(x), alg.left_mul(y)
-        lxy = alg.left_mul(jordan_mul(x, y))
-        assert alg.box(x, y) == mat_comb((1, lxy), (1, commutator(lx, ly)))
-        lhs = mat_comb((1, alg.box(x, y)), (-1, alg.box(y, x)))
+        assert list(mat_vec(lx, jcoords(y))) == jcoords(jordan_mul(x, y))
+        lhs = mat_comb((1, box(alg, x, y)), (-1, box(alg, y, x)))
         assert lhs == mat_comb((2, commutator(lx, ly)))
 
 
@@ -87,21 +96,14 @@ def graded_bracket(alg, a, b):
     def adjoint(t):
         return tuple(tuple(t[j][i] * g[j] / g[i] for j in range(n)) for i in range(n))
 
-    def coords(x):
-        return [c.re for c in x.coords()]
-
-    def box(x, y):
-        lx, ly = alg.left_mul(x), alg.left_mul(y)
-        return mat_comb((1, alg.left_mul(jordan_mul(x, y))), (1, commutator(lx, ly)))
-
     xa, ta, ya = a.plus, a.mid, a.minus
     xb, tb, yb = b.plus, b.mid, b.minus
-    plus = [p - q for p, q in zip(mat_vec(ta, coords(xb)), mat_vec(tb, coords(xa)))]
+    plus = [p - q for p, q in zip(mat_vec(ta, jcoords(xb)), mat_vec(tb, jcoords(xa)))]
     minus = [
         p - q
-        for p, q in zip(mat_vec(adjoint(tb), coords(ya)), mat_vec(adjoint(ta), coords(yb)))
+        for p, q in zip(mat_vec(adjoint(tb), jcoords(ya)), mat_vec(adjoint(ta), jcoords(yb)))
     ]
-    mid = mat_comb((1, commutator(ta, tb)), (2, box(xa, yb)), (-2, box(xb, ya)))
+    mid = mat_comb((1, commutator(ta, tb)), (2, box(alg, xa, yb)), (-2, box(alg, xb, ya)))
     make = lambda cs: JordanElement.from_coords(algebra, [Scalar(c) for c in cs])
     return make(plus), mid, make(minus)
 
