@@ -1,6 +1,6 @@
 """Sparse integer bilinear products: the one engine behind ``cd_mul``,
-``jordan_mul``, the coordinate product of ``tkk.JordanSpace`` and the Lie
-bracket of ``tkk.TKKAlgebra``.
+``cdmatrix.mul``, ``jordan_mul``, the coordinate product of
+``tkk.JordanSpace`` and the Lie bracket of ``tkk.TKKAlgebra``.
 
 A structure-constant table e_i e_j = sum_k c_ijk e_k with rational c_ijk is
 compiled once into integer constants over one common denominator.  Over the
@@ -9,7 +9,9 @@ Gaussian base ring Q(i) the same constants act on 2n rational coordinates
 rings; that doubled table is compiled on the first Gaussian product only.
 An operand enters as one integer vector and its least common denominator
 (``linalg._int_row``), the sum runs in Python ints, and each output
-coordinate is boxed back into a ``Scalar`` once.
+coordinate is boxed back into a ``Scalar`` once.  A sum of products, such
+as an entry of a matrix product, is contracted into one accumulator over one
+common denominator (``sum_mul``) and boxed once as well.
 """
 
 from __future__ import annotations
@@ -58,10 +60,12 @@ class Bilinear:
             self._gauss_rows = gauss
         return self._gauss_rows
 
-    def contract(self, xv, yv, gaussian=False):
-        """den * (x y) for integer coordinate vectors x, y (2n long over Q(i))."""
+    def contract(self, xv, yv, gaussian=False, acc=None):
+        """den * (x y) for integer coordinate vectors x, y (2n long over Q(i)),
+        added into ``acc`` when given."""
         rows = self._gauss() if gaussian else self.rows
-        acc = [0] * len(xv)
+        if acc is None:
+            acc = [0] * len(xv)
         ys = [(j, b) for j, b in enumerate(yv) if b]
         for i, a in enumerate(xv):
             if a:
@@ -76,8 +80,25 @@ class Bilinear:
         """Scalar coordinates of the product of two Scalar coordinate vectors."""
         xv, dx = _int_coords(xs, gaussian)
         yv, dy = _int_coords(ys, gaussian)
-        acc = self.contract(xv, yv, gaussian)
-        den = dx * dy * self.den
+        return self._box(self.contract(xv, yv, gaussian), dx * dy * self.den, gaussian)
+
+    def sum_mul(self, terms, gaussian: bool):
+        """Scalar coordinates of sum x y over the (x, y) pairs in ``terms``,
+        each operand an (integer vector, denominator) pair from ``scaled``.
+
+        The sum is taken over one common denominator, the lcm of the
+        products dx * dy, so each pair is contracted once and each output
+        coordinate is boxed once.
+        """
+        den = lcm(*[dx * dy for (_, dx), (_, dy) in terms])
+        acc = [0] * (2 * self.dim if gaussian else self.dim)
+        for (xv, dx), (yv, dy) in terms:
+            f = den // (dx * dy)
+            self.contract([v * f for v in xv] if f != 1 else xv, yv, gaussian, acc)
+        return self._box(acc, den * self.den, gaussian)
+
+    def _box(self, acc, den, gaussian):
+        """The Scalars acc / den (real parts, then imaginary parts over Q(i))."""
         if not gaussian:
             return [Scalar(Fraction(v, den)) for v in acc]
         n = self.dim
@@ -99,3 +120,9 @@ def _int_coords(xs, gaussian):
     if gaussian:
         return _int_row([x.re for x in xs] + [x.im for x in xs])
     return _int_row([x.re for x in xs])
+
+
+def scaled(xs, gaussian):
+    """``_int_coords`` of a ``sum_mul`` operand, or None when it is zero."""
+    xv, d = _int_coords(xs, gaussian)
+    return (xv, d) if any(xv) else None

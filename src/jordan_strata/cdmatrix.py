@@ -2,13 +2,17 @@
 matrix algebra needs associativity, so the octonions are excluded here).
 
 Rows are tuples of CDNumber; entries must share level and base ring.  Used by
-the momentum-map layer for the V = K^6 matrix models.
+the momentum-map layer for the V = K^6 matrix models.  ``mul`` runs on the
+bilinear engine: each entry is scaled to integers once and each output entry
+is one integer contraction of the level's unit table (``Bilinear.sum_mul``).
+``inverse`` goes through the exact elimination core of ``linalg``.
 """
 
 from __future__ import annotations
 
 from . import linalg
-from .cayley_dickson import CDNumber, cd_mul, unit_product
+from .bilinear import scaled
+from .cayley_dickson import CDNumber, _cd_product, cd_mul, unit_product
 from .scalars import Scalar
 
 
@@ -46,23 +50,32 @@ def scale(a, s) -> tuple:
 
 
 def mul(a, b):
+    """The matrix product, one integer contraction per output entry.
+
+    Each entry of ``a`` and of ``b`` is scaled once to integers over its own
+    least denominator (``bilinear.scaled``; a zero entry drops out), and an
+    output entry is the engine's ``sum_mul`` of its nonzero pairs.  Every
+    entry, zero or not, must share the level and ring of ``a[0][0]``.
+    """
     if a and b and len(a[0]) != len(b):
         raise ValueError("inner dimensions do not match")
-    level = a[0][0].level
-    gaussian = a[0][0].gaussian
-    bt = tuple(zip(*b))
-    out = []
-    for row in a:
-        out_row = []
-        for col in bt:
-            acc = CDNumber.zero(level, gaussian)
-            for x, y in zip(row, col):
-                if x.is_zero() or y.is_zero():
-                    continue
-                acc = acc + cd_mul(x, y)
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return tuple(out)
+    first = a[0][0]
+    level, gaussian = first.level, first.gaussian
+    table = _cd_product(level)
+
+    def entry(x):
+        first._check(x)
+        return scaled(x.coeffs, gaussian)
+
+    rows = [[entry(x) for x in row] for row in a]
+    cols = [[entry(y) for y in col] for col in zip(*b)]
+    return tuple(
+        tuple(
+            CDNumber(level, table.sum_mul([(x, y) for x, y in zip(row, col) if x and y], gaussian))
+            for col in cols
+        )
+        for row in rows
+    )
 
 
 def conj_transpose(a):

@@ -70,11 +70,11 @@ def hilbert_lift(z: JordanElement, s: int) -> WMap:
         else:
             alpha = _lift_quaternionic(z, s, rank)
     except SearchExhausted as exc:
-        raise LiftError(f"square-sum search cut: {exc}") from exc
+        raise LiftError(f"square-sum search cut: {exc}", "search-cut") from exc
     if not cdm.is_zero(mu_h(alpha)):
-        raise LiftError("constructed map missed the zero level")
+        raise LiftError("constructed map missed the zero level", "missed-zero-level")
     if reduced_point(alpha) != z:
-        raise LiftError("round trip failed on the constructed map")
+        raise LiftError("round trip failed on the constructed map", "round-trip-failed")
     return alpha
 
 
@@ -134,12 +134,12 @@ def _real_components(m):
             None,
         )
         if piv is None:
-            raise LiftError("rank-one block with isotropic diagonal")
+            raise LiftError("rank-one block with isotropic diagonal", "real-isotropic-diagonal")
         v = cols[piv]
         coeff = m[piv][piv].inverse()
         return [(coeff, v)]
     if r != 2:
-        raise LiftError("splitting supports rank one and two only")
+        raise LiftError("splitting supports rank one and two only", "real-split-rank")
     # E = m conj(m): its nonzero eigenvectors give the splitting directions.
     mbar = tuple(tuple(x.conjugate() for x in row) for row in m)
     e = linalg.mul(m, mbar)
@@ -150,13 +150,13 @@ def _real_components(m):
     disc = tr * tr - _gaussian(4) * prod
     root = disc.sqrt()
     if root is None:
-        raise LiftError("splitting invariants are not rational")
+        raise LiftError("splitting invariants are not rational", "real-split-irrational")
     lams = ((tr + root) * _gaussian(Fraction(1, 2)), (tr - root) * _gaussian(Fraction(1, 2)))
     vecs = []
     if lams[0] != lams[1]:
         for lam in lams:
             if lam.is_zero():
-                raise LiftError("degenerate splitting eigenvalue")
+                raise LiftError("degenerate splitting eigenvalue", "real-split-zero-eigenvalue")
             shifted = tuple(
                 tuple(e[i][j] - (lam if i == j else Scalar.zero(True)) for j in range(3))
                 for i in range(3)
@@ -164,7 +164,9 @@ def _real_components(m):
             ker = linalg.kernel_basis(shifted)
             cand = next((k for k in ker if not _sym_dot(k, m, k).is_zero()), None)
             if cand is None:
-                raise LiftError("no usable eigenvector for the splitting")
+                raise LiftError(
+                    "no usable eigenvector for the splitting", "real-split-no-eigenvector"
+                )
             vecs.append(cand)
     else:
         vecs = _repeated_eigen_split(m)
@@ -178,11 +180,13 @@ def _real_components(m):
     # verify the decomposition and the orthogonality exactly
     v1, v2 = out[0][1], out[1][1]
     if not _herm_dot(v1, v2).is_zero():
-        raise LiftError("splitting directions are not conjugate-orthogonal")
+        raise LiftError(
+            "splitting directions are not conjugate-orthogonal", "real-split-not-orthogonal"
+        )
     recon = _sym_rank1(out[0][0], v1)
     recon = linalg.add(recon, _sym_rank1(out[1][0], v2))
     if recon != linalg.mat(m):
-        raise LiftError("rank-two splitting did not reconstruct the matrix")
+        raise LiftError("rank-two splitting did not reconstruct the matrix", "real-split-mismatch")
     return out
 
 
@@ -199,7 +203,7 @@ def _repeated_eigen_split(m):
             u2 = c
             break
     if u2 is None:
-        raise LiftError("could not span the rank-two column space")
+        raise LiftError("could not span the rank-two column space", "real-repeated-no-span")
     cands = [_gaussian(t) for t in (0, 1, -1, 2, -2)] + [
         Scalar(0, 1, True),
         Scalar(0, -1, True),
@@ -215,7 +219,9 @@ def _repeated_eigen_split(m):
             continue
         if _sym_dot(v1, m, v2).is_zero():
             return [v1, v2]
-    raise LiftError("no rational splitting found for repeated invariants")
+    raise LiftError(
+        "no rational splitting found for repeated invariants", "real-repeated-no-split"
+    )
 
 
 def _lift_real(z: JordanElement, s: int, rank: int) -> WMap:
@@ -234,7 +240,7 @@ def _lift_real(z: JordanElement, s: int, rank: int) -> WMap:
                 columns.append(tuple(x * vi for vi in v))
         if ok:
             return _alpha_from_c_columns("real", columns, s)
-    raise LiftError("square-class obstruction in a component")
+    raise LiftError("square-class obstruction in a component", "real-square-class")
 
 
 def _budget_split(s, ncomps):
@@ -246,7 +252,7 @@ def _budget_split(s, ncomps):
 def _alpha_from_c_columns(case, columns, s):
     """Assemble alpha = [Re C; Im C] from Gaussian column vectors (K = R)."""
     if len(columns) > s:
-        raise LiftError("construction needs more columns than available")
+        raise LiftError("construction needs more columns than available", "real-columns-short")
     while len(columns) < s:
         columns.append((Scalar.zero(True),) * 3)
     rows = []
@@ -268,9 +274,11 @@ def _lift_complex(z: JordanElement, s: int, rank: int) -> WMap:
     m = linalg.scale(to_general_matrix(z), Scalar(0, 2, True))  # 2i Z
     r = linalg.rank(m)
     if r != rank:
-        raise LiftError("matrix model rank disagrees with the Jordan rank")
+        raise LiftError(
+            "matrix model rank disagrees with the Jordan rank", "complex-rank-mismatch"
+        )
     if r > 2:
-        raise LiftError("complex lifts are implemented through rank two")
+        raise LiftError("complex lifts are implemented through rank two", "complex-rank-three")
     cols = linalg.transpose(m)
     chosen = []
     for c in cols:
@@ -284,7 +292,7 @@ def _lift_complex(z: JordanElement, s: int, rank: int) -> WMap:
     gram = linalg.mul(u0s, u0)
     w0 = linalg.mul(linalg.inverse(gram), linalg.mul(u0s, m))  # r x 3
     if linalg.mul(u0, w0) != linalg.mat(m):
-        raise LiftError("pivot columns failed to factor the matrix")
+        raise LiftError("pivot columns failed to factor the matrix", "complex-pivot-factor")
     v0 = _plain_conj_t(w0)  # 3 x r
     n_u = gram
     n_v = linalg.mul(_plain_conj_t(v0), v0)
@@ -292,9 +300,9 @@ def _lift_complex(z: JordanElement, s: int, rank: int) -> WMap:
     u = linalg.mul(u0, g)
     v = linalg.mul(v0, linalg.inverse(_plain_conj_t(g)))
     if linalg.mul(_plain_conj_t(u), u) != linalg.mul(_plain_conj_t(v), v):
-        raise LiftError("gauge did not balance the Gram matrices")
+        raise LiftError("gauge did not balance the Gram matrices", "complex-gauge-unbalanced")
     if linalg.mul(u, _plain_conj_t(v)) != linalg.mat(m):
-        raise LiftError("gauge broke the factorization")
+        raise LiftError("gauge broke the factorization", "complex-gauge-mismatch")
     half = _gaussian(Fraction(1, 2))
     m_half_i = Scalar(0, Fraction(-1, 2), True)  # 1/(2i)
     f = linalg.scale(linalg.add(u, v), half)
@@ -318,16 +326,18 @@ def _gram_balance_gauge(n_u, n_v):
         h = n_v[0][0] * n_u[0][0].inverse()
         hr = h.sqrt()
         if hr is None or hr.im or hr.re <= 0:
-            raise LiftError("rank-one balance is not a rational square")
+            raise LiftError(
+                "rank-one balance is not a rational square", "complex-balance-not-square"
+            )
         pair = two_squares(hr.re)
         if pair is None:
-            raise LiftError("rank-one balance is not a Gaussian norm")
+            raise LiftError("rank-one balance is not a Gaussian norm", "complex-balance-not-norm")
         return ((Scalar(pair[0], pair[1], True),),)
     k = linalg.mul(n_v, n_u)
     det_k = k[0][0] * k[1][1] - k[0][1] * k[1][0]
     sd = det_k.sqrt()
     if sd is None:
-        raise LiftError("balance discriminant is not a square")
+        raise LiftError("balance discriminant is not a square", "complex-balance-discriminant")
     tr_k = k[0][0] + k[1][1]
     for sign in (1, -1):
         sds = sd if sign > 0 else -sd
@@ -351,7 +361,7 @@ def _gram_balance_gauge(n_u, n_v):
         g = _posdef_factor(h)
         if g is not None:
             return g
-    raise LiftError("no exact balance gauge found")
+    raise LiftError("no exact balance gauge found", "complex-balance-no-gauge")
 
 
 def _posdef_factor(h):
@@ -378,7 +388,7 @@ def _posdef_factor(h):
 
 def _lift_quaternionic(z: JordanElement, s: int, rank: int) -> WMap:
     if rank > 2:
-        raise LiftError("quaternionic lifts are implemented through rank two")
+        raise LiftError("quaternionic lifts are implemented through rank two", "quat-rank-three")
     m = cdm.scale(z.to_matrix(), Scalar(0, 2, True))
     if rank == 1:
         comps = [_quat_rank1_data(m)]
@@ -389,12 +399,12 @@ def _lift_quaternionic(z: JordanElement, s: int, rank: int) -> WMap:
     for (b_vec, kappa), budget in zip(comps, budgets):
         cols = _quat_component_columns(b_vec, kappa, budget)
         if cols is None:
-            raise LiftError("quaternionic component class is not representable")
+            raise LiftError("quaternionic component class is not representable", "quat-class")
         for xi_c, up_c in cols:
             xi_cols.append(xi_c)
             up_cols.append(up_c)
     if len(xi_cols) > s:
-        raise LiftError("construction needs more columns than available")
+        raise LiftError("construction needs more columns than available", "quat-columns-short")
     zero_col = tuple(CDNumber.zero(2) for _ in range(3))
     while len(xi_cols) < s:
         xi_cols.append(zero_col)
@@ -416,7 +426,7 @@ def _quat_rank1_data(m):
             piv = i
             break
     if piv is None:
-        raise LiftError("isotropic diagonal in the quaternionic block")
+        raise LiftError("isotropic diagonal in the quaternionic block", "quat-isotropic-diagonal")
     row = m[piv]
     # find mu in H (x) Q(i) making mu * row entrywise a rational quaternion
     basis_mu = []
@@ -451,23 +461,23 @@ def _quat_rank1_data(m):
             mu = cand
             break
     if mu is None:
-        raise LiftError("no rationalizing factor for the quaternionic ray")
+        raise LiftError("no rationalizing factor for the quaternionic ray", "quat-no-rationalizer")
     b_bar = [cd_mul(mu, entry) for entry in row]
     b = [q.conjugate() for q in b_bar]
     if all(q.is_zero() for q in b):
-        raise LiftError("degenerate quaternionic ray")
+        raise LiftError("degenerate quaternionic ray", "quat-zero-ray")
     b_rat = []
     for q in b:
         if any(c.im for c in q.coeffs):
-            raise LiftError("ray did not rationalize")
+            raise LiftError("ray did not rationalize", "quat-ray-irrational")
         b_rat.append(CDNumber(2, [Scalar(c.re) for c in q.coeffs]))
     nb = b_rat[piv].norm()
     if nb.is_zero():
-        raise LiftError("pivot of the quaternionic ray is isotropic")
+        raise LiftError("pivot of the quaternionic ray is isotropic", "quat-isotropic-pivot")
     kappa = m[piv][piv].real() * nb.to_gaussian().inverse()
     recon = _quat_rank1(kappa, b_rat)
     if recon != cdm.from_rows(m):
-        raise LiftError("quaternionic ray did not reconstruct the block")
+        raise LiftError("quaternionic ray did not reconstruct the block", "quat-ray-mismatch")
     return b_rat, kappa
 
 
@@ -493,7 +503,9 @@ def _quat_split(m):
     disc = tr * tr - Scalar(4, 0, True) * prod
     root = disc.sqrt()
     if root is None or root.is_zero():
-        raise LiftError("quaternionic splitting invariants are not separable")
+        raise LiftError(
+            "quaternionic splitting invariants are not separable", "quat-split-inseparable"
+        )
     lam1 = (tr + root) * half
     lam2 = (tr - root) * half
     denom = (lam1 - lam2).inverse()
@@ -505,7 +517,7 @@ def _quat_split(m):
     for p, q in zip(b1, b2):
         cross = cross + cd_mul(p.conjugate(), q)
     if not cross.is_zero():
-        raise LiftError("split rays are not conjugate-orthogonal")
+        raise LiftError("split rays are not conjugate-orthogonal", "quat-split-not-orthogonal")
     return out
 
 

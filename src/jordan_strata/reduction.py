@@ -28,7 +28,9 @@ reports failure outside them and the samplers below generate inside them.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from functools import lru_cache
 
 from . import cdmatrix as cdm
 from . import linalg
@@ -45,9 +47,58 @@ N_V = 6
 
 class LiftError(ValueError):
     """No exact rational lift was found (square-class obstruction or input
-    outside the documented constructive families)."""
+    outside the documented constructive families).
+
+    ``reason`` is one of ``REASONS``, a fixed code for each place in ``lifts``
+    that gives up, so callers can tally obstructions without parsing the
+    message.
+    """
+
+    REASONS = (
+        "search-cut",
+        "missed-zero-level",
+        "round-trip-failed",
+        "real-isotropic-diagonal",
+        "real-split-rank",
+        "real-split-irrational",
+        "real-split-zero-eigenvalue",
+        "real-split-no-eigenvector",
+        "real-split-not-orthogonal",
+        "real-split-mismatch",
+        "real-repeated-no-span",
+        "real-repeated-no-split",
+        "real-square-class",
+        "real-columns-short",
+        "complex-rank-mismatch",
+        "complex-rank-three",
+        "complex-pivot-factor",
+        "complex-gauge-unbalanced",
+        "complex-gauge-mismatch",
+        "complex-balance-not-square",
+        "complex-balance-not-norm",
+        "complex-balance-discriminant",
+        "complex-balance-no-gauge",
+        "quat-rank-three",
+        "quat-class",
+        "quat-columns-short",
+        "quat-isotropic-diagonal",
+        "quat-no-rationalizer",
+        "quat-zero-ray",
+        "quat-ray-irrational",
+        "quat-isotropic-pivot",
+        "quat-ray-mismatch",
+        "quat-split-inseparable",
+        "quat-split-not-orthogonal",
+    )
+
+    def __init__(self, message, reason):
+        if reason not in self.REASONS:
+            raise ValueError(f"unknown lift failure reason {reason!r}")
+        super().__init__(message)
+        self.reason = reason
 
 
+@lru_cache(maxsize=None)
 def bmatrix(case, gaussian=False):
     level = CASE_LEVEL[case]
     z, o = CDNumber.zero(level, gaussian), CDNumber.one(level, gaussian)
@@ -143,12 +194,22 @@ def b_form(case, u, v):
 
 
 def symplectic_form(alpha: WMap, beta: WMap) -> Scalar:
-    """omega_W(alpha, beta) = sum_t Re B(alpha e_t, beta e_t)."""
+    """omega_W(alpha, beta) = sum_t Re B(alpha e_t, beta e_t).
+
+    Since Re(conj(x) y) = sum_k x_k y_k, this is the coordinate pairing
+    sum_t sum_{r<3} <alpha_{r,t}, beta_{r+3,t}> - <alpha_{r+3,t}, beta_{r,t}>,
+    taken as one integer dot product.
+    """
     if alpha.case != beta.case or alpha.s != beta.s:
         raise ValueError("case or size mismatch")
-    b = bmatrix(alpha.case)
-    m = cdm.mul(cdm.mul(cdm.conj_transpose(alpha.matrix), b), beta.matrix)
-    return cdm.trace_real(m)
+
+    def coords(w):  # rows 0-2 first, so the halves are the xi and upsilon blocks
+        return linalg._int_row([c.re for row in w.matrix for x in row for c in x.coeffs])
+
+    (u, du), (v, dv) = coords(alpha), coords(beta)
+    h = len(u) // 2
+    dot = sum(map(operator.mul, u[:h], v[h:])) - sum(map(operator.mul, u[h:], v[:h]))
+    return Scalar(Fraction(dot, du * dv))
 
 
 def half_trace_pairing(a, b) -> Scalar:

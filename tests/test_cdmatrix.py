@@ -1,0 +1,117 @@
+import random
+from fractions import Fraction
+
+import pytest
+
+from jordan_strata import cdmatrix as cdm
+from jordan_strata.cayley_dickson import CDNumber, cd_mul_doubling
+from jordan_strata.reduction import CASE_LEVEL, WMap, symplectic_form
+from jordan_strata.scalars import RingMismatch, Scalar
+
+# (level, gaussian): levels 0-2 over Q and level 0 over Q(i)
+RINGS = [(0, False), (1, False), (2, False), (0, True)]
+
+
+def rand_part(rng, tall):
+    if tall:
+        return Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**40))
+    return Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3, 5]))
+
+
+def rand_cd(rng, level, gaussian, tall, sparse):
+    """A random entry; a sparse one is zero half the time and otherwise has
+    a few zero coordinates."""
+    if sparse and rng.random() < 0.5:
+        return CDNumber.zero(level, gaussian)
+
+    def part():
+        return Fraction(0) if sparse and rng.random() < 0.4 else rand_part(rng, tall)
+
+    return CDNumber(
+        level,
+        [Scalar(part(), part() if gaussian else 0, gaussian) for _ in range(1 << level)],
+    )
+
+
+def rand_matrix(rng, m, n, level, gaussian, tall, sparse):
+    return tuple(
+        tuple(rand_cd(rng, level, gaussian, tall, sparse) for _ in range(n)) for _ in range(m)
+    )
+
+
+def reference_mul(a, b):
+    """Entrywise sum of products by the pair recursion."""
+    level, gaussian = a[0][0].level, a[0][0].gaussian
+    out = []
+    for row in a:
+        out_row = []
+        for k in range(len(b[0])):
+            acc = CDNumber.zero(level, gaussian)
+            for j, x in enumerate(row):
+                acc = acc + cd_mul_doubling(x, b[j][k])
+            out_row.append(acc)
+        out.append(tuple(out_row))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("level, gaussian", RINGS)
+def test_mul_matches_entrywise_doubling_products(level, gaussian):
+    rng = random.Random(100 + 10 * level + gaussian)
+    for tall in (False, True):
+        for sparse in (False, True):
+            for _ in range(4):
+                m, k, n = (rng.randint(1, 6) for _ in range(3))
+                a = rand_matrix(rng, m, k, level, gaussian, tall, sparse)
+                b = rand_matrix(rng, k, n, level, gaussian, tall, sparse)
+                assert cdm.mul(a, b) == reference_mul(a, b)
+
+
+def test_mul_dense_six_by_six_at_every_ring():
+    rng = random.Random(7)
+    for level, gaussian in RINGS:
+        for tall in (False, True):
+            a = rand_matrix(rng, 6, 6, level, gaussian, tall, False)
+            b = rand_matrix(rng, 6, 6, level, gaussian, tall, False)
+            assert cdm.mul(a, b) == reference_mul(a, b)
+
+
+def test_mul_checks_every_entry_ring():
+    one = CDNumber.one(1)
+    for stray in (CDNumber.zero(2), CDNumber.zero(1, gaussian=True)):
+        with pytest.raises(RingMismatch):
+            cdm.mul(((one, stray),), ((one,), (one,)))
+        with pytest.raises(RingMismatch):
+            cdm.mul(((one, one),), ((one,), (stray,)))
+    with pytest.raises(RingMismatch):
+        cdm.mul(((one, CDNumber.zero(2)),), ((CDNumber.zero(1),), (one,)))
+    with pytest.raises(ValueError, match="inner dimensions"):
+        cdm.mul(((one, one),), ((one,),))
+
+
+def reference_omega(alpha, beta):
+    """Re tr(conj(alpha)^T B beta), B = [[0, I3], [-I3, 0]], by the pair recursion."""
+    level = CASE_LEVEL[alpha.case]
+    acc = CDNumber.zero(level)
+    for t in range(alpha.s):
+        for r in range(6):
+            b_beta = beta.matrix[r + 3][t] if r < 3 else -beta.matrix[r - 3][t]
+            acc = acc + cd_mul_doubling(alpha.matrix[r][t].conjugate(), b_beta)
+    return acc.real()
+
+
+@pytest.mark.parametrize("case", sorted(CASE_LEVEL))
+def test_symplectic_form_matches_matrix_route(case):
+    rng = random.Random(200 + CASE_LEVEL[case])
+    level = CASE_LEVEL[case]
+    for tall in (False, True):
+        for sparse in (False, True):
+            for s in (1, 2, 3, 5):
+                alpha, beta = (
+                    WMap(case, rand_matrix(rng, 6, s, level, False, tall, sparse))
+                    for _ in range(2)
+                )
+                omega = symplectic_form(alpha, beta)
+                assert omega == reference_omega(alpha, beta)
+                assert not omega.gaussian
+    with pytest.raises(ValueError, match="case or size mismatch"):
+        symplectic_form(WMap.zero(case, 2), WMap.zero(case, 3))

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import io
 import random
 import time
@@ -7,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from jordan_strata import cdmatrix as cdm
-from jordan_strata import scalars
+from jordan_strata import lifts, scalars
 from jordan_strata.cayley_dickson import CDNumber, cd_mul
 from jordan_strata.jordan import JordanElement, jordan_rank
 from jordan_strata.lifts import LiftError, hilbert_lift, liftable_sample
@@ -41,6 +43,7 @@ from jordan_strata.reduction import (
 )
 from jordan_strata.cli import main
 from jordan_strata.scalars import Scalar
+from jordan_strata.strata import rank_k_sample
 from jordan_strata.suites import run_suite
 
 CASES = ("real", "complex", "quaternionic")
@@ -293,6 +296,38 @@ def test_cut_search_is_a_failed_round_trip_with_a_witness(monkeypatch):
         rc = main(["verify", "--suite", "reduction", "--case", "quaternionic",
                    "--samples", "3", "--seed", "0"])
     assert rc == 1
+
+
+def test_lift_error_reason_codes_are_one_per_raise_site():
+    codes = []
+    for node in ast.walk(ast.parse(inspect.getsource(lifts))):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+            if getattr(node.exc.func, "id", None) == "LiftError":
+                (_, reason) = node.exc.args
+                codes.append(reason.value)
+    assert sorted(codes) == sorted(LiftError.REASONS)
+    assert len(set(LiftError.REASONS)) == len(LiftError.REASONS)
+    with pytest.raises(ValueError, match="unknown lift failure reason"):
+        LiftError("message", "no-such-reason")
+
+
+def test_raised_lift_error_reasons_are_codes():
+    rng = random.Random(21)
+    seen = set()
+    for algebra in ("R", "C", "H"):
+        for k in (1, 2, 3):
+            for _ in range(3):
+                try:
+                    hilbert_lift(rank_k_sample(algebra, k, rng), 3)
+                except LiftError as exc:
+                    assert exc.reason in LiftError.REASONS
+                    seen.add(exc.reason)
+    assert {"real-split-rank", "complex-rank-three", "quat-rank-three"} <= seen
+    z = liftable_sample("quaternionic", 1, 2, random.Random(1))
+    z = z.scale(Scalar(Fraction(10**39 + 7), 0, True))
+    with pytest.raises(LiftError, match="^square-sum search cut: ") as info:
+        hilbert_lift(z, 2)
+    assert info.value.reason == "search-cut"
 
 
 def test_dims_projective_chain():
