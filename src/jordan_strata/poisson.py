@@ -1,12 +1,19 @@
 """Lie-Poisson structure on the case algebras and the Poisson-rank detector.
 
-Polynomials live on a case algebra through its standard basis; the bracket is
+Polynomials live on a case algebra through the coordinates x_a of its
+standard basis.  The bracket is one contraction against the coordinate
+brackets P_ab = {x_a, x_b}, computed once per algebra:
 
-    {f, g}(x) = form(x, [grad f(x), grad g(x)])
+    {f, g} = sum_{a<b} (d_a f d_b g - d_b f d_a g) P_ab.
 
-with gradients taken for the invariant form, so linear functions bracket to
-the linear function of the Lie bracket of their dual vectors, and the
-quadratic form(x, x) is a Casimir.
+With G the Gram of the invariant form, x_a = form(u_a, .) for u_a = G^-1 e_a,
+and invariance gives P_ab(x) = form([x, u_a], u_b) = ([x, u_a])_b, that is
+
+    P_ab(x) = sum_{j,m} (G^-1)_aj c_mj^b x_m
+
+with c the Lie structure constants.  Linear functions bracket to the linear
+function of the Lie bracket of their dual vectors, and the quadratic
+form(x, x) is a Casimir.
 
 The rank of the Poisson bivector at a point,
 
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from . import cdmatrix as cdm
 from . import linalg
@@ -35,8 +43,9 @@ from .tkk import ALGEBRA_TO_CASE, TKKAlgebra, TKKElement, tkk_algebra
 class PolyFn:
     """Sparse polynomial on a case algebra in basis coordinates.
 
-    Terms map a sorted tuple of (variable, exponent) pairs to a rational
-    coefficient; the empty tuple is the constant term.
+    Terms map a monomial to a nonzero rational coefficient.  A monomial is the
+    sorted tuple of its variable indices, so x_0^2 x_3 is (0, 0, 3) and the
+    empty tuple is the constant term.
     """
 
     __slots__ = ("case", "dim", "terms")
@@ -44,35 +53,18 @@ class PolyFn:
     def __init__(self, case, dim, terms=None):
         object.__setattr__(self, "case", case)
         object.__setattr__(self, "dim", dim)
-        clean = {}
-        for key, c in (terms or {}).items():
-            c = Fraction(c)
-            if not c:
-                continue
-            k = tuple(sorted(key))
-            acc = clean.get(k, Fraction(0)) + c
-            if acc:
-                clean[k] = acc
-            else:
-                clean.pop(k, None)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", {k: c for k, c in (terms or {}).items() if c})
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyFn is immutable")
 
     @staticmethod
-    def constant(case, dim, c):
-        return PolyFn(case, dim, {(): Fraction(c)})
-
-    @staticmethod
     def coordinate(case, dim, i):
-        return PolyFn(case, dim, {((i, 1),): Fraction(1)})
+        return PolyFn(case, dim, {(i,): Fraction(1)})
 
     @staticmethod
     def linear(case, dim, coeffs):
-        return PolyFn(
-            case, dim, {((i, 1),): Fraction(c) for i, c in enumerate(coeffs) if c}
-        )
+        return PolyFn(case, dim, {(i,): Fraction(c) for i, c in enumerate(coeffs)})
 
     def _check(self, other):
         if self.case != other.case or self.dim != other.dim:
@@ -82,7 +74,7 @@ class PolyFn:
         self._check(other)
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            terms[k] = terms.get(k, Fraction(0)) + c
+            terms[k] = terms.get(k, 0) + c
         return PolyFn(self.case, self.dim, terms)
 
     def __sub__(self, other):
@@ -94,35 +86,18 @@ class PolyFn:
 
     def __mul__(self, other):
         self._check(other)
-        out = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                merged = {}
-                for var, e in k1 + k2:
-                    merged[var] = merged.get(var, 0) + e
-                key = tuple(sorted(merged.items()))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return PolyFn(self.case, self.dim, out)
+        return PolyFn(self.case, self.dim, _mul_into({}, self.terms, other.terms))
 
     def partial(self, i):
-        out = {}
-        for key, c in self.terms.items():
-            for idx, (var, e) in enumerate(key):
-                if var != i:
-                    continue
-                rest = list(key[:idx] + key[idx + 1 :])
-                if e > 1:
-                    rest.append((var, e - 1))
-                k = tuple(sorted(rest))
-                out[k] = out.get(k, Fraction(0)) + c * e
-        return PolyFn(self.case, self.dim, out)
+        den, d = _scaled_partials(self)
+        return PolyFn(self.case, self.dim, {k: Fraction(v, den) for k, v in d.get(i, {}).items()})
 
     def evaluate(self, coords):
         acc = Fraction(0)
         for key, c in self.terms.items():
             term = c
-            for var, e in key:
-                term *= coords[var] ** e
+            for var in key:
+                term *= coords[var]
             acc += term
         return acc
 
@@ -138,6 +113,29 @@ class PolyFn:
         return f"PolyFn({self.case}, {len(self.terms)} terms)"
 
 
+def _mul_into(acc, p, q):
+    """acc += p q for polynomials given as {monomial: coefficient} dicts."""
+    for k1, c1 in p.items():
+        for k2, c2 in q.items():
+            k = tuple(sorted(k1 + k2))
+            acc[k] = acc.get(k, 0) + c1 * c2
+    return acc
+
+
+def _scaled_partials(f: PolyFn):
+    """(den, d) with den the least common denominator of f's coefficients and
+    d[a] the partial of den * f in x_a, as {monomial: nonzero int}."""
+    den = lcm(*[c.denominator for c in f.terms.values()])
+    out = {}
+    for key, c in f.terms.items():
+        n = c.numerator * (den // c.denominator)
+        # removing one x_a from distinct monomials leaves distinct monomials
+        for a in set(key):
+            j = key.index(a)
+            out.setdefault(a, {})[key[:j] + key[j + 1 :]] = n * key.count(a)
+    return den, out
+
+
 class CasePoisson:
     """Cached bracket data for one case algebra."""
 
@@ -145,71 +143,60 @@ class CasePoisson:
         self.case = case
         self.alg: TKKAlgebra = tkk_algebra(case)
         self.dim = self.alg.dim
-        self.gram = self.alg.gram_matrix()
-        self.gram_inv = linalg._inverse_columns(self.gram)
         self._bivector_polys = None
 
     def bivector_polys(self):
-        """Linear polynomials Lambda_ij(x) = form(x, [b_i, b_j]), i < j.
+        """The coordinate brackets P_ab(x) = {x_a, x_b} for a < b, as (den,
+        table): ``table[(a, b)]`` lists the (m, p) with P_ab = sum (p / den) x_m
+        and p a nonzero integer.
 
-        form(x, [b_i, b_j]) = sum_k c_ij^k (G x)_k, read off the structure
-        constants c and the sparse Gram G of the algebra.
+        P_ab(x) = sum_{j,m} (G^-1)_aj c_mj^b x_m, one pass over the structure
+        constants c of ``alg.lie`` and the few nonzeros of G^-1.
         """
         if self._bivector_polys is not None:
             return self._bivector_polys
-        lie, gram = self.alg.lie, self.alg.gram_rows
-        den = lie.den * self.alg.gram_den
-        out = {}
-        for i, row in enumerate(lie.rows):
-            for j in range(i + 1, self.dim):
-                coeffs = {}
-                for k, c in row[j]:
-                    for m, g in gram[k]:
-                        coeffs[m] = coeffs.get(m, 0) + c * g
-                poly = PolyFn(
-                    self.case, self.dim, {((m, 1),): Fraction(v, den) for m, v in coeffs.items()}
-                )
-                if not poly.is_zero():
-                    out[(i, j)] = poly
-        self._bivector_polys = out
-        return out
-
-    def gradient(self, f: PolyFn):
-        """Invariant-form gradient: coordinates are G^-1 (partials)."""
-        partials = [f.partial(i) for i in range(self.dim)]
-        out = []
-        for i in range(self.dim):
-            acc = {}
-            for j in range(self.dim):
-                gij = self.gram_inv[i][j]
-                if not gij:
-                    continue
-                for key, c in partials[j].terms.items():
-                    acc[key] = acc.get(key, Fraction(0)) + gij * c
-            out.append(PolyFn(self.case, self.dim, acc))
-        return out
+        inv = linalg._inverse_columns(self.alg.gram_matrix())
+        ints, inv_den = linalg._int_row([x for row in inv for x in row])
+        n = self.dim
+        # G^-1 is symmetric: row j lists the (a, (G^-1)_aj)
+        ginv = [[(a, v) for a, v in enumerate(ints[j * n : (j + 1) * n]) if v] for j in range(n)]
+        acc = {}
+        for m, row in enumerate(self.alg.lie.rows):
+            for j, cell in enumerate(row):
+                for b, c in cell:
+                    for a, g in ginv[j]:
+                        if a < b:
+                            form = acc.setdefault((a, b), {})
+                            form[m] = form.get(m, 0) + g * c
+        table = {ab: tuple((m, p) for m, p in sorted(f.items()) if p) for ab, f in acc.items()}
+        self._bivector_polys = (self.alg.lie.den * inv_den, {k: t for k, t in table.items() if t})
+        return self._bivector_polys
 
     def bracket(self, f: PolyFn, g: PolyFn) -> PolyFn:
-        """{f, g}(x) = form(x, [grad f(x), grad g(x)])."""
-        gf, gg = self.gradient(f), self.gradient(g)
-        lam = self.bivector_polys()
+        """{f, g} = sum_{a<b} (d_a f d_b g - d_b f d_a g) P_ab, contracted in
+        integers as sum_a d_a f h_a with h_a = sum_b P_ab d_b g (P_ba = -P_ab),
+        then divided once by the product of the three denominators."""
+        pden, table = self.bivector_polys()
+        fden, df = _scaled_partials(f)
+        gden, dg = _scaled_partials(g)
+        h = {}
+        for (a, b), form in table.items():
+            for r, s, sign in ((a, b, 1), (b, a, -1)):
+                if r in df and s in dg:
+                    _mul_into(h.setdefault(r, {}), {(m,): sign * p for m, p in form}, dg[s])
         acc = {}
-        for (i, j), lam_ij in lam.items():
-            term = gf[i] * gg[j] - gf[j] * gg[i]
-            if term.is_zero():
-                continue
-            for key, c in (term * lam_ij).terms.items():
-                acc[key] = acc.get(key, Fraction(0)) + c
-        return PolyFn(self.case, self.dim, acc)
+        for a, ha in h.items():
+            _mul_into(acc, df[a], ha)
+        den = pden * fden * gden
+        return PolyFn(self.case, self.dim, {k: Fraction(v, den) for k, v in acc.items()})
 
     def casimir(self) -> PolyFn:
-        terms = {}
-        for i in range(self.dim):
-            for j in range(self.dim):
-                gij = self.gram[i][j]
-                if gij:
-                    key = ((i, 2),) if i == j else ((i, 1), (j, 1))
-                    terms[key] = terms.get(key, Fraction(0)) + gij
+        """form(x, x) = sum_ij G_ij x_i x_j."""
+        alg, terms = self.alg, {}
+        for i, row in enumerate(alg.gram_rows):
+            for j, v in row:
+                key = (i, j) if i <= j else (j, i)
+                terms[key] = terms.get(key, 0) + Fraction(v, alg.gram_den)
         return PolyFn(self.case, self.dim, terms)
 
     def linear_fn(self, u: TKKElement) -> PolyFn:

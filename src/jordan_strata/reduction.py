@@ -449,7 +449,7 @@ def zero_level_sample(case, s, target_rank, rng, enrich=True) -> WMap:
     level = CASE_LEVEL[case]
     if k == 0:
         return WMap.zero(case, s)
-    for _ in range(200):
+    for _ in draws("reduction.zero_level_sample"):
         xi1 = tuple(tuple(_random_cd(level, rng) for _ in range(k)) for _ in range(3))
         n = cdm.mul(cdm.conj_transpose(xi1), xi1)
         try:
@@ -472,7 +472,6 @@ def zero_level_sample(case, s, target_rank, rng, enrich=True) -> WMap:
             alpha = act_h(alpha, h_group_generators(case, s, rng, count=1)[0])
         if stratum(alpha) == k:
             return alpha
-    raise RuntimeError("zero-level sampler did not reach the target rank")
 
 
 def _random_hermitian_k(level, k, rng):

@@ -476,12 +476,15 @@ def tkk_suite(case=None, samples=20, seed=0):
 
         checks.append(_count("form-ad-invariance", cname, invariance()))
 
-        gram_k = tuple(
-            tuple(Scalar(alg.invariant_form(a, b)) for b in k_basis) for a in k_basis
-        )
-        gram_p = tuple(
-            tuple(Scalar(alg.invariant_form(a, b)) for b in p_basis) for a in p_basis
-        )
+        def gram(basis):
+            # one row G a per element, dotted with the sparse coordinates of b
+            sparse = [[(j, x) for j, x in enumerate(b.coords) if x] for b in basis]
+            rows = [alg.form_against_basis(a) for a in basis]
+            return tuple(
+                tuple(Scalar(sum(row[j] * x for j, x in sb)) for sb in sparse) for row in rows
+            )
+
+        gram_k, gram_p = gram(k_basis), gram(p_basis)
         dk, _ = linalg.congruent_diagonal(gram_k)
         dp, _ = linalg.congruent_diagonal(gram_p)
         ok = all(x.re < 0 for x in dk) and all(x.re > 0 for x in dp)

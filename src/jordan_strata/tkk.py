@@ -116,11 +116,6 @@ class JordanSpace:
                     op[k][j] = c
             self.lops.append(op)
 
-    def lmat(self, w):
-        """Matrix of L_w."""
-        den = self.product.den
-        return _dense(self.dim, ((wi / den, op) for wi, op in zip(w, self.lops)))
-
 
 @lru_cache(maxsize=None)
 def jordan_space(algebra: str) -> JordanSpace:
@@ -401,9 +396,6 @@ class TKKAlgebra:
         return [self._vec((k, 1)) for k in range(self.dim)]
 
     # -- bracket ------------------------------------------------------------------
-
-    def left_mul(self, x: JordanElement):
-        return self.space.lmat(jcoords(x))
 
     def bracket(self, a: TKKElement, b: TKKElement) -> TKKElement:
         if a.case != self.case or b.case != self.case:

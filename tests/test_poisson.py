@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
+from jordan_strata import linalg
 from jordan_strata.poisson import (
     PolyFn,
     case_poisson,
@@ -13,7 +15,9 @@ from jordan_strata.poisson import (
     poisson_rank_at_matrix,
 )
 from jordan_strata.reduction import CASE_ALGEBRA, in_lie_g, mu_g, zero_level_sample
+from jordan_strata.scalars import Scalar
 from jordan_strata.strata import rank_k_sample
+from jordan_strata.tkk import tkk_algebra
 
 TKK_OF = {"real": "sp3", "complex": "u33", "quaternionic": "so12"}
 
@@ -28,6 +32,21 @@ def test_polynomials():
     coords = [Fraction(0)] * 21
     coords[0], coords[1] = Fraction(3), Fraction(2)
     assert h.evaluate(coords) == 5
+    # a monomial is the sorted tuple of its variables: x_0^3 x_1 is (0, 0, 0, 1)
+    m = f * f * f * g
+    assert m.terms == {(0, 0, 0, 1): 1}
+    assert m.partial(0) == (f * f * g).scale(3)
+    assert m.partial(1) == f * f * f
+    assert f * g == g * f
+    assert (h + g * g - f * f).is_zero()
+    x2 = PolyFn.coordinate("sp3", 21, 2)
+    cubic = (
+        (f * f * g).scale(Fraction(1, 2))
+        - (x2 * x2 * x2).scale(Fraction(2, 3))
+        + g.scale(Fraction(5, 7))
+    )
+    coords[2] = Fraction(-1, 2)
+    assert cubic.evaluate(coords) == Fraction(883, 84)
 
 
 def test_linear_functions_bracket_to_lie_bracket():
@@ -67,6 +86,79 @@ def test_casimir_commutes():
         if rng.random() < 0.5:
             g = g * g
         assert cp.bracket(cas, g).is_zero()
+
+
+# -- the gradient route: the oracle of the coordinate-bracket table ----------------
+
+
+@lru_cache(maxsize=None)
+def gradient_route_data(case):
+    """G^-1 and Lambda_ij(x) = form(x, [b_i, b_j]) for i < j, built from
+    ``alg.bracket`` and ``alg.invariant_form`` alone."""
+    alg = tkk_algebra(case)
+    basis, dim = alg.basis(), alg.dim
+    gram = [[alg.invariant_form(a, b) for b in basis] for a in basis]
+    ginv = [[x.re for x in row] for row in linalg.inverse([[Scalar(x) for x in r] for r in gram])]
+    lam = {}
+    for i in range(dim):
+        for j in range(i + 1, dim):
+            c = alg.bracket(basis[i], basis[j]).coords
+            nz = [k for k in range(dim) if c[k]]
+            lam[(i, j)] = PolyFn.linear(case, dim, [sum(gm[k] * c[k] for k in nz) for gm in gram])
+    return ginv, lam
+
+
+def gradient_route_bracket(case, f, g):
+    """{f, g}(x) = form(x, [G^-1 grad f, G^-1 grad g]), pair by pair."""
+    ginv, lam = gradient_route_data(case)
+    dim = len(ginv)
+
+    def gradient(p):
+        partials = [p.partial(j) for j in range(dim)]
+        out = []
+        for row in ginv:
+            acc = PolyFn(case, dim)
+            for gij, d in zip(row, partials):
+                if gij:
+                    acc = acc + d.scale(gij)
+            out.append(acc)
+        return out
+
+    gf, gg = gradient(f), gradient(g)
+    terms = {}
+    for (i, j), lam_ij in lam.items():
+        for k, c in ((gf[i] * gg[j] - gf[j] * gg[i]) * lam_ij).terms.items():
+            terms[k] = terms.get(k, 0) + c
+    return PolyFn(case, dim, terms)
+
+
+@pytest.mark.parametrize(
+    "case,kinds",
+    [
+        (case, kinds)
+        for case in ("sp3", "u33")
+        for kinds in ("linear-linear", "casimir-quadratic", "quadratic-quadratic")
+    ]
+    + [("so12", "quadratic-linear")],
+)
+def test_bracket_matches_gradient_route(case, kinds):
+    rng = random.Random(8)
+    cp = case_poisson(case)
+
+    def linear():
+        # about half the coefficients nonzero keeps the oracle's pair products small
+        coeffs = [
+            Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) if rng.random() < 0.5 else 0
+            for _ in range(cp.dim)
+        ]
+        return PolyFn.linear(case, cp.dim, coeffs)
+
+    make = {"linear": linear, "quadratic": lambda: linear() * linear(), "casimir": cp.casimir}
+    f, g = (make[kind]() for kind in kinds.split("-"))
+    assert not f.is_zero() and not g.is_zero()
+    expected = gradient_route_bracket(case, f, g)
+    assert cp.bracket(f, g).terms == expected.terms
+    assert expected.is_zero() == (kinds.split("-")[0] == "casimir")
 
 
 @pytest.mark.parametrize("case", ("real", "complex", "quaternionic"))

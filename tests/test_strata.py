@@ -229,6 +229,7 @@ def test_rejection_samplers_give_up_on_a_stuck_source():
         "lifts._real_liftable": lambda: liftable_sample("real", 2, 3, stuck),
         "lifts._quat_liftable": lambda: liftable_sample("quaternionic", 1, 3, stuck),
         "reduction._g_block_diag": lambda: reduction._g_block_diag("quaternionic", stuck),
+        "reduction.zero_level_sample": lambda: reduction.zero_level_sample("complex", 3, 2, stuck),
     }
     for name, draw in samplers.items():
         with pytest.raises(SamplerExhausted) as info:
