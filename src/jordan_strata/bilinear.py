@@ -1,6 +1,7 @@
 """Sparse integer bilinear products: the one engine behind ``cd_mul``,
-``cdmatrix.mul``, ``jordan_mul``, the coordinate product of
-``tkk.JordanSpace`` and the Lie bracket of ``tkk.TKKAlgebra``.
+``cdmatrix.mul``, ``jordan_mul``, the Jordan cross product (``sharp``,
+``det``, ``jordan_rank``), the coordinate product of ``tkk.JordanSpace``
+and the Lie bracket of ``tkk.TKKAlgebra``.
 
 A structure-constant table e_i e_j = sum_k c_ijk e_k with rational c_ijk is
 compiled once into integer constants over one common denominator.  Over the
@@ -32,14 +33,15 @@ class Bilinear:
 
     __slots__ = ("dim", "den", "rows", "_gauss_rows")
 
-    def __init__(self, table):
-        """``table[i][j]`` lists the (k, c) with e_i e_j = sum c e_k."""
-        n = len(table)
-        den = lcm(*[Fraction(c).denominator for row in table for cell in row for _, c in cell])
-        rows = [[tuple((k, int(c * den)) for k, c in cell) for cell in row] for row in table]
-        self.dim = n
+    def __init__(self, table, den=None):
+        """``table[i][j]`` lists the (k, c) with e_i e_j = sum c e_k, or, when
+        ``den`` is given, already the integer rows over that denominator."""
+        if den is None:
+            den = lcm(*[Fraction(c).denominator for row in table for cell in row for _, c in cell])
+            table = [[tuple((k, int(c * den)) for k, c in cell) for cell in row] for row in table]
+        self.dim = len(table)
         self.den = den
-        self.rows = rows
+        self.rows = table
         self._gauss_rows = None
 
     def _gauss(self):
@@ -79,7 +81,7 @@ class Bilinear:
     def mul(self, xs, ys, gaussian: bool):
         """Scalar coordinates of the product of two Scalar coordinate vectors."""
         xv, dx = _int_coords(xs, gaussian)
-        yv, dy = _int_coords(ys, gaussian)
+        yv, dy = (xv, dx) if ys is xs else _int_coords(ys, gaussian)
         return self._box(self.contract(xv, yv, gaussian), dx * dy * self.den, gaussian)
 
     def sum_mul(self, terms, gaussian: bool):

@@ -15,6 +15,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from .jordan import JordanElement, det, jordan_rank, matrix_model_rank, sharp
 from .reduction import (
@@ -38,12 +39,13 @@ class UsageError(Exception):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
+        if args.seed is None:  # read on every call, never frozen into the parser
+            args.seed = int(os.environ.get(DEFAULT_SEED_ENV, "0"))
         report = args.handler(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -60,18 +62,16 @@ def main(argv=None) -> int:
     return 0 if report["verdict"] == "pass" else 1
 
 
+@lru_cache(maxsize=1)
 def _build_parser():
+    """The argument parser, built once per process."""
     parser = argparse.ArgumentParser(prog="jordan-strata")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     def common(p):
         p.add_argument("--out", default=None, help="write the full report here")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument(
-            "--seed",
-            type=int,
-            default=int(os.environ.get(DEFAULT_SEED_ENV, "0")),
-        )
+        p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("classify", help="stratify a Jordan element from JSON")
     p.add_argument("input", help="path to the element JSON, or - for stdin")
@@ -232,6 +232,14 @@ def _normalize_config(obj):
     return {"q": norm(obj["q"]), "p": norm(obj["p"])}
 
 
+# kind -> (embedding, number of vectors, their length, usage wording)
+_EMBEDDINGS = {
+    "veronese": (veronese, 1, 3, "one 3-vector"),
+    "segre": (segre, 2, 3, "two 3-vectors"),
+    "plucker": (plucker, 2, 6, "two 6-vectors"),
+}
+
+
 def cmd_embed(args):
     rng = random.Random(args.seed)
     if args.kind == "octonionic":
@@ -243,18 +251,10 @@ def cmd_embed(args):
             lambda vectors: [[_scalar_from_entry(e) for e in vec] for vec in vectors],
             json.loads(args.vectors),
         )
-        if args.kind == "veronese":
-            if len(parsed) != 1 or len(parsed[0]) != 3:
-                raise UsageError("veronese expects one 3-vector")
-            elt = veronese(parsed[0])
-        elif args.kind == "segre":
-            if len(parsed) != 2 or any(len(v) != 3 for v in parsed):
-                raise UsageError("segre expects two 3-vectors")
-            elt = segre(parsed[0], parsed[1])
-        else:
-            if len(parsed) != 2 or any(len(v) != 6 for v in parsed):
-                raise UsageError("plucker expects two 6-vectors")
-            elt = plucker(parsed[0], parsed[1])
+        embedding, count, length, what = _EMBEDDINGS[args.kind]
+        if len(parsed) != count or any(len(v) != length for v in parsed):
+            raise UsageError(f"{args.kind} expects {what}")
+        elt = embedding(*parsed)
     rank = jordan_rank(elt)
     record = {
         "name": f"embed-{args.kind}",

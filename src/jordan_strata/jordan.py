@@ -11,24 +11,22 @@ of the level matching the algebra tag.  Over the rational base ring these are
 the four euclidean algebras; swapping the base ring to Q(i) gives their
 complexifications.
 
-The cubic norm is
-
-    det X = abc - a N(x) - b N(y) - c N(z) + 2 Re((z x) conj(y))
-
-and the adjugate is sharp(X) = X.X - tr(X) X + sigma2(X) I; the convention is
-pinned by three independent oracles exercised in the tests (classical
-determinants for R and C, X o sharp(X) = det(X) I everywhere, and the
-quadratic-representation multiplicativity of det).
-
 The Jordan product x o y = (xy + yx)/2 runs on structure constants.  The
 table ``_mult_table`` is generated straight from the Cayley-Dickson unit
 table by the hermitian-matrix rule, compiled once into a sparse integer
 tensor (``structure_tensor``) and contracted in integers by the bilinear
-engine; it drives the fast product ``jordan_mul`` and, with ``cd_mul``,
-``sharp``, ``det``, ``trace_form`` and ``quadratic_rep``.  The matrix route
-``jordan_mul_matrices`` multiplies the hermitian matrices entry by entry with
-``cd_mul_doubling`` and never reads the table, so it shares no code with the
-engine and stays an independent check of it.
+engine.  The invariants run on a second table read off it on first use
+(``cross_tensor``), the Freudenthal cross product, with t the trace and
+T(x, y) = tr(x o y) the trace form (McCrimmon, A Taste of Jordan Algebras):
+
+    x × y = x o y - (t(x) y + t(y) x)/2 + (t(x) t(y) - T(x, y))/2 I,
+    sharp(x) = x × x,   det(x) = T(x, sharp(x)) / 3,   sigma2(x) = tr(sharp(x)).
+
+``jordan_rank`` zero-tests x, x × x and T(x, x × x) as integer vectors.  The
+matrix route ``jordan_mul_matrices`` multiplies the hermitian matrices entry
+by entry with ``cd_mul_doubling`` and reads neither table; the tests build
+on it their oracles x o x - tr(x) x + sigma2(x) I for sharp and
+abc - a N(x) - b N(y) - c N(z) + 2 Re((z x) conj(y)) for det.
 
 Matrix models used for rank identification:
 
@@ -46,13 +44,15 @@ Matrix models used for rank identification:
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple
 
 from . import linalg
-from .bilinear import Bilinear
-from .cayley_dickson import CDNumber, LEVEL_OF_ALGEBRA, cd_mul, cd_mul_doubling, unit_product
+from .bilinear import Bilinear, _int_coords
+from .cayley_dickson import CDNumber, LEVEL_OF_ALGEBRA, cd_mul_doubling, unit_product
 from .scalars import RingMismatch, Scalar
 
 ALGEBRAS = ("R", "C", "H", "O")
@@ -370,6 +370,53 @@ def jordan_mul(x: JordanElement, y: JordanElement) -> JordanElement:
     return JordanElement.from_coords(x.algebra, coords, x.gaussian)
 
 
+@lru_cache(maxsize=None)
+def cross_tensor(algebra: str) -> Bilinear:
+    """The cross product x × y (module docstring) for the bilinear engine, built
+    on first use from the integer rows of ``structure_tensor`` over twice
+    their denominator.  T(e_i, e_j) = delta_ij w_i with w_i = 1 on the
+    diagonal and 2 off it."""
+    jt = structure_tensor(algebra)
+    n, den = jt.dim, jt.den
+
+    def cell(i, j):
+        c = Counter({k: 2 * v for k, v in jt.rows[i][j]})
+        c[j] -= den * (i < 3)  # -(t_i e_j + t_j e_i) / 2
+        c[i] -= den * (j < 3)
+        s = den * ((i < 3 and j < 3) - (i == j) * (1 if i < 3 else 2))
+        for k in range(3):  # (t_i t_j - T_ij) / 2 on the identity
+            c[k] += s
+        return tuple((k, v) for k, v in c.items() if v)
+
+    return Bilinear([[cell(i, j) for j in range(n)] for i in range(n)], 2 * den)
+
+
+def _pairing(xv, yv, gaussian):
+    """(re, im) of T(x, y) = sum w_k x_k y_k for integer coordinate vectors
+    (2n long over Q(i)); w_k is 1 on the diagonal and 2 off it."""
+    t = lambda u, v: sum(map(operator.mul, u, v)) + sum(map(operator.mul, u[3:], v[3:]))
+    if not gaussian:
+        return t(xv, yv), 0
+    n = len(xv) // 2
+    xr, xi, yr, yi = xv[:n], xv[n:], yv[:n], yv[n:]
+    return t(xr, yr) - t(xi, yi), t(xr, yi) + t(xi, yr)
+
+
+def _sharp_ints(x: JordanElement):
+    """(xv, dx, sv, ds): x = xv / dx and sharp(x) = sv / ds, in integers."""
+    xv, dx = _int_coords(x.coords(), x.gaussian)
+    table = cross_tensor(x.algebra)
+    return xv, dx, table.contract(xv, xv, x.gaussian), dx * dx * table.den
+
+
+def cross(x: JordanElement, y: JordanElement) -> JordanElement:
+    """The cross product x × y; x × x = sharp(x) and 2 x × h is its linearization."""
+    x._check(y)
+    xs = x.coords()
+    coords = cross_tensor(x.algebra).mul(xs, xs if y is x else y.coords(), x.gaussian)
+    return JordanElement.from_coords(x.algebra, coords, x.gaussian)
+
+
 def trace(x: JordanElement) -> Scalar:
     return x.diag[0] + x.diag[1] + x.diag[2]
 
@@ -377,29 +424,21 @@ def trace(x: JordanElement) -> Scalar:
 def trace_form(x: JordanElement, y: JordanElement) -> Scalar:
     """tr(x o y); symmetric, bilinear, positive definite over the rational base."""
     x._check(y)
-    acc = x.diag[0] * y.diag[0] + x.diag[1] * y.diag[1] + x.diag[2] * y.diag[2]
-    for p, q in zip(x.off, y.off):
-        acc = acc + (cd_mul(p, q.conjugate()) + cd_mul(q, p.conjugate())).real()
-    return acc
+    (xv, dx), (yv, dy) = _int_coords(x.coords(), x.gaussian), _int_coords(y.coords(), y.gaussian)
+    re, im = _pairing(xv, yv, x.gaussian)
+    return Scalar(Fraction(re, dx * dy), Fraction(im, dx * dy), x.gaussian)
 
 
 def sigma2(x: JordanElement) -> Scalar:
-    t = trace(x)
-    return (t * t - trace_form(x, x)) * Scalar(Fraction(1, 2), 0, x.gaussian)
+    """tr(sharp(x)), the middle coefficient of the generic cubic."""
+    return trace(sharp(x))
 
 
 def det(x: JordanElement) -> Scalar:
-    a, b, c = x.diag
-    p, q, r = x.off  # x = X_23, y = X_13, z = X_12
-    cross = cd_mul(cd_mul(r, p), q.conjugate()).real()
-    return (
-        a * b * c
-        - a * p.norm()
-        - b * q.norm()
-        - c * r.norm()
-        + cross
-        + cross
-    )
+    """det(x) = T(x, sharp(x)) / 3, one integer dot product after the square."""
+    xv, dx, sv, ds = _sharp_ints(x)
+    re, im = _pairing(xv, sv, x.gaussian)
+    return Scalar(Fraction(re, 3 * dx * ds), Fraction(im, 3 * dx * ds), x.gaussian)
 
 
 def sigma(x: JordanElement) -> Sigma:
@@ -408,20 +447,18 @@ def sigma(x: JordanElement) -> Sigma:
 
 
 def sharp(x: JordanElement) -> JordanElement:
-    """Adjugate: x o x - tr(x) x + sigma2(x) I; satisfies x o sharp(x) = det(x) I."""
-    sq = jordan_mul(x, x)
-    ident = JordanElement.identity(x.algebra, x.gaussian)
-    return sq - x.scale(trace(x)) + ident.scale(sigma2(x))
+    """Adjugate x × x = x o x - tr(x) x + sigma2(x) I; x o sharp(x) = det(x) I."""
+    return cross(x, x)
 
 
 def jordan_rank(x: JordanElement) -> int:
-    if x.is_zero():
+    """0-3 by zero tests on the integer x, x × x and T(x, x × x); nothing is boxed."""
+    xv, _, sv, _ = _sharp_ints(x)
+    if not any(xv):
         return 0
-    if sharp(x).is_zero():
+    if not any(sv):
         return 1
-    if det(x).is_zero():
-        return 2
-    return 3
+    return 2 if _pairing(xv, sv, x.gaussian) == (0, 0) else 3
 
 
 def quadratic_rep(a: JordanElement, x: JordanElement) -> JordanElement:

@@ -409,22 +409,14 @@ def _lift_quaternionic(z: JordanElement, s: int, rank: int) -> WMap:
     while len(xi_cols) < s:
         xi_cols.append(zero_col)
         up_cols.append(zero_col)
-    rows = []
-    for i in range(3):
-        rows.append(tuple(col[i] for col in xi_cols))
-    for i in range(3):
-        rows.append(tuple(col[i] for col in up_cols))
+    rows = [tuple(col[i] for col in cols) for cols in (xi_cols, up_cols) for i in range(3)]
     return WMap("quaternionic", rows)
 
 
 def _quat_rank1_data(m):
     """Recover (b, kappa) with m = kappa * b conj(b)^T, b a rational
     quaternion vector and kappa a Gaussian scalar."""
-    piv = None
-    for i in range(3):
-        if not m[i][i].is_zero():
-            piv = i
-            break
+    piv = next((i for i in range(3) if not m[i][i].is_zero()), None)
     if piv is None:
         raise LiftError("isotropic diagonal in the quaternionic block", "quat-isotropic-diagonal")
     row = m[piv]
@@ -441,25 +433,16 @@ def _quat_rank1_data(m):
             prod = cd_mul(mu, entry)
             conditions.append([c.im for c in prod.coeffs])
     # system matrix: 8 unknown mu-coordinates -> stack per-entry conditions
-    rows_m = []
-    n_entries = len(row)
-    for e in range(n_entries):
-        for coord in range(4):
-            rows_m.append(
-                tuple(
-                    Scalar(conditions[e * 8 + k][coord]) for k in range(8)
-                )
-            )
-    ker = linalg.kernel_basis(tuple(rows_m))
-    mu = None
-    for kv in ker:
-        cand = CDNumber(
-            2,
-            [Scalar(kv[2 * k].re, kv[2 * k + 1].re, gaussian=True) for k in range(4)],
-        )
-        if not cand.is_zero():
-            mu = cand
-            break
+    rows_m = tuple(
+        tuple(Scalar(conditions[e * 8 + k][coord]) for k in range(8))
+        for e in range(len(row))
+        for coord in range(4)
+    )
+    cands = (
+        CDNumber(2, [Scalar(kv[2 * k].re, kv[2 * k + 1].re, gaussian=True) for k in range(4)])
+        for kv in linalg.kernel_basis(rows_m)
+    )
+    mu = next((cand for cand in cands if not cand.is_zero()), None)
     if mu is None:
         raise LiftError("no rationalizing factor for the quaternionic ray", "quat-no-rationalizer")
     b_bar = [cd_mul(mu, entry) for entry in row]
@@ -482,14 +465,10 @@ def _quat_rank1_data(m):
 
 
 def _quat_rank1(kappa, b):
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            prod = cd_mul(b[i].complexify(), b[j].conjugate().complexify())
-            row.append(prod.scale(kappa))
-        rows.append(tuple(row))
-    return cdm.from_rows(rows)
+    return cdm.from_rows(
+        [cd_mul(b[i].complexify(), b[j].conjugate().complexify()).scale(kappa) for j in range(3)]
+        for i in range(3)
+    )
 
 
 def _quat_split(m):

@@ -150,8 +150,11 @@ def _int_row(xs):
     """(row, den): the integer row den * xs for the least such den."""
     # a list, not a generator: CPython builds the argument tuple of a
     # generator by resizing, and such tuples pile up on its tuple free list
-    den = lcm(*[x.denominator for x in xs])
-    return [x.numerator * (den // x.denominator) for x in xs], den
+    dens = [x.denominator for x in xs]
+    den = lcm(*dens)
+    if den == 1:
+        return [x.numerator for x in xs], 1
+    return [x.numerator * (den // d) for x, d in zip(xs, dens)], den
 
 
 def _realify(a):

@@ -393,15 +393,17 @@ def act_g(alpha: WMap, y) -> WMap:
 
 
 def p_projection_blocks(alpha: WMap):
-    """(w, x_p): hermitian 3x3 K-matrices of the p-part of mu_G(alpha)."""
-    m = mu_g(alpha)
-    a = tuple(row[:3] for row in m[:3])
-    x = tuple(row[3:] for row in m[:3])
-    y = tuple(row[:3] for row in m[3:])
+    """(w, x_p): hermitian 3x3 K-matrices of the p-part of mu_G(alpha).
+
+    With dagger(alpha) = [L | R], mu_G = [[xi L, xi R], [upsilon L, upsilon R]]:
+    w is the hermitian part of xi L and x_p half of xi R + upsilon L, taken
+    as one product [xi | upsilon][R; L]; upsilon R is never formed."""
+    xi, up = alpha.blocks()
+    left, right = cdm.conj_transpose(up), cdm.neg(cdm.conj_transpose(xi))
+    a = cdm.mul(xi, left)
+    x_plus_y = cdm.mul(tuple(r + q for r, q in zip(xi, up)), right + left)
     half = Scalar(Fraction(1, 2))
-    w = cdm.scale(cdm.add(a, cdm.conj_transpose(a)), half)
-    xp = cdm.scale(cdm.add(x, y), half)
-    return w, xp
+    return cdm.scale(cdm.add(a, cdm.conj_transpose(a)), half), cdm.scale(x_plus_y, half)
 
 
 def reduced_point(alpha: WMap) -> JordanElement:

@@ -198,9 +198,6 @@ class Scalar:
         cand = Scalar(a, b, gaussian=True)
         return cand if cand * cand == self else None
 
-    def is_square(self) -> bool:
-        return self.sqrt() is not None
-
     # -- JSON (coefficient encodings shared by CDNumber / JordanElement) ------
 
     def to_json(self):

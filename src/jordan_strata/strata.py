@@ -15,15 +15,16 @@ from . import linalg
 from .cayley_dickson import CDNumber
 from .jordan import (
     JordanElement,
+    cross,
     det,
     from_general_matrix,
     from_skew_matrix,
-    jordan_mul,
     jordan_rank,
     quadratic_rep,
     sharp,
-    trace,
-    trace_form,
+    to_general_matrix,
+    to_skew_matrix,
+    to_symmetric_matrix,
 )
 from .scalars import Scalar
 
@@ -99,19 +100,16 @@ def stratify(x: JordanElement) -> int:
     return jordan_rank(x)
 
 
-def _vec3(v):
-    out = []
-    for c in v:
-        if isinstance(c, Scalar):
-            out.append(c.to_gaussian())
-        else:
-            out.append(Scalar(Fraction(c), 0, True))
-    return tuple(out)
+def _gauss_vec(v):
+    """A vector of Scalars or rationals as Scalars over Q(i)."""
+    return tuple(
+        c.to_gaussian() if isinstance(c, Scalar) else Scalar(Fraction(c), 0, True) for c in v
+    )
 
 
 def veronese(v) -> JordanElement:
     """v -> v v^T, a rank-one symmetric matrix (algebra R, complexified)."""
-    v = _vec3(v)
+    v = _gauss_vec(v)
     if all(c.is_zero() for c in v):
         raise ValueError("zero vector")
     diag = tuple(v[i] * v[i] for i in range(3))
@@ -122,7 +120,7 @@ def veronese(v) -> JordanElement:
 
 def segre(u, w) -> JordanElement:
     """(u, w) -> u w^T in the full-matrix model (algebra C, complexified)."""
-    u, w = _vec3(u), _vec3(w)
+    u, w = _gauss_vec(u), _gauss_vec(w)
     if all(c.is_zero() for c in u) or all(c.is_zero() for c in w):
         raise ValueError("zero vector")
     m = tuple(tuple(u[i] * w[j] for j in range(3)) for i in range(3))
@@ -134,8 +132,7 @@ def plucker(u, w) -> JordanElement:
 
     Inputs are 6-vectors; they must be linearly independent.
     """
-    u = tuple(_vec6_entry(c) for c in u)
-    w = tuple(_vec6_entry(c) for c in w)
+    u, w = _gauss_vec(u), _gauss_vec(w)
     if len(u) != 6 or len(w) != 6:
         raise ValueError("plucker needs two 6-vectors")
     skew = tuple(
@@ -144,12 +141,6 @@ def plucker(u, w) -> JordanElement:
     if all(x.is_zero() for row in skew for x in row):
         raise ValueError("vectors are linearly dependent")
     return from_skew_matrix(skew)
-
-
-def _vec6_entry(c):
-    if isinstance(c, Scalar):
-        return c.to_gaussian()
-    return Scalar(Fraction(c), 0, True)
 
 
 def rank1_sample(algebra: str, rng) -> JordanElement:
@@ -203,10 +194,12 @@ def chord(p: ProjPoint, q: ProjPoint, lam: Scalar, mu: Scalar) -> ProjPoint:
 
 
 def cubic_gradient(x: JordanElement) -> JordanElement:
-    """Trace-form gradient of det; coincides with the adjugate sharp(x).
+    """Trace-form gradient of det; coincides with the adjugate sharp(x) = x × x.
 
     Vanishes exactly on the rank <= 1 locus, which is the algebraic singular
-    locus of the cubic hypersurface.
+    locus of the cubic hypersurface.  Its linearization at x in direction h
+    is 2 x × h (``_sharp_derivative``), whose kernel at E11 is the tangent
+    space of the closed orbit.
     """
     return sharp(x)
 
@@ -245,11 +238,9 @@ def closed_orbit_tangent_dim(algebra: str) -> int:
 
 
 def _sharp_derivative(x: JordanElement, h: JordanElement) -> JordanElement:
-    xh = jordan_mul(x, h)
-    tx, th = trace(x), trace(h)
-    ident = JordanElement.identity(x.algebra, x.gaussian)
-    ds2 = tx * th - trace_form(x, h)
-    return xh + xh - x.scale(th) - h.scale(tx) + ident.scale(ds2)
+    """d/dt sharp(x + t h) at t = 0, which is 2 x × h."""
+    xh = cross(x, h)
+    return xh + xh
 
 
 def closure_chain_audit(rng, samples=20):
@@ -320,8 +311,6 @@ def rank1_factor_symmetric(x: JordanElement):
     """
     if x.algebra != "R":
         raise ValueError("factorization oracle is for the symmetric model")
-    from .jordan import to_symmetric_matrix
-
     m = to_symmetric_matrix(x.complexify() if not x.gaussian else x)
     for i in range(3):
         if not m[i][i].is_zero():
@@ -348,8 +337,6 @@ def rank1_projective_factor(x: JordanElement):
     if jordan_rank(x) != 1:
         return None
     if x.algebra == "R":
-        from .jordan import to_symmetric_matrix
-
         m = to_symmetric_matrix(x)
         piv = next(i for i in range(3) if not m[i][i].is_zero())
         v = tuple(m[piv])
@@ -357,8 +344,6 @@ def rank1_projective_factor(x: JordanElement):
             return None
         return "veronese", v
     if x.algebra == "C":
-        from .jordan import to_general_matrix
-
         m = to_general_matrix(x)
         pi, pj = next(
             (i, j) for i in range(3) for j in range(3) if not m[i][j].is_zero()
@@ -369,8 +354,6 @@ def rank1_projective_factor(x: JordanElement):
             return None
         return "segre", (u, w)
     if x.algebra == "H":
-        from .jordan import to_skew_matrix
-
         n = to_skew_matrix(x)
         cols = [c for c in zip(*n) if any(not e.is_zero() for e in c)]
         u = cols[0]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 from . import cdmatrix as cdm
 from . import linalg
@@ -196,27 +197,16 @@ def division_algebra_suite(case=None, samples=100, seed=0):
 
     for level in (0, 1, 2):
         units = cd_basis(level)
-        bad = 0
-        for a in units:
-            for b in units:
-                for c in units:
-                    if not cd_associator(a, b, c).is_zero():
-                        bad += 1
-        checks.append(
-            _check(f"associative-level-{level}", "-", len(units) ** 3, bad)
-        )
-    units = cd_basis(3)
-    witness = None
-    for a in units:
-        for b in units:
-            for c in units:
-                if not cd_associator(a, b, c).is_zero():
-                    witness = f"({a!r}, {b!r}, {c!r})"
-                    break
-            if witness:
-                break
-        if witness:
-            break
+        bad = sum(not cd_associator(*t).is_zero() for t in product(units, repeat=3))
+        checks.append(_check(f"associative-level-{level}", "-", len(units) ** 3, bad))
+    witness = next(
+        (
+            f"({a!r}, {b!r}, {c!r})"
+            for a, b, c in product(cd_basis(3), repeat=3)
+            if not cd_associator(a, b, c).is_zero()
+        ),
+        None,
+    )
     checks.append(
         _check("octonion-nonassociativity-witness", "O", 512, 0 if witness else 1, witness)
     )

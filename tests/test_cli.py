@@ -178,3 +178,22 @@ def test_seed_env_default(monkeypatch, tmp_path):
     rc, out = run_cli(["verify", "--suite", "dimension-audit"])
     assert rc == 0
     assert json.loads(out)["seed"] == 17
+
+
+def test_seed_env_is_read_on_every_call(monkeypatch):
+    # the parser is built once per process; the env default must not be
+    # frozen into it at the first build
+    args = ["verify", "--suite", "dimension-audit"]
+    seeds = []
+    for value in ("5", "23"):
+        monkeypatch.setenv("JORDAN_STRATA_SEED", value)
+        rc, out = run_cli(args)
+        assert rc == 0
+        seeds.append(json.loads(out)["seed"])
+    monkeypatch.delenv("JORDAN_STRATA_SEED")
+    rc, out = run_cli(args)
+    assert seeds == [5, 23] and json.loads(out)["seed"] == 0
+    rc, out = run_cli(args + ["--seed", "9"])
+    assert json.loads(out)["seed"] == 9
+    monkeypatch.setenv("JORDAN_STRATA_SEED", "not-a-seed")
+    assert run_cli(args)[0] == 2

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from jordan_strata import linalg
+from jordan_strata import jordan, linalg
+from jordan_strata.cayley_dickson import cd_mul_doubling
 from jordan_strata.jordan import (
     ALGEBRAS,
     J6,
@@ -26,7 +27,59 @@ from jordan_strata.jordan import (
     trace_form,
 )
 from jordan_strata.scalars import Scalar
-from jordan_strata.strata import random_element, rank_k_sample
+from jordan_strata.strata import _sharp_derivative, random_element, rank_k_sample
+
+
+# -- oracles for the invariants: the hermitian-matrix formulas, on the matrix
+# route (jordan_mul_matrices, cd_mul_doubling), sharing no kernel with the
+# cross-product tensor behind sharp, det, sigma2 and jordan_rank
+
+
+def trace_form_oracle(x, y):
+    acc = x.diag[0] * y.diag[0] + x.diag[1] * y.diag[1] + x.diag[2] * y.diag[2]
+    for p, q in zip(x.off, y.off):
+        acc = acc + (cd_mul_doubling(p, q.conjugate()) + cd_mul_doubling(q, p.conjugate())).real()
+    return acc
+
+
+def sharp_oracle(x):
+    """x o x - tr(x) x + sigma2(x) I with sigma2 = (tr(x)^2 - T(x, x)) / 2."""
+    t = trace(x)
+    s2 = (t * t - trace_form_oracle(x, x)) * Scalar(Fraction(1, 2), 0, x.gaussian)
+    ident = JordanElement.identity(x.algebra, x.gaussian)
+    return jordan_mul_matrices(x, x) - x.scale(t) + ident.scale(s2)
+
+
+def det_oracle(x):
+    """abc - a N(x) - b N(y) - c N(z) + 2 Re((z x) conj(y))."""
+    a, b, c = x.diag
+    p, q, r = x.off  # x = X_23, y = X_13, z = X_12
+    cross = cd_mul_doubling(cd_mul_doubling(r, p), q.conjugate()).real()
+    return a * b * c - a * p.norm() - b * q.norm() - c * r.norm() + cross + cross
+
+
+def invariant_samples(rng):
+    """(algebra, gaussian, elements): small random, ranks 0-3 and 40-digit."""
+
+    def big():  # 0 now and then, else 40-digit over unrelated denominators
+        if rng.random() < 0.15:
+            return Fraction(0)
+        return Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**40))
+
+    for algebra in ALGEBRAS:
+        dim = JordanElement.space_dim(algebra)
+        for gaussian in (False, True):
+            elts = [random_element(algebra, rng, gaussian) for _ in range(3)]
+            ranked = [rank_k_sample(algebra, k, rng, gaussian) for k in (0, 1, 2, 3)]
+            # ranks 0-3 at small height, then at 40-digit height
+            elts += ranked + [x.scale(Scalar(big() or 1, 0, gaussian)) for x in ranked]
+            elts += [
+                JordanElement.from_coords(
+                    algebra, [Scalar(big(), big() if gaussian else 0, gaussian)
+                              for _ in range(dim)], gaussian
+                )
+            ]
+            yield algebra, gaussian, elts
 
 
 def test_unit_and_idempotent():
@@ -264,3 +317,51 @@ def test_json_round_trip():
         for gaussian in (False, True):
             x = random_element(algebra, rng, gaussian)
             assert JordanElement.from_json(x.to_json()) == x
+
+
+def test_invariants_match_matrix_route_oracles():
+    rng = random.Random(41)
+    seen_ranks = set()
+    for algebra, gaussian, elts in invariant_samples(rng):
+        for x in elts:
+            sx, dx = sharp_oracle(x), det_oracle(x)
+            assert sharp(x) == sx, (algebra, gaussian, x)
+            assert det(x) == dx, (algebra, gaussian, x)
+            assert sigma2(x) == trace(sx)
+            assert trace_form(x, x) == trace_form_oracle(x, x)
+            rank = 0 if x.is_zero() else 1 if sx.is_zero() else 2 if dx.is_zero() else 3
+            assert jordan_rank(x) == rank
+            seen_ranks.add((algebra, gaussian, rank))
+    assert len(seen_ranks) == 4 * 2 * 4
+
+
+def test_trace_form_matches_oracle_on_pairs():
+    rng = random.Random(42)
+    for algebra, gaussian, elts in invariant_samples(rng):
+        for x, y in zip(elts, elts[1:] + elts[:1]):
+            assert trace_form(x, y) == trace_form_oracle(x, y)
+
+
+def test_sharp_polarization_is_twice_the_cross_product():
+    # sharp(x + h) - sharp(x) - sharp(h) = 2 x × h, the linearization of sharp
+    rng = random.Random(43)
+    for algebra, gaussian, elts in invariant_samples(rng):
+        small = elts[:7]  # the 40-digit elements are covered by the oracle test
+        oracle = [sharp_oracle(x) for x in small]
+        for i, x in enumerate(small):
+            j = (i + 2) % len(small)
+            h = small[j]
+            lhs = sharp_oracle(x + h) - oracle[i] - oracle[j]
+            assert _sharp_derivative(x, h) == lhs
+            assert sharp(x + h) - sharp(x) - sharp(h) == lhs
+
+
+def test_cross_tensor_is_built_lazily():
+    # structure_tensor (and so the first jordan_mul) must not pay for it
+    jordan.cross_tensor.cache_clear()
+    jordan.structure_tensor.cache_clear()
+    x = random_element("O", random.Random(44), True)
+    jordan_mul(x, x)
+    assert jordan.cross_tensor.cache_info().currsize == 0
+    jordan_rank(x)
+    assert jordan.cross_tensor.cache_info().currsize == 1

@@ -36,6 +36,7 @@ from jordan_strata.reduction import (
     mu_g,
     mu_h,
     oscillator_sample,
+    p_projection_blocks,
     reduced_point,
     stratum,
     symplectic_form,
@@ -219,6 +220,21 @@ def test_reduced_point_h_invariance(case):
         z = reduced_point(alpha)
         for x in h_group_generators(case, 3, rng, count=1):
             assert reduced_point(act_h(alpha, x)) == z
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_p_projection_blocks_match_full_mu_g(case):
+    # the blocks are read off the full 6x6 mu_G here, as the parent reading did
+    rng = random.Random(31)
+    half = Scalar(Fraction(1, 2))
+    for s, k in ((2, 1), (3, 2), (3, 3), (4, 2)):
+        alpha = zero_level_sample(case, s, k, rng)
+        m = mu_g(alpha)
+        a = tuple(row[:3] for row in m[:3])
+        x = tuple(row[3:] for row in m[:3])
+        y = tuple(row[:3] for row in m[3:])
+        w = cdm.scale(cdm.add(a, cdm.conj_transpose(a)), half)
+        assert p_projection_blocks(alpha) == (w, cdm.scale(cdm.add(x, y), half))
 
 
 def test_reduced_point_requires_zero_level():
