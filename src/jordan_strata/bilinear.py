@@ -8,11 +8,13 @@ compiled once into integer constants over one common denominator.  Over the
 Gaussian base ring Q(i) the same constants act on 2n rational coordinates
 (the real parts, then the imaginary parts), so one contraction serves both
 rings; that doubled table is compiled on the first Gaussian product only.
-An operand enters as one integer vector and its least common denominator
-(``linalg._int_row``), the sum runs in Python ints, and each output
-coordinate is boxed back into a ``Scalar`` once.  A sum of products, such
-as an entry of a matrix product, is contracted into one accumulator over one
-common denominator (``sum_mul``) and boxed once as well.
+An operand is one integer vector over one positive denominator, which is
+how a ``CDNumber`` stores its coordinates, so a product reads its operands'
+integers as they are, sums in Python ints and hands back the integer
+accumulator over the product of the denominators; the caller stores it as it
+is.  A sum of products, such as an entry of a matrix product, is contracted
+into one accumulator over one common denominator (``sum_mul``).  ``box``
+makes the ``Scalar`` view of such a vector, when one is asked for.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ from math import lcm
 
 from .linalg import _int_row
 from .scalars import Scalar
+
+_ZERO = Fraction(0)
 
 
 class Bilinear:
@@ -78,36 +82,19 @@ class Bilinear:
                         acc[k] += p * c
         return acc
 
-    def mul(self, xs, ys, gaussian: bool):
-        """Scalar coordinates of the product of two Scalar coordinate vectors."""
-        xv, dx = _int_coords(xs, gaussian)
-        yv, dy = (xv, dx) if ys is xs else _int_coords(ys, gaussian)
-        return self._box(self.contract(xv, yv, gaussian), dx * dy * self.den, gaussian)
-
     def sum_mul(self, terms, gaussian: bool):
-        """Scalar coordinates of sum x y over the (x, y) pairs in ``terms``,
-        each operand an (integer vector, denominator) pair from ``scaled``.
+        """(acc, den) with sum x y = acc / den over the pairs
+        ((xv, dx), (yv, dy)) in ``terms``, x = xv / dx and y = yv / dy.
 
         The sum is taken over one common denominator, the lcm of the
-        products dx * dy, so each pair is contracted once and each output
-        coordinate is boxed once.
+        products dx * dy, so each pair is contracted once.
         """
         den = lcm(*[dx * dy for (_, dx), (_, dy) in terms])
         acc = [0] * (2 * self.dim if gaussian else self.dim)
         for (xv, dx), (yv, dy) in terms:
             f = den // (dx * dy)
             self.contract([v * f for v in xv] if f != 1 else xv, yv, gaussian, acc)
-        return self._box(acc, den * self.den, gaussian)
-
-    def _box(self, acc, den, gaussian):
-        """The Scalars acc / den (real parts, then imaginary parts over Q(i))."""
-        if not gaussian:
-            return [Scalar(Fraction(v, den)) for v in acc]
-        n = self.dim
-        return [
-            Scalar(Fraction(acc[k], den), Fraction(acc[n + k], den), True)
-            for k in range(n)
-        ]
+        return acc, den * self.den
 
     def mul_fractions(self, u, v):
         """The product of two rational coordinate vectors, as Fractions."""
@@ -117,14 +104,12 @@ class Bilinear:
         return tuple(Fraction(x, den) for x in self.contract(uv, vv))
 
 
-def _int_coords(xs, gaussian):
-    """One integer vector and one denominator for Scalar coordinates."""
-    if gaussian:
-        return _int_row([x.re for x in xs] + [x.im for x in xs])
-    return _int_row([x.re for x in xs])
-
-
-def scaled(xs, gaussian):
-    """``_int_coords`` of a ``sum_mul`` operand, or None when it is zero."""
-    xv, d = _int_coords(xs, gaussian)
-    return (xv, d) if any(xv) else None
+def box(v, den, gaussian):
+    """The Scalars v / den, one per coordinate of an integer vector (real
+    parts, then imaginary parts over Q(i))."""
+    if not gaussian:
+        return tuple(Scalar._of(Fraction(x, den), _ZERO, False) for x in v)
+    n = len(v) // 2
+    return tuple(
+        Scalar._of(Fraction(v[k], den), Fraction(v[n + k], den), True) for k in range(n)
+    )

@@ -9,9 +9,13 @@ fixed once for the whole package.  The signed basis multiplication table is
 generated from this recursion (``unit_product``, never entered by hand),
 compiled once per level into a sparse integer tensor and contracted in
 integers by the bilinear engine (``bilinear.Bilinear``), which is how
-``cd_mul`` multiplies.  The pair recursion itself is kept as
-``cd_mul_doubling``, an independent route that shares no code with the
-engine, so tests can cross-check the two against each other.
+``cd_mul`` multiplies.  A ``CDNumber`` is stored in the engine's own
+operand format, one integer vector over one positive denominator in lowest
+terms, so a product reads its operands' integers and is stored as it comes;
+the ``Scalar`` coordinates (``coeffs``) are a view for the API, JSON and
+``repr``.  The pair recursion itself is kept as ``cd_mul_doubling``, an
+independent route on that view that shares no code with the engine, so
+tests can cross-check the two against each other.
 
 Complexification is a base-ring swap (rational -> Gaussian rational), not a
 fourth doubling, so the Gaussian-base level-3 algebra stays 8-dimensional over
@@ -21,8 +25,10 @@ its base ring and is not the sedenion algebra.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
-from .bilinear import Bilinear
+from .bilinear import Bilinear, box
+from .linalg import _int_row
 from .scalars import RingMismatch, Scalar
 
 MAX_LEVEL = 3
@@ -55,9 +61,15 @@ def unit_product(level: int, i: int, j: int):
 
 
 class CDNumber:
-    """Element of the level-``level`` Cayley-Dickson algebra over Q or Q(i)."""
+    """Element of the level-``level`` Cayley-Dickson algebra over Q or Q(i).
 
-    __slots__ = ("level", "coeffs")
+    Stored as ``v / den``: ``v`` a tuple of 2^level ints over Q and twice as
+    many over Q(i) (real parts, then imaginary parts), ``den`` > 0 and
+    gcd(den, *v) = 1, so a value has one storage.  ``coeffs`` keeps the
+    Scalars a number was built from, or boxes an engine result on first use.
+    """
+
+    __slots__ = ("level", "gaussian", "v", "den", "_coeffs")
 
     def __init__(self, level: int, coeffs):
         coeffs = tuple(coeffs)
@@ -68,8 +80,19 @@ class CDNumber:
         g = coeffs[0].gaussian
         if any(c.gaussian != g for c in coeffs):
             raise RingMismatch("mixed base rings in one CDNumber")
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "coeffs", coeffs)
+        parts = [c.re for c in coeffs] + ([c.im for c in coeffs] if g else [])
+        v, den = _int_row(parts)  # least den, so already canonical
+        _init(self, level, g, tuple(v), den, coeffs)
+
+    @staticmethod
+    def _of(level: int, gaussian: bool, v, den: int) -> "CDNumber":
+        """The number v / den for an int sequence v and den > 0, normalized."""
+        g = gcd(den, *v)
+        if g != 1:
+            v, den = [x // g for x in v], den // g
+        x = object.__new__(CDNumber)
+        _init(x, level, gaussian, tuple(v), den, None)
+        return x
 
     def __setattr__(self, name, value):
         raise AttributeError("CDNumber is immutable")
@@ -78,8 +101,7 @@ class CDNumber:
 
     @staticmethod
     def zero(level: int, gaussian=False) -> "CDNumber":
-        z = Scalar.zero(gaussian)
-        return CDNumber(level, (z,) * (1 << level))
+        return CDNumber._of(level, gaussian, (0,) * ((2 if gaussian else 1) << level), 1)
 
     @staticmethod
     def one(level: int, gaussian=False) -> "CDNumber":
@@ -87,9 +109,9 @@ class CDNumber:
 
     @staticmethod
     def unit(level: int, k: int, gaussian=False) -> "CDNumber":
-        c = [Scalar.zero(gaussian)] * (1 << level)
-        c[k] = Scalar.one(gaussian)
-        return CDNumber(level, c)
+        v = [0] * ((2 if gaussian else 1) << level)
+        v[k] = 1
+        return CDNumber._of(level, gaussian, v, 1)
 
     @staticmethod
     def from_scalar(level: int, s: Scalar) -> "CDNumber":
@@ -98,8 +120,11 @@ class CDNumber:
         return CDNumber(level, c)
 
     @property
-    def gaussian(self) -> bool:
-        return self.coeffs[0].gaussian
+    def coeffs(self):
+        """The coordinates as Scalars."""
+        if self._coeffs is None:
+            object.__setattr__(self, "_coeffs", box(self.v, self.den, self.gaussian))
+        return self._coeffs
 
     @property
     def algebra(self) -> str:
@@ -107,7 +132,9 @@ class CDNumber:
 
     def complexify(self) -> "CDNumber":
         """Base-ring swap Q -> Q(i); already-Gaussian values pass through."""
-        return CDNumber(self.level, tuple(c.to_gaussian() for c in self.coeffs))
+        if self.gaussian:
+            return self
+        return CDNumber._of(self.level, True, self.v + (0,) * len(self.v), self.den)
 
     # -- ring checks ----------------------------------------------------------
 
@@ -121,21 +148,35 @@ class CDNumber:
 
     # -- linear structure -----------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign * other over the lcm of the two denominators."""
         self._check(other)
-        return CDNumber(self.level, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        da, db = self.den, other.den
+        g = gcd(da, db)
+        fa, fb = db // g, sign * (da // g)
+        v = [a * fa + b * fb for a, b in zip(self.v, other.v)]
+        return CDNumber._of(self.level, self.gaussian, v, da * fa)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        self._check(other)
-        return CDNumber(self.level, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, -1)
 
     def __neg__(self):
-        return CDNumber(self.level, tuple(-a for a in self.coeffs))
+        return CDNumber._of(self.level, self.gaussian, [-a for a in self.v], self.den)
 
     def scale(self, s: Scalar) -> "CDNumber":
         if s.gaussian != self.gaussian:
             raise RingMismatch("scalar ring mismatch")
-        return CDNumber(self.level, tuple(s * c for c in self.coeffs))
+        (a, b), d = _int_row([s.re, s.im])
+        v, n = self.v, len(self.v) // 2
+        if b:  # (a + bi)(x + yi) = (ax - by) + (ay + bx)i, coordinate by coordinate
+            pairs = list(zip(v[:n], v[n:]))
+            v = [a * x - b * y for x, y in pairs] + [a * y + b * x for x, y in pairs]
+        else:
+            v = [a * x for x in v]
+        return CDNumber._of(self.level, self.gaussian, v, self.den * d)
 
     # -- multiplicative structure ---------------------------------------------
 
@@ -143,10 +184,13 @@ class CDNumber:
         return cd_mul(self, other)
 
     def conjugate(self) -> "CDNumber":
-        return CDNumber(
-            self.level,
-            (self.coeffs[0],) + tuple(-c for c in self.coeffs[1:]),
-        )
+        """Negates every coordinate but the real unit's, over Q(i) too."""
+        w, v = 1 << self.level, self.v
+        out = [-x for x in v]
+        out[0] = v[0]
+        if self.gaussian:
+            out[w] = v[w]
+        return CDNumber._of(self.level, self.gaussian, out, self.den)
 
     def real(self) -> Scalar:
         return self.coeffs[0]
@@ -162,22 +206,20 @@ class CDNumber:
         return acc
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not any(self.v)
 
     def is_real(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs[1:])
+        w = 1 << self.level
+        return not (any(self.v[1:w]) or any(self.v[w + 1 :]))
 
     def __eq__(self, other):
         if not isinstance(other, CDNumber):
             return NotImplemented
-        return (
-            self.level == other.level
-            and self.gaussian == other.gaussian
-            and self.coeffs == other.coeffs
-        )
+        # the tuple length tells the ring apart within a level
+        return self.level == other.level and self.den == other.den and self.v == other.v
 
     def __hash__(self):
-        return hash((self.level, self.coeffs))
+        return hash((self.level, self.den, self.v))
 
     def __repr__(self):
         return f"CDNumber({self.level}, {[str(c) for c in self.coeffs]})"
@@ -194,6 +236,15 @@ class CDNumber:
         return CDNumber(level, coeffs)
 
 
+def _init(x: CDNumber, level, gaussian, v, den, coeffs):
+    set_ = object.__setattr__
+    set_(x, "level", level)
+    set_(x, "gaussian", gaussian)
+    set_(x, "v", v)
+    set_(x, "den", den)
+    set_(x, "_coeffs", coeffs)
+
+
 @lru_cache(maxsize=None)
 def _cd_product(level: int) -> Bilinear:
     """The signed unit table of one level, compiled for the bilinear engine."""
@@ -204,9 +255,11 @@ def _cd_product(level: int) -> Bilinear:
 
 
 def cd_mul(a: CDNumber, b: CDNumber) -> CDNumber:
-    """Bilinear product through the compiled basis table."""
+    """Bilinear product through the compiled basis table, on the stored integers."""
     a._check(b)
-    return CDNumber(a.level, _cd_product(a.level).mul(a.coeffs, b.coeffs, a.gaussian))
+    table = _cd_product(a.level)
+    acc = table.contract(a.v, b.v, a.gaussian)
+    return CDNumber._of(a.level, a.gaussian, acc, a.den * b.den * table.den)
 
 
 def cd_mul_doubling(a: CDNumber, b: CDNumber) -> CDNumber:

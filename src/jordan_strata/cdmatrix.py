@@ -3,15 +3,18 @@ matrix algebra needs associativity, so the octonions are excluded here).
 
 Rows are tuples of CDNumber; entries must share level and base ring.  Used by
 the momentum-map layer for the V = K^6 matrix models.  ``mul`` runs on the
-bilinear engine: each entry is scaled to integers once and each output entry
-is one integer contraction of the level's unit table (``Bilinear.sum_mul``).
-``inverse`` goes through the exact elimination core of ``linalg``.
+bilinear engine: each entry already is an integer vector over one
+denominator (the ``CDNumber`` storage), each output entry is one integer
+contraction of the level's unit table (``Bilinear.sum_mul``) and is stored
+as it comes, with no ``Scalar`` in between.  ``inverse`` goes through the
+exact elimination core of ``linalg``.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 from . import linalg
-from .bilinear import scaled
 from .cayley_dickson import CDNumber, _cd_product, cd_mul, unit_product
 from .scalars import Scalar
 
@@ -52,10 +55,9 @@ def scale(a, s) -> tuple:
 def mul(a, b):
     """The matrix product, one integer contraction per output entry.
 
-    Each entry of ``a`` and of ``b`` is scaled once to integers over its own
-    least denominator (``bilinear.scaled``; a zero entry drops out), and an
-    output entry is the engine's ``sum_mul`` of its nonzero pairs.  Every
-    entry, zero or not, must share the level and ring of ``a[0][0]``.
+    An output entry is the engine's ``sum_mul`` of the stored (v, den) pairs
+    of its nonzero terms.  Every entry, zero or not, must share the level
+    and ring of ``a[0][0]``.
     """
     if a and b and len(a[0]) != len(b):
         raise ValueError("inner dimensions do not match")
@@ -65,17 +67,15 @@ def mul(a, b):
 
     def entry(x):
         first._check(x)
-        return scaled(x.coeffs, gaussian)
+        return (x.v, x.den) if any(x.v) else None
+
+    def dot(row, col):
+        acc, den = table.sum_mul([(x, y) for x, y in zip(row, col) if x and y], gaussian)
+        return CDNumber._of(level, gaussian, acc, den)
 
     rows = [[entry(x) for x in row] for row in a]
     cols = [[entry(y) for y in col] for col in zip(*b)]
-    return tuple(
-        tuple(
-            CDNumber(level, table.sum_mul([(x, y) for x, y in zip(row, col) if x and y], gaussian))
-            for col in cols
-        )
-        for row in rows
-    )
+    return tuple(tuple(dot(row, col) for col in cols) for row in rows)
 
 
 def conj_transpose(a):
@@ -115,26 +115,27 @@ def inverse(a):
     d = len(blocks[0][0])
     big = [[v for blk in brow for v in blk[k]] for brow in blocks for k in range(d)]
     cols = linalg._inverse_columns(big, d)
-    out = []
-    for i in range(n):
-        coords = [[cols[i * d + k][j] for k in range(d)] for j in range(n)]
-        if gaussian:
-            out.append(tuple(CDNumber(0, (Scalar(re, im, True),)) for re, im in coords))
-        else:
-            out.append(tuple(CDNumber(level, [Scalar(c) for c in x]) for x in coords))
-    return tuple(out)
+    return tuple(
+        tuple(
+            CDNumber._of(level, gaussian, *linalg._int_row([cols[i * d + k][j] for k in range(d)]))
+            for j in range(n)
+        )
+        for i in range(n)
+    )
 
 
 def _left_regular(x):
-    """Rational matrix of y -> x y on the coordinates of x over Q."""
+    """Rational matrix of y -> x y on the coordinates of x over Q, built
+    from the stored integers of x."""
+    v = x.v
     if x.gaussian:  # level 0 over Q(i): rho(a + bi) = [[a, -b], [b, a]]
-        s = x.coeffs[0]
-        return ((s.re, -s.im), (s.im, s.re))
-    d = 1 << x.level
-    m = [[0] * d for _ in range(d)]
-    for i, c in enumerate(x.coeffs):
-        if c.re:
-            for j in range(d):
-                k, sign = unit_product(x.level, i, j)
-                m[k][j] += sign * c.re
-    return m
+        m = [[v[0], -v[1]], [v[1], v[0]]]
+    else:
+        d = 1 << x.level
+        m = [[0] * d for _ in range(d)]
+        for i, c in enumerate(v):
+            if c:
+                for j in range(d):
+                    k, sign = unit_product(x.level, i, j)
+                    m[k][j] += sign * c
+    return m if x.den == 1 else [[Fraction(c, x.den) for c in row] for row in m]

@@ -48,10 +48,11 @@ import operator
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import NamedTuple
 
 from . import linalg
-from .bilinear import Bilinear, _int_coords
+from .bilinear import Bilinear, box
 from .cayley_dickson import CDNumber, LEVEL_OF_ALGEBRA, cd_mul_doubling, unit_product
 from .scalars import RingMismatch, Scalar
 
@@ -363,11 +364,40 @@ def structure_tensor(algebra: str) -> Bilinear:
     return Bilinear(_mult_table(algebra))
 
 
+def _ints(x: JordanElement):
+    """(v, den): the coordinates of x as one integer vector over one
+    denominator, in the order of ``coords`` (real parts, then imaginary
+    parts over Q(i)); the off-diagonal entries give their stored integers."""
+    parts = [s.re for s in x.diag] + [s.im for s in x.diag if x.gaussian]
+    den = lcm(*[f.denominator for f in parts], *[q.den for q in x.off])
+    dv = [f.numerator * (den // f.denominator) for f in parts]
+    off = [q.v if q.den == den else [c * (den // q.den) for c in q.v] for q in x.off]
+    w = 1 << x.level
+    return dv[:3] + [c for o in off for c in o[:w]] + dv[3:] + [c for o in off for c in o[w:]], den
+
+
+def _from_ints(x: JordanElement, acc, den) -> JordanElement:
+    """The element acc / den of x's algebra and ring, acc laid out as by
+    ``_ints``; the off-diagonal entries keep the integers as they are."""
+    n, w = len(acc) // (2 if x.gaussian else 1), 1 << x.level
+    diag = box(acc[:3] + acc[n : n + 3], den, x.gaussian)
+    off = [
+        CDNumber._of(x.level, x.gaussian, acc[a : a + w] + acc[n + a : n + a + w], den)
+        for a in range(3, n, w)
+    ]
+    return JordanElement(x.algebra, diag, off)
+
+
+def _product(table: Bilinear, x: JordanElement, y: JordanElement) -> JordanElement:
+    x._check(y)
+    xv, dx = _ints(x)
+    yv, dy = (xv, dx) if y is x else _ints(y)
+    return _from_ints(x, table.contract(xv, yv, x.gaussian), dx * dy * table.den)
+
+
 def jordan_mul(x: JordanElement, y: JordanElement) -> JordanElement:
     """x o y = (xy + yx)/2, through the compiled structure constants."""
-    x._check(y)
-    coords = structure_tensor(x.algebra).mul(x.coords(), y.coords(), x.gaussian)
-    return JordanElement.from_coords(x.algebra, coords, x.gaussian)
+    return _product(structure_tensor(x.algebra), x, y)
 
 
 @lru_cache(maxsize=None)
@@ -404,17 +434,14 @@ def _pairing(xv, yv, gaussian):
 
 def _sharp_ints(x: JordanElement):
     """(xv, dx, sv, ds): x = xv / dx and sharp(x) = sv / ds, in integers."""
-    xv, dx = _int_coords(x.coords(), x.gaussian)
+    xv, dx = _ints(x)
     table = cross_tensor(x.algebra)
     return xv, dx, table.contract(xv, xv, x.gaussian), dx * dx * table.den
 
 
 def cross(x: JordanElement, y: JordanElement) -> JordanElement:
     """The cross product x × y; x × x = sharp(x) and 2 x × h is its linearization."""
-    x._check(y)
-    xs = x.coords()
-    coords = cross_tensor(x.algebra).mul(xs, xs if y is x else y.coords(), x.gaussian)
-    return JordanElement.from_coords(x.algebra, coords, x.gaussian)
+    return _product(cross_tensor(x.algebra), x, y)
 
 
 def trace(x: JordanElement) -> Scalar:
@@ -424,7 +451,7 @@ def trace(x: JordanElement) -> Scalar:
 def trace_form(x: JordanElement, y: JordanElement) -> Scalar:
     """tr(x o y); symmetric, bilinear, positive definite over the rational base."""
     x._check(y)
-    (xv, dx), (yv, dy) = _int_coords(x.coords(), x.gaussian), _int_coords(y.coords(), y.gaussian)
+    (xv, dx), (yv, dy) = _ints(x), _ints(y)
     re, im = _pairing(xv, yv, x.gaussian)
     return Scalar(Fraction(re, dx * dy), Fraction(im, dx * dy), x.gaussian)
 

@@ -35,7 +35,7 @@ from .reduction import (
     zero_level_sample,
 )
 from .scalars import Scalar, SearchExhausted, four_squares, two_squares
-from .strata import draws
+from .strata import draws, rand_cd, rand_scalar
 
 ALGEBRA_CASE = {v: k for k, v in CASE_ALGEBRA.items()}
 
@@ -552,22 +552,14 @@ def liftable_sample(case, rank, s, rng) -> JordanElement:
     return _quat_liftable(rank, s, rng)
 
 
-def _rand_gauss(rng, span=2):
-    return Scalar(
-        Fraction(rng.randint(-span, span), rng.choice([1, 2])),
-        Fraction(rng.randint(-span, span), rng.choice([1, 2])),
-        gaussian=True,
-    )
-
-
 def _real_liftable(rank, s, rng):
     for _ in draws("lifts._real_liftable"):
-        v1 = tuple(_rand_gauss(rng) for _ in range(3))
+        v1 = tuple(rand_scalar(rng, True) for _ in range(3))
         if _herm_dot(v1, v1).is_zero():
             continue
         vecs = [v1]
         if rank == 2:
-            w = tuple(_rand_gauss(rng) for _ in range(3))
+            w = tuple(rand_scalar(rng, True) for _ in range(3))
             proj = _herm_dot(v1, w) * _herm_dot(v1, v1).inverse()
             v2 = tuple(b - proj * a for a, b in zip(v1, w))
             if all(x.is_zero() for x in v2) or _herm_dot(v2, v2).is_zero():
@@ -577,7 +569,7 @@ def _real_liftable(rank, s, rng):
         coeffs = []
         for budget in budgets:
             witness = rng.choice([w for w in _WITNESSES if len(w) <= budget])
-            x = _rand_gauss(rng, span=2)
+            x = rand_scalar(rng, True)
             if x.is_zero():
                 x = Scalar(1, 1, True)
             coeffs.append(x * x * _gaussian(sum(t * t for t in witness)))
@@ -607,23 +599,15 @@ def _symmetric_to_jordan(m):
     return JordanElement("R", diag, off)
 
 
-def _rand_quat(rng, span=2):
-    return CDNumber(
-        2,
-        [Scalar(Fraction(rng.randint(-span, span), rng.choice([1, 2])))
-         for _ in range(4)],
-    )
-
-
 def _quat_liftable(rank, s, rng):
     for _ in draws("lifts._quat_liftable"):
-        b1 = tuple(_rand_quat(rng) for _ in range(3))
+        b1 = tuple(rand_cd(2, rng) for _ in range(3))
         n1 = sum((q.norm().re for q in b1), Fraction(0))
         if not n1:
             continue
         comps = [b1]
         if rank == 2:
-            w = tuple(_rand_quat(rng) for _ in range(3))
+            w = tuple(rand_cd(2, rng) for _ in range(3))
             dot = CDNumber.zero(2)
             for p, q in zip(b1, w):
                 dot = dot + cd_mul(p.conjugate(), q)

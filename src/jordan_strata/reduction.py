@@ -31,13 +31,14 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from . import cdmatrix as cdm
 from . import linalg
 from .cayley_dickson import CDNumber
 from .jordan import JordanElement, jordan_rank
 from .scalars import Scalar
-from .strata import draws
+from .strata import draws, rand_cd
 
 CASE_LEVEL = {"real": 0, "complex": 1, "quaternionic": 2}
 CASE_ALGEBRA = {"real": "R", "complex": "C", "quaternionic": "H"}
@@ -204,7 +205,9 @@ def symplectic_form(alpha: WMap, beta: WMap) -> Scalar:
         raise ValueError("case or size mismatch")
 
     def coords(w):  # rows 0-2 first, so the halves are the xi and upsilon blocks
-        return linalg._int_row([c.re for row in w.matrix for x in row for c in x.coeffs])
+        entries = [x for row in w.matrix for x in row]
+        den = lcm(*[x.den for x in entries])
+        return [c * (den // x.den) for x in entries for c in x.v], den
 
     (u, du), (v, dv) = coords(alpha), coords(beta)
     h = len(u) // 2
@@ -323,26 +326,9 @@ def g_group_generators(case, rng, count=2):
     return out
 
 
-def _random_hermitian3(case, rng, span=2):
-    level = CASE_LEVEL[case]
-    rows = [[CDNumber.zero(level) for _ in range(3)] for _ in range(3)]
-    for i in range(3):
-        rows[i][i] = CDNumber.from_scalar(level, Scalar(Fraction(rng.randint(-span, span))))
-    for i in range(3):
-        for j in range(i + 1, 3):
-            q = CDNumber(
-                level,
-                [Scalar(Fraction(rng.randint(-span, span), rng.choice([1, 2])))
-                 for _ in range(1 << level)],
-            )
-            rows[i][j] = q
-            rows[j][i] = q.conjugate()
-    return cdm.from_rows(rows)
-
-
 def _g_shear(case, rng, upper=True):
     level = CASE_LEVEL[case]
-    x = _random_hermitian3(case, rng, span=1)
+    x = _random_hermitian(level, 3, rng, span=1)
     ident = cdm.identity(3, level)
     zero = cdm.zero(3, 3, level)
     if upper:
@@ -357,18 +343,7 @@ def _g_shear(case, rng, upper=True):
 def _g_block_diag(case, rng):
     level = CASE_LEVEL[case]
     for _ in draws("reduction._g_block_diag"):
-        g = [
-            [
-                CDNumber(
-                    level,
-                    [Scalar(Fraction(rng.randint(-2, 2), rng.choice([1, 2])))
-                     for _ in range(1 << level)],
-                )
-                for _ in range(3)
-            ]
-            for _ in range(3)
-        ]
-        g = cdm.from_rows(g)
+        g = cdm.from_rows([[rand_cd(level, rng) for _ in range(3)] for _ in range(3)])
         try:
             hinv = cdm.inverse(cdm.conj_transpose(g))
         except ZeroDivisionError:
@@ -406,14 +381,10 @@ def p_projection_blocks(alpha: WMap):
     return cdm.scale(cdm.add(a, cdm.conj_transpose(a)), half), cdm.scale(x_plus_y, half)
 
 
-def reduced_point(alpha: WMap) -> JordanElement:
-    """Project mu_G(alpha) to p and read it as a complexified Jordan element.
-
-    The identification sends the p-part with blocks (w, x_p) to w + i x_p.
-    Requires mu_H(alpha) = 0 exactly.
-    """
+def zero_level_point(alpha: WMap):
+    """``reduced_point(alpha)``, or None when mu_H(alpha) != 0: one mu_H product."""
     if not cdm.is_zero(mu_h(alpha)):
-        raise ValueError("alpha is not in the zero level of mu_H")
+        return None
     w, xp = p_projection_blocks(alpha)
     algebra = CASE_ALGEBRA[alpha.case]
     w_elt = JordanElement.from_matrix(algebra, w)
@@ -421,19 +392,23 @@ def reduced_point(alpha: WMap) -> JordanElement:
     return JordanElement.combine_real_imag(w_elt, xp_elt)
 
 
+def reduced_point(alpha: WMap) -> JordanElement:
+    """Project mu_G(alpha) to p and read it as a complexified Jordan element.
+
+    The identification sends the p-part with blocks (w, x_p) to w + i x_p.
+    Requires mu_H(alpha) = 0 exactly.
+    """
+    z = zero_level_point(alpha)
+    if z is None:
+        raise ValueError("alpha is not in the zero level of mu_H")
+    return z
+
+
 def stratum(alpha: WMap) -> int:
     return jordan_rank(reduced_point(alpha))
 
 
 # -- zero-level samplers ----------------------------------------------------------
-
-
-def _random_cd(level, rng, span=2):
-    return CDNumber(
-        level,
-        [Scalar(Fraction(rng.randint(-span, span), rng.choice([1, 2])))
-         for _ in range(1 << level)],
-    )
 
 
 def zero_level_sample(case, s, target_rank, rng, enrich=True) -> WMap:
@@ -452,7 +427,7 @@ def zero_level_sample(case, s, target_rank, rng, enrich=True) -> WMap:
     if k == 0:
         return WMap.zero(case, s)
     for _ in draws("reduction.zero_level_sample"):
-        xi1 = tuple(tuple(_random_cd(level, rng) for _ in range(k)) for _ in range(3))
+        xi1 = tuple(tuple(rand_cd(level, rng) for _ in range(k)) for _ in range(3))
         n = cdm.mul(cdm.conj_transpose(xi1), xi1)
         try:
             ninv = cdm.inverse(n)
@@ -461,7 +436,7 @@ def zero_level_sample(case, s, target_rank, rng, enrich=True) -> WMap:
         if rng.random() < 0.3:
             up1 = cdm.zero(3, k, level)
         else:
-            s_herm = _random_hermitian_k(level, k, rng)
+            s_herm = _random_hermitian(level, k, rng)
             up1 = cdm.mul(xi1, cdm.mul(ninv, s_herm))
         pad = cdm.zero(3, s - k, level)
         xi = tuple(r1 + r2 for r1, r2 in zip(xi1, pad))
@@ -476,13 +451,14 @@ def zero_level_sample(case, s, target_rank, rng, enrich=True) -> WMap:
             return alpha
 
 
-def _random_hermitian_k(level, k, rng):
+def _random_hermitian(level, k, rng, span=2):
+    """A k x k hermitian matrix: integers on the diagonal, ``rand_cd`` above it."""
     rows = [[CDNumber.zero(level) for _ in range(k)] for _ in range(k)]
     for i in range(k):
-        rows[i][i] = CDNumber.from_scalar(level, Scalar(Fraction(rng.randint(-2, 2))))
+        rows[i][i] = CDNumber.from_scalar(level, Scalar(Fraction(rng.randint(-span, span))))
     for i in range(k):
         for j in range(i + 1, k):
-            q = _random_cd(level, rng)
+            q = rand_cd(level, rng, span=span)
             rows[i][j] = q
             rows[j][i] = q.conjugate()
     return cdm.from_rows(rows)

@@ -40,6 +40,15 @@ class Scalar:
     # -- construction -------------------------------------------------------
 
     @staticmethod
+    def _of(re: Fraction, im: Fraction, gaussian: bool) -> "Scalar":
+        """The Scalar of two Fractions the engine made, with no checks."""
+        s = object.__new__(Scalar)
+        object.__setattr__(s, "re", re)
+        object.__setattr__(s, "im", im)
+        object.__setattr__(s, "gaussian", gaussian)
+        return s
+
+    @staticmethod
     def rational(x) -> "Scalar":
         return Scalar(Fraction(x))
 

@@ -154,16 +154,21 @@ def rank1_sample(algebra: str, rng) -> JordanElement:
                 return out
 
 
+def rand_scalar(rng, gaussian=False, span=2) -> Scalar:
+    """Real part, and imaginary part over Q(i), each an integer in
+    [-span, span] over 1 or 2."""
+    re = Fraction(rng.randint(-span, span), rng.choice([1, 2]))
+    if gaussian:
+        return Scalar(re, Fraction(rng.randint(-span, span), rng.choice([1, 2])), True)
+    return Scalar(re)
+
+
+def rand_cd(level: int, rng, gaussian=False, span=2) -> CDNumber:
+    return CDNumber(level, [rand_scalar(rng, gaussian, span) for _ in range(1 << level)])
+
+
 def random_element(algebra: str, rng, gaussian=False, span=2) -> JordanElement:
-    dim = JordanElement.space_dim(algebra)
-    coords = []
-    for _ in range(dim):
-        re = Fraction(rng.randint(-span, span), rng.choice([1, 2]))
-        if gaussian:
-            im = Fraction(rng.randint(-span, span), rng.choice([1, 2]))
-            coords.append(Scalar(re, im, gaussian=True))
-        else:
-            coords.append(Scalar(re))
+    coords = [rand_scalar(rng, gaussian, span) for _ in range(JordanElement.space_dim(algebra))]
     return JordanElement.from_coords(algebra, coords, gaussian)
 
 

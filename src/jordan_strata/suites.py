@@ -42,6 +42,7 @@ from .reduction import (
     CASE_LEVEL,
     OscillatorConfig,
     WMap,
+    _random_hermitian,
     act_h,
     angular_momentum,
     b_form,
@@ -63,6 +64,7 @@ from .reduction import (
     reduced_point,
     stratum,
     symplectic_form,
+    zero_level_point,
     zero_level_sample,
 )
 from .scalars import Scalar
@@ -75,6 +77,8 @@ from .strata import (
     det_curve_coefficients,
     rank1_sample,
     rank_k_sample,
+    rand_cd,
+    rand_scalar,
     random_element,
 )
 from .tkk import CASES as TKK_CASES, tkk_algebra
@@ -130,17 +134,6 @@ def _count(name, case, iterator):
     return _check(name, case, n, failures, witness)
 
 
-def _rand_scalar(rng, gaussian=False, span=3):
-    re = Fraction(rng.randint(-span, span), rng.choice([1, 2]))
-    if gaussian:
-        return Scalar(re, Fraction(rng.randint(-span, span), rng.choice([1, 2])), True)
-    return Scalar(re)
-
-
-def _rand_cd(rng, level, gaussian=False, span=3):
-    return CDNumber(level, [_rand_scalar(rng, gaussian, span) for _ in range(1 << level)])
-
-
 # -- division algebras -------------------------------------------------------------
 
 
@@ -151,7 +144,7 @@ def division_algebra_suite(case=None, samples=100, seed=0):
 
     def pairs():
         for _ in range(samples):
-            a, b = _rand_cd(rng, 3), _rand_cd(rng, 3)
+            a, b = rand_cd(3, rng, span=3), rand_cd(3, rng, span=3)
             yield a, b
 
     checks.append(
@@ -181,7 +174,7 @@ def division_algebra_suite(case=None, samples=100, seed=0):
 
     def alternativity():
         for _ in range(samples):
-            a, b = _rand_cd(rng, 3), _rand_cd(rng, 3)
+            a, b = rand_cd(3, rng, span=3), rand_cd(3, rng, span=3)
             ok = cd_associator(a, a, b).is_zero() and cd_associator(a, b, b).is_zero()
             yield ok, repr((a, b))
 
@@ -190,7 +183,7 @@ def division_algebra_suite(case=None, samples=100, seed=0):
     def unit_law():
         one = CDNumber.one(3)
         for _ in range(samples):
-            a = _rand_cd(rng, 3)
+            a = rand_cd(3, rng, span=3)
             yield (one * a == a and a * one == a), repr(a)
 
     checks.append(_count("unit-law", "O", unit_law()))
@@ -373,8 +366,8 @@ def singular_locus_suite(case=None, samples=25, seed=0):
             for _ in range(samples):
                 p = ProjPoint(rank1_sample(algebra, rng))
                 q = ProjPoint(rank1_sample(algebra, rng))
-                lam = _rand_scalar(rng, True)
-                mu = _rand_scalar(rng, True)
+                lam = rand_scalar(rng, True, 3)
+                mu = rand_scalar(rng, True, 3)
                 if lam.is_zero() and mu.is_zero():
                     lam = Scalar.one(True)
                 try:
@@ -467,11 +460,12 @@ def tkk_suite(case=None, samples=20, seed=0):
         checks.append(_count("form-ad-invariance", cname, invariance()))
 
         def gram(basis):
-            # one row G a per element, dotted with the sparse coordinates of b
-            sparse = [[(j, x) for j, x in enumerate(b.coords) if x] for b in basis]
-            rows = [alg.form_against_basis(a) for a in basis]
+            # one integer row G a per element, dotted with the sparse integer row of b
+            cols = [linalg._int_row(b.coords) for b in basis]
+            cols = [([(j, x) for j, x in enumerate(bv) if x], db) for bv, db in cols]
             return tuple(
-                tuple(Scalar(sum(row[j] * x for j, x in sb)) for sb in sparse) for row in rows
+                tuple(Scalar(Fraction(sum(ga[j] * x for j, x in sb), den * db)) for sb, db in cols)
+                for ga, den in map(alg._gram_times, basis)
             )
 
         gram_k, gram_p = gram(k_basis), gram(p_basis)
@@ -506,7 +500,7 @@ def moment_suite(case=None, samples=25, seed=0):
 
         def rand_wmap(span=2):
             rows = [
-                [_rand_cd(rng, level, span=span) for _ in range(s)] for _ in range(6)
+                [rand_cd(level, rng, span=span) for _ in range(s)] for _ in range(6)
             ]
             return WMap(cname, rows)
 
@@ -520,19 +514,14 @@ def moment_suite(case=None, samples=25, seed=0):
                 rows[i][i] = CDNumber(level, coeffs)
             for i in range(s):
                 for j in range(i + 1, s):
-                    q = _rand_cd(rng, level, span=2)
+                    q = rand_cd(level, rng)
                     rows[i][j] = q
                     rows[j][i] = -q.conjugate()
             return cdm.from_rows(rows)
 
         def rand_lie_g():
-            a = cdm.from_rows(
-                [[_rand_cd(rng, level, span=2) for _ in range(3)] for _ in range(3)]
-            )
-            from .reduction import _random_hermitian3
-
-            x = _random_hermitian3(cname, rng)
-            y = _random_hermitian3(cname, rng)
+            a = cdm.from_rows([[rand_cd(level, rng) for _ in range(3)] for _ in range(3)])
+            x, y = _random_hermitian(level, 3, rng), _random_hermitian(level, 3, rng)
             ma = cdm.neg(cdm.conj_transpose(a))
             return tuple(ra + rx for ra, rx in zip(a, x)) + tuple(
                 ry + rm for ry, rm in zip(y, ma)
@@ -672,8 +661,8 @@ def reduction_suite(case=None, samples=20, seed=0):
             for k in (0, 1, 2, 3):
                 for _ in range(max(1, samples // 4)):
                     alpha = zero_level_sample(cname, 3, k, rng)
-                    ok = cdm.is_zero(mu_h(alpha)) and stratum(alpha) == k
-                    yield ok, repr(alpha.matrix)
+                    z = zero_level_point(alpha)
+                    yield z is not None and jordan_rank(z) == k, repr(alpha.matrix)
 
         checks.append(_count("zero-level-strata", cname, strata_hit()))
 
@@ -704,8 +693,7 @@ def reduction_suite(case=None, samples=20, seed=0):
                 except LiftError:
                     yield False, repr(z)
                     continue
-                ok = cdm.is_zero(mu_h(alpha)) and reduced_point(alpha) == z
-                yield ok, repr(z)
+                yield zero_level_point(alpha) == z, repr(z)
 
         checks.append(_count("hilbert-lift-round-trip", cname, lifts()))
 

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -145,3 +146,85 @@ def test_json_round_trip():
     for gaussian in (False, True):
         x = rand_cd(rng, 3, gaussian)
         assert CDNumber.from_json(x.to_json()) == x
+
+
+def rand_tall(rng, level, gaussian):
+    """Coordinates of 40-digit height, a few of them zero."""
+    def part():
+        if rng.random() < 0.2:
+            return Fraction(0)
+        return Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**40))
+
+    return CDNumber(
+        level, [Scalar(part(), part() if gaussian else 0, gaussian) for _ in range(1 << level)]
+    )
+
+
+def assert_same(x, y):
+    """Equal values: equal, equal hashes, one storage, and that storage canonical."""
+    assert x == y and hash(x) == hash(y)
+    assert (x.level, x.gaussian, x.v, x.den) == (y.level, y.gaussian, y.v, y.den)
+    assert type(x.v) is tuple and x.den > 0
+    assert gcd(x.den, *x.v) == 1
+
+
+@pytest.mark.parametrize("level", range(4))
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_storage_is_canonical_whatever_the_route(level, gaussian):
+    rng = random.Random(300 + 2 * level + gaussian)
+    zero = CDNumber.zero(level, gaussian)
+    for tall in (False, True):
+        for _ in range(6):
+            x, y = (rand_tall(rng, level, gaussian) if tall else rand_cd(rng, level, gaussian)
+                    for _ in range(2))
+            assert_same(CDNumber(level, x.coeffs), x)
+            assert_same(x - x, zero)
+            assert x.is_zero() == (x == zero)
+            assert_same(x + y - y, x)
+            assert_same(y + x, x + y)
+            assert_same(-(-x), x)
+            prod = cd_mul(x, y)
+            assert_same(prod, cd_mul_doubling(x, y))
+            assert_same(prod, CDNumber(level, prod.coeffs))
+            half = Scalar(Fraction(1, 2), 0, gaussian)
+            assert_same(x.scale(half).scale(Scalar(2, 0, gaussian)), x)
+            assert_same(x.scale(Scalar(0, 0, gaussian)), zero)
+            conj = [x.coeffs[0]] + [-c for c in x.coeffs[1:]]
+            assert_same(x.conjugate(), CDNumber(level, conj))
+            assert x.is_real() == all(c.is_zero() for c in x.coeffs[1:])
+            if not gaussian:
+                assert_same(x.complexify(), CDNumber(level, [c.to_gaussian() for c in x.coeffs]))
+    # equal integer vectors over different denominators are different values
+    one = CDNumber.one(level, gaussian)
+    a, b = (one.scale(Scalar(Fraction(1, d), 0, gaussian)) for d in (2, 3))
+    assert a.v == b.v and a != b
+    # a product whose integers share a factor with its denominator
+    assert_same(cd_mul(a, one.scale(Scalar(2, 0, gaussian))), one)
+
+
+def test_repr_and_json_are_pinned():
+    half = Fraction(1, 2)
+    x = CDNumber(1, [Scalar(half), Scalar(-3)])
+    assert repr(x) == "CDNumber(1, ['1/2', '-3'])"
+    assert x.to_json() == {"level": 1, "coeffs": [[1, 2], [-3, 1]]}
+    g = CDNumber(0, [Scalar(half, Fraction(-2, 3), True)])
+    assert repr(g) == "CDNumber(0, ['(1/2-2/3i)'])"
+    assert g.to_json() == {"level": 0, "coeffs": [[[1, 2], [-2, 3]]]}
+    z = CDNumber.zero(2, gaussian=True)
+    assert repr(z) == "CDNumber(2, ['(0+0i)', '(0+0i)', '(0+0i)', '(0+0i)'])"
+    k = cd_mul(CDNumber.unit(2, 1), CDNumber.unit(2, 2).scale(Scalar(Fraction(-4, 6))))
+    assert repr(k) == "CDNumber(2, ['0', '0', '0', '-2/3'])"
+    assert k.to_json() == {"level": 2, "coeffs": [[0, 1], [0, 1], [0, 1], [-2, 3]]}
+    assert CDNumber.from_json(k.to_json()) == k
+
+
+def test_immutable():
+    rng = random.Random(9)
+    x, y = rand_cd(rng, 2, True), rand_cd(rng, 2, True)
+    before = (x.v, x.den, y.v, y.den)
+    for name in ("level", "gaussian", "v", "den", "coeffs"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+    x + y, x - y, -x, cd_mul(x, y), x.conjugate(), x.scale(Scalar(3, 1, True))
+    assert (x.v, x.den, y.v, y.den) == before
+    assert type(x.v) is tuple and type(x.coeffs) is tuple

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from jordan_strata import cdmatrix as cdm
-from jordan_strata.cayley_dickson import CDNumber, cd_mul_doubling
+from jordan_strata.cayley_dickson import CDNumber, cd_mul, cd_mul_doubling
 from jordan_strata.reduction import CASE_LEVEL, WMap, symplectic_form
 from jordan_strata.scalars import RingMismatch, Scalar
 
@@ -115,3 +115,44 @@ def test_symplectic_form_matches_matrix_route(case):
                 assert not omega.gaussian
     with pytest.raises(ValueError, match="case or size mismatch"):
         symplectic_form(WMap.zero(case, 2), WMap.zero(case, 3))
+
+
+def same(x, y):
+    return x == y and hash(x) == hash(y) and (x.v, x.den) == (y.v, y.den)
+
+
+@pytest.mark.parametrize("level, gaussian", RINGS)
+def test_mul_entries_are_stored_canonically(level, gaussian):
+    rng = random.Random(400 + 10 * level + gaussian)
+    zero = CDNumber.zero(level, gaussian)
+    for tall in (False, True):
+        for _ in range(4):
+            x, y = (rand_cd(rng, level, gaussian, tall, False) for _ in range(2))
+            ((p,),) = cdm.mul(((x,),), ((y,),))
+            assert same(p, cd_mul(x, y))
+            assert same(p, cd_mul_doubling(x, y))
+            assert same(p, CDNumber(level, p.coeffs))
+            # x y - x y and x y + x y - x y as one sum each
+            ((c,),) = cdm.mul(((x, x),), ((y,), (-y,)))
+            assert same(c, zero) and c.den == 1
+            ((d,),) = cdm.mul(((x, x, x),), ((y,), (y,), (-y,)))
+            assert same(d, p)
+    a = rand_matrix(rng, 3, 3, level, gaussian, True, True)
+    b = rand_matrix(rng, 3, 3, level, gaussian, True, True)
+    for got, want in zip(cdm.mul(a, b), reference_mul(a, b)):
+        assert all(same(g, w) for g, w in zip(got, want))
+
+
+def test_inverse_entries_are_stored_canonically():
+    rng = random.Random(11)
+    for level, gaussian in RINGS:
+        a = rand_matrix(rng, 3, 3, level, gaussian, False, False)
+        try:
+            inv = cdm.inverse(a)
+        except ZeroDivisionError:
+            continue
+        ident = cdm.identity(3, level, gaussian)
+        for got, want in zip(cdm.mul(a, inv), ident):
+            assert all(same(g, w) for g, w in zip(got, want))
+        for row in inv:
+            assert all(same(x, CDNumber(level, x.coeffs)) for x in row)

@@ -40,8 +40,10 @@ from jordan_strata.reduction import (
     reduced_point,
     stratum,
     symplectic_form,
+    zero_level_point,
     zero_level_sample,
 )
+from jordan_strata import suites
 from jordan_strata.cli import main
 from jordan_strata.scalars import Scalar
 from jordan_strata.strata import rank_k_sample
@@ -83,7 +85,7 @@ def rand_lie_h(case, s, rng):
 
 
 def rand_lie_g(case, rng):
-    from jordan_strata.reduction import _random_hermitian3
+    from jordan_strata.reduction import _random_hermitian
 
     level = CASE_LEVEL[case]
     a = cdm.from_rows(
@@ -93,8 +95,8 @@ def rand_lie_g(case, rng):
             for _ in range(3)
         ]
     )
-    x = _random_hermitian3(case, rng)
-    y = _random_hermitian3(case, rng)
+    x = _random_hermitian(level, 3, rng)
+    y = _random_hermitian(level, 3, rng)
     ma = cdm.neg(cdm.conj_transpose(a))
     return tuple(ra + rx for ra, rx in zip(a, x)) + tuple(
         ry + rm for ry, rm in zip(y, ma)
@@ -244,6 +246,34 @@ def test_reduced_point_requires_zero_level():
         alpha = rand_wmap("real", 2, rng)
     with pytest.raises(ValueError):
         reduced_point(alpha)
+
+
+def test_off_zero_level_alpha_fails_the_zero_level_checks(monkeypatch):
+    # xi = e_1 in column 0 and upsilon = e_1 in column 1: mu_H has the
+    # entries -1 and 1 at (0, 1) and (1, 0)
+    one, zero = CDNumber.one(0), CDNumber.zero(0)
+    rows = [[zero] * 3 for _ in range(6)]
+    rows[0][0], rows[3][1] = one, one
+    off = WMap("real", rows)
+    assert not cdm.is_zero(mu_h(off))
+    assert zero_level_point(off) is None
+    with pytest.raises(ValueError, match="zero level"):
+        reduced_point(off)
+    calls = []
+
+    def first_call_off(*args):
+        calls.append(args)
+        return off if len(calls) == 1 else zero_level_sample(*args)
+
+    monkeypatch.setattr(suites, "zero_level_sample", first_call_off)
+    monkeypatch.setattr(suites, "hilbert_lift", lambda z, s: off)
+    checks = {c["name"]: c for c in run_suite("reduction", case="real", samples=4, seed=0)}
+    assert calls[0][1:3] == (3, 0)  # the first draw of the zero-level-strata check
+    strata, lift = checks["zero-level-strata"], checks["hilbert-lift-round-trip"]
+    assert (strata["samples"], strata["failures"]) == (4, 1)
+    assert strata["witness"] == repr(off.matrix)
+    assert lift["samples"] == lift["failures"] == 4
+    assert checks["reduced-point-h-invariant"]["failures"] == 0
 
 
 def test_hilbert_lift_explicit_examples():
