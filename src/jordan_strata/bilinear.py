@@ -9,21 +9,27 @@ Gaussian base ring Q(i) the same constants act on 2n rational coordinates
 (the real parts, then the imaginary parts), so one contraction serves both
 rings; that doubled table is compiled on the first Gaussian product only.
 An operand is one integer vector over one positive denominator, which is
-how a ``CDNumber`` stores its coordinates, so a product reads its operands'
-integers as they are, sums in Python ints and hands back the integer
-accumulator over the product of the denominators; the caller stores it as it
-is.  A sum of products, such as an entry of a matrix product, is contracted
-into one accumulator over one common denominator (``sum_mul``).  ``box``
-makes the ``Scalar`` view of such a vector, when one is asked for.
+how a ``CDNumber`` and a ``JordanElement`` store their coordinates
+(``IntVector``, below), so a product reads its operands' integers as they
+are, sums in Python ints and hands back the integer accumulator over the
+product of the denominators; the caller stores it as it is.  A sum of
+products, such as an entry of a matrix product, is contracted into one
+accumulator over one common denominator (``sum_mul``).
+
+``IntVector`` owns that storage format and its linear structure, written
+once for both classes: normalization to lowest terms, + and - over the lcm
+of two denominators, negation, scaling by a ``Scalar``, the base-ring swap,
+the zero test, equality and hashing.  ``box`` makes the ``Scalar`` view of
+such a vector, when one is asked for.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .linalg import _int_row
-from .scalars import Scalar
+from .scalars import RingMismatch, Scalar
 
 _ZERO = Fraction(0)
 
@@ -113,3 +119,103 @@ def box(v, den, gaussian):
     return tuple(
         Scalar._of(Fraction(v[k], den), Fraction(v[n + k], den), True) for k in range(n)
     )
+
+
+class IntVector:
+    """An exact vector stored as ``v / den``: ``v`` a tuple of ints, the real
+    parts and, over Q(i), then the imaginary parts; ``den`` > 0 and
+    gcd(den, *v) = 1, so a value has one storage, and equality and hashing
+    compare integers.
+
+    ``tag`` names the space the vector lives in (a Cayley-Dickson level, a
+    Jordan algebra) and ``gaussian`` its base ring; values of different tags
+    or rings never mix.  ``_view`` holds a subclass's ``Scalar`` view, kept
+    from construction or built on first read.  Subclasses build values in
+    ``__new__``, so every value is made by ``_canonical``.
+    """
+
+    __slots__ = ("tag", "gaussian", "v", "den", "_view")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _canonical(cls, tag, gaussian: bool, v, den: int, view=None):
+        """The value v / den for an int sequence v and den > 0 already in
+        lowest terms, as ``linalg._int_row`` makes them."""
+        x = object.__new__(cls)
+        set_ = object.__setattr__
+        set_(x, "tag", tag)
+        set_(x, "gaussian", gaussian)
+        set_(x, "v", tuple(v))
+        set_(x, "den", den)
+        set_(x, "_view", view)
+        return x
+
+    @classmethod
+    def _of(cls, tag, gaussian: bool, v, den: int):
+        """The value v / den for an int sequence v and den > 0, normalized."""
+        g = gcd(den, *v)
+        if g != 1:
+            v, den = [x // g for x in v], den // g
+        return cls._canonical(tag, gaussian, v, den)
+
+    def _like(self, v, den: int):
+        """v / den in the space and ring of self."""
+        return self._of(self.tag, self.gaussian, v, den)
+
+    def _check(self, other):
+        if type(other) is not type(self):
+            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
+        if other.tag != self.tag or other.gaussian != self.gaussian:
+            raise RingMismatch(f"{type(self).__name__} space or base-ring mismatch")
+
+    def _combine(self, other, sign: int):
+        """self + sign * other over the lcm of the two denominators."""
+        self._check(other)
+        da, db = self.den, other.den
+        g = gcd(da, db)
+        fa, fb = db // g, sign * (da // g)
+        return self._like([a * fa + b * fb for a, b in zip(self.v, other.v)], da * fa)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return self._like([-a for a in self.v], self.den)
+
+    def scale(self, s):
+        """s times self, for a Scalar (or a rational) s of the same base ring."""
+        if not isinstance(s, Scalar):
+            s = Scalar(Fraction(s), 0, self.gaussian)
+        if s.gaussian != self.gaussian:
+            raise RingMismatch("scalar ring mismatch")
+        (a, b), d = _int_row([s.re, s.im])
+        v, n = self.v, len(self.v) // 2
+        if b:  # (a + bi)(x + yi) = (ax - by) + (ay + bx)i, coordinate by coordinate
+            pairs = list(zip(v[:n], v[n:]))
+            v = [a * x - b * y for x, y in pairs] + [a * y + b * x for x, y in pairs]
+        else:
+            v = [a * x for x in v]
+        return self._like(v, self.den * d)
+
+    def complexify(self):
+        """Base-ring swap Q -> Q(i); already-Gaussian values pass through."""
+        if self.gaussian:
+            return self
+        return self._canonical(self.tag, True, self.v + (0,) * len(self.v), self.den)
+
+    def is_zero(self) -> bool:
+        return not any(self.v)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        # the length of v tells the ring apart within a space
+        return self.tag == other.tag and self.den == other.den and self.v == other.v
+
+    def __hash__(self):
+        return hash((self.tag, self.den, self.v))

@@ -12,10 +12,12 @@ integers by the bilinear engine (``bilinear.Bilinear``), which is how
 ``cd_mul`` multiplies.  A ``CDNumber`` is stored in the engine's own
 operand format, one integer vector over one positive denominator in lowest
 terms, so a product reads its operands' integers and is stored as it comes;
-the ``Scalar`` coordinates (``coeffs``) are a view for the API, JSON and
-``repr``.  The pair recursion itself is kept as ``cd_mul_doubling``, an
-independent route on that view that shares no code with the engine, so
-tests can cross-check the two against each other.
+that format and its linear structure (+, -, scaling, equality, hashing)
+live in ``bilinear.IntVector``, and the ``Scalar`` coordinates (``coeffs``)
+are a view for the API, JSON and ``repr``.  The pair recursion itself is
+kept as ``cd_mul_doubling``, an independent route on that view that shares
+no code with the engine, so tests can cross-check the two against each
+other.
 
 Complexification is a base-ring swap (rational -> Gaussian rational), not a
 fourth doubling, so the Gaussian-base level-3 algebra stays 8-dimensional over
@@ -25,9 +27,7 @@ its base ring and is not the sedenion algebra.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
-
-from .bilinear import Bilinear, box
+from .bilinear import Bilinear, IntVector, box
 from .linalg import _int_row
 from .scalars import RingMismatch, Scalar
 
@@ -60,18 +60,19 @@ def unit_product(level: int, i: int, j: int):
     return k, -s * conj_sign(lo_j)
 
 
-class CDNumber:
+class CDNumber(IntVector):
     """Element of the level-``level`` Cayley-Dickson algebra over Q or Q(i).
 
-    Stored as ``v / den``: ``v`` a tuple of 2^level ints over Q and twice as
-    many over Q(i) (real parts, then imaginary parts), ``den`` > 0 and
-    gcd(den, *v) = 1, so a value has one storage.  ``coeffs`` keeps the
-    Scalars a number was built from, or boxes an engine result on first use.
+    Stored as ``v / den`` (``bilinear.IntVector``, whose ``tag`` is the
+    level): ``v`` holds 2^level ints over Q and twice as many over Q(i).
+    ``coeffs`` keeps the Scalars a number was built from, or boxes an engine
+    result on first use.
     """
 
-    __slots__ = ("level", "gaussian", "v", "den", "_coeffs")
+    __slots__ = ()
+    level = IntVector.tag  # the tag slot itself, read as fast as any slot
 
-    def __init__(self, level: int, coeffs):
+    def __new__(cls, level: int, coeffs):
         coeffs = tuple(coeffs)
         if not 0 <= level <= MAX_LEVEL:
             raise ValueError(f"level must be 0..{MAX_LEVEL}, got {level}")
@@ -82,20 +83,7 @@ class CDNumber:
             raise RingMismatch("mixed base rings in one CDNumber")
         parts = [c.re for c in coeffs] + ([c.im for c in coeffs] if g else [])
         v, den = _int_row(parts)  # least den, so already canonical
-        _init(self, level, g, tuple(v), den, coeffs)
-
-    @staticmethod
-    def _of(level: int, gaussian: bool, v, den: int) -> "CDNumber":
-        """The number v / den for an int sequence v and den > 0, normalized."""
-        g = gcd(den, *v)
-        if g != 1:
-            v, den = [x // g for x in v], den // g
-        x = object.__new__(CDNumber)
-        _init(x, level, gaussian, tuple(v), den, None)
-        return x
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CDNumber is immutable")
+        return cls._canonical(level, g, v, den, coeffs)
 
     # -- constructors ---------------------------------------------------------
 
@@ -122,61 +110,13 @@ class CDNumber:
     @property
     def coeffs(self):
         """The coordinates as Scalars."""
-        if self._coeffs is None:
-            object.__setattr__(self, "_coeffs", box(self.v, self.den, self.gaussian))
-        return self._coeffs
+        if self._view is None:
+            object.__setattr__(self, "_view", box(self.v, self.den, self.gaussian))
+        return self._view
 
     @property
     def algebra(self) -> str:
-        return LEVEL_NAMES[self.level]
-
-    def complexify(self) -> "CDNumber":
-        """Base-ring swap Q -> Q(i); already-Gaussian values pass through."""
-        if self.gaussian:
-            return self
-        return CDNumber._of(self.level, True, self.v + (0,) * len(self.v), self.den)
-
-    # -- ring checks ----------------------------------------------------------
-
-    def _check(self, other: "CDNumber"):
-        if not isinstance(other, CDNumber):
-            raise TypeError(f"expected CDNumber, got {type(other).__name__}")
-        if other.level != self.level:
-            raise RingMismatch("Cayley-Dickson level mismatch")
-        if other.gaussian != self.gaussian:
-            raise RingMismatch("base ring mismatch")
-
-    # -- linear structure -----------------------------------------------------
-
-    def _combine(self, other, sign):
-        """self + sign * other over the lcm of the two denominators."""
-        self._check(other)
-        da, db = self.den, other.den
-        g = gcd(da, db)
-        fa, fb = db // g, sign * (da // g)
-        v = [a * fa + b * fb for a, b in zip(self.v, other.v)]
-        return CDNumber._of(self.level, self.gaussian, v, da * fa)
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def __neg__(self):
-        return CDNumber._of(self.level, self.gaussian, [-a for a in self.v], self.den)
-
-    def scale(self, s: Scalar) -> "CDNumber":
-        if s.gaussian != self.gaussian:
-            raise RingMismatch("scalar ring mismatch")
-        (a, b), d = _int_row([s.re, s.im])
-        v, n = self.v, len(self.v) // 2
-        if b:  # (a + bi)(x + yi) = (ax - by) + (ay + bx)i, coordinate by coordinate
-            pairs = list(zip(v[:n], v[n:]))
-            v = [a * x - b * y for x, y in pairs] + [a * y + b * x for x, y in pairs]
-        else:
-            v = [a * x for x in v]
-        return CDNumber._of(self.level, self.gaussian, v, self.den * d)
+        return LEVEL_NAMES[self.tag]
 
     # -- multiplicative structure ---------------------------------------------
 
@@ -185,12 +125,12 @@ class CDNumber:
 
     def conjugate(self) -> "CDNumber":
         """Negates every coordinate but the real unit's, over Q(i) too."""
-        w, v = 1 << self.level, self.v
+        w, v = 1 << self.tag, self.v
         out = [-x for x in v]
         out[0] = v[0]
         if self.gaussian:
             out[w] = v[w]
-        return CDNumber._of(self.level, self.gaussian, out, self.den)
+        return self._like(out, self.den)
 
     def real(self) -> Scalar:
         return self.coeffs[0]
@@ -205,44 +145,23 @@ class CDNumber:
             acc = acc + c * c
         return acc
 
-    def is_zero(self) -> bool:
-        return not any(self.v)
-
     def is_real(self) -> bool:
-        w = 1 << self.level
+        w = 1 << self.tag
         return not (any(self.v[1:w]) or any(self.v[w + 1 :]))
 
-    def __eq__(self, other):
-        if not isinstance(other, CDNumber):
-            return NotImplemented
-        # the tuple length tells the ring apart within a level
-        return self.level == other.level and self.den == other.den and self.v == other.v
-
-    def __hash__(self):
-        return hash((self.level, self.den, self.v))
-
     def __repr__(self):
-        return f"CDNumber({self.level}, {[str(c) for c in self.coeffs]})"
+        return f"CDNumber({self.tag}, {[str(c) for c in self.coeffs]})"
 
     # -- JSON -------------------------------------------------------------------
 
     def to_json(self):
-        return {"level": self.level, "coeffs": [c.to_json() for c in self.coeffs]}
+        return {"level": self.tag, "coeffs": [c.to_json() for c in self.coeffs]}
 
     @staticmethod
     def from_json(obj) -> "CDNumber":
         level = obj["level"]
         coeffs = [Scalar.from_json(c) for c in obj["coeffs"]]
         return CDNumber(level, coeffs)
-
-
-def _init(x: CDNumber, level, gaussian, v, den, coeffs):
-    set_ = object.__setattr__
-    set_(x, "level", level)
-    set_(x, "gaussian", gaussian)
-    set_(x, "v", v)
-    set_(x, "den", den)
-    set_(x, "_coeffs", coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -257,9 +176,8 @@ def _cd_product(level: int) -> Bilinear:
 def cd_mul(a: CDNumber, b: CDNumber) -> CDNumber:
     """Bilinear product through the compiled basis table, on the stored integers."""
     a._check(b)
-    table = _cd_product(a.level)
-    acc = table.contract(a.v, b.v, a.gaussian)
-    return CDNumber._of(a.level, a.gaussian, acc, a.den * b.den * table.den)
+    table = _cd_product(a.tag)
+    return a._like(table.contract(a.v, b.v, a.gaussian), a.den * b.den * table.den)
 
 
 def cd_mul_doubling(a: CDNumber, b: CDNumber) -> CDNumber:

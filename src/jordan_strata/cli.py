@@ -47,17 +47,17 @@ def main(argv=None) -> int:
         if args.seed is None:  # read on every call, never frozen into the parser
             args.seed = int(os.environ.get(DEFAULT_SEED_ENV, "0"))
         report = args.handler(args)
+        out = _render(report, args.format)
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(out)
+                fh.write("\n")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out = _render(report, args.format)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-            fh.write("\n")
     print(out if args.format == "json" else out.rstrip("\n"))
     return 0 if report["verdict"] == "pass" else 1
 

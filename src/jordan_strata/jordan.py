@@ -1,6 +1,6 @@
 """Rank-3 Jordan algebras of hermitian 3x3 matrices over R, C, H, O.
 
-A JordanElement stores the hermitian matrix
+A JordanElement is the hermitian matrix
 
         [ a    z    y  ]
         [ z*   b    x  ]          diag = (a, b, c),  off = (x, y, z)
@@ -9,7 +9,12 @@ A JordanElement stores the hermitian matrix
 with a, b, c scalars and x = X_23, y = X_13, z = X_12 Cayley-Dickson numbers
 of the level matching the algebra tag.  Over the rational base ring these are
 the four euclidean algebras; swapping the base ring to Q(i) gives their
-complexifications.
+complexifications.  An element is stored in the bilinear engine's operand
+format, one integer vector over one positive denominator
+(``bilinear.IntVector``, which also owns +, -, scaling, equality and
+hashing), so every product and invariant reads the stored integers and a
+product is stored as the engine hands it back; ``diag`` and ``off`` are
+views.
 
 The Jordan product x o y = (xy + yx)/2 runs on structure constants.  The
 table ``_mult_table`` is generated straight from the Cayley-Dickson unit
@@ -52,7 +57,7 @@ from math import lcm
 from typing import NamedTuple
 
 from . import linalg
-from .bilinear import Bilinear, box
+from .bilinear import Bilinear, IntVector, box
 from .cayley_dickson import CDNumber, LEVEL_OF_ALGEBRA, cd_mul_doubling, unit_product
 from .scalars import RingMismatch, Scalar
 
@@ -67,10 +72,18 @@ class Sigma(NamedTuple):
     det: Scalar
 
 
-class JordanElement:
-    __slots__ = ("algebra", "diag", "off")
+class JordanElement(IntVector):
+    """A hermitian 3x3 matrix over the algebra ``algebra``, stored as
+    ``v / den`` (``bilinear.IntVector``, whose ``tag`` is the algebra) in
+    ``coords`` order: a, b, c, then the units of x, y and z, the real parts
+    first and, over Q(i), then the imaginary parts.  ``diag`` (3 Scalars)
+    and ``off`` (3 CDNumbers) are views, kept from construction or built on
+    first read."""
 
-    def __init__(self, algebra: str, diag, off):
+    __slots__ = ()
+    algebra = IntVector.tag  # the tag slot itself, read as fast as any slot
+
+    def __new__(cls, algebra: str, diag, off):
         if algebra not in ALGEBRAS:
             raise ValueError(f"unknown algebra tag {algebra!r}")
         level = LEVEL_OF_ALGEBRA[algebra]
@@ -84,99 +97,56 @@ class JordanElement:
         for q in off:
             if q.level != level or q.gaussian != g:
                 raise RingMismatch("off-diagonal entry has wrong level or ring")
-        object.__setattr__(self, "algebra", algebra)
-        object.__setattr__(self, "diag", diag)
-        object.__setattr__(self, "off", off)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("JordanElement is immutable")
+        parts = [s.re for s in diag] + ([s.im for s in diag] if g else [])
+        # the lcm of every coordinate's denominator, so already canonical
+        den = lcm(*[f.denominator for f in parts], *[q.den for q in off])
+        dv = [f.numerator * (den // f.denominator) for f in parts]
+        ov = [q.v if q.den == den else [c * (den // q.den) for c in q.v] for q in off]
+        w = 1 << level
+        v = dv[:3] + [c for o in ov for c in o[:w]] + dv[3:] + [c for o in ov for c in o[w:]]
+        return cls._canonical(algebra, g, v, den, (diag, off))
 
     # -- basic structure -------------------------------------------------------
 
     @property
-    def gaussian(self) -> bool:
-        return self.diag[0].gaussian
+    def level(self) -> int:
+        return LEVEL_OF_ALGEBRA[self.tag]
+
+    def _views(self):
+        """(diag, off), boxed from the integers on first use."""
+        if self._view is None:
+            v, den, g, level = self.v, self.den, self.gaussian, self.level
+            n, w = len(v) // (2 if g else 1), 1 << level
+            off = tuple(
+                CDNumber._of(level, g, v[a : a + w] + v[n + a : n + a + w], den)
+                for a in range(3, n, w)
+            )
+            object.__setattr__(self, "_view", (box(v[:3] + v[n : n + 3], den, g), off))
+        return self._view
 
     @property
-    def level(self) -> int:
-        return LEVEL_OF_ALGEBRA[self.algebra]
+    def diag(self):
+        """The diagonal (a, b, c) as Scalars."""
+        return self._views()[0]
+
+    @property
+    def off(self):
+        """The off-diagonal entries (x, y, z) = (X_23, X_13, X_12) as CDNumbers."""
+        return self._views()[1]
 
     @staticmethod
     def zero(algebra: str, gaussian=False) -> "JordanElement":
-        z = Scalar.zero(gaussian)
-        q = CDNumber.zero(LEVEL_OF_ALGEBRA[algebra], gaussian)
-        return JordanElement(algebra, (z, z, z), (q, q, q))
+        return JordanElement.diagonal(algebra, 0, 0, 0, gaussian)
 
     @staticmethod
     def identity(algebra: str, gaussian=False) -> "JordanElement":
-        o = Scalar.one(gaussian)
-        q = CDNumber.zero(LEVEL_OF_ALGEBRA[algebra], gaussian)
-        return JordanElement(algebra, (o, o, o), (q, q, q))
+        return JordanElement.diagonal(algebra, 1, 1, 1, gaussian)
 
     @staticmethod
     def diagonal(algebra: str, a, b, c, gaussian=False) -> "JordanElement":
         conv = lambda v: v if isinstance(v, Scalar) else Scalar(Fraction(v), 0, gaussian)
         q = CDNumber.zero(LEVEL_OF_ALGEBRA[algebra], gaussian)
         return JordanElement(algebra, (conv(a), conv(b), conv(c)), (q, q, q))
-
-    def complexify(self) -> "JordanElement":
-        return JordanElement(
-            self.algebra,
-            tuple(s.to_gaussian() for s in self.diag),
-            tuple(q.complexify() for q in self.off),
-        )
-
-    def _check(self, other: "JordanElement"):
-        if not isinstance(other, JordanElement):
-            raise TypeError(f"expected JordanElement, got {type(other).__name__}")
-        if other.algebra != self.algebra or other.gaussian != self.gaussian:
-            raise RingMismatch("algebra or base-ring tag mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        return JordanElement(
-            self.algebra,
-            tuple(a + b for a, b in zip(self.diag, other.diag)),
-            tuple(a + b for a, b in zip(self.off, other.off)),
-        )
-
-    def __sub__(self, other):
-        self._check(other)
-        return JordanElement(
-            self.algebra,
-            tuple(a - b for a, b in zip(self.diag, other.diag)),
-            tuple(a - b for a, b in zip(self.off, other.off)),
-        )
-
-    def __neg__(self):
-        return JordanElement(
-            self.algebra, tuple(-a for a in self.diag), tuple(-q for q in self.off)
-        )
-
-    def scale(self, s: Scalar) -> "JordanElement":
-        if not isinstance(s, Scalar):
-            s = Scalar(Fraction(s), 0, self.gaussian)
-        return JordanElement(
-            self.algebra,
-            tuple(s * a for a in self.diag),
-            tuple(q.scale(s) for q in self.off),
-        )
-
-    def is_zero(self) -> bool:
-        return all(s.is_zero() for s in self.diag) and all(q.is_zero() for q in self.off)
-
-    def __eq__(self, other):
-        if not isinstance(other, JordanElement):
-            return NotImplemented
-        return (
-            self.algebra == other.algebra
-            and self.gaussian == other.gaussian
-            and self.diag == other.diag
-            and self.off == other.off
-        )
-
-    def __hash__(self):
-        return hash((self.algebra, self.diag, self.off))
 
     def __repr__(self):
         return (
@@ -212,22 +182,18 @@ class JordanElement:
 
     def coords(self):
         """Flat coordinate tuple: 3 diagonal scalars then 3 * 2^level slots."""
-        out = list(self.diag)
-        for q in self.off:
-            out.extend(q.coeffs)
-        return tuple(out)
+        return box(self.v, self.den, self.gaussian)
 
     @staticmethod
     def from_coords(algebra: str, coords, gaussian=False) -> "JordanElement":
-        level = LEVEL_OF_ALGEBRA[algebra]
-        width = 1 << level
-        diag = tuple(coords[:3])
-        off = []
-        pos = 3
-        for _ in range(3):
-            off.append(CDNumber(level, coords[pos : pos + width]))
-            pos += width
-        return JordanElement(algebra, diag, off)
+        """The element with the Scalar coordinates ``coords`` over the ring
+        ``gaussian`` names."""
+        if len(coords) != JordanElement.space_dim(algebra):
+            raise ValueError(f"algebra {algebra} needs {JordanElement.space_dim(algebra)} coordinates")
+        if any(c.gaussian != gaussian for c in coords):
+            raise RingMismatch("coordinate ring does not match the gaussian flag")
+        parts = [c.re for c in coords] + ([c.im for c in coords] if gaussian else [])
+        return JordanElement._canonical(algebra, gaussian, *linalg._int_row(parts))
 
     @staticmethod
     def space_dim(algebra: str) -> int:
@@ -235,34 +201,33 @@ class JordanElement:
 
     @staticmethod
     def space_basis(algebra: str, gaussian=False):
-        dim = JordanElement.space_dim(algebra)
-        out = []
-        for k in range(dim):
-            coords = [Scalar.zero(gaussian)] * dim
-            coords[k] = Scalar.one(gaussian)
-            out.append(JordanElement.from_coords(algebra, coords, gaussian))
-        return out
+        dim = JordanElement.space_dim(algebra) * (2 if gaussian else 1)
+        return [
+            JordanElement._canonical(algebra, gaussian, [int(i == k) for i in range(dim)], 1)
+            for k in range(JordanElement.space_dim(algebra))
+        ]
 
     def split_real_imag(self):
         """A Gaussian-base element as (real part, imaginary part) over Q."""
         if not self.gaussian:
             raise ValueError("element is not complexified")
-        re_coords, im_coords = [], []
-        for c in self.coords():
-            re_coords.append(Scalar(c.re))
-            im_coords.append(Scalar(c.im))
+        n = len(self.v) // 2
         return (
-            JordanElement.from_coords(self.algebra, re_coords),
-            JordanElement.from_coords(self.algebra, im_coords),
+            JordanElement._of(self.tag, False, self.v[:n], self.den),
+            JordanElement._of(self.tag, False, self.v[n:], self.den),
         )
 
     @staticmethod
     def combine_real_imag(re_part: "JordanElement", im_part: "JordanElement"):
-        coords = [
-            Scalar(a.re, b.re, gaussian=True)
-            for a, b in zip(re_part.coords(), im_part.coords())
+        """re_part + i im_part for two elements over Q."""
+        re_part._check(im_part)
+        if re_part.gaussian:
+            raise ValueError("real and imaginary parts must lie over Q")
+        den = lcm(re_part.den, im_part.den)
+        v = [c * (den // re_part.den) for c in re_part.v] + [
+            c * (den // im_part.den) for c in im_part.v
         ]
-        return JordanElement.from_coords(re_part.algebra, coords, gaussian=True)
+        return JordanElement._canonical(re_part.tag, True, v, den)  # lcm: still lowest terms
 
     # -- JSON --------------------------------------------------------------------
 
@@ -364,35 +329,9 @@ def structure_tensor(algebra: str) -> Bilinear:
     return Bilinear(_mult_table(algebra))
 
 
-def _ints(x: JordanElement):
-    """(v, den): the coordinates of x as one integer vector over one
-    denominator, in the order of ``coords`` (real parts, then imaginary
-    parts over Q(i)); the off-diagonal entries give their stored integers."""
-    parts = [s.re for s in x.diag] + [s.im for s in x.diag if x.gaussian]
-    den = lcm(*[f.denominator for f in parts], *[q.den for q in x.off])
-    dv = [f.numerator * (den // f.denominator) for f in parts]
-    off = [q.v if q.den == den else [c * (den // q.den) for c in q.v] for q in x.off]
-    w = 1 << x.level
-    return dv[:3] + [c for o in off for c in o[:w]] + dv[3:] + [c for o in off for c in o[w:]], den
-
-
-def _from_ints(x: JordanElement, acc, den) -> JordanElement:
-    """The element acc / den of x's algebra and ring, acc laid out as by
-    ``_ints``; the off-diagonal entries keep the integers as they are."""
-    n, w = len(acc) // (2 if x.gaussian else 1), 1 << x.level
-    diag = box(acc[:3] + acc[n : n + 3], den, x.gaussian)
-    off = [
-        CDNumber._of(x.level, x.gaussian, acc[a : a + w] + acc[n + a : n + a + w], den)
-        for a in range(3, n, w)
-    ]
-    return JordanElement(x.algebra, diag, off)
-
-
 def _product(table: Bilinear, x: JordanElement, y: JordanElement) -> JordanElement:
     x._check(y)
-    xv, dx = _ints(x)
-    yv, dy = (xv, dx) if y is x else _ints(y)
-    return _from_ints(x, table.contract(xv, yv, x.gaussian), dx * dy * table.den)
+    return x._like(table.contract(x.v, y.v, x.gaussian), x.den * y.den * table.den)
 
 
 def jordan_mul(x: JordanElement, y: JordanElement) -> JordanElement:
@@ -433,10 +372,9 @@ def _pairing(xv, yv, gaussian):
 
 
 def _sharp_ints(x: JordanElement):
-    """(xv, dx, sv, ds): x = xv / dx and sharp(x) = sv / ds, in integers."""
-    xv, dx = _ints(x)
-    table = cross_tensor(x.algebra)
-    return xv, dx, table.contract(xv, xv, x.gaussian), dx * dx * table.den
+    """(sv, ds): sharp(x) = sv / ds, in integers."""
+    table = cross_tensor(x.tag)
+    return table.contract(x.v, x.v, x.gaussian), x.den * x.den * table.den
 
 
 def cross(x: JordanElement, y: JordanElement) -> JordanElement:
@@ -445,15 +383,16 @@ def cross(x: JordanElement, y: JordanElement) -> JordanElement:
 
 
 def trace(x: JordanElement) -> Scalar:
-    return x.diag[0] + x.diag[1] + x.diag[2]
+    v, n = x.v, len(x.v) // 2
+    im = Fraction(v[n] + v[n + 1] + v[n + 2], x.den) if x.gaussian else 0
+    return Scalar(Fraction(v[0] + v[1] + v[2], x.den), im, x.gaussian)
 
 
 def trace_form(x: JordanElement, y: JordanElement) -> Scalar:
     """tr(x o y); symmetric, bilinear, positive definite over the rational base."""
     x._check(y)
-    (xv, dx), (yv, dy) = _ints(x), _ints(y)
-    re, im = _pairing(xv, yv, x.gaussian)
-    return Scalar(Fraction(re, dx * dy), Fraction(im, dx * dy), x.gaussian)
+    re, im = _pairing(x.v, y.v, x.gaussian)
+    return Scalar(Fraction(re, x.den * y.den), Fraction(im, x.den * y.den), x.gaussian)
 
 
 def sigma2(x: JordanElement) -> Scalar:
@@ -463,9 +402,9 @@ def sigma2(x: JordanElement) -> Scalar:
 
 def det(x: JordanElement) -> Scalar:
     """det(x) = T(x, sharp(x)) / 3, one integer dot product after the square."""
-    xv, dx, sv, ds = _sharp_ints(x)
-    re, im = _pairing(xv, sv, x.gaussian)
-    return Scalar(Fraction(re, 3 * dx * ds), Fraction(im, 3 * dx * ds), x.gaussian)
+    sv, ds = _sharp_ints(x)
+    re, im = _pairing(x.v, sv, x.gaussian)
+    return Scalar(Fraction(re, 3 * x.den * ds), Fraction(im, 3 * x.den * ds), x.gaussian)
 
 
 def sigma(x: JordanElement) -> Sigma:
@@ -480,12 +419,12 @@ def sharp(x: JordanElement) -> JordanElement:
 
 def jordan_rank(x: JordanElement) -> int:
     """0-3 by zero tests on the integer x, x × x and T(x, x × x); nothing is boxed."""
-    xv, _, sv, _ = _sharp_ints(x)
-    if not any(xv):
+    if not any(x.v):
         return 0
+    sv, _ = _sharp_ints(x)
     if not any(sv):
         return 1
-    return 2 if _pairing(xv, sv, x.gaussian) == (0, 0) else 3
+    return 2 if _pairing(x.v, sv, x.gaussian) == (0, 0) else 3
 
 
 def quadratic_rep(a: JordanElement, x: JordanElement) -> JordanElement:

@@ -491,6 +491,8 @@ class OscillatorConfig:
         widths = {len(r) for r in q} | {len(r) for r in p}
         if len(widths) != 1:
             raise ValueError("positions and momenta must share a dimension")
+        if widths == {0}:
+            raise ValueError("particles need at least one coordinate")
         object.__setattr__(self, "q", q)
         object.__setattr__(self, "p", p)
 

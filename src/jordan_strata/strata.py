@@ -10,6 +10,7 @@ exact arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from . import linalg
 from .cayley_dickson import CDNumber
@@ -59,25 +60,38 @@ class ProjPoint:
     def __setattr__(self, name, value):
         raise AttributeError("ProjPoint is immutable")
 
+    def _gaussian_ints(self):
+        """The coordinates of the representative as Gaussian integers
+        (re, im), up to its denominator, a positive factor no projective
+        test sees."""
+        v = self.rep.v
+        n = len(v) // 2
+        return list(zip(v[:n], v[n:]))
+
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
             return NotImplemented
-        a, b = self.rep, other.rep
-        if a.algebra != b.algebra:
+        if self.rep.algebra != other.rep.algebra:
             return False
-        ca, cb = a.coords(), b.coords()
-        pivot = next(i for i, c in enumerate(ca) if not c.is_zero())
-        if cb[pivot].is_zero():
+        ca, cb = self._gaussian_ints(), other._gaussian_ints()
+        pivot = next(i for i, c in enumerate(ca) if c != (0, 0))
+        (lr, li), (mr, mi) = cb[pivot], ca[pivot]
+        if not (lr or li):
             return False
-        lam_a, lam_b = cb[pivot], ca[pivot]
-        return all(lam_a * x == lam_b * y for x, y in zip(ca, cb))
+        # cb[pivot] * ca == ca[pivot] * cb, cross-multiplied in Gaussian integers
+        return all(
+            lr * xr - li * xi == mr * yr - mi * yi and lr * xi + li * xr == mr * yi + mi * yr
+            for (xr, xi), (yr, yi) in zip(ca, cb)
+        )
 
     def __hash__(self):
-        # scale-normalize on the first nonzero coordinate
-        coords = self.rep.coords()
-        pivot = next(c for c in coords if not c.is_zero())
-        inv = pivot.inverse()
-        return hash((self.rep.algebra, tuple(inv * c for c in coords)))
+        # times the conjugate of the first nonzero coordinate, which makes
+        # that coordinate positive real, then over the content of the result
+        coords = self._gaussian_ints()
+        pr, pi = next(c for c in coords if c != (0, 0))
+        w = [c for xr, xi in coords for c in (pr * xr + pi * xi, pr * xi - pi * xr)]
+        g = gcd(*w)
+        return hash((self.rep.algebra, tuple(c // g for c in w)))
 
     def __repr__(self):
         return f"ProjPoint({self.rep!r})"

@@ -59,11 +59,12 @@ def jcoords(elt: JordanElement):
     """Rational coordinate vector of a real-form element."""
     if elt.gaussian:
         raise ValueError("operator layer works on the rational base")
-    return tuple(c.re for c in elt.coords())
+    return tuple(Fraction(c, elt.den) for c in elt.v)
 
 
 def from_jcoords(algebra: str, coords) -> JordanElement:
-    return JordanElement.from_coords(algebra, [Scalar(c) for c in coords])
+    """The real-form element with the rational coordinate vector ``coords``."""
+    return JordanElement._canonical(algebra, False, *linalg._int_row(coords))
 
 
 # Operators on J are kept sparse: a tuple of rows, each a {column: entry} dict.

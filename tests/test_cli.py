@@ -1,7 +1,10 @@
+import hashlib
 import io
 import json
 import random
 from contextlib import redirect_stdout
+
+import pytest
 
 from jordan_strata.cli import main
 from jordan_strata.jordan import JordanElement, det, jordan_rank, sharp
@@ -13,6 +16,7 @@ from jordan_strata.reduction import (
     stratum,
 )
 from jordan_strata.strata import random_element
+from jordan_strata.suites import SUITES
 
 
 def run_cli(args):
@@ -65,9 +69,16 @@ def test_classify_bad_json_exits_2(tmp_path, capsys):
         assert rc == 2 and err.startswith("error:") and err.count("\n") == 1
     rc, _ = run_cli(["embed", "--kind", "veronese", "--vectors", "[[[1,0],0,0]]"])
     assert rc == 2
-    path.write_text(json.dumps({"q": [[[1, 0]], [0], [0]], "p": [[0], [0], [0]]}))
-    rc, _ = run_cli(["reduce", str(path)])
-    assert rc == 2
+    for config in (
+        {"q": [[[1, 0]], [0], [0]], "p": [[0], [0], [0]]},  # zero denominator
+        {"q": [[], [], []], "p": [[], [], []]},  # particles in R^0
+    ):
+        path.write_text(json.dumps(config))
+        capsys.readouterr()
+        rc, out = run_cli(["reduce", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_classify_accepts_projective_points(tmp_path):
@@ -171,6 +182,41 @@ def test_out_file_and_text_format(tmp_path):
     )
     assert rc == 0
     assert "verdict: pass" in out
+
+
+def test_unwritable_out_exits_2(tmp_path, capsys):
+    args = ["embed", "--kind", "veronese", "--vectors", "[[1,2,3]]", "--out"]
+    for target in (tmp_path, tmp_path / "missing" / "report.json"):
+        capsys.readouterr()
+        rc, out = run_cli(args + [str(target)])
+        err = capsys.readouterr().err
+        assert rc == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
+# sha256 of what `verify --suite <name> --samples 1 --seed 3` prints; reports
+# are deterministic for a fixed seed, so a change of storage or engine must
+# leave every byte of them as it is (the same on CPython 3.10, 3.11 and 3.13)
+VERIFY_DIGESTS = {
+    "dimension-audit": "b63a3697375e83a53c672ffc9eac27e0e54212abe25ebf131428409bb7937e05",
+    "division-algebra": "5ef17eac053e4eb2d6a0d2da947358254fb6cf04647c1af1c3b80863f56987da",
+    "jordan-identities": "d12f370fae097f9d45108112572acf85482c2537838709aa4388cbea3e15e17c",
+    "moment-identity": "74c0c15052d35d9e29a1c0f8884907ea965fed41a580f3417d0c913245615949",
+    "oscillator": "edcae9f74c26047f53ebeb1fca73bdf0b1949103499f0b940baa54fecfa7089b",
+    "poisson-rank": "9dbe98765188ebbdf08881702abe48bbbebc4095d935699e947789c4f33d94cd",
+    "rank-identification": "be892348d72f9e885a8612191f3f09954d210828e1a8a8d86accb86d1b51e144",
+    "reduction": "32ae9724829476138d249e219704b5fd84cb5acecb8ad97e5ff458854f43ff50",
+    "singular-locus": "8a1ad33f0cac924484ecc5d92cc06ef60dbc1c03ed687c746cba1f69a8588f32",
+    "tkk": "6872cf3f7379e4d6b5983b4a32fab961bec9ea426ff4c1239ea7ca313cf15e40",
+}
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_verify_report_bytes_are_pinned(suite):
+    rc, out = run_cli(["verify", "--suite", suite, "--samples", "1", "--seed", "3"])
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[suite]
 
 
 def test_seed_env_default(monkeypatch, tmp_path):

@@ -1,14 +1,16 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from jordan_strata import jordan, linalg
-from jordan_strata.cayley_dickson import cd_mul_doubling
+from jordan_strata.cayley_dickson import CDNumber, cd_mul_doubling
 from jordan_strata.jordan import (
     ALGEBRAS,
     J6,
     JordanElement,
+    cross,
     det,
     from_general_matrix,
     from_skew_matrix,
@@ -365,3 +367,120 @@ def test_cross_tensor_is_built_lazily():
     assert jordan.cross_tensor.cache_info().currsize == 0
     jordan_rank(x)
     assert jordan.cross_tensor.cache_info().currsize == 1
+
+
+# -- storage: one integer vector over one denominator, whatever the route
+
+
+def assert_same(x, y):
+    """Equal values: equal, equal hashes, one storage, and that storage canonical."""
+    assert x == y and hash(x) == hash(y)
+    assert (x.algebra, x.gaussian, x.v, x.den) == (y.algebra, y.gaussian, y.v, y.den)
+    assert type(x.v) is tuple and x.den > 0
+    assert gcd(x.den, *x.v) == 1
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_storage_is_canonical_whatever_the_route(algebra, gaussian):
+    rng = random.Random(500 + 2 * ALGEBRAS.index(algebra) + gaussian)
+    dim = JordanElement.space_dim(algebra)
+    zero = JordanElement.zero(algebra, gaussian)
+    half, two = (Scalar(c, 0, gaussian) for c in (Fraction(1, 2), 2))
+
+    def tall():  # 40-digit coordinates over unrelated denominators
+        big = lambda: Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**40))
+        coords = [Scalar(big(), big() if gaussian else 0, gaussian) for _ in range(dim)]
+        return JordanElement.from_coords(algebra, coords, gaussian)
+
+    for make in (lambda: random_element(algebra, rng, gaussian), tall):
+        for _ in range(2):
+            x, y = make(), make()
+            assert_same(JordanElement(algebra, x.diag, x.off), x)
+            assert_same(JordanElement.from_coords(algebra, x.coords(), gaussian), x)
+            assert_same(JordanElement.from_json(x.to_json()), x)
+            assert_same(x - x, zero)
+            assert x.is_zero() == (x == zero)
+            assert_same(x + y - y, x)
+            assert_same(y + x, x + y)
+            assert_same(-(-x), x)
+            prod = jordan_mul(x, y)
+            assert_same(prod, jordan_mul_matrices(x, y))
+            assert_same(JordanElement(algebra, prod.diag, prod.off), prod)
+            assert_same(cross(x, y), cross(y, x))
+            assert_same(cross(x, x), sharp_oracle(x))
+            assert_same(x.scale(half).scale(two), x)
+            assert_same(x.scale(Scalar(0, 0, gaussian)), zero)
+            if gaussian:
+                re, im = x.split_real_imag()
+                assert_same(re, JordanElement.from_coords(algebra, [Scalar(c.re) for c in x.coords()]))
+                assert_same(im, JordanElement.from_coords(algebra, [Scalar(c.im) for c in x.coords()]))
+                assert_same(JordanElement.combine_real_imag(re, im), x)
+            else:
+                cx = x.complexify()
+                assert_same(cx, JordanElement(algebra, [s.to_gaussian() for s in x.diag],
+                                              [q.complexify() for q in x.off]))
+                assert_same(JordanElement.combine_real_imag(x, zero), cx)
+                assert_same(cx.split_real_imag()[0], x)
+    # equal integer vectors over different denominators are different values
+    one = JordanElement.identity(algebra, gaussian)
+    a, b = (one.scale(Fraction(1, d)) for d in (2, 3))
+    assert a.v == b.v and a != b
+    # a product whose integers share a factor with its denominator
+    assert_same(jordan_mul(a, one.scale(2)), one)
+
+
+def test_repr_and_json_are_pinned():
+    x = JordanElement(
+        "C",
+        [Scalar(Fraction(1, 2)), Scalar(-3), Scalar(0)],
+        [CDNumber(1, [Scalar(1), Scalar(Fraction(-4, 6))]), CDNumber.zero(1),
+         CDNumber(1, [Scalar(0), Scalar(5)])],
+    )
+    assert repr(x) == (
+        "JordanElement(C, diag=['1/2', '-3', '0'], off=(CDNumber(1, ['1', '-2/3']), "
+        "CDNumber(1, ['0', '0']), CDNumber(1, ['0', '5'])))"
+    )
+    assert x.to_json() == {
+        "algebra": "C", "complexified": False, "diag": [[1, 2], [-3, 1], [0, 1]],
+        "off": [{"level": 1, "coeffs": [[1, 1], [-2, 3]]}, {"level": 1, "coeffs": [[0, 1], [0, 1]]},
+                {"level": 1, "coeffs": [[0, 1], [5, 1]]}],
+    }
+    k = jordan_mul(x, x)  # views boxed from an engine result
+    assert repr(k) == (
+        "JordanElement(C, diag=['101/4', '319/9', '13/9'], off=(CDNumber(1, ['-3', '2']), "
+        "CDNumber(1, ['10/3', '5']), CDNumber(1, ['0', '-25/2'])))"
+    )
+    assert k.to_json() == {
+        "algebra": "C", "complexified": False, "diag": [[101, 4], [319, 9], [13, 9]],
+        "off": [{"level": 1, "coeffs": [[-3, 1], [2, 1]]}, {"level": 1, "coeffs": [[10, 3], [5, 1]]},
+                {"level": 1, "coeffs": [[0, 1], [-25, 2]]}],
+    }
+    g = JordanElement.diagonal("R", Scalar(Fraction(1, 2), Fraction(-2, 3), True), 0, 1, gaussian=True)
+    h = cross(g, JordanElement.identity("R", True))
+    assert repr(h) == (
+        "JordanElement(R, diag=['(1/2+0i)', '(3/4-1/3i)', '(1/4-1/3i)'], off=(CDNumber(0, "
+        "['(0+0i)']), CDNumber(0, ['(0+0i)']), CDNumber(0, ['(0+0i)'])))"
+    )
+    zero = {"level": 0, "coeffs": [[[0, 1], [0, 1]]]}
+    assert h.to_json() == {
+        "algebra": "R", "complexified": True,
+        "diag": [[[1, 2], [0, 1]], [[3, 4], [-1, 3]], [[1, 4], [-1, 3]]], "off": [zero] * 3,
+    }
+    assert repr(JordanElement.zero("H")) == (
+        "JordanElement(H, diag=['0', '0', '0'], off=(CDNumber(2, ['0', '0', '0', '0']), "
+        "CDNumber(2, ['0', '0', '0', '0']), CDNumber(2, ['0', '0', '0', '0'])))"
+    )
+
+
+def test_immutable():
+    rng = random.Random(13)
+    x, y = random_element("O", rng, True), random_element("O", rng, True)
+    before = (x.v, x.den, y.v, y.den)
+    for name in ("algebra", "gaussian", "v", "den", "diag", "off"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, None)
+    x + y, x - y, -x, jordan_mul(x, y), cross(x, y), x.scale(Scalar(3, 1, True))
+    x.split_real_imag(), x.coords(), x.to_json()
+    assert (x.v, x.den, y.v, y.den) == before
+    assert type(x.v) is tuple and type(x.diag) is tuple and type(x.off) is tuple

@@ -34,6 +34,8 @@ def test_proj_point_equality_is_proportionality():
     x = rank1_sample("O", rng)
     lam = Scalar(Fraction(3, 2), Fraction(-1, 3), True)
     assert ProjPoint(x) == ProjPoint(x.scale(lam))
+    assert hash(ProjPoint(x)) == hash(ProjPoint(x.scale(lam)))
+    assert len({ProjPoint(x.scale(Scalar(k, Fraction(1, 5), True))) for k in range(-3, 4)}) == 1
     y = rank1_sample("O", rng)
     if ProjPoint(x) != ProjPoint(y):
         assert hash(ProjPoint(x)) != hash(ProjPoint(y)) or True
