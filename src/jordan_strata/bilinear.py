@@ -9,18 +9,18 @@ Gaussian base ring Q(i) the same constants act on 2n rational coordinates
 (the real parts, then the imaginary parts), so one contraction serves both
 rings; that doubled table is compiled on the first Gaussian product only.
 An operand is one integer vector over one positive denominator, which is
-how a ``CDNumber`` and a ``JordanElement`` store their coordinates
-(``IntVector``, below), so a product reads its operands' integers as they
-are, sums in Python ints and hands back the integer accumulator over the
-product of the denominators; the caller stores it as it is.  A sum of
-products, such as an entry of a matrix product, is contracted into one
-accumulator over one common denominator (``sum_mul``).
+how a ``CDNumber``, a ``JordanElement`` and a ``tkk.TKKElement`` store their
+coordinates (``IntVector``, below), so a product reads its operands'
+integers as they are, sums in Python ints and hands back the integer
+accumulator over the product of the denominators; the caller stores it as
+it is.  A sum of products, such as an entry of a matrix product, is
+contracted into one accumulator over one common denominator (``sum_mul``).
 
 ``IntVector`` owns that storage format and its linear structure, written
-once for both classes: normalization to lowest terms, + and - over the lcm
-of two denominators, negation, scaling by a ``Scalar``, the base-ring swap,
-the zero test, equality and hashing.  ``box`` makes the ``Scalar`` view of
-such a vector, when one is asked for.
+once for all three classes: normalization to lowest terms, + and - over the
+lcm of two denominators, negation, scaling by a ``Scalar``, the base-ring
+swap, the zero test, equality and hashing.  ``box`` makes the ``Scalar``
+view of such a vector, when one is asked for.
 """
 
 from __future__ import annotations
@@ -102,13 +102,6 @@ class Bilinear:
             self.contract([v * f for v in xv] if f != 1 else xv, yv, gaussian, acc)
         return acc, den * self.den
 
-    def mul_fractions(self, u, v):
-        """The product of two rational coordinate vectors, as Fractions."""
-        uv, du = _int_row(u)
-        vv, dv = _int_row(v)
-        den = du * dv * self.den
-        return tuple(Fraction(x, den) for x in self.contract(uv, vv))
-
 
 def box(v, den, gaussian):
     """The Scalars v / den, one per coordinate of an integer vector (real
@@ -128,8 +121,8 @@ class IntVector:
     compare integers.
 
     ``tag`` names the space the vector lives in (a Cayley-Dickson level, a
-    Jordan algebra) and ``gaussian`` its base ring; values of different tags
-    or rings never mix.  ``_view`` holds a subclass's ``Scalar`` view, kept
+    Jordan algebra, a TKK case) and ``gaussian`` its base ring; values of
+    different tags or rings never mix.  ``_view`` holds a subclass's ``Scalar`` view, kept
     from construction or built on first read.  Subclasses build values in
     ``__new__``, so every value is made by ``_canonical``.
     """
@@ -171,12 +164,24 @@ class IntVector:
             raise RingMismatch(f"{type(self).__name__} space or base-ring mismatch")
 
     def _combine(self, other, sign: int):
-        """self + sign * other over the lcm of the two denominators."""
+        """self + sign * other over the lcm of the two denominators.
+
+        Both operands are in lowest terms, so a prime dividing only one
+        denominator cannot divide every numerator of the sum, and for a prime
+        dividing both the lcm holds no higher power of it than g = gcd(da, db)
+        does: the sum is normalized by gcd(g, *v), and is stored as it is when
+        g = 1.
+        """
         self._check(other)
         da, db = self.den, other.den
         g = gcd(da, db)
         fa, fb = db // g, sign * (da // g)
-        return self._like([a * fa + b * fb for a, b in zip(self.v, other.v)], da * fa)
+        v, den = [a * fa + b * fb for a, b in zip(self.v, other.v)], da * fa
+        if g != 1:
+            h = gcd(g, *v)
+            if h != 1:
+                v, den = [x // h for x in v], den // h
+        return self._canonical(self.tag, self.gaussian, v, den)
 
     def __add__(self, other):
         return self._combine(other, 1)

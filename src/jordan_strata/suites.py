@@ -461,8 +461,7 @@ def tkk_suite(case=None, samples=20, seed=0):
 
         def gram(basis):
             # one integer row G a per element, dotted with the sparse integer row of b
-            cols = [linalg._int_row(b.coords) for b in basis]
-            cols = [([(j, x) for j, x in enumerate(bv) if x], db) for bv, db in cols]
+            cols = [([(j, x) for j, x in enumerate(b.v) if x], b.den) for b in basis]
             return tuple(
                 tuple(Scalar(Fraction(sum(ga[j] * x for j, x in sb), den * db)) for sb, db in cols)
                 for ga, den in map(alg._gram_times, basis)

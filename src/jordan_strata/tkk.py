@@ -19,15 +19,19 @@ box operator that normalization would need sqrt(2).  The identification of p
 with the complexified Jordan algebra sends (x, L_w, x) to w/2 + i x, and
 ad(z) then corresponds to multiplication by i.
 
-An element is one rational coordinate vector laid out as plus | str | minus:
-Jordan coordinates, coordinates in the selected basis B_k of str(J), Jordan
-coordinates.  The first n = dim J operators B_k are L_{e_0}..L_{e_{n-1}}, so
-L_w has coordinates w in this "L block"; the rest (the "D block") are the
-independent commutators [L_{e_i}, L_{e_j}] in order.  An operator known to lie
-in str(J) has coordinates t[P] B[:, P]^-1, P the pivots of the basis echelon.
+An element is one integer vector over one denominator, the bilinear
+engine's operand format (``bilinear.IntVector``, which ``CDNumber`` and
+``JordanElement`` share and which owns +, -, scaling, equality and hashing),
+laid out as plus | str | minus: Jordan coordinates, coordinates in the
+selected basis B_k of str(J), Jordan coordinates.  The first n = dim J
+operators B_k are L_{e_0}..L_{e_{n-1}}, so L_w has coordinates w in this
+"L block"; the rest (the "D block") are the independent commutators
+[L_{e_i}, L_{e_j}] in order.  An operator known to lie in str(J) has
+coordinates t[P] B[:, P]^-1, P the pivots of the basis echelon.
 The graded bracket is applied once, to basis pairs, giving the structure
 constants c_ij^k of [b_i, b_j] = sum_k c_ij^k b_k; ``bilinear.Bilinear``
-compiles them, and every bracket is one contraction of that tensor.
+compiles them, and every bracket is one contraction of that tensor on the
+stored integers, normalized once.
 
 The invariant symmetric form is
 
@@ -44,27 +48,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from . import linalg
-from .bilinear import Bilinear
+from .bilinear import Bilinear, IntVector
 from .jordan import JordanElement, structure_tensor, trace_form
 from .scalars import Scalar
 
 CASES = ("sp3", "u33", "so12", "e7")
 CASE_TO_ALGEBRA = {"sp3": "R", "u33": "C", "so12": "H", "e7": "O"}
 ALGEBRA_TO_CASE = {v: k for k, v in CASE_TO_ALGEBRA.items()}
-
-
-def jcoords(elt: JordanElement):
-    """Rational coordinate vector of a real-form element."""
-    if elt.gaussian:
-        raise ValueError("operator layer works on the rational base")
-    return tuple(Fraction(c, elt.den) for c in elt.v)
-
-
-def from_jcoords(algebra: str, coords) -> JordanElement:
-    """The real-form element with the rational coordinate vector ``coords``."""
-    return JordanElement._canonical(algebra, False, *linalg._int_row(coords))
 
 
 # Operators on J are kept sparse: a tuple of rows, each a {column: entry} dict.
@@ -108,7 +101,6 @@ class JordanSpace:
         self.product = structure_tensor(algebra)
         # the standard basis is trace-form orthogonal
         self.gram = tuple(trace_form(b, b).re for b in self.basis)
-        self.unit = jcoords(JordanElement.identity(algebra))
         self.lops = []
         for row in self.product.rows:
             op = tuple({} for _ in range(self.dim))
@@ -140,82 +132,59 @@ class StrBasisOp:
         return Fraction(self.rows[r].get(c, 0), self.den)
 
 
-class TKKElement:
-    """An element of a case algebra, held as its coordinate vector in the
-    standard basis (plus | str | minus); ``plus``, ``mid`` and ``minus`` are
+class TKKElement(IntVector):
+    """An element of a case algebra, stored as ``v / den``
+    (``bilinear.IntVector``, whose ``tag`` is the case; always over Q) in the
+    standard basis, plus | str | minus; ``plus``, ``mid`` and ``minus`` are
     read back from it."""
 
-    __slots__ = ("case", "coords")
+    __slots__ = ()
+    case = IntVector.tag  # the tag slot itself, read as fast as any slot
 
-    def __init__(self, case, plus: JordanElement, mid, minus: JordanElement):
+    def __new__(cls, case, plus: JordanElement, mid, minus: JordanElement):
         """``mid`` is an operator matrix in str(J), or None for zero."""
         if case not in CASES:
             raise ValueError(f"unknown case {case!r}")
         algebra = CASE_TO_ALGEBRA[case]
         if plus.algebra != algebra or minus.algebra != algebra:
             raise ValueError("component algebra does not match the case")
+        if plus.gaussian or minus.gaussian:
+            raise ValueError("operator layer works on the rational base")
         alg = tkk_algebra(case)
-        mid_coords = alg.str_coords(mid) if mid is not None else (Fraction(0),) * alg.str_dim
-        object.__setattr__(self, "case", case)
-        object.__setattr__(self, "coords", jcoords(plus) + mid_coords + jcoords(minus))
+        mv, md = alg._str_ints(mid) if mid is not None else ((0,) * alg.str_dim, 1)
+        den = lcm(plus.den, md, minus.den)
+        v = [c * (den // plus.den) for c in plus.v] + [c * (den // md) for c in mv]
+        return cls._of(case, False, v + [c * (den // minus.den) for c in minus.v], den)
 
-    @staticmethod
-    def of(case, coords) -> "TKKElement":
-        """The element with the given Fraction coordinates, unchecked."""
-        elt = object.__new__(TKKElement)
-        object.__setattr__(elt, "case", case)
-        object.__setattr__(elt, "coords", tuple(coords))
-        return elt
+    def complexify(self):
+        """Refused: the case algebras are real forms, so ``gaussian`` stays
+        False; p meets the complexified Jordan algebra through
+        ``TKKAlgebra.p_to_complexified``."""
+        raise TypeError("a TKKElement has no complexification")
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TKKElement is immutable")
+    @property
+    def coords(self):
+        """The coordinates as Fractions."""
+        return tuple(Fraction(c, self.den) for c in self.v)
 
-    def _blocks(self):
-        n = JordanElement.space_dim(CASE_TO_ALGEBRA[self.case])
-        c = self.coords
-        return c[:n], c[n:-n], c[-n:]
+    def _jordan(self, lo, hi) -> JordanElement:
+        return JordanElement._of(CASE_TO_ALGEBRA[self.case], False, self.v[lo:hi], self.den)
 
     @property
     def plus(self) -> JordanElement:
-        return from_jcoords(CASE_TO_ALGEBRA[self.case], self._blocks()[0])
+        return self._jordan(0, tkk_algebra(self.case).space.dim)
 
     @property
     def mid(self):
         """The operator matrix sum c_k B_k."""
-        ops = tkk_algebra(self.case).str_basis
-        terms = ((c / op.den, op.rows) for c, op in zip(self._blocks()[1], ops))
-        return _dense(len(ops[0].rows), terms)
+        alg = tkk_algebra(self.case)
+        n, ops = alg.space.dim, alg.str_basis
+        terms = ((Fraction(c, self.den * op.den), op.rows) for c, op in zip(self.v[n:], ops))
+        return _dense(n, terms)
 
     @property
     def minus(self) -> JordanElement:
-        return from_jcoords(CASE_TO_ALGEBRA[self.case], self._blocks()[2])
-
-    def _check(self, other):
-        if other.case != self.case:
-            raise ValueError("case mismatch")
-
-    def __add__(self, other):
-        self._check(other)
-        return TKKElement.of(self.case, (x + y for x, y in zip(self.coords, other.coords)))
-
-    def __sub__(self, other):
-        self._check(other)
-        return TKKElement.of(self.case, (x - y for x, y in zip(self.coords, other.coords)))
-
-    def __neg__(self):
-        return TKKElement.of(self.case, (-x for x in self.coords))
-
-    def scale(self, c) -> "TKKElement":
-        c = Fraction(c)
-        return TKKElement.of(self.case, (c * x for x in self.coords))
-
-    def is_zero(self) -> bool:
-        return not any(self.coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, TKKElement):
-            return NotImplemented
-        return self.case == other.case and self.coords == other.coords
+        return self._jordan(-tkk_algebra(self.case).space.dim, None)
 
     def __repr__(self):
         return f"TKKElement({self.case}, plus={self.plus!r}, minus={self.minus!r})"
@@ -295,14 +264,22 @@ class TKKAlgebra:
                     acc[k] += x * y
         return acc, den * self._inv_den
 
-    def str_coords(self, t):
-        """Coordinates of an operator matrix in the selected str basis;
-        ValueError when it does not lie in str(J)."""
+    def _str_ints(self, t):
+        """(v, d) with v / d the coordinates of the n x n operator matrix t in
+        the selected str basis; ValueError when t has another shape or does
+        not lie in str(J)."""
+        n = self.space.dim
+        if len(t) != n or any(len(row) != n for row in t):
+            raise ValueError(f"an operator on J is a {n}x{n} matrix")
         ti, den = linalg._int_row([Fraction(x) for row in t for x in row])
         if any(self._str_echelon.reduce(ti)):
             raise ValueError("operator does not lie in the structure algebra")
-        n = self.space.dim
-        acc, d = self._pivot_coords([ti[r * n + c] for r, c in self._pivots], den)
+        return self._pivot_coords([ti[r * n + c] for r, c in self._pivots], den)
+
+    def str_coords(self, t):
+        """Coordinates of an operator matrix in the selected str basis, as
+        Fractions."""
+        acc, d = self._str_ints(t)
         return tuple(Fraction(v, d) for v in acc)
 
     def _structure_constants(self):
@@ -375,10 +352,11 @@ class TKKAlgebra:
     # -- elements ---------------------------------------------------------------
 
     def _vec(self, *entries) -> TKKElement:
-        v = [Fraction(0)] * self.dim
+        """The element with integer coordinates c at the (k, c) in entries."""
+        v = [0] * self.dim
         for k, c in entries:
-            v[k] = Fraction(c)
-        return TKKElement.of(self.case, v)
+            v[k] = c
+        return TKKElement._canonical(self.case, False, v, 1)
 
     def element(self, plus=None, mid=None, minus=None) -> TKKElement:
         z = JordanElement.zero(self.algebra)
@@ -386,8 +364,11 @@ class TKKAlgebra:
 
     def lmul_element(self, w: JordanElement) -> TKKElement:
         """The element L_w of str(J): coordinates w in the L block."""
+        if w.gaussian:
+            raise ValueError("operator layer works on the rational base")
         n = self.space.dim
-        return self._vec(*((n + i, c) for i, c in enumerate(jcoords(w))))
+        v = [0] * n + list(w.v) + [0] * (self.dim - 2 * n)
+        return TKKElement._canonical(self.case, False, v, w.den)
 
     def grading_element(self) -> TKKElement:
         return self.lmul_element(JordanElement.identity(self.algebra))
@@ -401,15 +382,15 @@ class TKKAlgebra:
     def bracket(self, a: TKKElement, b: TKKElement) -> TKKElement:
         if a.case != self.case or b.case != self.case:
             raise ValueError("case mismatch")
-        return TKKElement.of(self.case, self.lie.mul_fractions(a.coords, b.coords))
+        den = a.den * b.den * self.lie.den
+        return TKKElement._of(self.case, False, self.lie.contract(a.v, b.v), den)
 
     # -- Cartan data ----------------------------------------------------------------
 
     def theta(self, a: TKKElement) -> TKKElement:
-        n = self.space.dim
-        plus, mid, minus = a._blocks()
-        coords = [-x for x in minus + mid[:n]] + list(mid[n:]) + [-x for x in plus]
-        return TKKElement.of(self.case, coords)
+        n, s, v = self.space.dim, self.str_dim, a.v
+        out = [-x for x in v[n + s :] + v[n : 2 * n]] + list(v[2 * n : n + s])
+        return TKKElement._canonical(self.case, False, out + [-x for x in v[:n]], a.den)
 
     def k_basis(self):
         n, s = self.space.dim, self.str_dim
@@ -432,48 +413,48 @@ class TKKAlgebra:
         candidate; the normalization 1/2 gives ad(z)^2 = -1 on p exactly, and
         the sign is the one matching the p -> complexified-J identification.
         """
-        half = tuple(c / 2 for c in self.space.unit)
-        mid = (Fraction(0),) * self.str_dim
-        return TKKElement.of(self.case, tuple(-c for c in half) + mid + half)
+        unit = JordanElement.identity(self.algebra).v
+        v = [-c for c in unit] + [0] * self.str_dim + list(unit)
+        return TKKElement._of(self.case, False, v, 2)
 
     # -- p <-> complexified Jordan algebra --------------------------------------------
 
     def p_to_complexified(self, a: TKKElement) -> JordanElement:
         """(x, L_w, x) -> w/2 + i x; requires a p-type element."""
-        plus, mid, minus = a._blocks()
-        if plus != minus:
+        n, s, v = self.space.dim, self.str_dim, a.v
+        if v[:n] != v[n + s :]:
             raise ValueError("element is not in p")
-        n = self.space.dim
-        if any(mid[n:]):
+        if any(v[2 * n : n + s]):
             raise ValueError("mid part of a p-element must be a left multiplication")
-        re_part = from_jcoords(self.algebra, [c / 2 for c in mid[:n]])
-        return JordanElement.combine_real_imag(re_part, from_jcoords(self.algebra, plus))
+        return JordanElement._of(
+            self.algebra, True, v[n : 2 * n] + tuple(2 * c for c in v[:n]), 2 * a.den
+        )
 
     def complexified_to_p(self, xc: JordanElement) -> TKKElement:
-        re_part, im_part = xc.split_real_imag()
-        x = jcoords(im_part)
-        w = tuple(2 * c for c in jcoords(re_part))
-        zeros = (Fraction(0),) * (self.str_dim - len(w))
-        return TKKElement.of(self.case, x + w + zeros + x)
+        """w + i x -> (x, L_{2w}, x), the inverse of ``p_to_complexified``."""
+        if xc.algebra != self.algebra or not xc.gaussian:
+            raise ValueError("need a complexified element of the case's Jordan algebra")
+        n = self.space.dim
+        w, x = xc.v[:n], list(xc.v[n:])
+        v = x + [2 * c for c in w] + [0] * (self.str_dim - n) + x
+        return TKKElement._of(self.case, False, v, xc.den)
 
     # -- invariant form -------------------------------------------------------------
 
     def _gram_times(self, a: TKKElement):
         """(v, den) with G a = v / den and v an integer vector."""
-        av, da = linalg._int_row(a.coords)
         acc = [0] * self.dim
-        for x, row in zip(av, self.gram_rows):
+        for x, row in zip(a.v, self.gram_rows):
             if x:
                 for j, g in row:
                     acc[j] += x * g
-        return acc, da * self.gram_den
+        return acc, a.den * self.gram_den
 
     def invariant_form(self, a: TKKElement, b: TKKElement) -> Fraction:
         if a.case != self.case or b.case != self.case:
             raise ValueError("case mismatch")
         ga, den = self._gram_times(a)
-        bv, db = linalg._int_row(b.coords)
-        return Fraction(sum(x * y for x, y in zip(ga, bv)), den * db)
+        return Fraction(sum(x * y for x, y in zip(ga, b.v)), den * b.den)
 
     def form_against_basis(self, a: TKKElement):
         """Row of invariant-form pairings of ``a`` with the standard basis: G a."""
@@ -489,7 +470,11 @@ class TKKAlgebra:
         return tuple(tuple(r) for r in g)
 
     def from_coords(self, coords) -> TKKElement:
-        return TKKElement.of(self.case, (Fraction(c) for c in coords))
+        """The element with the rational coordinates ``coords``, dim of them."""
+        if len(coords) != self.dim:
+            raise ValueError(f"case {self.case} needs {self.dim} coordinates")
+        v, den = linalg._int_row([Fraction(c) for c in coords])
+        return TKKElement._canonical(self.case, False, v, den)
 
 
 @lru_cache(maxsize=None)

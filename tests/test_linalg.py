@@ -144,3 +144,8 @@ def test_str_coords_rejects_an_operator_outside_the_structure_algebra():
     op = alg.basis()[n + alg.str_dim - 1].mid
     coords = alg.str_coords(op)
     assert coords == tuple(Fraction(int(k == alg.str_dim - 1)) for k in range(alg.str_dim))
+    # an operator on J is n x n: no other shape is read, zero or not
+    zero = lambda rows, cols: [[Fraction(0)] * cols for _ in range(rows)]
+    for bad in (zero(1, 1), zero(n - 1, n), zero(n, n + 1), op[:-1], [row[1:] for row in op]):
+        with pytest.raises(ValueError):
+            alg.str_coords(bad)

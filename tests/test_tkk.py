@@ -1,5 +1,8 @@
+import hashlib
+import json
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -279,3 +282,122 @@ def test_json_round_trip():
     rng = random.Random(9)
     a = rand_tkk(alg, rng)
     assert TKKElement.from_json(a.to_json()) == a
+
+
+def assert_same(x, y):
+    """Equal values compare equal, hash equal and store the same (v, den),
+    which is in lowest terms."""
+    assert x == y
+    assert hash(x) == hash(y)
+    assert (x.case, x.gaussian, x.v, x.den) == (y.case, y.gaussian, y.v, y.den)
+    assert type(x.v) is tuple and all(type(c) is int for c in x.v)
+    assert len(x.v) == tkk_algebra(x.case).dim
+    assert x.den > 0 and gcd(x.den, *x.v) == 1
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_storage_is_canonical_on_every_route(case):
+    alg = tkk_algebra(case)
+    rng = random.Random(11)
+    # rand_tkk goes through lmul_element, the constructor, + and bracket
+    x, y = rand_tkk(alg, rng), rand_tkk(alg, rng)
+    assert_same(alg.from_coords(x.coords), x)
+    assert_same(TKKElement(case, x.plus, x.mid, x.minus), x)
+    assert_same(TKKElement.from_json(x.to_json()), x)
+    assert_same((x + y) - y, x)
+    assert_same(-(-x), x)
+    assert_same(x - x, alg.from_coords([0] * alg.dim))
+    assert_same(x.scale(3).scale(Fraction(1, 3)), x)
+    assert_same(x.scale(Fraction(1, 2)) + x.scale(Fraction(1, 2)), x)
+    assert_same(alg.theta(alg.theta(x)), x)
+    # theta keeps k = u + theta(u) and negates p = u - theta(u)
+    k, p = x + alg.theta(x), x - alg.theta(x)
+    assert_same(alg.theta(k), k)
+    assert_same(alg.theta(p), -p)
+    for kb in alg.k_basis():
+        assert_same(alg.theta(kb), kb)
+    for pb in alg.p_basis():
+        assert_same(alg.theta(pb), -pb)
+    assert_same(alg.complexified_to_p(alg.p_to_complexified(p)), p)
+    # brackets with the grading element and the H-element have known values
+    d, z = alg.grading_element(), alg.h_element()
+    xp = alg.element(plus=x.plus.scale(Fraction(1, 3)))
+    assert_same(alg.bracket(d, xp), xp)
+    assert_same(alg.bracket(z, alg.bracket(z, p)), -p)
+    w = random_element(alg.algebra, rng)
+    n = alg.space.dim
+    lw = alg.lmul_element(w)
+    assert_same(lw, alg.element(mid=lw.mid))
+    coords = [Fraction(0)] * n + [c.re for c in w.coords()]
+    assert_same(lw, alg.from_coords(coords + [Fraction(0)] * (alg.dim - 2 * n)))
+    # the denominator is part of the value
+    b0 = alg.basis()[0]
+    assert b0 != b0.scale(Fraction(1, 2)) and b0.scale(Fraction(1, 2)).v == b0.v
+    assert len({x, alg.from_coords(x.coords), y}) == 2
+
+
+def test_elements_are_immutable():
+    alg = tkk_algebra("sp3")
+    x = alg.basis()[0]
+    for name, value in (("v", (0,) * alg.dim), ("den", 2), ("case", "u33"), ("coords", ()), ("tag", "e7")):
+        with pytest.raises(AttributeError):
+            setattr(x, name, value)
+    assert x == alg.basis()[0] and x.case == "sp3"
+
+
+def test_constructors_reject_malformed_input():
+    alg = tkk_algebra("sp3")
+    n = alg.space.dim
+    with pytest.raises(ValueError):
+        alg.from_coords([1, 2, 3])
+    with pytest.raises(ValueError):
+        alg.from_coords([0] * (alg.dim + 1))
+    z = JordanElement.zero(alg.algebra)
+    with pytest.raises(ValueError):
+        TKKElement("sp3", JordanElement.zero(alg.algebra, gaussian=True), None, z)
+    with pytest.raises(ValueError):
+        TKKElement("sp3", z, [[Fraction(0)] * n for _ in range(n - 1)], z)
+    obj = alg.basis()[n + 1].to_json()
+    obj["mid"] = [row[:-1] for row in obj["mid"]]
+    with pytest.raises(ValueError):
+        TKKElement.from_json(obj)
+    with pytest.raises(TypeError):
+        alg.basis()[0].complexify()
+
+
+# repr(x) and sha256(json.dumps(x.to_json(), sort_keys=True)) of the sample
+# element below, one per case
+PINNED_REPR = {
+    "sp3": "TKKElement(sp3, plus=JordanElement(R, diag=['-3', '-1', '1/3'], "
+    "off=(CDNumber(0, ['-1/4']), CDNumber(0, ['-1']), CDNumber(0, ['1/2']))), "
+    "minus=JordanElement(R, diag=['-1/2', '1', '-1/2'], "
+    "off=(CDNumber(0, ['-1/3']), CDNumber(0, ['1/4']), CDNumber(0, ['-2']))))",
+    "u33": "TKKElement(u33, plus=JordanElement(C, diag=['-3', '-1', '1/3'], "
+    "off=(CDNumber(1, ['-1/4', '-1']), CDNumber(1, ['1/2', '-2/3']), "
+    "CDNumber(1, ['-3/4', '-2']))), minus=JordanElement(C, diag=['1/3', '-1/2', '-3'], "
+    "off=(CDNumber(1, ['-1', '1/3']), CDNumber(1, ['-1/4', '-1']), "
+    "CDNumber(1, ['1/2', '-2/3']))))",
+}
+PINNED_REPR_SHA256 = {
+    "sp3": "631b07150908138e92520542fd6fc55b9b9168556ab928612463e6c6511c7446",
+    "u33": "155b895571bcee413888e3a72bcf717f6014bf373786917b4e1897b1912f4610",
+    "so12": "eae8b1d1c6ae1eee579531406637e5bbeed91ee7cd8495325b78d9f05d84ddf9",
+    "e7": "73aa068700b5e1b6734d101efb227fe222f4c7e2c52640144122f6e19f1cfdce",
+}
+PINNED_JSON_SHA256 = {
+    "sp3": "d814f0011f0ef993408c34ecdc20c09e2d9d542960acd618bf2442faf2a4c3fd",
+    "u33": "f6f46807da86cffd89033fe4776f558c472094d32843e4dbac81c3e115fa6928",
+    "so12": "9d06b6bab47cdd4861a32069c193c6d10b4eb35f89ea2c74ad5345bffd8cc8f6",
+    "e7": "ac1a02dff62cadfc504bce8dc680242f3e7d9a610b70a2d7f7ff8f59ec3bdee9",
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_repr_and_json_are_pinned(case):
+    alg = tkk_algebra(case)
+    x = alg.from_coords([Fraction(k * k % 7 - 3, 1 + k % 4) for k in range(alg.dim)])
+    r, j = repr(x), json.dumps(x.to_json(), sort_keys=True)
+    if case in PINNED_REPR:
+        assert r == PINNED_REPR[case]
+    assert hashlib.sha256(r.encode()).hexdigest() == PINNED_REPR_SHA256[case]
+    assert hashlib.sha256(j.encode()).hexdigest() == PINNED_JSON_SHA256[case]
