@@ -182,7 +182,8 @@ class JordanElement(IntVector):
 
     def coords(self):
         """Flat coordinate tuple: 3 diagonal scalars then 3 * 2^level slots."""
-        return box(self.v, self.den, self.gaussian)
+        diag, off = self._views()
+        return diag + tuple(c for q in off for c in q.coeffs)
 
     @staticmethod
     def from_coords(algebra: str, coords, gaussian=False) -> "JordanElement":

@@ -40,10 +40,6 @@ def transpose(a):
     return tuple(zip(*a))
 
 
-def conj_transpose(a):
-    return tuple(tuple(x.conjugate() for x in col) for col in zip(*a))
-
-
 def add(a, b):
     return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
 

@@ -194,25 +194,36 @@ def b_form(case, u, v):
     return acc
 
 
-def symplectic_form(alpha: WMap, beta: WMap) -> Scalar:
-    """omega_W(alpha, beta) = sum_t Re B(alpha e_t, beta e_t).
+def symplectic_gram(maps, others=None):
+    """The matrix of omega_W(alpha, beta) = sum_t Re B(alpha e_t, beta e_t)
+    for alpha in ``maps`` and beta in ``others`` (default: ``maps``).
 
-    Since Re(conj(x) y) = sum_k x_k y_k, this is the coordinate pairing
+    Since Re(conj(x) y) = sum_k x_k y_k, each entry is the coordinate pairing
     sum_t sum_{r<3} <alpha_{r,t}, beta_{r+3,t}> - <alpha_{r+3,t}, beta_{r,t}>,
-    taken as one integer dot product.
+    one integer dot product; each map's integer coordinates are read once.
     """
-    if alpha.case != beta.case or alpha.s != beta.s:
+    others = maps if others is None else others
+    if len({(w.case, w.s) for w in (*maps, *others)}) > 1:
         raise ValueError("case or size mismatch")
 
     def coords(w):  # rows 0-2 first, so the halves are the xi and upsilon blocks
         entries = [x for row in w.matrix for x in row]
         den = lcm(*[x.den for x in entries])
-        return [c * (den // x.den) for x in entries for c in x.v], den
+        v = [c * (den // x.den) for x in entries for c in x.v]
+        return v[: len(v) // 2], v[len(v) // 2 :], den
 
-    (u, du), (v, dv) = coords(alpha), coords(beta)
-    h = len(u) // 2
-    dot = sum(map(operator.mul, u[:h], v[h:])) - sum(map(operator.mul, u[h:], v[:h]))
-    return Scalar(Fraction(dot, du * dv))
+    def omega(a, b, zero=Scalar.zero()):
+        (u1, u2, du), (v1, v2, dv) = a, b
+        x = sum(map(operator.mul, u1, v2)) - sum(map(operator.mul, u2, v1))
+        return Scalar(Fraction(x, du * dv)) if x else zero
+
+    right = [coords(w) for w in others]
+    return tuple(tuple(omega(a, b) for b in right) for a in map(coords, maps))
+
+
+def symplectic_form(alpha: WMap, beta: WMap) -> Scalar:
+    """omega_W(alpha, beta), the one-pair case of ``symplectic_gram``."""
+    return symplectic_gram((alpha,), (beta,))[0][0]
 
 
 def half_trace_pairing(a, b) -> Scalar:

@@ -1,9 +1,9 @@
 """Exact scalar arithmetic over Q and over the Gaussian rationals Q(i).
 
 Every ring element in this package ultimately reduces to a Scalar, so this
-module is the exactness substrate: no floats enter any computation, only the
-explicit float()/complex() views leave it.  A Scalar carries a ring tag; mixing
-the two rings raises, promotion is always explicit via to_gaussian().
+module is the exactness substrate: no float enters or leaves any computation.
+A Scalar carries a ring tag; mixing the two rings raises, promotion is always
+explicit via to_gaussian().
 """
 
 from __future__ import annotations
@@ -47,14 +47,6 @@ class Scalar:
         object.__setattr__(s, "im", im)
         object.__setattr__(s, "gaussian", gaussian)
         return s
-
-    @staticmethod
-    def rational(x) -> "Scalar":
-        return Scalar(Fraction(x))
-
-    @staticmethod
-    def gauss(re, im=0) -> "Scalar":
-        return Scalar(Fraction(re), Fraction(im), gaussian=True)
 
     @staticmethod
     def zero(gaussian=False) -> "Scalar":
@@ -174,14 +166,6 @@ class Scalar:
         if not self.gaussian:
             return str(self.re)
         return f"({self.re}{'+' if self.im >= 0 else ''}{self.im}i)"
-
-    def __float__(self):
-        if self.im:
-            raise ValueError("nonreal scalar has no float view")
-        return float(self.re)
-
-    def __complex__(self):
-        return complex(self.re) + 1j * complex(self.im)
 
     # -- square roots (used by the momentum-map lift machinery) ---------------
 

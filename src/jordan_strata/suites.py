@@ -64,6 +64,7 @@ from .reduction import (
     reduced_point,
     stratum,
     symplectic_form,
+    symplectic_gram,
     zero_level_point,
     zero_level_sample,
 )
@@ -640,10 +641,7 @@ def moment_suite(case=None, samples=25, seed=0):
                     rows = [[CDNumber.zero(level) for _ in range(s)] for _ in range(6)]
                     rows[r][t] = CDNumber.unit(level, k)
                     real_basis.append(WMap(cname, rows))
-        gram = tuple(
-            tuple(symplectic_form(a, b) for b in real_basis) for a in real_basis
-        )
-        rank = linalg.rank(gram)
+        rank = linalg.rank(symplectic_gram(real_basis))
         checks.append(
             _check("symplectic-nondegenerate", cname, width, 0 if rank == width else 1, str(rank))
         )

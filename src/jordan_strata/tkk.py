@@ -20,18 +20,21 @@ with the complexified Jordan algebra sends (x, L_w, x) to w/2 + i x, and
 ad(z) then corresponds to multiplication by i.
 
 An element is one integer vector over one denominator, the bilinear
-engine's operand format (``bilinear.IntVector``, which ``CDNumber`` and
-``JordanElement`` share and which owns +, -, scaling, equality and hashing),
-laid out as plus | str | minus: Jordan coordinates, coordinates in the
-selected basis B_k of str(J), Jordan coordinates.  The first n = dim J
+engine's operand format (``bilinear.IntVector``), laid out as plus | str |
+minus: Jordan coordinates, coordinates in the selected basis B_k of str(J),
+Jordan coordinates.  The first n = dim J
 operators B_k are L_{e_0}..L_{e_{n-1}}, so L_w has coordinates w in this
 "L block"; the rest (the "D block") are the independent commutators
 [L_{e_i}, L_{e_j}] in order.  An operator known to lie in str(J) has
 coordinates t[P] B[:, P]^-1, P the pivots of the basis echelon.
-The graded bracket is applied once, to basis pairs, giving the structure
-constants c_ij^k of [b_i, b_j] = sum_k c_ij^k b_k; ``bilinear.Bilinear``
-compiles them, and every bracket is one contraction of that tensor on the
-stored integers, normalized once.
+The structure constants of [b_i, b_j] = sum_k c_ij^k b_k are built once, in
+integers, from M[i][j], the coordinates of [L_{e_i}, L_{e_j}], and the
+operator entries: each [L_x, L_y] is a derivation D, and [D, L_x] = L_{Dx}
+(Jacobson, Structure and Representations of Jordan Algebras, 1968), so
+[L_{e_a}, D] = -L_{D e_a} and, for D = [L_{e_c}, L_{e_d}], [D', D] =
+sum_r D'_rc M[r][d] + D'_rd M[c][r].  ``bilinear.Bilinear`` holds the table,
+and every bracket is one contraction of it on the stored integers,
+normalized once.
 
 The invariant symmetric form is
 
@@ -48,7 +51,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
+from typing import NamedTuple
 
 from . import linalg
 from .bilinear import Bilinear, IntVector
@@ -78,17 +82,6 @@ def _commutator(a, b):
     return tuple(out)
 
 
-def _dense(n, terms):
-    """The Fraction matrix sum f * A over the (f, sparse operator A) in terms."""
-    acc = [[Fraction(0)] * n for _ in range(n)]
-    for f, op in terms:
-        if f:
-            for r, row in enumerate(op):
-                for c, v in row.items():
-                    acc[r][c] += f * v
-    return tuple(tuple(r) for r in acc)
-
-
 class JordanSpace:
     """Coordinate model of one real Jordan algebra: basis, the compiled
     product (``jordan.structure_tensor``), the diagonal trace-form Gram and
@@ -99,8 +92,8 @@ class JordanSpace:
         self.basis = JordanElement.space_basis(algebra)
         self.dim = len(self.basis)
         self.product = structure_tensor(algebra)
-        # the standard basis is trace-form orthogonal
-        self.gram = tuple(trace_form(b, b).re for b in self.basis)
+        # the standard basis is trace-form orthogonal, with norms 1 and 2
+        self.gram = tuple(int(trace_form(b, b).re) for b in self.basis)
         self.lops = []
         for row in self.product.rows:
             op = tuple({} for _ in range(self.dim))
@@ -115,21 +108,15 @@ def jordan_space(algebra: str) -> JordanSpace:
     return JordanSpace(algebra)
 
 
-class StrBasisOp:
+class StrBasisOp(NamedTuple):
     """A selected structure-algebra basis operator, rows / den with integer
-    sparse rows, and its provenance, which the invariant form's pairing
-    recipe consumes."""
+    sparse rows, and its provenance, which the Lie table and the invariant
+    form's pairing recipe consume."""
 
-    __slots__ = ("rows", "den", "kind", "data")
-
-    def __init__(self, rows, den, kind, data):
-        self.rows = rows
-        self.den = den
-        self.kind = kind  # "L" (data = basis index) or "D" (data = index pair)
-        self.data = data
-
-    def entry(self, r, c) -> Fraction:
-        return Fraction(self.rows[r].get(c, 0), self.den)
+    rows: tuple
+    den: int
+    kind: str  # "L" (data = basis index) or "D" (data = index pair)
+    data: object
 
 
 class TKKElement(IntVector):
@@ -178,9 +165,15 @@ class TKKElement(IntVector):
     def mid(self):
         """The operator matrix sum c_k B_k."""
         alg = tkk_algebra(self.case)
-        n, ops = alg.space.dim, alg.str_basis
-        terms = ((Fraction(c, self.den * op.den), op.rows) for c, op in zip(self.v[n:], ops))
-        return _dense(n, terms)
+        n = alg.space.dim
+        acc = [[Fraction(0)] * n for _ in range(n)]
+        for c, op in zip(self.v[n:], alg.str_basis):
+            if c:
+                f = Fraction(c, self.den * op.den)
+                for r, row in enumerate(op.rows):
+                    for k, x in row.items():
+                        acc[r][k] += f * x
+        return tuple(tuple(r) for r in acc)
 
     @property
     def minus(self) -> JordanElement:
@@ -217,13 +210,14 @@ class TKKAlgebra:
         self.case = case
         self.algebra = CASE_TO_ALGEBRA[case]
         self.space = jordan_space(self.algebra)
-        self._build_str_basis()
-        self.lie = Bilinear(self._structure_constants())
+        self._build_lie(self._build_str_basis())
         self._build_gram()
 
     # -- structure algebra ------------------------------------------------------
 
     def _build_str_basis(self):
+        """Select the str basis B; return M, the str coordinates of every
+        [L_{e_i}, L_{e_j}] as sparse integer rows over den^2 ``_inv_den``."""
         sp = self.space
         n, den = sp.dim, sp.product.den
         ech = linalg._Echelon()
@@ -236,9 +230,11 @@ class TKKAlgebra:
         for i, op in enumerate(sp.lops):
             ech.insert(flat(op))
             ops.append(StrBasisOp(op, den, "L", i))
+        comms = []
         for i in range(n):
             for j in range(i + 1, n):
                 op = _commutator(sp.lops[i], sp.lops[j])
+                comms.append((i, j, op))
                 if any(op) and ech.insert(flat(op)):
                     ops.append(StrBasisOp(op, den * den, "D", (i, j)))
         self.str_basis = ops
@@ -248,11 +244,18 @@ class TKKAlgebra:
         # B is independent, so B restricted to the pivot columns P is
         # invertible; keep B[:, P]^-1 as integer rows over one denominator
         self._pivots = [divmod(p, n) for p in ech.pivots]
-        b_p = [[op.entry(r, c) for r, c in self._pivots] for op in ops]
-        inv, self._inv_den = linalg._int_row(
-            [x for row in linalg._inverse_columns(b_p) for x in row]
-        )
-        self._inv_rows = [inv[k * s : (k + 1) * s] for k in range(s)]
+        b_p = [[op.rows[r].get(c, 0) * (den * den // op.den) for r, c in self._pivots]
+               for op in ops]
+        inv, d = linalg._int_row([x for row in linalg._inverse_columns(b_p) for x in row])
+        g = gcd(d, den * den)  # b_p is den^2 B[:, P]
+        self._inv_den, f = d // g, den * den // g
+        self._inv_rows = [[x * f for x in inv[k * s : (k + 1) * s]] for k in range(s)]
+        m = [[()] * n for _ in range(n)]
+        for i, j, op in comms:
+            acc = self._pivot_coords([op[r].get(c, 0) for r, c in self._pivots], 1)[0]
+            m[i][j] = [(k, v) for k, v in enumerate(acc) if v]
+            m[j][i] = [(k, -v) for k, v in m[i][j]]
+        return m
 
     def _pivot_coords(self, tp, den):
         """(v, d) with v / d the str coordinates t[P] B[:, P]^-1 of the member
@@ -282,45 +285,56 @@ class TKKAlgebra:
         acc, d = self._str_ints(t)
         return tuple(Fraction(v, d) for v in acc)
 
-    def _structure_constants(self):
-        """The table [b_i, b_j] = sum c b_k as lists of (k, c), from the
-        graded bracket on basis pairs."""
+    def _build_lie(self, m):
+        """Compile the Lie structure constants from M (``_build_str_basis``)
+        and the operator entries by the rules in the module docstring, as
+        integer rows over one denominator in lowest terms."""
         sp, ops = self.space, self.str_basis
-        n, s, g = sp.dim, self.str_dim, sp.gram
-        table = [[()] * self.dim for _ in range(self.dim)]
-
-        def put(i, j, vec):
-            table[i][j] = [(k, c) for k, c in vec if c]
-            table[j][i] = [(k, -c) for k, c in table[i][j]]
-
-        def commutator(a, b, den):
-            """[A, B] / den, a member of str(J), as str-block coordinates."""
-            comm = _commutator(a, b)
-            acc, d = self._pivot_coords([comm[r].get(c, 0) for r, c in self._pivots], den)
-            return [(n + k, Fraction(v, d)) for k, v in enumerate(acc) if v]
-
+        n, s, p2, g = sp.dim, self.str_dim, sp.product.den ** 2, sp.gram
+        gl, dm = lcm(*g), p2 * self._inv_den
+        den, fm = dm * p2 * gl, p2 * gl  # M is over dm, D ops over p2, g ratios over gl
+        cells = []  # (i, j, den [b_i, b_j]); [b_j, b_i] is its negative
         for a, op in enumerate(ops):
-            rows, den = op.rows, op.den
+            rows, f = op.rows, den // op.den
             for j in range(n):
                 # [B, e_j+] = (B e_j)+ and [B, e_j-] = -(B^ e_j)-, B^ = G^-1 B^t G
-                put(n + a, j, ((r, Fraction(x[j], den)) for r, x in enumerate(rows) if j in x))
-                put(n + a, n + s + j,
-                    ((n + s + i, -v * g[j] / (g[i] * den)) for i, v in sorted(rows[j].items())))
+                cells.append((n + a, j, [(r, x[j] * f) for r, x in enumerate(rows) if j in x]))
+                fj = -f // gl * g[j]
+                cells.append((n + a, n + s + j,
+                    [(n + s + i, v * fj * (gl // g[i])) for i, v in sorted(rows[j].items())]))
             for b in range(a + 1, s):
-                put(n + a, n + b, commutator(rows, ops[b].rows, den * ops[b].den))
-        pden = sp.product.den
+                if b < n:  # [L_a, L_b] = M[a][b]
+                    cell = [(n + k, v * fm) for k, v in m[a][b]]
+                elif a < n:  # [L_a, D] = -L_{D e_a}
+                    fb = den // ops[b].den
+                    cell = [(n + k, -x[a] * fb) for k, x in enumerate(ops[b].rows) if a in x]
+                else:  # [D, [L_c, L_d]] = sum_r D_rc M[r][d] + D_rd M[c][r]
+                    c, d = ops[b].data
+                    acc = {}
+                    for r, x in enumerate(rows):
+                        for y, mv in ((x.get(c), m[r][d]), (x.get(d), m[c][r])):
+                            for k, v in mv if y else ():
+                                acc[k] = acc.get(k, 0) + y * v
+                    cell = [(n + k, acc[k] * gl) for k in sorted(acc) if acc[k]]
+                cells.append((n + a, n + b, cell))
+        pf = den // sp.product.den
         for i in range(n):
             for j in range(n):
-                # [e_i+, e_j-] = 2 (L_{e_i o e_j} + [L_{e_i}, L_{e_j}])
-                vec = dict(commutator(sp.lops[i], sp.lops[j], pden * pden))
-                for k, c in sp.product.rows[i][j]:
-                    vec[n + k] = vec.get(n + k, 0) + Fraction(c, pden)
-                put(i, n + s + j, ((k, 2 * c) for k, c in vec.items()))
-        return table
+                # [e_i+, e_j-] = 2 (L_{e_i o e_j} + [L_{e_i}, L_{e_j}]); M has no
+                # L block, as a derivation D kills 1 and L_x 1 = x
+                vec = [(n + k, 2 * v * fm) for k, v in m[i][j]]
+                vec += [(n + k, 2 * c * pf) for k, c in sp.product.rows[i][j]]
+                cells.append((i, n + s + j, vec))
+        h = gcd(den, *[c for _, _, cell in cells for _, c in cell])
+        table = [[()] * self.dim for _ in range(self.dim)]
+        for i, j, cell in cells:
+            table[i][j] = tuple((k, c // h) for k, c in cell)
+            table[j][i] = tuple((k, -c // h) for k, c in cell)
+        self.lie = Bilinear(table, den // h)
 
     def _build_gram(self):
         """Sparse Gram of the invariant form on the standard basis, as
-        integer rows over one denominator.
+        integer rows over one denominator in lowest terms.
 
         Only the plus/minus cross block and the str/str block are nonzero.
         The str pairings follow the provenance recipe (the trace-form Gram is
@@ -329,25 +343,24 @@ class TKKAlgebra:
             tau(T, [L_{e_i},L_{e_j}]) = (<T e_i, e_j> - <T e_j, e_i>)/4
         """
         sp = self.space
-        n, s = sp.dim, self.str_dim
-        g = sp.gram
-        entries = []
+        n, s, p2, g = sp.dim, self.str_dim, sp.product.den ** 2, sp.gram
+        rows = [[] for _ in range(self.dim)]
         for i in range(n):
-            entries += [(i, n + s + i, g[i]), (n + s + i, i, g[i])]
+            rows[i].append((n + s + i, 4 * p2 * g[i]))
+            rows[n + s + i].append((i, 4 * p2 * g[i]))
         for a, t in enumerate(self.str_basis):
+            f = p2 // t.den
             for b, op in enumerate(self.str_basis):
                 if op.kind == "L":  # 1 = e_0 + e_1 + e_2, each of norm 1
-                    val = sum(t.entry(r, op.data) for r in range(3)) / 2
+                    val = 2 * f * sum(t.rows[r].get(op.data, 0) for r in range(3))
                 else:
                     i, j = op.data
-                    val = (g[j] * t.entry(j, i) - g[i] * t.entry(i, j)) / 4
+                    val = f * (g[j] * t.rows[j].get(i, 0) - g[i] * t.rows[i].get(j, 0))
                 if val:
-                    entries.append((n + a, n + b, val))
-        ints, self.gram_den = linalg._int_row([v for _, _, v in entries])
-        rows = [[] for _ in range(self.dim)]
-        for (i, j, _), v in zip(entries, ints):
-            rows[i].append((j, v))
-        self.gram_rows = tuple(tuple(r) for r in rows)
+                    rows[n + a].append((n + b, val))
+        h = gcd(4 * p2, *[v for row in rows for _, v in row])
+        self.gram_den = 4 * p2 // h
+        self.gram_rows = tuple(tuple((j, v // h) for j, v in row) for row in rows)
 
     # -- elements ---------------------------------------------------------------
 
@@ -401,10 +414,6 @@ class TKKAlgebra:
         n, s = self.space.dim, self.str_dim
         out = [self._vec((i, 1), (n + s + i, 1)) for i in range(n)]
         return out + [self._vec((n + k, 1)) for k in range(n)]
-
-    def cartan_split(self):
-        """(basis of k, basis of p) for the involution (x,T,y) -> (-y,-T^,-x)."""
-        return self.k_basis(), self.p_basis()
 
     def h_element(self) -> TKKElement:
         """The central element of k acting on p as a complex structure.

@@ -5,7 +5,7 @@ import pytest
 
 from jordan_strata import cdmatrix as cdm
 from jordan_strata.cayley_dickson import CDNumber, cd_mul, cd_mul_doubling
-from jordan_strata.reduction import CASE_LEVEL, WMap, symplectic_form
+from jordan_strata.reduction import CASE_LEVEL, WMap, symplectic_form, symplectic_gram
 from jordan_strata.scalars import RingMismatch, Scalar
 
 # (level, gaussian): levels 0-2 over Q and level 0 over Q(i)
@@ -115,6 +115,31 @@ def test_symplectic_form_matches_matrix_route(case):
                 assert not omega.gaussian
     with pytest.raises(ValueError, match="case or size mismatch"):
         symplectic_form(WMap.zero(case, 2), WMap.zero(case, 3))
+
+
+@pytest.mark.parametrize("case", sorted(CASE_LEVEL))
+def test_symplectic_gram_matches_symplectic_form(case):
+    rng = random.Random(300 + CASE_LEVEL[case])
+    level = CASE_LEVEL[case]
+    for tall in (False, True):
+        for sparse in (False, True):
+            maps, others = (
+                [WMap(case, rand_matrix(rng, 6, 2, level, False, tall, sparse)) for _ in range(k)]
+                for k in (4, 3)
+            )
+            gram = symplectic_gram(maps, others)
+            assert len(gram) == 4 and all(len(row) == 3 for row in gram)
+            for a, row in zip(maps, gram):
+                for b, omega in zip(others, row):
+                    assert omega == symplectic_form(a, b) == reference_omega(a, b)
+                    assert not omega.gaussian
+            square = symplectic_gram(maps)
+            assert square == tuple(tuple(symplectic_form(a, b) for b in maps) for a in maps)
+            assert all(square[i][i].is_zero() for i in range(4))
+    with pytest.raises(ValueError, match="case or size mismatch"):
+        symplectic_gram([WMap.zero(case, 2)], [WMap.zero(case, 2), WMap.zero(case, 3)])
+    with pytest.raises(ValueError, match="case or size mismatch"):
+        symplectic_gram([WMap.zero(case, 2), WMap.zero("real" if level else "complex", 2)])
 
 
 def same(x, y):

@@ -5,6 +5,7 @@ from math import gcd
 import pytest
 
 from jordan_strata import jordan, linalg
+from jordan_strata.bilinear import box
 from jordan_strata.cayley_dickson import CDNumber, cd_mul_doubling
 from jordan_strata.jordan import (
     ALGEBRAS,
@@ -378,6 +379,26 @@ def assert_same(x, y):
     assert (x.algebra, x.gaussian, x.v, x.den) == (y.algebra, y.gaussian, y.v, y.den)
     assert type(x.v) is tuple and x.den > 0
     assert gcd(x.den, *x.v) == 1
+
+
+@pytest.mark.parametrize("algebra", ALGEBRAS)
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_coords_read_the_kept_view(algebra, gaussian):
+    # coords() hands back the Scalars of the diag/off view (kept from the
+    # constructor, or boxed once from an engine result), not a fresh boxing
+    rng = random.Random(700 + 2 * ALGEBRAS.index(algebra) + gaussian)
+    dim = JordanElement.space_dim(algebra)
+    big = lambda: Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**40))
+    tall = JordanElement.from_coords(
+        algebra, [Scalar(big(), big() if gaussian else 0, gaussian) for _ in range(dim)], gaussian
+    )
+    x, y = random_element(algebra, rng, gaussian), random_element(algebra, rng, gaussian)
+    for z in (x, tall, jordan_mul(x, y), jordan_mul(tall, x), x + tall,
+              JordanElement(algebra, tall.diag, tall.off)):
+        c = z.coords()
+        assert c == box(z.v, z.den, z.gaussian)
+        assert len(c) == dim and all(type(s) is Scalar and s.gaussian == gaussian for s in c)
+        assert all(a is b for a, b in zip(z.coords(), c))
 
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)

@@ -7,6 +7,7 @@ from math import gcd
 import pytest
 
 from jordan_strata import linalg
+from jordan_strata.bilinear import Bilinear
 from jordan_strata.jordan import JordanElement, jordan_mul, trace_form
 from jordan_strata.scalars import Scalar
 from jordan_strata.strata import random_element
@@ -67,11 +68,16 @@ def box(alg, x, y):
     return mat_comb((1, left_mul(alg, jordan_mul(x, y))), (1, commutator(lx, ly)))
 
 
+def cartan_split(alg):
+    """(basis of k, basis of p) for the involution (x,T,y) -> (-y,-T^,-x)."""
+    return alg.k_basis(), alg.p_basis()
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_dimension_audit(case):
     alg = tkk_algebra(case)
     assert (alg.str_dim, alg.dim) == DIMS[case]
-    kb, pb = alg.cartan_split()
+    kb, pb = cartan_split(alg)
     assert len(kb) + len(pb) == alg.dim
 
 
@@ -127,6 +133,69 @@ def test_bracket_matches_the_graded_formulas(case):
         a, b = (alg.from_coords([coord() for _ in range(alg.dim)]) for _ in range(2))
         c = alg.bracket(a, b)
         assert (c.plus, c.mid, c.minus) == graded_bracket(alg, a, b)
+
+
+def sparse_commutator(a, b):
+    """AB - BA for two operators given as rows of {column: entry} dicts."""
+    out = []
+    for ra, rb in zip(a, b):
+        acc = {}
+        for m, x in ra.items():
+            for c, y in b[m].items():
+                acc[c] = acc.get(c, 0) + x * y
+        for m, x in rb.items():
+            for c, y in a[m].items():
+                acc[c] = acc.get(c, 0) - x * y
+        out.append({c: v for c, v in acc.items() if v})
+    return out
+
+
+def graded_recipe(alg):
+    """The Lie table by the graded bracket on basis pairs, every str/str cell
+    an operator commutator solved in the str basis, over Fractions and then
+    compiled: the build the derivation-rule tables must reproduce."""
+    sp, ops = alg.space, alg.str_basis
+    n, s, g = sp.dim, alg.str_dim, sp.gram
+    table = [[()] * alg.dim for _ in range(alg.dim)]
+
+    def put(i, j, vec):
+        table[i][j] = [(k, c) for k, c in vec if c]
+        table[j][i] = [(k, -c) for k, c in table[i][j]]
+
+    def commutator(a, b, den):
+        """[A, B] / den, a member of str(J), as str-block coordinates."""
+        comm = sparse_commutator(a, b)
+        acc, d = alg._pivot_coords([comm[r].get(c, 0) for r, c in alg._pivots], den)
+        return [(n + k, Fraction(v, d)) for k, v in enumerate(acc) if v]
+
+    for a, op in enumerate(ops):
+        rows, den = op.rows, op.den
+        for j in range(n):
+            # [B, e_j+] = (B e_j)+ and [B, e_j-] = -(B^ e_j)-, B^ = G^-1 B^t G
+            put(n + a, j, ((r, Fraction(x[j], den)) for r, x in enumerate(rows) if j in x))
+            put(n + a, n + s + j,
+                ((n + s + i, Fraction(-v * g[j], g[i] * den)) for i, v in sorted(rows[j].items())))
+        for b in range(a + 1, s):
+            put(n + a, n + b, commutator(rows, ops[b].rows, den * ops[b].den))
+    pden = sp.product.den
+    for i in range(n):
+        for j in range(n):
+            # [e_i+, e_j-] = 2 (L_{e_i o e_j} + [L_{e_i}, L_{e_j}])
+            vec = dict(commutator(sp.lops[i], sp.lops[j], pden * pden))
+            for k, c in sp.product.rows[i][j]:
+                vec[n + k] = vec.get(n + k, 0) + Fraction(c, pden)
+            put(i, n + s + j, ((k, 2 * c) for k, c in vec.items()))
+    return Bilinear(table)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_lie_rows_match_the_graded_recipe(case):
+    alg = tkk_algebra(case)
+    ref = graded_recipe(alg)
+    assert alg.lie.den == ref.den
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            assert dict(alg.lie.rows[i][j]) == dict(ref.rows[i][j]), (i, j)
 
 
 @pytest.mark.parametrize("case", CASES)
