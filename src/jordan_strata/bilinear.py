@@ -190,7 +190,7 @@ class IntVector:
         return self._combine(other, -1)
 
     def __neg__(self):
-        return self._like([-a for a in self.v], self.den)
+        return self._canonical(self.tag, self.gaussian, [-a for a in self.v], self.den)  # still lowest terms
 
     def scale(self, s):
         """s times self, for a Scalar (or a rational) s of the same base ring."""

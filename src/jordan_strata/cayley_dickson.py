@@ -130,7 +130,7 @@ class CDNumber(IntVector):
         out[0] = v[0]
         if self.gaussian:
             out[w] = v[w]
-        return self._like(out, self.den)
+        return self._canonical(self.tag, self.gaussian, out, self.den)  # still lowest terms
 
     def real(self) -> Scalar:
         return self.coeffs[0]

@@ -24,7 +24,6 @@ from .reduction import (
     classify_config,
     encode_oscillator,
     reduced_point,
-    stratum,
 )
 from . import cdmatrix as cdm
 from .scalars import Scalar
@@ -219,7 +218,7 @@ def cmd_reduce(args):
         alpha = encode_oscillator(config)
         z = reduced_point(alpha)
         record["reduced_point"] = z.to_json()
-        record["stratum"] = stratum(alpha)
+        record["stratum"] = jordan_rank(z)
     else:
         record["obstruction"] = "nonzero angular momentum"
     return _report(["reduce", args.input], args.seed, [record])

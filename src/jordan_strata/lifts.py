@@ -30,8 +30,8 @@ from .reduction import (
     CASE_ALGEBRA,
     LiftError,
     WMap,
-    mu_h,
     reduced_point,
+    zero_level_point,
     zero_level_sample,
 )
 from .scalars import Scalar, SearchExhausted, four_squares, two_squares
@@ -71,9 +71,10 @@ def hilbert_lift(z: JordanElement, s: int) -> WMap:
             alpha = _lift_quaternionic(z, s, rank)
     except SearchExhausted as exc:
         raise LiftError(f"square-sum search cut: {exc}", "search-cut") from exc
-    if not cdm.is_zero(mu_h(alpha)):
+    back = zero_level_point(alpha)
+    if back is None:
         raise LiftError("constructed map missed the zero level", "missed-zero-level")
-    if reduced_point(alpha) != z:
+    if back != z:
         raise LiftError("round trip failed on the constructed map", "round-trip-failed")
     return alpha
 

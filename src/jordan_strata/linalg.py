@@ -26,11 +26,6 @@ def mat(rows):
     return tuple(tuple(r) for r in rows)
 
 
-def zeros(m, n, gaussian=False):
-    z = Scalar.zero(gaussian)
-    return tuple((z,) * n for _ in range(m))
-
-
 def identity(n, gaussian=False):
     z, o = Scalar.zero(gaussian), Scalar.one(gaussian)
     return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))

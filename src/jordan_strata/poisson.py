@@ -92,15 +92,6 @@ class PolyFn:
         den, d = _scaled_partials(self)
         return PolyFn(self.case, self.dim, {k: Fraction(v, den) for k, v in d.get(i, {}).items()})
 
-    def evaluate(self, coords):
-        acc = Fraction(0)
-        for key, c in self.terms.items():
-            term = c
-            for var in key:
-                term *= coords[var]
-            acc += term
-        return acc
-
     def is_zero(self):
         return not self.terms
 

@@ -24,6 +24,19 @@ i is untouched), and mu_H = 0 becomes the Gram balance/reality conditions of
 the factorization.  hilbert_lift inverts this factorization over Q(i); exact
 rational lifts only exist on square-class-compatible loci, so the lift
 reports failure outside them and the samplers below generate inside them.
+
+Both maps are sums over the columns u_t = alpha e_t of K^6, which is how
+``zero_level_point`` computes them.  With
+B(u, v) = sum_{r<3} conj(u_r) v_{r+3} - conj(u_{r+3}) v_r,
+
+    mu_H(alpha)[t][t'] = B(u_t, u_t'),     Z = w + i x_p = sum_t q(u_t),
+
+where 2 w_ij(u) = u_i conj(u_{j+3}) + u_{i+3} conj(u_j) and
+2 x_ij(u) = u_{i+3} conj(u_{j+3}) - u_i conj(u_j).  B is skew-hermitian, so
+the zero test reads t <= t' only.  b and q are compiled once per case from
+the unit table (``column_tables``) and contracted on each column's integers;
+``mu_h`` and the p-blocks of ``mu_g`` are the matrix route, which the tests
+keep as the oracle.
 """
 
 from __future__ import annotations
@@ -35,7 +48,8 @@ from math import lcm
 
 from . import cdmatrix as cdm
 from . import linalg
-from .cayley_dickson import CDNumber
+from .bilinear import Bilinear
+from .cayley_dickson import CDNumber, unit_product
 from .jordan import JordanElement, jordan_rank
 from .scalars import Scalar
 from .strata import draws, rand_cd
@@ -262,19 +276,6 @@ def moment_identity_residual_g(alpha: WMap, eta, delta: WMap) -> Scalar:
     return lhs - rhs
 
 
-def moment_identity_check(alpha: WMap, generator, delta: WMap, side="h") -> Scalar:
-    """Residual of the hamiltonian identity for either momentum map.
-
-    Exactly zero for every generator and direction: the maps are quadratic,
-    so the derivative below is an exact bilinear expression.
-    """
-    if side == "h":
-        return moment_identity_residual_h(alpha, generator, delta)
-    if side == "g":
-        return moment_identity_residual_g(alpha, generator, delta)
-    raise ValueError("side must be 'h' or 'g'")
-
-
 def in_lie_h(case, xi) -> bool:
     """Anti-hermitian for the standard positive form on K^s."""
     return cdm.is_zero(cdm.add(xi, cdm.conj_transpose(xi)))
@@ -378,29 +379,74 @@ def act_g(alpha: WMap, y) -> WMap:
 # -- reduction to the complexified Jordan algebra -------------------------------
 
 
-def p_projection_blocks(alpha: WMap):
-    """(w, x_p): hermitian 3x3 K-matrices of the p-part of mu_G(alpha).
+@lru_cache(maxsize=None)
+def column_tables(case):
+    """(b, q): the two quadratic maps of ``zero_level_point`` compiled on the
+    6d integer coordinates of one column u of a map (row by row, unit by unit).
 
-    With dagger(alpha) = [L | R], mu_G = [[xi L, xi R], [upsilon L, upsilon R]]:
-    w is the hermitian part of xi L and x_p half of xi R + upsilon L, taken
-    as one product [xi | upsilon][R; L]; upsilon R is never formed."""
-    xi, up = alpha.blocks()
-    left, right = cdm.conj_transpose(up), cdm.neg(cdm.conj_transpose(xi))
-    a = cdm.mul(xi, left)
-    x_plus_y = cdm.mul(tuple(r + q for r, q in zip(xi, up)), right + left)
-    half = Scalar(Fraction(1, 2))
-    return cdm.scale(cdm.add(a, cdm.conj_transpose(a)), half), cdm.scale(x_plus_y, half)
+    b(u, v) is B(u, v) on the d units of K.  q(u, u) is 2(3 + 3d) coordinates
+    in ``JordanElement`` order, w(u) then x_p(u), with entries
+    2 w_ij = u_i conj(u_{j+3}) + u_{i+3} conj(u_j) and
+    2 x_ij = u_{i+3} conj(u_{j+3}) - u_i conj(u_j) (real parts on the
+    diagonal).  Both are read off ``unit_product`` and the conjugation signs.
+    """
+    level = CASE_LEVEL[case]
+    d, n = 1 << level, JordanElement.space_dim(CASE_ALGEBRA[case])
+    # every (row, column) cell below is written once: the pair of rows of u
+    # fixes the term, and the pair of units fixes k
+    b_rows = [[()] * (6 * d) for _ in range(6 * d)]
+    q_rows = [[()] * (6 * d) for _ in range(6 * d)]
+    for a in range(d):
+        for c in range(d):
+            k, sign = unit_product(level, a, c)
+            left = sign if a == 0 else -sign  # conj(e_a) e_c
+            right = sign if c == 0 else -sign  # e_a conj(e_c)
+            for r in range(3):
+                b_rows[r * d + a][(r + 3) * d + c] = ((k, left),)
+                b_rows[(r + 3) * d + a][r * d + c] = ((k, -left),)
+            for i in range(3):
+                for j in range(i, 3):
+                    if i == j and k:
+                        continue
+                    at = i if i == j else 3 + (3 - i - j) * d + k  # off-diagonal (x, y, z)
+                    # (p, t, sign, offset): u_p conj(u_t) enters w (offset 0) or x_p (offset n)
+                    terms = ((i, j + 3, 1, 0), (i + 3, j, 1, 0), (i + 3, j + 3, 1, n), (i, j, -1, n))
+                    for p, t, s, im in terms:
+                        q_rows[p * d + a][t * d + c] = ((at + im, s * right),)
+    return Bilinear(b_rows, 1), Bilinear(q_rows, 2)
+
+
+def _zero_level_columns(alpha: WMap):
+    """The nonzero columns u_t = alpha e_t as (integers, den), each over the
+    lcm of its own entries' denominators, or None at the first t' <= t with
+    mu_H(alpha)[t'][t] = B(u_t', u_t) != 0 (mu_H is skew-hermitian)."""
+    b = column_tables(alpha.case)[0]
+    d = 1 << CASE_LEVEL[alpha.case]
+    cols = []
+    for col in zip(*alpha.matrix):
+        den = lcm(*[x.den for x in col])
+        u = [c * (den // x.den) for x in col for c in x.v]
+        if not any(u):
+            continue
+        cols.append((u, den))
+        if any(any(b.contract(w, u, acc=[0] * d)) for w, _ in cols):
+            return None
+    return cols
 
 
 def zero_level_point(alpha: WMap):
-    """``reduced_point(alpha)``, or None when mu_H(alpha) != 0: one mu_H product."""
-    if not cdm.is_zero(mu_h(alpha)):
+    """``reduced_point(alpha)``, or None when mu_H(alpha) != 0: Z is the sum of
+    q(u_t) over the columns, taken over one common denominator."""
+    cols = _zero_level_columns(alpha)
+    if cols is None:
         return None
-    w, xp = p_projection_blocks(alpha)
-    algebra = CASE_ALGEBRA[alpha.case]
-    w_elt = JordanElement.from_matrix(algebra, w)
-    xp_elt = JordanElement.from_matrix(algebra, xp)
-    return JordanElement.combine_real_imag(w_elt, xp_elt)
+    q, algebra = column_tables(alpha.case)[1], CASE_ALGEBRA[alpha.case]
+    den = lcm(*[dt * dt for _, dt in cols])
+    acc = [0] * (2 * JordanElement.space_dim(algebra))
+    for u, dt in cols:
+        f = den // (dt * dt)
+        q.contract([c * f for c in u] if f != 1 else u, u, acc=acc)
+    return JordanElement._of(algebra, True, acc, den * q.den)
 
 
 def reduced_point(alpha: WMap) -> JordanElement:
@@ -453,7 +499,7 @@ def zero_level_sample(case, s, target_rank, rng, enrich=True) -> WMap:
         xi = tuple(r1 + r2 for r1, r2 in zip(xi1, pad))
         up = tuple(r1 + r2 for r1, r2 in zip(up1, pad))
         alpha = WMap(case, xi + up)
-        if not cdm.is_zero(mu_h(alpha)):
+        if _zero_level_columns(alpha) is None:
             raise AssertionError("sampler violated the zero level")
         if enrich:
             alpha = act_g(alpha, g_group_generators(case, rng, count=1)[0])

@@ -322,29 +322,6 @@ def closure_chain_audit(rng, samples=20):
     return report
 
 
-def rank1_factor_symmetric(x: JordanElement):
-    """Recover v with x = v v^T for a rank-one complexified symmetric element.
-
-    Returns None when the element is not in the image of the Veronese map
-    over Q(i) (the pivot must be a Gaussian square).
-    """
-    if x.algebra != "R":
-        raise ValueError("factorization oracle is for the symmetric model")
-    m = to_symmetric_matrix(x.complexify() if not x.gaussian else x)
-    for i in range(3):
-        if not m[i][i].is_zero():
-            root = m[i][i].sqrt()
-            if root is None:
-                return None
-            inv = root.inverse()
-            v = tuple(m[i][j] * inv for j in range(3))
-            ok = all(
-                m[r][c] == v[r] * v[c] for r in range(3) for c in range(3)
-            )
-            return v if ok else None
-    return None
-
-
 def rank1_projective_factor(x: JordanElement):
     """Witness that [x] lies on the closed orbit, as embedding input vectors.
 

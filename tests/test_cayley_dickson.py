@@ -191,6 +191,10 @@ def test_storage_is_canonical_whatever_the_route(level, gaussian):
             assert_same(x.scale(Scalar(0, 0, gaussian)), zero)
             conj = [x.coeffs[0]] + [-c for c in x.coeffs[1:]]
             assert_same(x.conjugate(), CDNumber(level, conj))
+            w = 1 << level
+            flip = [c if k % w == 0 else -c for k, c in enumerate(x.v)]
+            assert_same(x.conjugate(), CDNumber._of(level, gaussian, flip, x.den))
+            assert_same(-x, CDNumber._of(level, gaussian, [-c for c in x.v], x.den))
             assert x.is_real() == all(c.is_zero() for c in x.coeffs[1:])
             if not gaussian:
                 assert_same(x.complexify(), CDNumber(level, [c.to_gaussian() for c in x.coeffs]))

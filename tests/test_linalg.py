@@ -30,7 +30,7 @@ def rand_matrix(rng, m, n, gaussian, tall, rank=None):
         return tuple(tuple(rand_scalar(rng, gaussian, tall) for _ in range(n)) for _ in range(m))
     u = rand_matrix(rng, m, rank, gaussian, tall)
     v = rand_matrix(rng, rank, n, gaussian, tall)
-    return linalg.mul(u, v) if rank else linalg.zeros(m, n, gaussian)
+    return linalg.mul(u, v) if rank else ((Scalar.zero(gaussian),) * n,) * m
 
 
 def mat_vec(a, v):

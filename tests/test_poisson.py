@@ -22,6 +22,16 @@ from jordan_strata.tkk import tkk_algebra
 TKK_OF = {"real": "sp3", "complex": "u33", "quaternionic": "so12"}
 
 
+def evaluate(f: PolyFn, coords):
+    """f at the rational point ``coords``, summed monomial by monomial."""
+    acc = Fraction(0)
+    for key, c in f.terms.items():
+        for var in key:
+            c *= coords[var]
+        acc += c
+    return acc
+
+
 def test_polynomials():
     f = PolyFn.coordinate("sp3", 21, 0)
     g = PolyFn.coordinate("sp3", 21, 1)
@@ -31,7 +41,7 @@ def test_polynomials():
     assert h.partial(2).is_zero()
     coords = [Fraction(0)] * 21
     coords[0], coords[1] = Fraction(3), Fraction(2)
-    assert h.evaluate(coords) == 5
+    assert evaluate(h, coords) == 5
     # a monomial is the sorted tuple of its variables: x_0^3 x_1 is (0, 0, 0, 1)
     m = f * f * f * g
     assert m.terms == {(0, 0, 0, 1): 1}
@@ -46,7 +56,7 @@ def test_polynomials():
         + g.scale(Fraction(5, 7))
     )
     coords[2] = Fraction(-1, 2)
-    assert cubic.evaluate(coords) == Fraction(883, 84)
+    assert evaluate(cubic, coords) == Fraction(883, 84)
 
 
 def test_linear_functions_bracket_to_lie_bracket():
@@ -72,7 +82,7 @@ def test_bracket_is_a_biderivation_at_points():
         lhs = cp.bracket(h, g)
         rhs = f * cp.bracket(g, g) + g * cp.bracket(f, g)
         coords = [Fraction(rng.randint(-2, 2)) for _ in range(dim)]
-        assert lhs.evaluate(coords) == rhs.evaluate(coords)
+        assert evaluate(lhs, coords) == evaluate(rhs, coords)
 
 
 def test_casimir_commutes():

@@ -14,6 +14,7 @@ from jordan_strata.cayley_dickson import CDNumber, cd_mul
 from jordan_strata.jordan import JordanElement, jordan_rank
 from jordan_strata.lifts import LiftError, hilbert_lift, liftable_sample
 from jordan_strata.reduction import (
+    CASE_ALGEBRA,
     CASE_LEVEL,
     OscillatorConfig,
     WMap,
@@ -36,7 +37,6 @@ from jordan_strata.reduction import (
     mu_g,
     mu_h,
     oscillator_sample,
-    p_projection_blocks,
     reduced_point,
     stratum,
     symplectic_form,
@@ -50,6 +50,48 @@ from jordan_strata.strata import rank_k_sample
 from jordan_strata.suites import run_suite
 
 CASES = ("real", "complex", "quaternionic")
+
+
+# -- the matrix route, the oracle for zero_level_point ---------------------------
+
+
+def p_projection_blocks(alpha: WMap):
+    """(w, x_p): hermitian 3x3 K-matrices of the p-part of mu_G(alpha).
+
+    With dagger(alpha) = [L | R], mu_G = [[xi L, xi R], [upsilon L, upsilon R]]:
+    w is the hermitian part of xi L and x_p half of xi R + upsilon L, taken
+    as one product [xi | upsilon][R; L]; upsilon R is never formed."""
+    xi, up = alpha.blocks()
+    left, right = cdm.conj_transpose(up), cdm.neg(cdm.conj_transpose(xi))
+    a = cdm.mul(xi, left)
+    x_plus_y = cdm.mul(tuple(r + q for r, q in zip(xi, up)), right + left)
+    half = Scalar(Fraction(1, 2))
+    return cdm.scale(cdm.add(a, cdm.conj_transpose(a)), half), cdm.scale(x_plus_y, half)
+
+
+def matrix_route_point(alpha: WMap):
+    """The reduced point through mu_H, the p-blocks of mu_G and ``from_matrix``,
+    or None off the zero level."""
+    if not cdm.is_zero(mu_h(alpha)):
+        return None
+    w, xp = p_projection_blocks(alpha)
+    algebra = CASE_ALGEBRA[alpha.case]
+    return JordanElement.combine_real_imag(
+        JordanElement.from_matrix(algebra, w), JordanElement.from_matrix(algebra, xp)
+    )
+
+
+def moment_identity_check(alpha: WMap, generator, delta: WMap, side="h") -> Scalar:
+    """Residual of the hamiltonian identity for either momentum map.
+
+    Exactly zero for every generator and direction: the maps are quadratic,
+    so the derivative below is an exact bilinear expression.
+    """
+    if side == "h":
+        return moment_identity_residual_h(alpha, generator, delta)
+    if side == "g":
+        return moment_identity_residual_g(alpha, generator, delta)
+    raise ValueError("side must be 'h' or 'g'")
 
 
 def rand_wmap(case, s, rng, span=2):
@@ -146,8 +188,6 @@ def test_zero_map_and_membership(case):
 
 @pytest.mark.parametrize("case", CASES)
 def test_moment_identity_exact(case):
-    from jordan_strata.reduction import moment_identity_check
-
     rng = random.Random(2)
     for _ in range(8):
         alpha = rand_wmap(case, 2, rng)
@@ -237,6 +277,51 @@ def test_p_projection_blocks_match_full_mu_g(case):
         y = tuple(row[:3] for row in m[3:])
         w = cdm.scale(cdm.add(a, cdm.conj_transpose(a)), half)
         assert p_projection_blocks(alpha) == (w, cdm.scale(cdm.add(x, y), half))
+
+
+def rand_tall_wmap(case, s, rng, sparse=False):
+    """Entries of 40-digit height; with ``sparse``, most coordinates zero."""
+    level = CASE_LEVEL[case]
+
+    def part():
+        if sparse and rng.random() < 0.7:
+            return Fraction(0)
+        return Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**40))
+
+    rows = [[CDNumber(level, [Scalar(part()) for _ in range(1 << level)]) for _ in range(s)]
+            for _ in range(6)]
+    return WMap(case, rows)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_zero_level_point_matches_the_matrix_route(case):
+    rng = random.Random(41)
+    tall = Scalar(Fraction(10**39 + 7, 3 * 10**40 + 1))
+    maps = []
+    for s in (1, 2, 3, 4, 8):
+        for k in range(min(s, 3) + 1):
+            alpha = zero_level_sample(case, s, k, rng)
+            maps += [alpha, WMap(case, [[x.scale(tall) for x in row] for row in alpha.matrix]),
+                     zero_level_sample(case, s, k, rng, enrich=False)]
+        sparse = rand_wmap(case, s, rng)
+        sparse = WMap(case, [[x if rng.random() < 0.3 else x.scale(Scalar(0)) for x in row]
+                             for row in sparse.matrix])
+        maps += [rand_wmap(case, s, rng), sparse, rand_tall_wmap(case, s, rng),
+                 rand_tall_wmap(case, s, rng, sparse=True)]
+    # one nonzero column; two columns with B(u, u) = 0 each but B(u_0, u_1) = 1
+    one, zero = CDNumber.one(CASE_LEVEL[case]), CDNumber.zero(CASE_LEVEL[case])
+    col = [[one], [zero], [zero], [zero], [zero], [zero]]
+    maps += [WMap(case, col), WMap(case, [[one, zero], [zero] * 2, [zero] * 2,
+                                          [zero, one], [zero] * 2, [zero] * 2])]
+    on_level = 0
+    for alpha in maps:
+        z, oracle = zero_level_point(alpha), matrix_route_point(alpha)
+        assert (z is None) == (not cdm.is_zero(mu_h(alpha))) == (oracle is None)
+        if z is not None:
+            on_level += 1
+            assert (z.tag, z.gaussian, z.v, z.den) == (oracle.tag, True, oracle.v, oracle.den)
+            assert z.to_json() == oracle.to_json()
+    assert 0 < on_level < len(maps)
 
 
 def test_reduced_point_requires_zero_level():

@@ -4,7 +4,14 @@ from fractions import Fraction
 import pytest
 
 from jordan_strata import reduction
-from jordan_strata.jordan import JordanElement, det, jordan_rank, sharp, trace_form
+from jordan_strata.jordan import (
+    JordanElement,
+    det,
+    jordan_rank,
+    sharp,
+    to_symmetric_matrix,
+    trace_form,
+)
 from jordan_strata.lifts import liftable_sample
 from jordan_strata.scalars import Scalar
 from jordan_strata.strata import (
@@ -17,7 +24,6 @@ from jordan_strata.strata import (
     cubic_gradient,
     det_curve_coefficients,
     plucker,
-    rank1_factor_symmetric,
     rank1_sample,
     rank_k_sample,
     random_element,
@@ -27,6 +33,25 @@ from jordan_strata.strata import (
 )
 
 ALGEBRAS = ("R", "C", "H", "O")
+
+
+def rank1_factor_symmetric(x: JordanElement):
+    """Recover v with x = v v^T for a rank-one complexified symmetric element.
+
+    Returns None when the element is not in the image of the Veronese map
+    over Q(i) (the pivot must be a Gaussian square).
+    """
+    m = to_symmetric_matrix(x.complexify() if not x.gaussian else x)
+    for i in range(3):
+        if not m[i][i].is_zero():
+            root = m[i][i].sqrt()
+            if root is None:
+                return None
+            inv = root.inverse()
+            v = tuple(m[i][j] * inv for j in range(3))
+            ok = all(m[r][c] == v[r] * v[c] for r in range(3) for c in range(3))
+            return v if ok else None
+    return None
 
 
 def test_proj_point_equality_is_proportionality():
