@@ -83,9 +83,11 @@ class Bilinear:
             if a:
                 row = rows[i]
                 for j, b in ys:
-                    p = a * b
-                    for k, c in row[j]:
-                        acc[k] += p * c
+                    cell = row[j]
+                    if cell:
+                        p = a * b
+                        for k, c in cell:
+                            acc[k] += p * c
         return acc
 
     def sum_mul(self, terms, gaussian: bool):

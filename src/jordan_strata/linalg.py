@@ -10,7 +10,8 @@ A Q(i) matrix reaches it through the interleaved realification
 
 an injective ring map, so RREF(rho A) = rho(RREF A) and every result over
 Q(i) is read off the even columns of a rational one.  The cofactor
-``determinant`` and ``congruent_diagonal`` stay independent of the echelon.
+``determinant``, ``congruent_diagonal`` and the Bareiss ``leading_minors``
+stay independent of the echelon.
 """
 
 from __future__ import annotations
@@ -24,11 +25,6 @@ from .scalars import Scalar
 
 def mat(rows):
     return tuple(tuple(r) for r in rows)
-
-
-def identity(n, gaussian=False):
-    z, o = Scalar.zero(gaussian), Scalar.one(gaussian)
-    return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
 
 
 def transpose(a):
@@ -264,34 +260,48 @@ def determinant(a):
     return acc
 
 
-def congruent_diagonal(a):
-    """Diagonal entries of a congruence-diagonalization of symmetric ``a``.
+def leading_minors(a):
+    """Leading principal minors d_1, d_2, ... of a square integer matrix by
+    Bareiss's fraction-free elimination (Math. Comp. 22, 1968): pivot k is
+    d_(k+1) and every division is exact.  Stops at the first zero minor,
+    which already fails any test of definiteness."""
+    m = [list(r) for r in a]
+    out, prev = [], 1
+    for k, pk in enumerate(m):
+        p = pk[k]
+        out.append(p)
+        if not p:
+            break
+        for ri in m[k + 1 :]:
+            f = ri[k]
+            for j in range(k + 1, len(m)):
+                ri[j] = (p * ri[j] - f * pk[j]) // prev
+        prev = p
+    return out
 
-    Returns (diag, L) with a = L D L^T over the entry field, symmetric
-    pivoting only (char 0, so an off-diagonal pivot can always be moved to
-    the diagonal by a row+col addition).
+
+def congruent_diagonal(a):
+    """Diagonal D of a = L D L^T over the entry field, for symmetric ``a``.
+
+    Symmetric pivoting only (char 0, so an off-diagonal pivot can always be
+    moved to the diagonal by a row+col addition).
     """
     n = len(a)
-    gaussian = a[0][0].gaussian
     m = [list(r) for r in a]
-    basis_change = [list(r) for r in identity(n, gaussian)]
 
     def row_col_add(i, j, f):
-        # row_i += f * row_j, col_i += f * col_j;  basis vector b_i += f b_j
+        # row_i += f * row_j, col_i += f * col_j
         for c in range(n):
             m[i][c] = m[i][c] + f * m[j][c]
         for r in range(n):
             m[r][i] = m[r][i] + f * m[r][j]
-        for c in range(n):
-            basis_change[i][c] = basis_change[i][c] + f * basis_change[j][c]
 
     def swap(i, j):
         m[i], m[j] = m[j], m[i]
         for r in range(n):
             m[r][i], m[r][j] = m[r][j], m[r][i]
-        basis_change[i], basis_change[j] = basis_change[j], basis_change[i]
 
-    one = Scalar.one(gaussian)
+    one = Scalar.one(a[0][0].gaussian)
     for k in range(n):
         if m[k][k].is_zero():
             pivot = None
@@ -321,5 +331,4 @@ def congruent_diagonal(a):
         for r in range(k + 1, n):
             if not m[r][k].is_zero():
                 row_col_add(r, k, -(m[r][k] * inv))
-    diag = tuple(m[k][k] for k in range(n))
-    return diag, tuple(tuple(r) for r in basis_change)
+    return tuple(m[k][k] for k in range(n))

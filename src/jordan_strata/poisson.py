@@ -88,10 +88,6 @@ class PolyFn:
         self._check(other)
         return PolyFn(self.case, self.dim, _mul_into({}, self.terms, other.terms))
 
-    def partial(self, i):
-        den, d = _scaled_partials(self)
-        return PolyFn(self.case, self.dim, {k: Fraction(v, den) for k, v in d.get(i, {}).items()})
-
     def is_zero(self):
         return not self.terms
 

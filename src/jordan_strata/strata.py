@@ -13,6 +13,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import linalg
+from .bilinear import box
 from .cayley_dickson import CDNumber
 from .jordan import (
     JordanElement,
@@ -168,22 +169,25 @@ def rank1_sample(algebra: str, rng) -> JordanElement:
                 return out
 
 
+def _draw(rng, n: int, gaussian: bool, span: int):
+    """n coordinates, each part an integer in [-span, span] over 1 or 2 (real
+    part drawn first), as integers over 2 in storage order."""
+    count = 2 * n if gaussian else n
+    parts = [rng.randint(-span, span) * (2 // rng.choice([1, 2])) for _ in range(count)]
+    return parts[::2] + parts[1::2] if gaussian else parts
+
+
 def rand_scalar(rng, gaussian=False, span=2) -> Scalar:
-    """Real part, and imaginary part over Q(i), each an integer in
-    [-span, span] over 1 or 2."""
-    re = Fraction(rng.randint(-span, span), rng.choice([1, 2]))
-    if gaussian:
-        return Scalar(re, Fraction(rng.randint(-span, span), rng.choice([1, 2])), True)
-    return Scalar(re)
+    return box(_draw(rng, 1, gaussian, span), 2, gaussian)[0]
 
 
 def rand_cd(level: int, rng, gaussian=False, span=2) -> CDNumber:
-    return CDNumber(level, [rand_scalar(rng, gaussian, span) for _ in range(1 << level)])
+    return CDNumber._of(level, gaussian, _draw(rng, 1 << level, gaussian, span), 2)
 
 
 def random_element(algebra: str, rng, gaussian=False, span=2) -> JordanElement:
-    coords = [rand_scalar(rng, gaussian, span) for _ in range(JordanElement.space_dim(algebra))]
-    return JordanElement.from_coords(algebra, coords, gaussian)
+    v = _draw(rng, JordanElement.space_dim(algebra), gaussian, span)
+    return JordanElement._of(algebra, gaussian, v, 2)
 
 
 def rank_k_sample(algebra: str, k: int, rng, gaussian=True) -> JordanElement:

@@ -123,6 +123,8 @@ def _check(name, case, samples, failures, witness=None):
 
 
 def _count(name, case, iterator):
+    """The record of (ok, witness) samples; a witness is a callable, called
+    for the first failure only and before the samples move on."""
     failures = 0
     witness = None
     n = 0
@@ -130,8 +132,8 @@ def _count(name, case, iterator):
         n += 1
         if not ok:
             failures += 1
-            if witness is None:
-                witness = wit
+            if failures == 1:
+                witness = wit()
     return _check(name, case, n, failures, witness)
 
 
@@ -152,14 +154,14 @@ def division_algebra_suite(case=None, samples=100, seed=0):
         _count(
             "composition-norm",
             "O",
-            (((a * b).norm() == a.norm() * b.norm(), repr((a, b))) for a, b in pairs()),
+            (((a * b).norm() == a.norm() * b.norm(), lambda: repr((a, b))) for a, b in pairs()),
         )
     )
     checks.append(
         _count(
             "doubling-vs-table",
             "O",
-            ((cd_mul(a, b) == cd_mul_doubling(a, b), repr((a, b))) for a, b in pairs()),
+            ((cd_mul(a, b) == cd_mul_doubling(a, b), lambda: repr((a, b))) for a, b in pairs()),
         )
     )
     checks.append(
@@ -167,7 +169,7 @@ def division_algebra_suite(case=None, samples=100, seed=0):
             "conjugation-antiautomorphism",
             "O",
             (
-                ((a * b).conjugate() == b.conjugate() * a.conjugate(), repr((a, b)))
+                ((a * b).conjugate() == b.conjugate() * a.conjugate(), lambda: repr((a, b)))
                 for a, b in pairs()
             ),
         )
@@ -177,7 +179,7 @@ def division_algebra_suite(case=None, samples=100, seed=0):
         for _ in range(samples):
             a, b = rand_cd(3, rng, span=3), rand_cd(3, rng, span=3)
             ok = cd_associator(a, a, b).is_zero() and cd_associator(a, b, b).is_zero()
-            yield ok, repr((a, b))
+            yield ok, lambda: repr((a, b))
 
     checks.append(_count("alternativity", "O", alternativity()))
 
@@ -185,7 +187,7 @@ def division_algebra_suite(case=None, samples=100, seed=0):
         one = CDNumber.one(3)
         for _ in range(samples):
             a = rand_cd(3, rng, span=3)
-            yield (one * a == a and a * one == a), repr(a)
+            yield (one * a == a and a * one == a), lambda: repr(a)
 
     checks.append(_count("unit-law", "O", unit_law()))
 
@@ -245,7 +247,7 @@ def jordan_suite(case=None, samples=50, seed=0):
                 "commutativity",
                 tag,
                 (
-                    (jordan_mul(x, y) == jordan_mul(y, x), repr((x, y)))
+                    (jordan_mul(x, y) == jordan_mul(y, x), lambda: repr((x, y)))
                     for x, y in zip(elems(), elems())
                 ),
             )
@@ -256,13 +258,13 @@ def jordan_suite(case=None, samples=50, seed=0):
                 x2 = jordan_mul(x, x)
                 lhs = jordan_mul(jordan_mul(x2, y), x)
                 rhs = jordan_mul(x2, jordan_mul(y, x))
-                yield lhs == rhs, repr((x, y))
+                yield lhs == rhs, lambda: repr((x, y))
 
         checks.append(_count("jordan-identity", tag, jordan_identity()))
 
         def adjugate():
             for x in elems():
-                yield jordan_mul(x, sharp(x)) == ident.scale(det(x)), repr(x)
+                yield jordan_mul(x, sharp(x)) == ident.scale(det(x)), lambda: repr(x)
 
         checks.append(_count("adjugate-identity", tag, adjugate()))
 
@@ -271,7 +273,7 @@ def jordan_suite(case=None, samples=50, seed=0):
                 x2 = jordan_mul(x, x)
                 x3 = jordan_mul(x2, x)
                 lhs = x3 - x2.scale(trace(x)) + x.scale(sigma2(x)) - ident.scale(det(x))
-                yield lhs.is_zero(), repr(x)
+                yield lhs.is_zero(), lambda: repr(x)
 
         checks.append(_count("cayley-hamilton", tag, cayley_hamilton()))
 
@@ -279,7 +281,7 @@ def jordan_suite(case=None, samples=50, seed=0):
             for a, x in zip(elems(), elems()):
                 lhs = det(quadratic_rep(a, x))
                 rhs = det(a) * det(a) * det(x)
-                yield lhs == rhs, repr((a, x))
+                yield lhs == rhs, lambda: repr((a, x))
 
         checks.append(_count("det-quadratic-rep", tag, det_multiplicativity()))
 
@@ -289,7 +291,7 @@ def jordan_suite(case=None, samples=50, seed=0):
                 if det(a).is_zero():
                     continue
                 x = rank_k_sample(algebra, rng.choice([1, 2, 3]), rng, gaussian)
-                yield jordan_rank(quadratic_rep(a, x)) == jordan_rank(x), repr((a, x))
+                yield jordan_rank(quadratic_rep(a, x)) == jordan_rank(x), lambda: repr((a, x))
 
         checks.append(_count("rank-invariance", tag, rank_invariance()))
 
@@ -299,7 +301,7 @@ def jordan_suite(case=None, samples=50, seed=0):
                 for x in elems():
                     if x.is_zero():
                         continue
-                    yield trace_form(x, x).re > 0, repr(x)
+                    yield trace_form(x, x).re > 0, lambda: repr(x)
 
             checks.append(_count("trace-form-positivity", tag, positivity()))
     return checks
@@ -315,7 +317,7 @@ def rank_identification_suite(case=None, samples=125, seed=0):
             for k in (0, 1, 2, 3):
                 for _ in range(max(1, samples // 4)):
                     x = rank_k_sample(algebra, k, rng)
-                    yield matrix_model_rank(x) == jordan_rank(x) == k, repr(x)
+                    yield matrix_model_rank(x) == jordan_rank(x) == k, lambda: repr(x)
 
         checks.append(_count("jordan-vs-matrix-rank", algebra, ranks()))
     return checks
@@ -350,7 +352,7 @@ def singular_locus_suite(case=None, samples=25, seed=0):
                 h = random_element(algebra, rng, gaussian=True)
                 c = det_curve_coefficients(x, h)
                 ok = c[1] == trace_form(sharp(x), h) and c[0] == det(x)
-                yield ok, repr((x, h))
+                yield ok, lambda: repr((x, h))
 
         checks.append(_count("gradient-is-adjugate", algebra, gradient()))
 
@@ -359,7 +361,7 @@ def singular_locus_suite(case=None, samples=25, seed=0):
                 for _ in range(max(1, samples // 4)):
                     x = rank_k_sample(algebra, k, rng)
                     grad_zero = cubic_gradient(x).is_zero()
-                    yield grad_zero == (jordan_rank(x) <= 1), repr(x)
+                    yield grad_zero == (jordan_rank(x) <= 1), lambda: repr(x)
 
         checks.append(_count("gradient-vanishing-locus", algebra, vanishing()))
 
@@ -375,7 +377,7 @@ def singular_locus_suite(case=None, samples=25, seed=0):
                     c = chord(p, q, lam, mu)
                 except ValueError:
                     continue
-                yield det(c.rep).is_zero(), repr((p.rep, q.rep))
+                yield det(c.rep).is_zero(), lambda: repr((p.rep, q.rep))
 
         checks.append(_count("chords-inside-cubic", algebra, chords()))
 
@@ -385,7 +387,7 @@ def singular_locus_suite(case=None, samples=25, seed=0):
                 x = rank1_sample(algebra, rng) + rank1_sample(algebra, rng) + rank1_sample(algebra, rng)
                 if not det(x).is_zero():
                     hits += 1
-            yield hits > 0, "no rank-one triple left the cubic"
+            yield hits > 0, lambda: "no rank-one triple left the cubic"
 
         checks.append(_count("cubic-is-proper", algebra, generic_triple()))
     return checks
@@ -423,7 +425,7 @@ def tkk_suite(case=None, samples=20, seed=0):
                     + alg.bracket(alg.bracket(b, c), a)
                     + alg.bracket(alg.bracket(c, a), b)
                 )
-                yield j.is_zero() and alg.bracket(a, a).is_zero(), repr((a, b, c))
+                yield j.is_zero() and alg.bracket(a, a).is_zero(), lambda: repr((a, b, c))
 
         checks.append(_count("jacobi", cname, jacobi()))
 
@@ -456,23 +458,23 @@ def tkk_suite(case=None, samples=20, seed=0):
                 lhs = alg.invariant_form(alg.bracket(c, a), b) + alg.invariant_form(
                     a, alg.bracket(c, b)
                 )
-                yield lhs == 0, repr((a, b, c))
+                yield lhs == 0, lambda: repr((a, b, c))
 
         checks.append(_count("form-ad-invariance", cname, invariance()))
 
-        def gram(basis):
-            # one integer row G a per element, dotted with the sparse integer row of b
-            cols = [([(j, x) for j, x in enumerate(b.v) if x], b.den) for b in basis]
-            return tuple(
-                tuple(Scalar(Fraction(sum(ga[j] * x for j, x in sb), den * db)) for sb, db in cols)
-                for ga, den in map(alg._gram_times, basis)
-            )
+        def minors(basis):
+            # K[a][b] = (G v_a).v_b is the Gram up to a positive diagonal congruence
+            cols = [[(j, x) for j, x in enumerate(b.v) if x] for b in basis]
+            gram = [
+                [sum(ga[j] * x for j, x in sb) for sb in cols]
+                for ga, _ in map(alg._gram_times, basis)
+            ]
+            return linalg.leading_minors(gram)
 
-        gram_k, gram_p = gram(k_basis), gram(p_basis)
-        dk, _ = linalg.congruent_diagonal(gram_k)
-        dp, _ = linalg.congruent_diagonal(gram_p)
-        ok = all(x.re < 0 for x in dk) and all(x.re > 0 for x in dp)
-        checks.append(_check("form-definiteness", cname, len(dk) + len(dp), 0 if ok else 1))
+        # Sylvester's criterion: negative definite on k, positive definite on p
+        ok = all((-1) ** i * d > 0 for i, d in enumerate(minors(k_basis), 1))
+        ok = ok and all(d > 0 for d in minors(p_basis))
+        checks.append(_check("form-definiteness", cname, len(k_basis) + len(p_basis), int(not ok)))
 
         def brackets_split():
             for _ in range(max(4, samples // 4)):
@@ -483,7 +485,7 @@ def tkk_suite(case=None, samples=20, seed=0):
                 pp = alg.bracket(p1, p2)
                 in_k = lambda v: alg.theta(v) == v
                 in_p = lambda v: alg.theta(v) == (-v)
-                yield in_k(kk) and in_p(kp) and in_k(pp), repr((k1, p1))
+                yield in_k(kk) and in_p(kp) and in_k(pp), lambda: repr((k1, p1))
 
         checks.append(_count("cartan-relations", cname, brackets_split()))
     return checks
@@ -568,14 +570,14 @@ def moment_suite(case=None, samples=25, seed=0):
                         ]
                         if lhs != b_form(cname, u, av):
                             ok = False
-                yield ok, repr(alpha.matrix)
+                yield ok, lambda: repr(alpha.matrix)
 
         checks.append(_count("dagger-defining-identity", cname, dagger_identity()))
 
         def membership():
             for _ in range(samples):
                 alpha = rand_wmap()
-                yield in_lie_h(cname, mu_h(alpha)) and in_lie_g(cname, mu_g(alpha)), repr(
+                yield in_lie_h(cname, mu_h(alpha)) and in_lie_g(cname, mu_g(alpha)), lambda: repr(
                     alpha.matrix
                 )
 
@@ -589,7 +591,7 @@ def moment_suite(case=None, samples=25, seed=0):
                     moment_identity_residual_h(alpha, xi, delta).is_zero()
                     and moment_identity_residual_g(alpha, eta, delta).is_zero()
                 )
-                yield ok, repr((alpha.matrix, xi, eta))
+                yield ok, lambda: repr((alpha.matrix, xi, eta))
 
         checks.append(_count("moment-identity", cname, residuals()))
 
@@ -601,7 +603,7 @@ def moment_suite(case=None, samples=25, seed=0):
                     xinv = cdm.inverse(x)
                     rhs = cdm.mul(cdm.mul(x, mu_h(alpha)), xinv)
                     if lhs != rhs:
-                        yield False, repr((alpha.matrix, x))
+                        yield False, lambda: repr((alpha.matrix, x))
                         break
                 else:
                     from .reduction import act_g
@@ -612,7 +614,7 @@ def moment_suite(case=None, samples=25, seed=0):
                         rhs = cdm.mul(cdm.mul(y, mu_g(alpha)), cdm.inverse(y))
                         if lhs != rhs:
                             ok = False
-                    yield ok, repr(alpha.matrix)
+                    yield ok, lambda: repr(alpha.matrix)
 
         checks.append(_count("equivariance", cname, equivariance()))
 
@@ -622,14 +624,14 @@ def moment_suite(case=None, samples=25, seed=0):
                 xi, eta = rand_lie_h(), rand_lie_g()
                 lhs = h_infinitesimal(g_infinitesimal(alpha, eta), xi)
                 rhs = g_infinitesimal(h_infinitesimal(alpha, xi), eta)
-                yield lhs == rhs, repr(alpha.matrix)
+                yield lhs == rhs, lambda: repr(alpha.matrix)
 
         checks.append(_count("dual-pair-commutes", cname, dual_pair()))
 
         def antisymmetry():
             for _ in range(samples):
                 alpha = rand_wmap()
-                yield symplectic_form(alpha, alpha).is_zero(), repr(alpha.matrix)
+                yield symplectic_form(alpha, alpha).is_zero(), lambda: repr(alpha.matrix)
 
         checks.append(_count("symplectic-antisymmetry", cname, antisymmetry()))
 
@@ -659,7 +661,7 @@ def reduction_suite(case=None, samples=20, seed=0):
                 for _ in range(max(1, samples // 4)):
                     alpha = zero_level_sample(cname, 3, k, rng)
                     z = zero_level_point(alpha)
-                    yield z is not None and jordan_rank(z) == k, repr(alpha.matrix)
+                    yield z is not None and jordan_rank(z) == k, lambda: repr(alpha.matrix)
 
         checks.append(_count("zero-level-strata", cname, strata_hit()))
 
@@ -667,7 +669,7 @@ def reduction_suite(case=None, samples=20, seed=0):
             for _ in range(samples):
                 alpha = zero_level_sample(cname, 3, rng.choice([1, 2]), rng)
                 x = h_group_generators(cname, 3, rng, count=1)[0]
-                yield reduced_point(act_h(alpha, x)) == reduced_point(alpha), repr(
+                yield reduced_point(act_h(alpha, x)) == reduced_point(alpha), lambda: repr(
                     alpha.matrix
                 )
 
@@ -677,7 +679,7 @@ def reduction_suite(case=None, samples=20, seed=0):
             for k in (1, 2, 3):
                 for _ in range(max(1, samples // 3)):
                     alpha = zero_level_sample(cname, 4, k, rng)
-                    yield stratum(alpha) <= 3, repr(alpha.matrix)
+                    yield stratum(alpha) <= 3, lambda: repr(alpha.matrix)
 
         checks.append(_count("saturation-above-rank", cname, saturation()))
 
@@ -688,9 +690,9 @@ def reduction_suite(case=None, samples=20, seed=0):
                 try:
                     alpha = hilbert_lift(z, 2)
                 except LiftError:
-                    yield False, repr(z)
+                    yield False, lambda: repr(z)
                     continue
-                yield zero_level_point(alpha) == z, repr(z)
+                yield zero_level_point(alpha) == z, lambda: repr(z)
 
         checks.append(_count("hilbert-lift-round-trip", cname, lifts()))
 
@@ -721,7 +723,7 @@ def oscillator_suite(case=None, samples=30, seed=0):
             j = angular_momentum(c)
             ok = all(x == 0 for row in j for x in row)
             ok = ok and classify_config(c) == stratum(encode_oscillator(c)) == k
-            yield ok, repr(c.to_json())
+            yield ok, lambda: repr(c.to_json())
 
     checks.append(_count("mechanical-vs-jordan-stratum", "real", zero_j_classification()))
 
@@ -732,7 +734,7 @@ def oscillator_suite(case=None, samples=30, seed=0):
             p = [[lam * x for x in row] for row in q]
             c = OscillatorConfig(q, p)
             j = angular_momentum(c)
-            yield all(x == 0 for row in j for x in row), repr(c.to_json())
+            yield all(x == 0 for row in j for x in row), lambda: repr(c.to_json())
 
     checks.append(_count("parallel-momenta-zero-j", "real", parallel_momenta()))
 
@@ -777,7 +779,7 @@ def poisson_suite(case=None, samples=10, seed=0):
                 g = PolyFn.linear(cp.case, cp.dim, coeffs)
                 if rng.random() < 0.5:
                     g = g * g
-                yield cp.bracket(cas, g).is_zero(), f"coeffs {coeffs}"
+                yield cp.bracket(cas, g).is_zero(), lambda: f"coeffs {coeffs}"
 
         checks.append(_count("casimir-commutes", tkk_case[cname], casimir_commutes()))
 
@@ -787,7 +789,7 @@ def poisson_suite(case=None, samples=10, seed=0):
                 u = alg.from_coords([Fraction(rng.randint(-2, 2)) for _ in range(alg.dim)])
                 v = alg.from_coords([Fraction(rng.randint(-2, 2)) for _ in range(alg.dim)])
                 lhs = cp.bracket(cp.linear_fn(u), cp.linear_fn(v))
-                yield lhs == cp.linear_fn(alg.bracket(u, v)), "-"
+                yield lhs == cp.linear_fn(alg.bracket(u, v)), lambda: "-"
 
         checks.append(_count("linear-functions-bracket", tkk_case[cname], linear_bracket()))
 

@@ -33,6 +33,11 @@ def rand_matrix(rng, m, n, gaussian, tall, rank=None):
     return linalg.mul(u, v) if rank else ((Scalar.zero(gaussian),) * n,) * m
 
 
+def identity(n, gaussian):
+    z, o = Scalar.zero(gaussian), Scalar.one(gaussian)
+    return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
+
+
 def mat_vec(a, v):
     return tuple(row[0] for row in linalg.mul(a, tuple((x,) for x in v)))
 
@@ -83,10 +88,24 @@ def test_inverse_and_rank_against_the_cofactor_determinant():
         invertible = not linalg.determinant(a).is_zero()
         assert (linalg.rank(a) == n) == invertible
         if invertible:
-            assert linalg.mul(a, linalg.inverse(a)) == linalg.identity(n, gaussian)
+            assert linalg.mul(a, linalg.inverse(a)) == identity(n, gaussian)
         else:
             with pytest.raises(ZeroDivisionError):
                 linalg.inverse(a)
+
+
+def test_leading_minors_against_the_cofactor_determinant():
+    rng = random.Random(6)
+    for n in range(1, 7):
+        for _ in range(12):
+            # small entries and many zeros, so some leading minors vanish
+            a = [[rng.choice([0, 0, 1, -1, 2, -3, 10**20]) for _ in range(n)] for _ in range(n)]
+            minors = linalg.leading_minors(a)
+            assert 1 <= len(minors) <= n and (len(minors) == n or minors[-1] == 0)
+            assert 0 not in minors[:-1]
+            for k, d in enumerate(minors, 1):
+                block = tuple(tuple(Scalar(x) for x in row[:k]) for row in a[:k])
+                assert linalg.determinant(block) == d
 
 
 def test_rref_canonical_vectors_over_gaussian_rationals():

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from jordan_strata import reduction
+from jordan_strata.cayley_dickson import CDNumber
 from jordan_strata.jordan import (
     JordanElement,
     det,
@@ -24,6 +25,8 @@ from jordan_strata.strata import (
     cubic_gradient,
     det_curve_coefficients,
     plucker,
+    rand_cd,
+    rand_scalar,
     rank1_sample,
     rank_k_sample,
     random_element,
@@ -262,3 +265,42 @@ def test_rejection_samplers_give_up_on_a_stuck_source():
         with pytest.raises(SamplerExhausted) as info:
             draw()
         assert name in str(info.value) and str(MAX_DRAWS) in str(info.value)
+
+
+def scalar_route_draw(rng, gaussian, span):
+    """One coordinate the way the samplers drew it on Scalars: the real part
+    as an integer in [-span, span] over 1 or 2, then likewise the imaginary
+    part over Q(i)."""
+    re = Fraction(rng.randint(-span, span), rng.choice([1, 2]))
+    if gaussian:
+        return Scalar(re, Fraction(rng.randint(-span, span), rng.choice([1, 2])), True)
+    return Scalar(re)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 2024])
+def test_integer_draws_match_the_scalar_route_draw_for_draw(seed):
+    for gaussian in (False, True):
+        for span in (2, 3):
+            new, old = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                for level in range(4):
+                    x = rand_cd(level, new, gaussian, span)
+                    coeffs = [scalar_route_draw(old, gaussian, span) for _ in range(1 << level)]
+                    y = CDNumber(level, coeffs)
+                    assert (x.v, x.den) == (y.v, y.den) and x.coeffs == y.coeffs
+                    assert repr(x) == repr(y) and x.to_json() == y.to_json()
+                    assert new.getstate() == old.getstate()
+                for algebra in ALGEBRAS:
+                    x = random_element(algebra, new, gaussian, span)
+                    coords = [
+                        scalar_route_draw(old, gaussian, span)
+                        for _ in range(JordanElement.space_dim(algebra))
+                    ]
+                    y = JordanElement.from_coords(algebra, coords, gaussian)
+                    assert (x.v, x.den) == (y.v, y.den) and x.coords() == tuple(coords)
+                    assert repr(x) == repr(y) and x.to_json() == y.to_json()
+                    assert new.getstate() == old.getstate()
+                s = rand_scalar(new, gaussian, span)
+                t = scalar_route_draw(old, gaussian, span)
+                assert (s.re, s.im, s.gaussian, str(s)) == (t.re, t.im, t.gaussian, str(t))
+                assert new.getstate() == old.getstate()

@@ -1,0 +1,74 @@
+import io
+import json
+import random
+from contextlib import redirect_stdout
+
+import pytest
+
+from jordan_strata import suites
+from jordan_strata.cayley_dickson import CDNumber, cd_mul
+from jordan_strata.cli import main
+from jordan_strata.strata import rand_cd
+
+
+def test_count_builds_only_the_first_failure_witness_before_moving_on():
+    calls = []
+    position = [None]
+
+    def samples():
+        for i, ok in enumerate([True, False, True, False, False]):
+            position[0] = i
+
+            def witness(i=i):
+                calls.append((i, position[0]))
+                return f"sample {i}"
+
+            yield ok, witness
+            position[0] = None  # the stream has moved on
+
+    record = suites._count("check", None, samples())
+    # one call, for sample 1, made while the stream still stood at sample 1
+    assert calls == [(1, 1)]
+    assert record == {
+        "name": "check",
+        "case": "-",
+        "samples": 5,
+        "failures": 3,
+        "witness": "sample 1",
+    }
+    assert suites._count("check", "O", ((True, None) for _ in range(4)))["witness"] is None
+
+
+def test_a_wrong_doubling_product_is_reported_with_the_first_pair(monkeypatch):
+    monkeypatch.setattr(suites, "cd_mul_doubling", lambda a, b: cd_mul(a, b) + CDNumber.one(3))
+    samples, seed = 3, 5
+    rng = random.Random(seed)
+    for _ in range(2 * samples):  # the pairs of composition-norm come first
+        rand_cd(3, rng, span=3)
+    first = (rand_cd(3, rng, span=3), rand_cd(3, rng, span=3))
+
+    checks = suites.run_suite("division-algebra", samples=samples, seed=seed)
+    record = next(c for c in checks if c["name"] == "doubling-vs-table")
+    assert record["failures"] == samples and record["witness"] == repr(first)
+    assert all(c["failures"] == 0 for c in checks if c is not record)
+
+    args = ["verify", "--suite", "division-algebra", "--samples", str(samples), "--seed", str(seed)]
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        rc = main(args)
+    assert rc == 1
+    report = json.loads(buf.getvalue())
+    assert [c["witness"] for c in report["checks"] if c["failures"]] == [repr(first)]
+
+
+@pytest.mark.parametrize(
+    "minors",
+    [
+        lambda n: [1] * n,  # positive definite: p passes and k fails
+        lambda n: [(-1) ** i for i in range(1, n + 1)],  # negative definite: k passes, p fails
+    ],
+)
+def test_form_definiteness_needs_both_signatures(monkeypatch, minors):
+    monkeypatch.setattr(suites.linalg, "leading_minors", lambda gram: minors(len(gram)))
+    checks = suites.run_suite("tkk", case="sp3", samples=1)
+    assert [c["failures"] for c in checks if c["name"] == "form-definiteness"] == [1]

@@ -2,7 +2,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -295,11 +295,68 @@ def test_invariant_form(case):
     kb, pb = alg.k_basis(), alg.p_basis()
     gram_k = tuple(tuple(Scalar(alg.invariant_form(x, y)) for y in kb) for x in kb)
     gram_p = tuple(tuple(Scalar(alg.invariant_form(x, y)) for y in pb) for x in pb)
-    dk, _ = linalg.congruent_diagonal(gram_k)
-    dp, _ = linalg.congruent_diagonal(gram_p)
+    dk = linalg.congruent_diagonal(gram_k)
+    dp = linalg.congruent_diagonal(gram_p)
     assert all(x.re < 0 for x in dk)
     assert all(x.re > 0 for x in dp)
     assert all(alg.invariant_form(x, y) == 0 for x in kb[:5] for y in pb[:5])
+
+
+def int_gram(alg, basis):
+    """(den * G, G, den): the invariant-form Gram G of ``basis`` as integers
+    over its common denominator den, and as Scalars."""
+    gram = [[alg.invariant_form(x, y) for y in basis] for x in basis]
+    den = lcm(*[x.denominator for row in gram for x in row])
+    ints = [[int(x * den) for x in row] for row in gram]
+    return ints, [[Scalar(x) for x in row] for row in gram], den
+
+
+def negative_definite(minors):
+    # Sylvester's criterion; the minors stop at the first zero one
+    return all((-1) ** i * d > 0 for i, d in enumerate(minors, 1))
+
+
+def positive_definite(minors):
+    return all(d > 0 for d in minors)
+
+
+@pytest.mark.parametrize("case", SMALL_CASES)
+def test_leading_minors_agree_with_the_congruent_diagonal(case):
+    alg = tkk_algebra(case)
+    for basis, definite, sign in (
+        (alg.k_basis(), negative_definite, -1),
+        (alg.p_basis(), positive_definite, 1),
+    ):
+        ints, gram, den = int_gram(alg, basis)
+        minors = linalg.leading_minors(ints)
+        diag = linalg.congruent_diagonal(gram)
+        assert definite(minors) and all(sign * x.re > 0 for x in diag)
+        # with no zero pivot on the way, D_k = d_k / d_(k-1) for the Gram,
+        # and the integer Gram is den times it, so d_k(ints) = den^k d_k
+        ratios = [Fraction(d, p) / den for d, p in zip(minors, [1] + minors)]
+        assert ratios == [x.re for x in diag]
+
+
+@pytest.mark.parametrize("case", SMALL_CASES)
+def test_leading_minors_fail_an_indefinite_and_a_singular_gram(case):
+    alg = tkk_algebra(case)
+    kb, pb = alg.k_basis(), alg.p_basis()
+    # k and p are orthogonal, so the Gram of k + p is block-diagonal k (+) p
+    ints, gram, _ = int_gram(alg, kb + pb)
+    assert all(ints[i][j] == 0 for i in range(len(kb)) for j in range(len(kb), len(ints)))
+    minors = linalg.leading_minors(ints)
+    assert len(minors) == len(ints)
+    assert not negative_definite(minors) and not positive_definite(minors)
+    diag = linalg.congruent_diagonal(gram)
+    assert {x.re > 0 for x in diag} == {True, False}
+    # a repeated basis vector makes the Gram singular: the minors stop at the
+    # first zero one, d_2 when the repeat comes second
+    for basis, stop in ((pb + pb[:1], len(pb) + 1), (pb[:1] + pb, 2), (kb[:1] + kb, 2)):
+        ints, gram, _ = int_gram(alg, basis)
+        minors = linalg.leading_minors(ints)
+        assert len(minors) == stop and minors[-1] == 0
+        assert not negative_definite(minors) and not positive_definite(minors)
+        assert any(x.is_zero() for x in linalg.congruent_diagonal(gram))
 
 
 def test_z_spans_center_of_k():
