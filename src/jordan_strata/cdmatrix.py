@@ -7,7 +7,9 @@ bilinear engine: each entry already is an integer vector over one
 denominator (the ``CDNumber`` storage), each output entry is one integer
 contraction of the level's unit table (``Bilinear.sum_mul``) and is stored
 as it comes, with no ``Scalar`` in between.  ``inverse`` goes through the
-exact elimination core of ``linalg``.
+exact elimination core of ``linalg``.  ``add``, ``sub``, ``neg`` and
+``from_rows`` (``linalg.mat``) are ``linalg``'s, which never look inside an
+entry; ``conj_transpose`` serves ``Scalar`` matrices as well.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from fractions import Fraction
 
 from . import linalg
 from .cayley_dickson import CDNumber, _cd_product, cd_mul, unit_product
+from .linalg import add, neg, sub
+from .linalg import mat as from_rows
 from .scalars import Scalar
 
 
@@ -27,22 +31,6 @@ def zero(m, n, level, gaussian=False):
 def identity(n, level, gaussian=False):
     z, o = CDNumber.zero(level, gaussian), CDNumber.one(level, gaussian)
     return tuple(tuple(o if i == j else z for j in range(n)) for i in range(n))
-
-
-def from_rows(rows):
-    return tuple(tuple(r) for r in rows)
-
-
-def add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def neg(a):
-    return tuple(tuple(-x for x in row) for row in a)
 
 
 def scale(a, s) -> tuple:
@@ -80,10 +68,6 @@ def mul(a, b):
 
 def conj_transpose(a):
     return tuple(tuple(x.conjugate() for x in col) for col in zip(*a))
-
-
-def transpose(a):
-    return tuple(zip(*a))
 
 
 def is_zero(a):

@@ -42,9 +42,20 @@ Matrix models used for rank identification:
   * algebra H: quaternions embed in 2x2 complex blocks via
         1 -> [[1,0],[0,1]],  e1 -> [[i,0],[0,-i]],
         e2 -> [[0,1],[-1,0]], e3 -> [[0,i],[i,0]],
-    and X maps to psi(X) * J6 with J6 = diag(J2, J2, J2),
-    J2 = [[0,1],[-1,0]], which is skew-symmetric; Jordan rank is half the
-    matrix rank there, and the pfaffian is normalized by Pf(J6) = +1.
+    and X maps to psi(X) J6 with J6 = diag(J2, J2, J2), J2 = [[0,1],[-1,0]],
+    which is skew-symmetric.  Block (i, j) is written straight from the
+    coordinates of X_ij = c0 + c1 e1 + c2 e2 + c3 e3:
+
+        psi(q) J2 = [[-(c2 + i c3), c0 + i c1], [-(c0 - i c1), -c2 + i c3]],
+
+    and a block [[p, b], [c, d]] reads back as
+    q = (b - c)/2 + (b + c)/(2i) e1 - (p + d)/2 e2 + (d - p)/(2i) e3.
+    Jordan rank is half the matrix rank there, and det(X) = Pf(psi(X) J6),
+    the pfaffian normalized by Pf(J6) = +1 (J6 is the model of the identity).
+
+Each model is one closed-form pair (``to_*_matrix`` / ``from_*_matrix``) on
+Scalar arithmetic; none reads the structure tables, so ``matrix_model_rank``
+stays an independent check of ``jordan_rank``.
 """
 
 from __future__ import annotations
@@ -436,13 +447,25 @@ def quadratic_rep(a: JordanElement, x: JordanElement) -> JordanElement:
 
 # -- matrix models -------------------------------------------------------------
 
+_HALF = Scalar(Fraction(1, 2), 0, True)
+_IHALF = Scalar(0, Fraction(-1, 2), True)  # 1/(2i)
+_I = Scalar.i()
+
 
 def to_symmetric_matrix(x: JordanElement):
     """Algebra R: the element as a plain symmetric 3x3 scalar matrix."""
     if x.algebra != "R":
         raise ValueError("symmetric model needs algebra R")
-    m = x.to_matrix()
-    return tuple(tuple(m[i][j].real() for j in range(3)) for i in range(3))
+    (a, b, c), (p, q, r) = x.diag, (o.real() for o in x.off)
+    return ((a, r, q), (r, b, p), (q, p, c))
+
+
+def from_symmetric_matrix(m) -> JordanElement:
+    """Inverse of to_symmetric_matrix, over the ring of the entries."""
+    if any(m[i][j] != m[j][i] for i, j in ((0, 1), (0, 2), (1, 2))):
+        raise ValueError("matrix is not symmetric")
+    off = (m[1][2], m[0][2], m[0][1])
+    return JordanElement("R", (m[0][0], m[1][1], m[2][2]), (CDNumber(0, (s,)) for s in off))
 
 
 def _cd1_to_scalar(q: CDNumber) -> Scalar:
@@ -462,119 +485,54 @@ def to_general_matrix(x: JordanElement):
     return tuple(tuple(_cd1_to_scalar(m[i][j]) for j in range(3)) for i in range(3))
 
 
-def from_general_matrix(m, gaussian=True) -> JordanElement:
+def from_general_matrix(m) -> JordanElement:
     """Inverse of to_general_matrix; accepts any 3x3 Q(i) matrix."""
-    half = Scalar(Fraction(1, 2), 0, True)
-    ihalf = Scalar(0, Fraction(-1, 2), True)  # 1/(2i)
-    rows = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            a = (m[i][j] + m[j][i]) * half
-            b = (m[i][j] - m[j][i]) * ihalf
-            row.append(CDNumber(1, (a, b)))
-        rows.append(tuple(row))
-    if not gaussian:
-        for r in rows:
-            for q in r:
-                if any(c.im for c in q.coeffs):
-                    raise ValueError("matrix does not descend to the rational base")
-        rows = tuple(
-            tuple(CDNumber(1, tuple(Scalar(c.re) for c in q.coeffs)) for q in r)
-            for r in rows
+    rows = tuple(
+        tuple(
+            CDNumber(1, ((m[i][j] + m[j][i]) * _HALF, (m[i][j] - m[j][i]) * _IHALF))
+            for j in range(3)
         )
-    else:
-        rows = tuple(tuple(r) for r in rows)
+        for i in range(3)
+    )
     return JordanElement.from_matrix("C", rows)
 
 
-_QUAT_BLOCKS = {
-    0: ((Scalar(1, 0, True), Scalar(0, 0, True)), (Scalar(0, 0, True), Scalar(1, 0, True))),
-    1: ((Scalar(0, 1, True), Scalar(0, 0, True)), (Scalar(0, 0, True), Scalar(0, -1, True))),
-    2: ((Scalar(0, 0, True), Scalar(1, 0, True)), (Scalar(-1, 0, True), Scalar(0, 0, True))),
-    3: ((Scalar(0, 0, True), Scalar(0, 1, True)), (Scalar(0, 1, True), Scalar(0, 0, True))),
-}
-
-
-def quaternion_to_block(q: CDNumber):
-    """2x2 complex block of a (possibly Gaussian-base) quaternion."""
-    if q.level != 2:
-        raise ValueError("expected a level-2 entry")
-    out = [[Scalar.zero(True), Scalar.zero(True)], [Scalar.zero(True), Scalar.zero(True)]]
-    for k, c in enumerate(q.coeffs):
-        if c.is_zero():
-            continue
-        cg = c.to_gaussian()
-        blk = _QUAT_BLOCKS[k]
-        for i in range(2):
-            for j in range(2):
-                out[i][j] = out[i][j] + cg * blk[i][j]
-    return tuple(tuple(r) for r in out)
-
-
-def block_to_quaternion(b, gaussian: bool) -> CDNumber:
-    half = Scalar(Fraction(1, 2), 0, True)
-    mihalf = Scalar(0, Fraction(-1, 2), True)
-    c0 = (b[0][0] + b[1][1]) * half
-    c1 = (b[0][0] - b[1][1]) * mihalf
-    c2 = (b[0][1] - b[1][0]) * half
-    c3 = (b[0][1] + b[1][0]) * mihalf
-    coeffs = (c0, c1, c2, c3)
-    if not gaussian:
-        if any(c.im for c in coeffs):
-            raise ValueError("block does not come from a rational-base quaternion")
-        coeffs = tuple(Scalar(c.re) for c in coeffs)
-    return CDNumber(2, coeffs)
-
-
-def _j6():
-    z, o = Scalar.zero(True), Scalar.one(True)
-    j2 = ((z, o), (-o, z))
-    rows = []
-    for bi in range(3):
-        for r in range(2):
-            row = []
-            for bj in range(3):
-                for c in range(2):
-                    row.append(j2[r][c] if bi == bj else z)
-            rows.append(tuple(row))
-    return tuple(rows)
-
-
-J6 = _j6()
+def _skew_block(q: CDNumber):
+    """The block psi(q) J2 of the skew model (module docstring), as rows."""
+    c0, c1, c2, c3 = (c.to_gaussian() for c in q.coeffs)
+    ic1, ic3 = _I * c1, _I * c3
+    return (-(c2 + ic3), c0 + ic1), (ic1 - c0, ic3 - c2)
 
 
 def to_skew_matrix(x: JordanElement):
-    """Algebra H: psi(X) * J6, a skew-symmetric 6x6 matrix over Q(i)."""
+    """Algebra H: psi(X) J6, a skew-symmetric 6x6 matrix over Q(i), written
+    block by block; block (j, i) is minus the transpose of block (i, j)."""
     if x.algebra != "H":
         raise ValueError("skew model needs algebra H")
-    m = x.to_matrix()
-    rows = []
-    for i in range(3):
-        blocks = [quaternion_to_block(m[i][j]) for j in range(3)]
-        for r in range(2):
-            row = []
-            for j in range(3):
-                row.extend(blocks[j][r])
-            rows.append(tuple(row))
-    return linalg.mul(tuple(rows), J6)
+    zero = Scalar.zero(True)
+    a = [[zero] * 6 for _ in range(6)]
+    for k, d in enumerate(x.diag):
+        d = d.to_gaussian()
+        a[2 * k][2 * k + 1], a[2 * k + 1][2 * k] = d, -d
+    for (i, j), q in zip(((1, 2), (0, 2), (0, 1)), x.off):
+        for r, row in enumerate(_skew_block(q)):
+            for c, e in enumerate(row):
+                a[2 * i + r][2 * j + c], a[2 * j + c][2 * i + r] = e, -e
+    return tuple(map(tuple, a))
 
 
-def from_skew_matrix(a, gaussian=True) -> JordanElement:
-    """Inverse of to_skew_matrix on skew-symmetric input."""
-    for i in range(6):
-        for j in range(6):
-            if a[i][j] != -a[j][i]:
-                raise ValueError("matrix is not skew-symmetric")
-    psi = linalg.mul(a, linalg.neg(J6))  # J6^-1 = -J6
-    m = []
-    for i in range(3):
-        row = []
-        for j in range(3):
-            blk = tuple(tuple(psi[2 * i + r][2 * j + c] for c in range(2)) for r in range(2))
-            row.append(block_to_quaternion(blk, gaussian))
-        m.append(tuple(row))
-    return JordanElement.from_matrix("H", tuple(m))
+def from_skew_matrix(a) -> JordanElement:
+    """Inverse of to_skew_matrix on skew-symmetric input: block [[p, b], [c, d]]
+    is the quaternion (b - c)/2 + (b + c)/(2i) e1 - (p + d)/2 e2 + (d - p)/(2i) e3."""
+    if any(a[i][j] != -a[j][i] for i in range(6) for j in range(i, 6)):
+        raise ValueError("matrix is not skew-symmetric")
+
+    def quaternion(i, j):
+        (p, b), (c, d) = a[2 * i][2 * j : 2 * j + 2], a[2 * i + 1][2 * j : 2 * j + 2]
+        return CDNumber(2, ((b - c) * _HALF, (b + c) * _IHALF, -(p + d) * _HALF, (d - p) * _IHALF))
+
+    diag = tuple(a[2 * k][2 * k + 1] for k in range(3))
+    return JordanElement("H", diag, (quaternion(1, 2), quaternion(0, 2), quaternion(0, 1)))
 
 
 def pfaffian(a) -> Scalar:

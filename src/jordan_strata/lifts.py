@@ -25,7 +25,13 @@ from fractions import Fraction
 from . import cdmatrix as cdm
 from . import linalg
 from .cayley_dickson import CDNumber, cd_mul
-from .jordan import JordanElement, jordan_rank, to_general_matrix, to_symmetric_matrix
+from .jordan import (
+    JordanElement,
+    from_symmetric_matrix,
+    jordan_rank,
+    to_general_matrix,
+    to_symmetric_matrix,
+)
 from .reduction import (
     CASE_ALGEBRA,
     LiftError,
@@ -267,10 +273,6 @@ def _alpha_from_c_columns(case, columns, s):
 # -- complex case ------------------------------------------------------------------
 
 
-def _plain_conj_t(m):
-    return tuple(tuple(x.conjugate() for x in col) for col in zip(*m))
-
-
 def _lift_complex(z: JordanElement, s: int, rank: int) -> WMap:
     m = linalg.scale(to_general_matrix(z), Scalar(0, 2, True))  # 2i Z
     r = linalg.rank(m)
@@ -289,20 +291,20 @@ def _lift_complex(z: JordanElement, s: int, rank: int) -> WMap:
         if len(chosen) == r:
             break
     u0 = linalg.transpose(tuple(chosen))  # 3 x r
-    u0s = _plain_conj_t(u0)
+    u0s = cdm.conj_transpose(u0)
     gram = linalg.mul(u0s, u0)
     w0 = linalg.mul(linalg.inverse(gram), linalg.mul(u0s, m))  # r x 3
     if linalg.mul(u0, w0) != linalg.mat(m):
         raise LiftError("pivot columns failed to factor the matrix", "complex-pivot-factor")
-    v0 = _plain_conj_t(w0)  # 3 x r
+    v0 = cdm.conj_transpose(w0)  # 3 x r
     n_u = gram
-    n_v = linalg.mul(_plain_conj_t(v0), v0)
+    n_v = linalg.mul(cdm.conj_transpose(v0), v0)
     g = _gram_balance_gauge(n_u, n_v)
     u = linalg.mul(u0, g)
-    v = linalg.mul(v0, linalg.inverse(_plain_conj_t(g)))
-    if linalg.mul(_plain_conj_t(u), u) != linalg.mul(_plain_conj_t(v), v):
+    v = linalg.mul(v0, linalg.inverse(cdm.conj_transpose(g)))
+    if linalg.mul(cdm.conj_transpose(u), u) != linalg.mul(cdm.conj_transpose(v), v):
         raise LiftError("gauge did not balance the Gram matrices", "complex-gauge-unbalanced")
-    if linalg.mul(u, _plain_conj_t(v)) != linalg.mat(m):
+    if linalg.mul(u, cdm.conj_transpose(v)) != linalg.mat(m):
         raise LiftError("gauge broke the factorization", "complex-gauge-mismatch")
     half = _gaussian(Fraction(1, 2))
     m_half_i = Scalar(0, Fraction(-1, 2), True)  # 1/(2i)
@@ -351,7 +353,7 @@ def _gram_balance_gauge(n_u, n_v):
             t.inverse(),
         )
         h = linalg.mul(x, linalg.inverse(n_u))
-        if h != _plain_conj_t(h):
+        if h != cdm.conj_transpose(h):
             continue
         h11 = h[0][0]
         det_h = h[0][0] * h[1][1] - h[0][1] * h[1][0]
@@ -379,7 +381,7 @@ def _posdef_factor(h):
     perp = (-row1[1].conjugate(), row1[0].conjugate())
     row2 = tuple(mu * a + nu * b for a, b in zip(row1, perp))
     g = (row1, row2)
-    if linalg.mul(g, _plain_conj_t(g)) != linalg.mat(h):
+    if linalg.mul(g, cdm.conj_transpose(g)) != linalg.mat(h):
         return None
     return g
 
@@ -585,19 +587,9 @@ def _real_liftable(rank, s, rng):
             if lam[0] == lam[1]:
                 continue
         z_mat = linalg.scale(m, Scalar(0, Fraction(-1, 2), True))  # Z = M/(2i)
-        elt = _symmetric_to_jordan(z_mat)
+        elt = from_symmetric_matrix(z_mat)
         if jordan_rank(elt) == rank:
             return elt
-
-
-def _symmetric_to_jordan(m):
-    diag = (m[0][0], m[1][1], m[2][2])
-    off = (
-        CDNumber(0, (m[1][2],)),
-        CDNumber(0, (m[0][2],)),
-        CDNumber(0, (m[0][1],)),
-    )
-    return JordanElement("R", diag, off)
 
 
 def _quat_liftable(rank, s, rng):

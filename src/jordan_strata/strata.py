@@ -21,6 +21,7 @@ from .jordan import (
     det,
     from_general_matrix,
     from_skew_matrix,
+    from_symmetric_matrix,
     jordan_rank,
     quadratic_rep,
     sharp,
@@ -127,10 +128,7 @@ def veronese(v) -> JordanElement:
     v = _gauss_vec(v)
     if all(c.is_zero() for c in v):
         raise ValueError("zero vector")
-    diag = tuple(v[i] * v[i] for i in range(3))
-    lift = lambda s: CDNumber(0, (s,))
-    off = (lift(v[1] * v[2]), lift(v[0] * v[2]), lift(v[0] * v[1]))
-    return JordanElement("R", diag, off)
+    return from_symmetric_matrix(tuple(tuple(a * b for b in v) for a in v))
 
 
 def segre(u, w) -> JordanElement:

@@ -530,46 +530,20 @@ def moment_suite(case=None, samples=25, seed=0):
             )
 
         def dagger_identity():
-            units6 = [
-                tuple(
-                    CDNumber.one(level) if i == r else CDNumber.zero(level)
-                    for i in range(6)
-                )
+            # (dagger(alpha) e_r, e_t) is conj(dagger(alpha)[t][r]) and alpha e_t
+            # is column t of alpha, so B(e_r, alpha e_t) must equal it
+            units = [
+                tuple(CDNumber.one(level) if i == r else CDNumber.zero(level) for i in range(6))
                 for r in range(6)
-            ]
-            units_s = [
-                tuple(
-                    CDNumber.one(level) if i == t else CDNumber.zero(level)
-                    for i in range(s)
-                )
-                for t in range(s)
             ]
             for _ in range(samples):
                 alpha = rand_wmap()
-                dag = dagger(alpha)
-                ok = True
-                for u in units6:
-                    for v in units_s:
-                        du = [
-                            sum(
-                                (cd_mul(dag[i][r], u[r]) for r in range(6)),
-                                CDNumber.zero(level),
-                            )
-                            for i in range(s)
-                        ]
-                        lhs = sum(
-                            (cd_mul(du[i].conjugate(), v[i]) for i in range(s)),
-                            CDNumber.zero(level),
-                        )
-                        av = [
-                            sum(
-                                (cd_mul(alpha.matrix[r][t], v[t]) for t in range(s)),
-                                CDNumber.zero(level),
-                            )
-                            for r in range(6)
-                        ]
-                        if lhs != b_form(cname, u, av):
-                            ok = False
+                dag, cols = dagger(alpha), list(zip(*alpha.matrix))
+                ok = all(
+                    dag[t][r].conjugate() == b_form(cname, u, cols[t])
+                    for r, u in enumerate(units)
+                    for t in range(s)
+                )
                 yield ok, lambda: repr(alpha.matrix)
 
         checks.append(_count("dagger-defining-identity", cname, dagger_identity()))
@@ -806,7 +780,6 @@ def poisson_suite(case=None, samples=10, seed=0):
 
 @register("dimension-audit")
 def dimension_audit_suite(case=None, samples=5, seed=0):
-    rng = random.Random(seed)
     checks = []
     dims = [JordanElement.space_dim(a) for a in ALGEBRAS]
     checks.append(_check("jordan-dims", "-", 4, 0 if dims == [6, 9, 15, 27] else 1, str(dims)))

@@ -9,12 +9,12 @@ from jordan_strata.bilinear import box
 from jordan_strata.cayley_dickson import CDNumber, cd_mul_doubling
 from jordan_strata.jordan import (
     ALGEBRAS,
-    J6,
     JordanElement,
     cross,
     det,
     from_general_matrix,
     from_skew_matrix,
+    from_symmetric_matrix,
     jordan_mul,
     jordan_mul_matrices,
     jordan_rank,
@@ -258,6 +258,81 @@ def test_det_multiplicativity_under_quadratic_rep():
             a = random_element(algebra, rng, gaussian=True)
             x = random_element(algebra, rng, gaussian=True)
             assert det(quadratic_rep(a, x)) == det(a) * det(a) * det(x)
+
+
+# -- oracle for the skew model: psi(X) J6 through the 2x2 block of each unit
+# and a dense product, the route the closed-form blocks replaced
+
+
+def _g(re, im=0):
+    return Scalar(re, im, True)
+
+
+QUAT_BLOCKS = (  # 1, e1, e2, e3 as 2x2 complex matrices
+    ((_g(1), _g(0)), (_g(0), _g(1))),
+    ((_g(0, 1), _g(0)), (_g(0), _g(0, -1))),
+    ((_g(0), _g(1)), (_g(-1), _g(0))),
+    ((_g(0), _g(0, 1)), (_g(0, 1), _g(0))),
+)
+# diag(J2, J2, J2) with J2 = [[0, 1], [-1, 0]]
+J6 = tuple(
+    tuple(_g((c == r + 1) - (c == r - 1)) if r // 2 == c // 2 else _g(0) for c in range(6))
+    for r in range(6)
+)
+
+
+def psi_block(q):
+    out = [[_g(0), _g(0)], [_g(0), _g(0)]]
+    for c, blk in zip(q.coeffs, QUAT_BLOCKS):
+        for i in range(2):
+            for j in range(2):
+                out[i][j] = out[i][j] + c.to_gaussian() * blk[i][j]
+    return out
+
+
+def skew_oracle(x):
+    m = x.to_matrix()
+    blocks = [[psi_block(m[i][j]) for j in range(3)] for i in range(3)]
+    psi = tuple(
+        tuple(e for j in range(3) for e in blocks[i][j][r]) for i in range(3) for r in range(2)
+    )
+    return linalg.mul(psi, J6)
+
+
+def test_skew_model_matches_the_block_table_route():
+    rng = random.Random(45)
+    for algebra, gaussian, elts in invariant_samples(rng):
+        if algebra != "H":
+            continue
+        for x in elts:
+            a = to_skew_matrix(x)
+            assert a == skew_oracle(x)
+            assert all(type(e) is Scalar and e.gaussian for row in a for e in row)
+            assert from_skew_matrix(a) == (x if gaussian else x.complexify())
+    assert to_skew_matrix(JordanElement.identity("H")) == J6
+
+
+def test_det_is_the_pfaffian_of_the_skew_model():
+    # the Pfaffian cubic: an oracle for det on H sharing nothing with cross_tensor
+    rng = random.Random(46)
+    xs = [random_element("H", rng, gaussian) for gaussian in (True, False) for _ in range(20)]
+    xs += [rank_k_sample("H", k, rng) for k in (0, 1, 2, 3) for _ in range(5)]
+    for x in xs:
+        assert pfaffian(to_skew_matrix(x)) == det(x).to_gaussian()
+
+
+def test_symmetric_model_round_trip():
+    rng = random.Random(47)
+    for algebra, gaussian, elts in invariant_samples(rng):
+        if algebra != "R":
+            continue
+        for x in elts:
+            m = to_symmetric_matrix(x)
+            assert all(m[i][j] == m[j][i] for i in range(3) for j in range(3))
+            assert from_symmetric_matrix(m) == x
+    s = lambda v: Scalar(v)
+    with pytest.raises(ValueError):
+        from_symmetric_matrix(((s(1), s(2), s(0)), (s(3), s(1), s(0)), (s(0), s(0), s(1))))
 
 
 def test_pfaffian():

@@ -72,3 +72,19 @@ def test_form_definiteness_needs_both_signatures(monkeypatch, minors):
     monkeypatch.setattr(suites.linalg, "leading_minors", lambda gram: minors(len(gram)))
     checks = suites.run_suite("tkk", case="sp3", samples=1)
     assert [c["failures"] for c in checks if c["name"] == "form-definiteness"] == [1]
+
+
+def test_a_dagger_without_conjugation_fails_the_defining_identity(monkeypatch):
+    def transpose_only(alpha):  # dagger with the conjugations left out
+        xi, up = alpha.blocks()
+        return tuple(ru + tuple(-q for q in rx) for ru, rx in zip(zip(*up), zip(*xi)))
+
+    def failures(case):
+        checks = suites.run_suite("moment-identity", case=case, samples=3, seed=0)
+        return next(c for c in checks if c["name"] == "dagger-defining-identity")["failures"]
+
+    assert [failures(c) for c in ("real", "complex", "quaternionic")] == [0, 0, 0]
+    monkeypatch.setattr(suites, "dagger", transpose_only)
+    # over R conjugation is the identity, so only C and H can tell
+    assert failures("real") == 0
+    assert failures("complex") == 3 and failures("quaternionic") == 3
