@@ -1,5 +1,5 @@
 """Sparse integer bilinear products: the one engine behind ``cd_mul``,
-``cdmatrix.mul``, ``jordan_mul``, the Jordan cross product (``sharp``,
+the ``cdmatrix`` blocks, ``jordan_mul``, the Jordan cross product (``sharp``,
 ``det``, ``jordan_rank``), the coordinate product of ``tkk.JordanSpace``
 and the Lie bracket of ``tkk.TKKAlgebra``.
 
@@ -13,8 +13,8 @@ how a ``CDNumber``, a ``JordanElement`` and a ``tkk.TKKElement`` store their
 coordinates (``IntVector``, below), so a product reads its operands'
 integers as they are, sums in Python ints and hands back the integer
 accumulator over the product of the denominators; the caller stores it as
-it is.  A sum of products, such as an entry of a matrix product, is
-contracted into one accumulator over one common denominator (``sum_mul``).
+it is.  ``left`` writes the table out as the integer matrix of y -> x y,
+the left-regular operator on which ``cdmatrix`` multiplies and inverts.
 
 ``IntVector`` owns that storage format and its linear structure, written
 once for all three classes: normalization to lowest terms, + and - over the
@@ -41,7 +41,7 @@ class Bilinear:
     nonzero integer.
     """
 
-    __slots__ = ("dim", "den", "rows", "_gauss_rows")
+    __slots__ = ("dim", "den", "rows", "_gauss_rows", "_left_rows")
 
     def __init__(self, table, den=None):
         """``table[i][j]`` lists the (k, c) with e_i e_j = sum c e_k, or, when
@@ -53,6 +53,7 @@ class Bilinear:
         self.den = den
         self.rows = table
         self._gauss_rows = None
+        self._left_rows = [None, None]  # left's tables over Q and over Q(i)
 
     def _gauss(self):
         """The constants on 2n coordinates, compiled on first use."""
@@ -90,19 +91,22 @@ class Bilinear:
                             acc[k] += p * c
         return acc
 
-    def sum_mul(self, terms, gaussian: bool):
-        """(acc, den) with sum x y = acc / den over the pairs
-        ((xv, dx), (yv, dy)) in ``terms``, x = xv / dx and y = yv / dy.
-
-        The sum is taken over one common denominator, the lcm of the
-        products dx * dy, so each pair is contracted once.
-        """
-        den = lcm(*[dx * dy for (_, dx), (_, dy) in terms])
-        acc = [0] * (2 * self.dim if gaussian else self.dim)
-        for (xv, dx), (yv, dy) in terms:
-            f = den // (dx * dy)
-            self.contract([v * f for v in xv] if f != 1 else xv, yv, gaussian, acc)
-        return acc, den * self.den
+    def left(self, xv, gaussian=False):
+        """den * L(x) for an integer coordinate vector x (2n long over Q(i)):
+        the integer matrix of y -> x y, row k holding coordinate k of the
+        products x e_j."""
+        if self._left_rows[gaussian] is None:
+            # row k lists the (j, i, c) with c the coefficient of e_k in e_i e_j
+            rows = self._gauss() if gaussian else self.rows
+            cs = [(k, j, i, c) for i, r in enumerate(rows) for j, cl in enumerate(r) for k, c in cl]
+            self._left_rows[gaussian] = [[t[1:] for t in cs if t[0] == k] for k in range(len(rows))]
+        out = []
+        for row in self._left_rows[gaussian]:
+            m = [0] * len(xv)
+            for j, i, c in row:
+                m[j] += c * xv[i]
+            out.append(m)
+        return out
 
 
 def box(v, den, gaussian):

@@ -2,22 +2,25 @@
 matrix algebra needs associativity, so the octonions are excluded here).
 
 Rows are tuples of CDNumber; entries must share level and base ring.  Used by
-the momentum-map layer for the V = K^6 matrix models.  ``mul`` runs on the
-bilinear engine: each entry already is an integer vector over one
-denominator (the ``CDNumber`` storage), each output entry is one integer
-contraction of the level's unit table (``Bilinear.sum_mul``) and is stored
-as it comes, with no ``Scalar`` in between.  ``inverse`` goes through the
-exact elimination core of ``linalg``.  ``add``, ``sub``, ``neg`` and
-``from_rows`` (``linalg.mat``) are ``linalg``'s, which never look inside an
-entry; ``conj_transpose`` serves ``Scalar`` matrices as well.
+the momentum-map layer for the V = K^6 matrix models.  ``mul`` and
+``inverse`` run on one representation: x -> L(x), the left-regular operator
+y -> x y as an integer matrix read off the level's compiled unit table
+(``Bilinear.left``), an injective ring map at the associative levels.  A
+row of a matrix becomes one integer block row (L(x_0) | ... | L(x_n)) over
+the lcm of its denominators; ``mul`` dots it with the stacked integer
+coordinates of a column of the other factor, and ``inverse`` hands the
+block rows to the exact elimination core of ``linalg``.  ``add``, ``sub``,
+``neg`` and ``from_rows`` (``linalg.mat``) are ``linalg``'s, which never
+look inside an entry; ``conj_transpose`` serves ``Scalar`` matrices as well.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
+from operator import mul as _times
 
 from . import linalg
-from .cayley_dickson import CDNumber, _cd_product, cd_mul, unit_product
+from .cayley_dickson import CDNumber, _cd_product
 from .linalg import add, neg, sub
 from .linalg import mat as from_rows
 from .scalars import Scalar
@@ -34,36 +37,27 @@ def identity(n, level, gaussian=False):
 
 
 def scale(a, s) -> tuple:
-    """Left scalar multiple; s may be a Scalar or CDNumber."""
-    if isinstance(s, Scalar):
-        return tuple(tuple(x.scale(s) for x in row) for row in a)
-    return tuple(tuple(cd_mul(s, x) for x in row) for row in a)
+    """The multiple by a Scalar s."""
+    return tuple(tuple(x.scale(s) for x in row) for row in a)
 
 
 def mul(a, b):
-    """The matrix product, one integer contraction per output entry.
+    """The matrix product: coordinate k of entry (i, j) is one integer dot
+    product of row k of the block row of row i of ``a`` with the stacked
+    coordinates of column j of ``b``.
 
-    An output entry is the engine's ``sum_mul`` of the stored (v, den) pairs
-    of its nonzero terms.  Every entry, zero or not, must share the level
-    and ring of ``a[0][0]``.
+    Every entry, zero or not, must share the level and ring of ``a[0][0]``.
     """
     if a and b and len(a[0]) != len(b):
         raise ValueError("inner dimensions do not match")
     first = a[0][0]
-    level, gaussian = first.level, first.gaussian
-    table = _cd_product(level)
-
-    def entry(x):
-        first._check(x)
-        return (x.v, x.den) if any(x.v) else None
-
-    def dot(row, col):
-        acc, den = table.sum_mul([(x, y) for x, y in zip(row, col) if x and y], gaussian)
-        return CDNumber._of(level, gaussian, acc, den)
-
-    rows = [[entry(x) for x in row] for row in a]
-    cols = [[entry(y) for y in col] for col in zip(*b)]
-    return tuple(tuple(dot(row, col) for col in cols) for row in rows)
+    den = _cd_product(first.level).den
+    cols = [_over_lcm(col, first) for col in zip(*b)]
+    cols = [([c for v in vs for c in v], e) for vs, e in cols]
+    return tuple(
+        tuple(first._like([sum(map(_times, r, c)) for r in block], d * e * den) for c, e in cols)
+        for block, d in (_block_row(row, first) for row in a)
+    )
 
 
 def conj_transpose(a):
@@ -76,50 +70,45 @@ def is_zero(a):
 
 def trace_real(a) -> Scalar:
     """Real part of the trace (a base-ring scalar)."""
-    g = a[0][0].gaussian
-    acc = Scalar.zero(g)
-    for i in range(len(a)):
-        acc = acc + a[i][i].real()
-    return acc
+    return sum((row[i].real() for i, row in enumerate(a)), Scalar.zero(a[0][0].gaussian))
 
 
 def inverse(a):
     """Inverse over an associative division level (0..2, rational base).
 
-    x -> L_x, the rational matrix of y -> x y, is an injective ring map at
-    the associative levels, so the block matrix (L_{a_ij}) inverts to
-    (L_{(a^-1)_ij}), and column 0 of L_x holds the coordinates of x.
+    x -> L(x) is an injective ring map, so the block matrix (L(a_ij))
+    inverts to (L((a^-1)_ij)), and column 0 of L(x) holds the coordinates of
+    x.  Raises ValueError when ``a`` is not square and ZeroDivisionError
+    when it is singular.
     """
-    n = len(a)
-    level = a[0][0].level
-    gaussian = a[0][0].gaussian
-    if gaussian and level > 0:
+    first = a[0][0]
+    if first.gaussian and first.level > 0:
         raise ValueError("inverse over a non-division ring is not supported")
-    blocks = [[_left_regular(x) for x in row] for row in a]
-    d = len(blocks[0][0])
-    big = [[v for blk in brow for v in blk[k]] for brow in blocks for k in range(d)]
-    cols = linalg._inverse_columns(big, d)
+    den, w = _cd_product(first.level).den, len(first.v)
+    blocks = [_block_row(row, first) for row in a]
+    cols = linalg._inverse_columns(
+        [r for block, _ in blocks for r in block], w, [d * den for _, d in blocks for _ in range(w)]
+    )
+    # column j of rows i .. i + w - 1 holds the coordinates of entry (i / w, j)
     return tuple(
-        tuple(
-            CDNumber._of(level, gaussian, *linalg._int_row([cols[i * d + k][j] for k in range(d)]))
-            for j in range(n)
-        )
-        for i in range(n)
+        tuple(first._like(*linalg._int_row(x)) for x in zip(*cols[i : i + w]))
+        for i in range(0, len(cols), w)
     )
 
 
-def _left_regular(x):
-    """Rational matrix of y -> x y on the coordinates of x over Q, built
-    from the stored integers of x."""
-    v = x.v
-    if x.gaussian:  # level 0 over Q(i): rho(a + bi) = [[a, -b], [b, a]]
-        m = [[v[0], -v[1]], [v[1], v[0]]]
-    else:
-        d = 1 << x.level
-        m = [[0] * d for _ in range(d)]
-        for i, c in enumerate(v):
-            if c:
-                for j in range(d):
-                    k, sign = unit_product(x.level, i, j)
-                    m[k][j] += sign * c
-    return m if x.den == 1 else [[Fraction(c, x.den) for c in row] for row in m]
+def _over_lcm(entries, first):
+    """(vs, d): the integer coordinates of ``entries``, each checked against
+    the level and ring of ``first``, over the lcm d of their denominators."""
+    for x in entries:
+        first._check(x)
+    d = lcm(*[x.den for x in entries])
+    return [x.v if x.den == d else [c * (d // x.den) for c in x.v] for x in entries], d
+
+
+def _block_row(row, first):
+    """(block, d) with block / (d * den) the rows of (L(x_0) | ... | L(x_n))
+    for a matrix row, d the lcm of its denominators and den the table's."""
+    vs, d = _over_lcm(row, first)
+    table = _cd_product(first.level)
+    ls = [table.left(v, first.gaussian) for v in vs]
+    return [[c for m in ls for c in m[k]] for k in range(len(first.v))], d

@@ -169,17 +169,24 @@ def _rref(a):
     )
 
 
-def _inverse_columns(m, d=1):
-    """Columns 0, d, 2d, ... of the inverse of a square rational matrix.
+def _inverse_columns(m, d=1, dens=None):
+    """Columns 0, d, 2d, ... of the inverse of the square rational matrix
+    with rows m[r] / dens[r] (all dens 1 when not given).
 
     For m = phi(A), with phi a ring map sending each entry to a d x d block
     whose column 0 holds the entry's coordinates, these columns are the
-    coordinates of A^-1.  Raises ZeroDivisionError when m is singular.
+    coordinates of A^-1.  Row r of (m / dens | I) is row r of (m | dens[r] I)
+    over dens[r], so a denominator only rescales its own identity column.
+    Raises ValueError when m is not square and ZeroDivisionError when it is
+    singular.
     """
     size = len(m)
+    if any(len(row) != size for row in m):
+        raise ValueError("not a square matrix")
     ech = _Echelon()
     for r, row in enumerate(m):
-        ech.insert(list(row) + [int(r == c) for c in range(0, size, d)])
+        e = dens[r] if dens else 1
+        ech.insert(list(row) + [e if r == c else 0 for c in range(0, size, d)])
     if ech.pivots[size - 1 : size] != [size - 1]:
         raise ZeroDivisionError("singular matrix")
     return [[ech.entry(r, size + j) for j in range(size // d)] for r in range(size)]

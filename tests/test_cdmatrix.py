@@ -177,7 +177,28 @@ def test_inverse_entries_are_stored_canonically():
         except ZeroDivisionError:
             continue
         ident = cdm.identity(3, level, gaussian)
-        for got, want in zip(cdm.mul(a, inv), ident):
+        for got, want in zip(reference_mul(a, inv), ident):
             assert all(same(g, w) for g, w in zip(got, want))
         for row in inv:
             assert all(same(x, CDNumber(level, x.coeffs)) for x in row)
+
+
+@pytest.mark.parametrize("level, gaussian", RINGS)
+def test_inverse_is_a_two_sided_inverse_under_the_doubling_products(level, gaussian):
+    # checked on reference_mul, which shares no table with the left-regular
+    # blocks that cdm.mul and cdm.inverse both run on
+    rng = random.Random(500 + 10 * level + gaussian)
+    for n in (2, 3, 6):
+        ident = cdm.identity(n, level, gaussian)
+        inverted = 0
+        for sparse in (False, True):
+            for _ in range(3):
+                a = rand_matrix(rng, n, n, level, gaussian, False, sparse)
+                try:
+                    inv = cdm.inverse(a)
+                except ZeroDivisionError:
+                    continue
+                inverted += 1
+                assert reference_mul(a, inv) == ident
+                assert reference_mul(inv, a) == ident
+        assert inverted

@@ -154,6 +154,21 @@ def test_cdmatrix_inverse(level, gaussian):
         cdm.inverse(((one,),))
 
 
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 2)])
+def test_inverse_rejects_a_non_square_matrix(m, n):
+    rng = random.Random(8)
+    for gaussian in (False, True):
+        a = rand_matrix(rng, m, n, gaussian, False)
+        with pytest.raises(ValueError, match="not a square matrix"):
+            linalg.inverse(a)
+    for level, gaussian in [(0, False), (0, True), (1, False), (2, False)]:
+        one = CDNumber.one(level, gaussian)
+        with pytest.raises(ValueError, match="not a square matrix"):
+            cdm.inverse(((one,) * n,) * m)
+    with pytest.raises(ValueError, match="not a square matrix"):
+        linalg._inverse_columns([[1, 0, 0], [0, 1, 0]])
+
+
 def test_str_coords_rejects_an_operator_outside_the_structure_algebra():
     alg = tkk_algebra("sp3")
     n = alg.space.dim

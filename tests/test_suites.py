@@ -5,9 +5,11 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from jordan_strata import cdmatrix as cdm
 from jordan_strata import suites
 from jordan_strata.cayley_dickson import CDNumber, cd_mul
 from jordan_strata.cli import main
+from jordan_strata.reduction import WMap
 from jordan_strata.strata import rand_cd
 
 
@@ -88,3 +90,38 @@ def test_a_dagger_without_conjugation_fails_the_defining_identity(monkeypatch):
     # over R conjugation is the identity, so only C and H can tell
     assert failures("real") == 0
     assert failures("complex") == 3 and failures("quaternionic") == 3
+
+
+@pytest.mark.parametrize(
+    "name, wrong, cases",
+    [
+        (
+            "act_g",
+            lambda alpha, y: WMap(alpha.case, cdm.mul(cdm.mul(y, y), alpha.matrix)),
+            {"real", "complex", "quaternionic"},
+        ),
+        # O(2) acts on its one-dimensional Lie algebra by det(x), the same for
+        # x and x^-1, so over R at s = 2 alpha x is as equivariant as alpha x^-1
+        (
+            "act_h",
+            lambda alpha, x: WMap(alpha.case, cdm.mul(alpha.matrix, x)),
+            {"complex", "quaternionic"},
+        ),
+    ],
+)
+def test_a_wrong_group_action_fails_equivariance(monkeypatch, name, wrong, cases):
+    # equivariance is checked cross-multiplied, mu(g . alpha) g = g mu(alpha),
+    # so it must still reject an action that is not the one mu is equivariant for
+    def run():
+        buf = io.StringIO()
+        with redirect_stdout(buf):
+            rc = main(["verify", "--suite", "moment-identity", "--samples", "4", "--seed", "3"])
+        return rc, json.loads(buf.getvalue())["checks"]
+
+    assert run()[0] == 0
+    monkeypatch.setattr(suites, name, wrong)
+    rc, checks = run()
+    assert rc == 1
+    failed = [c for c in checks if c["failures"]]
+    assert {c["case"] for c in failed} == cases
+    assert all(c["name"] == "equivariance" and c["witness"] for c in failed)
