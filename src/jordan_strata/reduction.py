@@ -37,6 +37,14 @@ the zero test reads t <= t' only.  b and q are compiled once per case from
 the unit table (``column_tables``) and contracted on each column's integers;
 ``mu_h`` and the p-blocks of ``mu_g`` are the matrix route, which the tests
 keep as the oracle.
+
+Group moves are applied by their factors.  An element of G = U(V, B) is drawn
+as y = [[I, X], [0, I]] diag(g, (g*)^-1) [[I, 0], [Y, I]] with X, Y hermitian;
+``g_group_generators`` forms y blockwise and the sampler moves alpha by the
+factors without forming y.  Words in H are built by column operations on the
+identity and are unitary, so ``act_h`` multiplies by x* for x^-1.  The
+oscillator's angular momentum J = mu_H is one integer pass over the upper
+triangle, over a common denominator.
 """
 
 from __future__ import annotations
@@ -292,83 +300,79 @@ def in_lie_g(case, m) -> bool:
 
 
 def h_group_generators(case, s, rng, count=2):
-    """Random words in exact generators of H = O(s) / U(s) / Sp(s)."""
+    """Random unitary words of three exact generators of H = O(s) / U(s) / Sp(s):
+    a column swap, a column times a signed unit, a 3-4-5 rotation of two."""
     level = CASE_LEVEL[case]
     out = []
     for _ in range(count):
-        g = cdm.identity(s, level)
+        cols = [list(c) for c in cdm.identity(s, level)]
         for _ in range(3):
-            g = cdm.mul(g, _h_generator(case, s, rng))
-        out.append(g)
+            kind = rng.choice(["perm", "unit", "rot"] if s > 1 else ["unit"])
+            if kind == "unit":
+                i, k = rng.randrange(s), rng.randrange(1 << level)
+                u = CDNumber.unit(level, k).scale(rng.choice([1, -1]))
+                cols[i] = [x * u for x in cols[i]]
+                continue
+            i, j = rng.sample(range(s), 2)
+            if kind == "perm":
+                cols[i], cols[j] = cols[j], cols[i]
+            else:  # columns (i, j) -> (3 c_i + 4 c_j, 3 c_j - 4 c_i) / 5
+                cols[i], cols[j] = (
+                    [_turn(a, b, 4) for a, b in zip(cols[i], cols[j])],
+                    [_turn(b, a, -4) for a, b in zip(cols[i], cols[j])],
+                )
+        out.append(tuple(zip(*cols)))
     return out
 
 
-def _h_generator(case, s, rng):
+def _turn(a, b, d):
+    """(3 a + d b) / 5 for entries a and b of one ring, in integers."""
+    return a._like([3 * x * b.den + d * y * a.den for x, y in zip(a.v, b.v)], 5 * a.den * b.den)
+
+
+def _g_factors(case, rng):
+    """(X, g, h, Y) with X, Y hermitian and h = (g*)^-1, drawn in this order:
+    the factors of y = [[I, X], [0, I]] diag(g, h) [[I, 0], [Y, I]] in G."""
     level = CASE_LEVEL[case]
-    kind = rng.choice(["perm", "unit", "rot"] if s > 1 else ["unit"])
-    ident = [list(row) for row in cdm.identity(s, level)]
-    if kind == "perm":
-        i, j = rng.sample(range(s), 2)
-        ident[i], ident[j] = ident[j], ident[i]
-        return cdm.from_rows(ident)
-    if kind == "unit":
-        i = rng.randrange(s)
-        k = rng.randrange(1 << level)
-        sign = rng.choice([1, -1])
-        u = CDNumber.unit(level, k)
-        ident[i][i] = u if sign > 0 else -u
-        return cdm.from_rows(ident)
-    i, j = rng.sample(range(s), 2)
-    c, d = Scalar(Fraction(3, 5)), Scalar(Fraction(4, 5))
-    ident[i][i] = CDNumber.from_scalar(level, c)
-    ident[j][j] = CDNumber.from_scalar(level, c)
-    ident[i][j] = CDNumber.from_scalar(level, -d)
-    ident[j][i] = CDNumber.from_scalar(level, d)
-    return cdm.from_rows(ident)
+    x = _random_hermitian(level, 3, rng, span=1)
+    g, h = _g_block_diag(case, rng)
+    return x, g, h, _random_hermitian(level, 3, rng, span=1)
 
 
 def g_group_generators(case, rng, count=2):
-    """Random words in exact generators of G = U(V, B)."""
+    """Random elements y = [[g + X h Y, X h], [h Y, h]] of G = U(V, B)."""
     out = []
     for _ in range(count):
-        g = _g_shear(case, rng, upper=True)
-        g = cdm.mul(g, _g_block_diag(case, rng))
-        g = cdm.mul(g, _g_shear(case, rng, upper=False))
-        out.append(g)
+        x, g, h, y = _g_factors(case, rng)
+        xh = cdm.mul(x, h)
+        left = cdm.add(g, cdm.mul(xh, y)) + cdm.mul(h, y)
+        out.append(tuple(a + b for a, b in zip(left, xh + h)))
     return out
 
 
-def _g_shear(case, rng, upper=True):
-    level = CASE_LEVEL[case]
-    x = _random_hermitian(level, 3, rng, span=1)
-    ident = cdm.identity(3, level)
-    zero = cdm.zero(3, 3, level)
-    if upper:
-        top = tuple(ri + xi for ri, xi in zip(ident, x))
-        bot = tuple(zi + ri for zi, ri in zip(zero, ident))
-    else:
-        top = tuple(ri + zi for ri, zi in zip(ident, zero))
-        bot = tuple(xi + ri for xi, ri in zip(x, ident))
-    return top + bot
-
-
 def _g_block_diag(case, rng):
+    """(g, h = (g*)^-1), the blocks of diag(g, h) in G."""
     level = CASE_LEVEL[case]
     for _ in draws("reduction._g_block_diag"):
         g = cdm.from_rows([[rand_cd(level, rng) for _ in range(3)] for _ in range(3)])
         try:
-            hinv = cdm.inverse(cdm.conj_transpose(g))
+            return g, cdm.inverse(cdm.conj_transpose(g))
         except ZeroDivisionError:
             continue
-        zero = cdm.zero(3, 3, level)
-        top = tuple(gi + zi for gi, zi in zip(g, zero))
-        bot = tuple(zi + hi for zi, hi in zip(zero, hinv))
-        return top + bot
+
+
+def _g_move(alpha: WMap, factors) -> WMap:
+    """y alpha for the word y of ``factors``, never formed: for alpha = [A; B],
+    B' = h (Y A + B) and A' = g A + X B'."""
+    x, g, h, y = factors
+    top, bot = alpha.blocks()
+    bot = cdm.mul(h, cdm.add(cdm.mul(y, top), bot))
+    return WMap(alpha.case, cdm.add(cdm.mul(g, top), cdm.mul(x, bot)) + bot)
 
 
 def act_h(alpha: WMap, x) -> WMap:
-    """alpha -> alpha x^-1."""
-    return WMap(alpha.case, cdm.mul(alpha.matrix, cdm.inverse(x)))
+    """alpha -> alpha x^-1 = alpha x*, for x in H (unitary)."""
+    return WMap(alpha.case, cdm.mul(alpha.matrix, cdm.conj_transpose(x)))
 
 
 def act_g(alpha: WMap, y) -> WMap:
@@ -495,14 +499,11 @@ def zero_level_sample(case, s, target_rank, rng, enrich=True) -> WMap:
         else:
             s_herm = _random_hermitian(level, k, rng)
             up1 = cdm.mul(xi1, cdm.mul(ninv, s_herm))
-        pad = cdm.zero(3, s - k, level)
-        xi = tuple(r1 + r2 for r1, r2 in zip(xi1, pad))
-        up = tuple(r1 + r2 for r1, r2 in zip(up1, pad))
-        alpha = WMap(case, xi + up)
+        alpha = WMap(case, [r + z for r, z in zip(xi1 + up1, cdm.zero(6, s - k, level))])
         if _zero_level_columns(alpha) is None:
             raise AssertionError("sampler violated the zero level")
         if enrich:
-            alpha = act_g(alpha, g_group_generators(case, rng, count=1)[0])
+            alpha = _g_move(alpha, _g_factors(case, rng))
             alpha = act_h(alpha, h_group_generators(case, s, rng, count=1)[0])
         if stratum(alpha) == k:
             return alpha
@@ -510,9 +511,10 @@ def zero_level_sample(case, s, target_rank, rng, enrich=True) -> WMap:
 
 def _random_hermitian(level, k, rng, span=2):
     """A k x k hermitian matrix: integers on the diagonal, ``rand_cd`` above it."""
-    rows = [[CDNumber.zero(level) for _ in range(k)] for _ in range(k)]
+    rows = [[None] * k for _ in range(k)]
+    pad = (0,) * ((1 << level) - 1)
     for i in range(k):
-        rows[i][i] = CDNumber.from_scalar(level, Scalar(Fraction(rng.randint(-span, span))))
+        rows[i][i] = CDNumber._of(level, False, (rng.randint(-span, span),) + pad, 1)
     for i in range(k):
         for j in range(i + 1, k):
             q = rand_cd(level, rng, span=span)
@@ -574,27 +576,25 @@ class OscillatorConfig:
 
 
 def encode_oscillator(c: OscillatorConfig) -> WMap:
-    rows = []
-    for i in range(3):
-        rows.append(tuple(CDNumber(0, (Scalar(x),)) for x in c.q[i]))
-    for i in range(3):
-        rows.append(tuple(CDNumber(0, (Scalar(x),)) for x in c.p[i]))
-    return WMap("real", rows)
+    return WMap("real", [[CDNumber._of(0, False, (x.numerator,), x.denominator) for x in row]
+                         for row in c.q + c.p])
 
 
 def angular_momentum(c: OscillatorConfig):
-    """J_ab = sum_i (q_i^a p_i^b - q_i^b p_i^a), a skew s x s matrix."""
-    s = c.s
-    out = []
+    """J_ab = sum_i (q_i^a p_i^b - q_i^b p_i^a), a skew s x s matrix: one
+    integer pass over the upper triangle, over den^2 for den the lcm of every
+    denominator of q and p."""
+    den = lcm(*[x.denominator for row in c.q + c.p for x in row])
+    q, p = ([[x.numerator * (den // x.denominator) for x in row] for row in m] for m in (c.q, c.p))
+    s, d2, zero = c.s, den * den, Fraction(0)
+    out = [[zero] * s for _ in range(s)]
     for a in range(s):
-        row = []
-        for b in range(s):
-            acc = Fraction(0)
-            for i in range(3):
-                acc += c.q[i][a] * c.p[i][b] - c.q[i][b] * c.p[i][a]
-            row.append(acc)
-        out.append(tuple(row))
-    return tuple(out)
+        for b in range(a + 1, s):
+            n = sum(qi[a] * pi[b] - qi[b] * pi[a] for qi, pi in zip(q, p))
+            if n:
+                out[a][b] = Fraction(n, d2)
+                out[b][a] = -out[a][b]
+    return tuple(map(tuple, out))
 
 
 def classify_config(c: OscillatorConfig) -> int:

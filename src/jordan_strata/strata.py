@@ -10,6 +10,7 @@ exact arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from . import linalg
@@ -246,14 +247,13 @@ def det_curve_coefficients(x: JordanElement, h: JordanElement):
     return sol
 
 
+@lru_cache(maxsize=None)
 def closed_orbit_tangent_dim(algebra: str) -> int:
     """dim of the affine cone over the closed orbit, from the tangent space
     of {sharp = 0} at E11 (exact kernel of the linearized adjugate)."""
     e11 = JordanElement.diagonal(algebra, 1, 0, 0, gaussian=True)
     basis = JordanElement.space_basis(algebra, gaussian=True)
-    cols = []
-    for h in basis:
-        cols.append(_sharp_derivative(e11, h).coords())
+    cols = [_sharp_derivative(e11, h).coords() for h in basis]
     m = tuple(zip(*cols))  # rows indexed by output coordinate
     return len(basis) - linalg.rank(m)
 

@@ -1,6 +1,7 @@
 import ast
 import inspect
 import io
+import json
 import random
 import time
 from contextlib import redirect_stdout
@@ -9,11 +10,13 @@ from fractions import Fraction
 import pytest
 
 from jordan_strata import cdmatrix as cdm
-from jordan_strata import lifts, scalars
+from jordan_strata import cli, lifts, scalars
 from jordan_strata.cayley_dickson import CDNumber, cd_mul
 from jordan_strata.jordan import JordanElement, jordan_rank
 from jordan_strata.lifts import LiftError, hilbert_lift, liftable_sample
 from jordan_strata.reduction import (
+    _g_factors,
+    _g_move,
     CASE_ALGEBRA,
     CASE_LEVEL,
     OscillatorConfig,
@@ -46,8 +49,9 @@ from jordan_strata.reduction import (
 from jordan_strata import suites
 from jordan_strata.cli import main
 from jordan_strata.scalars import Scalar
-from jordan_strata.strata import rank_k_sample
+from jordan_strata.strata import rand_cd, rank_k_sample
 from jordan_strata.suites import run_suite
+from test_cdmatrix import reference_mul
 
 CASES = ("real", "complex", "quaternionic")
 
@@ -221,6 +225,164 @@ def test_equivariance(case):
         for y in g_group_generators(case, rng, count=2):
             assert mu_g(act_g(alpha, y)) == cdm.mul(cdm.mul(y, mu_g(alpha)), cdm.inverse(y))
             assert mu_h(act_g(alpha, y)) == mu_h(alpha)
+
+
+# -- the dense group builders, the oracle for the words built by their factors ----
+
+
+def dense_hermitian(level, k, rng, span=2):
+    """``_random_hermitian`` with its diagonal built through Scalars."""
+    rows = [[CDNumber.zero(level) for _ in range(k)] for _ in range(k)]
+    for i in range(k):
+        rows[i][i] = CDNumber.from_scalar(level, Scalar(Fraction(rng.randint(-span, span))))
+    for i in range(k):
+        for j in range(i + 1, k):
+            q = rand_cd(level, rng, span=span)
+            rows[i][j] = q
+            rows[j][i] = q.conjugate()
+    return cdm.from_rows(rows)
+
+
+def dense_g_word(case, rng):
+    """S_u D S_l: two dense 6x6 products of the shear [[I, X], [0, I]], the
+    block diagonal D = diag(g, (g*)^-1) and the shear [[I, 0], [Y, I]]."""
+    level = CASE_LEVEL[case]
+    ident, zero = cdm.identity(3, level), cdm.zero(3, 3, level)
+
+    def blocks(a, b, c, d):
+        return tuple(r + t for r, t in zip(a, b)) + tuple(r + t for r, t in zip(c, d))
+
+    upper = blocks(ident, dense_hermitian(level, 3, rng, span=1), zero, ident)
+    while True:
+        g = cdm.from_rows([[rand_cd(level, rng) for _ in range(3)] for _ in range(3)])
+        try:
+            diag = blocks(g, zero, zero, cdm.inverse(cdm.conj_transpose(g)))
+            break
+        except ZeroDivisionError:
+            continue
+    lower = blocks(ident, zero, dense_hermitian(level, 3, rng, span=1), ident)
+    return cdm.mul(cdm.mul(upper, diag), lower)
+
+
+def dense_h_word(case, s, rng):
+    """The product of three generator matrices, each a dense s x s product."""
+    level = CASE_LEVEL[case]
+    word = cdm.identity(s, level)
+    for _ in range(3):
+        kind = rng.choice(["perm", "unit", "rot"] if s > 1 else ["unit"])
+        gen = [list(row) for row in cdm.identity(s, level)]
+        if kind == "perm":
+            i, j = rng.sample(range(s), 2)
+            gen[i], gen[j] = gen[j], gen[i]
+        elif kind == "unit":
+            i = rng.randrange(s)
+            k = rng.randrange(1 << level)
+            sign = rng.choice([1, -1])
+            u = CDNumber.unit(level, k)
+            gen[i][i] = u if sign > 0 else -u
+        else:
+            i, j = rng.sample(range(s), 2)
+            c, d = Scalar(Fraction(3, 5)), Scalar(Fraction(4, 5))
+            gen[i][i] = gen[j][j] = CDNumber.from_scalar(level, c)
+            gen[i][j] = CDNumber.from_scalar(level, -d)
+            gen[j][i] = CDNumber.from_scalar(level, d)
+        word = cdm.mul(word, cdm.from_rows(gen))
+    return word
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("case", CASES)
+def test_g_words_match_the_dense_products_draw_for_draw(case, seed):
+    new, old = random.Random(seed), random.Random(seed)
+    assert g_group_generators(case, new, count=3) == [dense_g_word(case, old) for _ in range(3)]
+    assert new.getstate() == old.getstate()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("case", CASES)
+def test_factor_action_matches_the_dense_word(case, seed):
+    rng = random.Random(seed)
+    for s in (1, 2, 3, 4):
+        state = rng.getstate()
+        y = dense_g_word(case, rng)
+        after = rng.getstate()
+        rng.setstate(state)
+        factors = _g_factors(case, rng)
+        assert rng.getstate() == after
+        for alpha in (rand_wmap(case, s, rng), zero_level_sample(case, s, min(s, 3), rng, False)):
+            assert _g_move(alpha, factors) == WMap(case, cdm.mul(y, alpha.matrix))
+            assert _g_move(alpha, factors) == act_g(alpha, y)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("case", CASES)
+def test_h_words_match_the_dense_products_draw_for_draw(case, seed):
+    level, maps, rotated = CASE_LEVEL[case], random.Random(seed + 100), False
+    for s in (1, 2, 3, 4):
+        new, old = random.Random(seed), random.Random(seed)
+        ident = cdm.identity(s, level)
+        words = h_group_generators(case, s, new, count=4)
+        assert words == [dense_h_word(case, s, old) for _ in range(4)]
+        assert new.getstate() == old.getstate()
+        for x in words:
+            # unitary under the doubling products, so alpha x^-1 is alpha x*
+            xt = cdm.conj_transpose(x)
+            assert reference_mul(x, xt) == ident == reference_mul(xt, x)
+            alpha = rand_wmap(case, s, maps)
+            assert act_h(alpha, x) == WMap(case, cdm.mul(alpha.matrix, cdm.inverse(x)))
+            rotated = rotated or any(e.den % 5 == 0 for row in x for e in row)
+    assert rotated
+
+
+def fraction_route_j(c: OscillatorConfig):
+    """J entry by entry in Fractions, diagonal and lower triangle included."""
+    return tuple(
+        tuple(
+            sum((c.q[i][a] * c.p[i][b] - c.q[i][b] * c.p[i][a] for i in range(3)), Fraction(0))
+            for b in range(c.s)
+        )
+        for a in range(c.s)
+    )
+
+
+def test_angular_momentum_matches_the_fraction_route(tmp_path, monkeypatch):
+    rng = random.Random(17)
+
+    def part(tall):
+        if tall:
+            return Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**40))
+        return Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3]))
+
+    configs = []
+    for s in range(1, 6):
+        for tall in (False, True):
+            q, p = ([[part(tall) for _ in range(s)] for _ in range(3)] for _ in range(2))
+            lam = part(tall)
+            configs += [OscillatorConfig(q, p), OscillatorConfig(q, [[lam * x for x in r] for r in q])]
+        configs.append(OscillatorConfig([[0] * s] * 3, [[0] * s] * 3))
+    configs += [oscillator_sample(s, k, rng) for s in (3, 4) for k in range(4)]
+    zero_j = 0
+    for c in configs:
+        j = angular_momentum(c)
+        assert j == fraction_route_j(c)
+        assert all(type(x) is Fraction for row in j for x in row)
+        zero_j += all(x == 0 for row in j for x in row)
+    assert 10 < zero_j < len(configs) - 5
+
+    def reports():
+        out = []
+        for n, c in enumerate(configs):
+            path = tmp_path / f"cfg{n}.json"
+            path.write_text(json.dumps(c.to_json()))
+            buf = io.StringIO()
+            with redirect_stdout(buf):
+                assert main(["reduce", str(path)]) == 0
+            out.append(buf.getvalue())
+        return out
+
+    new = reports()
+    monkeypatch.setattr(cli, "angular_momentum", fraction_route_j)
+    assert reports() == new
 
 
 @pytest.mark.parametrize("case", CASES)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from jordan_strata import reduction
+from jordan_strata import linalg, reduction
 from jordan_strata.cayley_dickson import CDNumber
 from jordan_strata.jordan import (
     JordanElement,
@@ -216,6 +216,22 @@ def test_closure_chain_audit():
 
 def test_closed_orbit_tangent_dims():
     assert [closed_orbit_tangent_dim(a) for a in ALGEBRAS] == [3, 5, 9, 17]
+
+
+def test_closed_orbit_tangent_dims_are_ranked_once(monkeypatch):
+    ranks = []
+
+    def counted_rank(m):
+        ranks.append(len(m[0]))
+        return rank(m)
+
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", counted_rank)
+    closed_orbit_tangent_dim.cache_clear()
+    assert [closed_orbit_tangent_dim(a) for a in ALGEBRAS] == [3, 5, 9, 17]
+    assert ranks == [6, 9, 15, 27]  # one rank of the linearized adjugate per algebra
+    assert [closed_orbit_tangent_dim(a) for a in ALGEBRAS] == [3, 5, 9, 17]
+    assert len(ranks) == 4
 
 
 def test_image_characterization_reverse():
