@@ -229,18 +229,6 @@ class JordanElement(IntVector):
             JordanElement._of(self.tag, False, self.v[n:], self.den),
         )
 
-    @staticmethod
-    def combine_real_imag(re_part: "JordanElement", im_part: "JordanElement"):
-        """re_part + i im_part for two elements over Q."""
-        re_part._check(im_part)
-        if re_part.gaussian:
-            raise ValueError("real and imaginary parts must lie over Q")
-        den = lcm(re_part.den, im_part.den)
-        v = [c * (den // re_part.den) for c in re_part.v] + [
-            c * (den // im_part.den) for c in im_part.v
-        ]
-        return JordanElement._canonical(re_part.tag, True, v, den)  # lcm: still lowest terms
-
     # -- JSON --------------------------------------------------------------------
 
     def to_json(self):

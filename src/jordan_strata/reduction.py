@@ -57,13 +57,13 @@ from math import lcm
 from . import cdmatrix as cdm
 from . import linalg
 from .bilinear import Bilinear
-from .cayley_dickson import CDNumber, unit_product
+from .cayley_dickson import LEVEL_OF_ALGEBRA, CDNumber, unit_product
 from .jordan import JordanElement, jordan_rank
 from .scalars import Scalar
-from .strata import draws, rand_cd
+from .strata import draws, rand_cd, rand_cd_matrix
 
-CASE_LEVEL = {"real": 0, "complex": 1, "quaternionic": 2}
 CASE_ALGEBRA = {"real": "R", "complex": "C", "quaternionic": "H"}
+CASE_LEVEL = {case: LEVEL_OF_ALGEBRA[algebra] for case, algebra in CASE_ALGEBRA.items()}
 CASE_RANK = 3
 N_V = 6
 
@@ -122,9 +122,9 @@ class LiftError(ValueError):
 
 
 @lru_cache(maxsize=None)
-def bmatrix(case, gaussian=False):
+def bmatrix(case):
     level = CASE_LEVEL[case]
-    z, o = CDNumber.zero(level, gaussian), CDNumber.one(level, gaussian)
+    z, o = CDNumber.zero(level), CDNumber.one(level)
     rows = []
     for i in range(3):
         rows.append(tuple(z if j != i + 3 else o for j in range(6)))
@@ -354,7 +354,7 @@ def _g_block_diag(case, rng):
     """(g, h = (g*)^-1), the blocks of diag(g, h) in G."""
     level = CASE_LEVEL[case]
     for _ in draws("reduction._g_block_diag"):
-        g = cdm.from_rows([[rand_cd(level, rng) for _ in range(3)] for _ in range(3)])
+        g = rand_cd_matrix(level, 3, 3, rng)
         try:
             return g, cdm.inverse(cdm.conj_transpose(g))
         except ZeroDivisionError:
@@ -488,7 +488,7 @@ def zero_level_sample(case, s, target_rank, rng, enrich=True) -> WMap:
     if k == 0:
         return WMap.zero(case, s)
     for _ in draws("reduction.zero_level_sample"):
-        xi1 = tuple(tuple(rand_cd(level, rng) for _ in range(k)) for _ in range(3))
+        xi1 = rand_cd_matrix(level, 3, k, rng)
         n = cdm.mul(cdm.conj_transpose(xi1), xi1)
         try:
             ninv = cdm.inverse(n)
@@ -525,7 +525,7 @@ def _random_hermitian(level, k, rng, span=2):
 
 def dims_projective_chain(case):
     """Complex dimensions of P[W(1)] in P[W(2)] in P[W(3)]."""
-    real_dim_per_s = {"real": 6, "complex": 12, "quaternionic": 24}[case]
+    real_dim_per_s = N_V << CASE_LEVEL[case]
     return tuple(real_dim_per_s * s // 2 - 1 for s in (1, 2, 3))
 
 

@@ -112,11 +112,6 @@ class ProjPoint:
         return ProjPoint(JordanElement.from_json(obj))
 
 
-def stratify(x: JordanElement) -> int:
-    """Jordan rank; constant on punctured lines through the origin."""
-    return jordan_rank(x)
-
-
 def _gauss_vec(v):
     """A vector of Scalars or rationals as Scalars over Q(i)."""
     return tuple(
@@ -182,6 +177,11 @@ def rand_scalar(rng, gaussian=False, span=2) -> Scalar:
 
 def rand_cd(level: int, rng, gaussian=False, span=2) -> CDNumber:
     return CDNumber._of(level, gaussian, _draw(rng, 1 << level, gaussian, span), 2)
+
+
+def rand_cd_matrix(level: int, rows: int, cols: int, rng, span=2) -> tuple:
+    """A rows x cols matrix of ``rand_cd`` entries, drawn row by row."""
+    return tuple(tuple(rand_cd(level, rng, span=span) for _ in range(cols)) for _ in range(rows))
 
 
 def random_element(algebra: str, rng, gaussian=False, span=2) -> JordanElement:
@@ -265,26 +265,13 @@ def _sharp_derivative(x: JordanElement, h: JordanElement) -> JordanElement:
 
 
 def closure_chain_audit(rng, samples=20):
-    """Desk-scale audit of the ambient/orbit dimension bookkeeping and of the
-    rank behaviour along degenerating curves.
+    """Desk-scale audit of the rank behaviour along degenerating curves.
 
-    Returns a dict with the projective ambient dimensions m, the closed-orbit
-    dimensions n, the critical relation check, and a degeneration record.
+    Returns a dict: whether the rank never rose above the stratum of the
+    curve (``rank_never_exceeds``) and whether some curve dropped rank
+    (``rank_drop_witnessed``).
     """
     report = {}
-    ms, ns = [], []
-    for algebra in ("R", "C", "H", "O"):
-        dim_p = JordanElement.space_dim(algebra)
-        m = dim_p - 1
-        n = closed_orbit_tangent_dim(algebra) - 1
-        ms.append(m)
-        ns.append(n)
-    report["m"] = ms
-    report["n"] = ns
-    report["critical_relation"] = [
-        Fraction(3, 2) * n + 2 == m for m, n in zip(ms, ns)
-    ]
-
     drops = []
     never_exceeds = True
     for algebra in ("R", "C", "H", "O"):

@@ -6,6 +6,13 @@ Each suite returns a list of check records
 
 computed deterministically from a seed.  The command-line front end only
 formats these records; all mathematics happens in the library modules.
+
+``register`` records, per suite, the cases ``--case`` may name and the cases
+it runs when none is named.  ``run_suite`` decides both for every suite: it
+checks the case, resolves it to a tuple (``-``, ``all`` or no case mean the
+default set), and calls the suite as ``suite(cases, samples, rng)``, with
+``rng`` the one random source seeded by ``seed``.  The paper's numbers the
+suites check against are the one table ``PAPER``.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from .poisson import (
     poisson_rank_at_matrix,
 )
 from .reduction import (
+    CASE_ALGEBRA,
     CASE_LEVEL,
     OscillatorConfig,
     WMap,
@@ -80,21 +88,37 @@ from .strata import (
     rank1_sample,
     rank_k_sample,
     rand_cd,
+    rand_cd_matrix,
     rand_scalar,
     random_element,
 )
-from .tkk import CASES as TKK_CASES, tkk_algebra
+from .tkk import ALGEBRA_TO_CASE, CASES as TKK_CASES, tkk_algebra
 
-CLASSICAL_CASES = ("real", "complex", "quaternionic")
+CLASSICAL_CASES = tuple(CASE_ALGEBRA)
+
+# The paper's numbers.  By Jordan algebra, in ALGEBRAS order (R, C, H, O):
+# dim J, the ambient P^m and the dimension n of the Severi variety, and
+# dim str(J) and dim g of the TKK algebra (TKK_CASES, in the same order).  By
+# dual-pair case: the complex dimensions of P[W(1)] in P[W(2)] in P[W(3)].
+PAPER = {
+    "jordan-dims": [6, 9, 15, 27],
+    "m": [5, 8, 14, 26],
+    "n": [2, 4, 8, 16],
+    "str-dims": [9, 17, 36, 79],
+    "tkk-dims": [21, 35, 66, 133],
+    "projective-chains": {"real": (2, 5, 8), "complex": (5, 11, 17), "quaternionic": (11, 23, 35)},
+}
 
 SUITES = {}
 SUITE_CASES = {}  # suite -> the cases --case may name; empty when it takes none
+SUITE_DEFAULT = {}  # suite -> the cases it runs when none is named
 
 
-def register(name, cases=()):
+def register(name, cases=(), default=None):
     def deco(fn):
         SUITES[name] = fn
-        SUITE_CASES[name] = cases
+        SUITE_CASES[name] = tuple(cases)
+        SUITE_DEFAULT[name] = tuple(cases if default is None else default)
         return fn
 
     return deco
@@ -103,14 +127,18 @@ def register(name, cases=()):
 def run_suite(name, case=None, samples=25, seed=0):
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    cases = SUITE_CASES[name]
-    if not cases and case is not None:
+    valid = SUITE_CASES[name]
+    if case in (None, "-", "all"):
+        cases = SUITE_DEFAULT[name]
+    elif case in valid:
+        cases = (case,)
+    elif not valid:
         raise ValueError(f"suite {name} takes no --case")
-    if cases and case not in (None, "-", "all") and case not in cases:
+    else:
         raise ValueError(
-            f"unknown case {case!r} for suite {name}; valid cases: {', '.join(cases)}"
+            f"unknown case {case!r} for suite {name}; valid cases: {', '.join(valid)}"
         )
-    return SUITES[name](case=case, samples=samples, seed=seed)
+    return SUITES[name](cases, samples, random.Random(seed))
 
 
 def _check(name, case, samples, failures, witness=None):
@@ -138,12 +166,29 @@ def _count(name, case, iterator):
     return _check(name, case, n, failures, witness)
 
 
+def _table(name, got, want, case="-"):
+    """The record of a computed row of the paper's numbers against ``PAPER``."""
+    return _check(name, case, len(want), 0 if got == want else 1, str(got))
+
+
+def _severi_checks(m_name, n_name):
+    """m and n of the four Severi varieties, and the critical relation
+    3n/2 + 2 = m between them."""
+    m = [JordanElement.space_dim(a) - 1 for a in ALGEBRAS]
+    n = [closed_orbit_tangent_dim(a) - 1 for a in ALGEBRAS]
+    rel = all(Fraction(3, 2) * nn + 2 == mm for nn, mm in zip(n, m))
+    return [
+        _table(m_name, m, PAPER["m"]),
+        _table(n_name, n, PAPER["n"]),
+        _check("critical-relation", "-", 4, 0 if rel else 1),
+    ]
+
+
 # -- division algebras -------------------------------------------------------------
 
 
 @register("division-algebra")
-def division_algebra_suite(case=None, samples=100, seed=0):
-    rng = random.Random(seed)
+def division_algebra_suite(cases, samples, rng):
     checks = []
 
     def pairs():
@@ -223,20 +268,15 @@ def division_algebra_suite(case=None, samples=100, seed=0):
 # -- Jordan identities ---------------------------------------------------------------
 
 
-def _algebras_for(case):
-    if case in (None, "-", "all"):
-        return [(a, False) for a in ALGEBRAS] + [("O", True)]
-    if case.endswith("_C"):
-        return [(case[:-2], True)]
-    return [(case, False)]
-
-
-@register("jordan-identities", cases=ALGEBRAS + tuple(a + "_C" for a in ALGEBRAS))
-def jordan_suite(case=None, samples=50, seed=0):
-    rng = random.Random(seed)
+@register(
+    "jordan-identities",
+    cases=ALGEBRAS + tuple(a + "_C" for a in ALGEBRAS),
+    default=ALGEBRAS + ("O_C",),
+)
+def jordan_suite(cases, samples, rng):
     checks = []
-    for algebra, gaussian in _algebras_for(case):
-        tag = algebra + ("_C" if gaussian else "")
+    for tag in cases:
+        algebra, gaussian = tag.removesuffix("_C"), tag.endswith("_C")
         ident = JordanElement.identity(algebra, gaussian)
 
         def elems(count=samples):
@@ -309,11 +349,9 @@ def jordan_suite(case=None, samples=50, seed=0):
 
 
 @register("rank-identification", cases=("R", "C", "H"))
-def rank_identification_suite(case=None, samples=125, seed=0):
-    rng = random.Random(seed)
-    algebras = ["R", "C", "H"] if case in (None, "-", "all") else [case]
+def rank_identification_suite(cases, samples, rng):
     checks = []
-    for algebra in algebras:
+    for algebra in cases:
         def ranks():
             for k in (0, 1, 2, 3):
                 for _ in range(max(1, samples // 4)):
@@ -325,24 +363,9 @@ def rank_identification_suite(case=None, samples=125, seed=0):
 
 
 @register("singular-locus")
-def singular_locus_suite(case=None, samples=25, seed=0):
-    rng = random.Random(seed)
-    checks = []
+def singular_locus_suite(cases, samples, rng):
+    checks = _severi_checks("ambient-dims-m", "closed-orbit-dims-n")
     audit = closure_chain_audit(rng, samples=max(2, samples // 10))
-    checks.append(
-        _check("ambient-dims-m", "-", 4, 0 if audit["m"] == [5, 8, 14, 26] else 1, str(audit["m"]))
-    )
-    checks.append(
-        _check("closed-orbit-dims-n", "-", 4, 0 if audit["n"] == [2, 4, 8, 16] else 1, str(audit["n"]))
-    )
-    checks.append(
-        _check(
-            "critical-relation",
-            "-",
-            4,
-            0 if all(audit["critical_relation"]) else 1,
-        )
-    )
     checks.append(
         _check("degeneration-rank-bound", "-", 1, 0 if audit["rank_never_exceeds"] else 1)
     )
@@ -395,14 +418,12 @@ def singular_locus_suite(case=None, samples=25, seed=0):
 
 
 @register("tkk", cases=TKK_CASES)
-def tkk_suite(case=None, samples=20, seed=0):
-    rng = random.Random(seed)
-    cases = list(TKK_CASES) if case in (None, "-", "all") else [case]
+def tkk_suite(cases, samples, rng):
     checks = []
-    expected_dims = {"sp3": (9, 21), "u33": (17, 35), "so12": (36, 66), "e7": (79, 133)}
     for cname in cases:
         alg = tkk_algebra(cname)
-        sdim, gdim = expected_dims[cname]
+        i = TKK_CASES.index(cname)
+        sdim, gdim = PAPER["str-dims"][i], PAPER["tkk-dims"][i]
         checks.append(
             _check("str-dimension", cname, 1, 0 if alg.str_dim == sdim else 1, str(alg.str_dim))
         )
@@ -463,19 +484,8 @@ def tkk_suite(case=None, samples=20, seed=0):
 
         checks.append(_count("form-ad-invariance", cname, invariance()))
 
-        def minors(basis):
-            # K[a][b] = (G v_a).v_b is the Gram up to a positive diagonal congruence
-            cols = [[(j, x) for j, x in enumerate(b.v) if x] for b in basis]
-            gram = [
-                [sum(ga[j] * x for j, x in sb) for sb in cols]
-                for ga, _ in map(alg._gram_times, basis)
-            ]
-            return linalg.leading_minors(gram)
-
-        # Sylvester's criterion: negative definite on k, positive definite on p
-        ok = all((-1) ** i * d > 0 for i, d in enumerate(minors(k_basis), 1))
-        ok = ok and all(d > 0 for d in minors(p_basis))
-        checks.append(_check("form-definiteness", cname, len(k_basis) + len(p_basis), int(not ok)))
+        size = len(k_basis) + len(p_basis)
+        checks.append(_check("form-definiteness", cname, size, int(not alg.form_definite)))
 
         def brackets_split():
             for _ in range(max(4, samples // 4)):
@@ -493,19 +503,14 @@ def tkk_suite(case=None, samples=20, seed=0):
 
 
 @register("moment-identity", cases=CLASSICAL_CASES)
-def moment_suite(case=None, samples=25, seed=0):
-    rng = random.Random(seed)
-    cases = list(CLASSICAL_CASES) if case in (None, "-", "all") else [case]
+def moment_suite(cases, samples, rng):
     checks = []
     for cname in cases:
         level = CASE_LEVEL[cname]
         s = 2
 
-        def rand_wmap(span=2):
-            rows = [
-                [rand_cd(level, rng, span=span) for _ in range(s)] for _ in range(6)
-            ]
-            return WMap(cname, rows)
+        def rand_wmap():
+            return WMap(cname, rand_cd_matrix(level, 6, s, rng))
 
         def rand_lie_h():
             rows = [[CDNumber.zero(level) for _ in range(s)] for _ in range(s)]
@@ -523,7 +528,7 @@ def moment_suite(case=None, samples=25, seed=0):
             return cdm.from_rows(rows)
 
         def rand_lie_g():
-            a = cdm.from_rows([[rand_cd(level, rng) for _ in range(3)] for _ in range(3)])
+            a = rand_cd_matrix(level, 3, 3, rng)
             x, y = _random_hermitian(level, 3, rng), _random_hermitian(level, 3, rng)
             ma = cdm.neg(cdm.conj_transpose(a))
             return tuple(ra + rx for ra, rx in zip(a, x)) + tuple(
@@ -621,9 +626,7 @@ def moment_suite(case=None, samples=25, seed=0):
 
 
 @register("reduction", cases=CLASSICAL_CASES)
-def reduction_suite(case=None, samples=20, seed=0):
-    rng = random.Random(seed)
-    cases = list(CLASSICAL_CASES) if case in (None, "-", "all") else [case]
+def reduction_suite(cases, samples, rng):
     checks = []
     for cname in cases:
         def strata_hit():
@@ -666,23 +669,13 @@ def reduction_suite(case=None, samples=20, seed=0):
 
         checks.append(_count("hilbert-lift-round-trip", cname, lifts()))
 
-        expected = {"real": (2, 5, 8), "complex": (5, 11, 17), "quaternionic": (11, 23, 35)}
-        got = dims_projective_chain(cname)
-        checks.append(
-            _check(
-                "projective-dimension-chain",
-                cname,
-                3,
-                0 if got == expected[cname] else 1,
-                str(got),
-            )
-        )
+        got, want = dims_projective_chain(cname), PAPER["projective-chains"][cname]
+        checks.append(_table("projective-dimension-chain", got, want, cname))
     return checks
 
 
 @register("oscillator")
-def oscillator_suite(case=None, samples=30, seed=0):
-    rng = random.Random(seed)
+def oscillator_suite(cases, samples, rng):
     checks = []
 
     def zero_j_classification():
@@ -715,9 +708,7 @@ def oscillator_suite(case=None, samples=30, seed=0):
 
 
 @register("poisson-rank", cases=CLASSICAL_CASES)
-def poisson_suite(case=None, samples=10, seed=0):
-    rng = random.Random(seed)
-    cases = list(CLASSICAL_CASES) if case in (None, "-", "all") else [case]
+def poisson_suite(cases, samples, rng):
     checks = []
     for cname in cases:
         per_stratum = {}
@@ -738,9 +729,9 @@ def poisson_suite(case=None, samples=10, seed=0):
         checks.append(
             _check("rank-strictly-monotone", cname, 3, 0 if ok else 1, str(seq))
         )
-    tkk_case = {"real": "sp3", "complex": "u33", "quaternionic": "so12"}
     for cname in cases:
-        cp = case_poisson(tkk_case[cname])
+        tkk_case = ALGEBRA_TO_CASE[CASE_ALGEBRA[cname]]
+        cp = case_poisson(tkk_case)
         cas = cp.casimir()
 
         def casimir_commutes():
@@ -751,7 +742,7 @@ def poisson_suite(case=None, samples=10, seed=0):
                     g = g * g
                 yield cp.bracket(cas, g).is_zero(), lambda: f"coeffs {coeffs}"
 
-        checks.append(_count("casimir-commutes", tkk_case[cname], casimir_commutes()))
+        checks.append(_count("casimir-commutes", tkk_case, casimir_commutes()))
 
         def linear_bracket():
             alg = cp.alg
@@ -761,7 +752,7 @@ def poisson_suite(case=None, samples=10, seed=0):
                 lhs = cp.bracket(cp.linear_fn(u), cp.linear_fn(v))
                 yield lhs == cp.linear_fn(alg.bracket(u, v)), lambda: "-"
 
-        checks.append(_count("linear-functions-bracket", tkk_case[cname], linear_bracket()))
+        checks.append(_count("linear-functions-bracket", tkk_case, linear_bracket()))
 
     # octonionic stratum detection through the e7 algebra at embedded points
     vals = []
@@ -775,26 +766,13 @@ def poisson_suite(case=None, samples=10, seed=0):
 
 
 @register("dimension-audit")
-def dimension_audit_suite(case=None, samples=5, seed=0):
-    checks = []
-    dims = [JordanElement.space_dim(a) for a in ALGEBRAS]
-    checks.append(_check("jordan-dims", "-", 4, 0 if dims == [6, 9, 15, 27] else 1, str(dims)))
-    m = [d - 1 for d in dims]
-    checks.append(_check("ambient-m-table", "-", 4, 0 if m == [5, 8, 14, 26] else 1, str(m)))
-    n = [closed_orbit_tangent_dim(a) - 1 for a in ALGEBRAS]
-    checks.append(_check("closed-orbit-n-table", "-", 4, 0 if n == [2, 4, 8, 16] else 1, str(n)))
-    rel = all(Fraction(3, 2) * nn + 2 == mm for nn, mm in zip(n, m))
-    checks.append(_check("critical-relation", "-", 4, 0 if rel else 1))
-    tkk_dims = [tkk_algebra(c).dim for c in TKK_CASES]
-    checks.append(
-        _check("tkk-dims", "-", 4, 0 if tkk_dims == [21, 35, 66, 133] else 1, str(tkk_dims))
-    )
-    str_dims = [tkk_algebra(c).str_dim for c in TKK_CASES]
-    checks.append(
-        _check("str-dims", "-", 4, 0 if str_dims == [9, 17, 36, 79] else 1, str(str_dims))
-    )
+def dimension_audit_suite(cases, samples, rng):
+    lie = [tkk_algebra(c) for c in TKK_CASES]
     chains = {c: dims_projective_chain(c) for c in CLASSICAL_CASES}
-    expected = {"real": (2, 5, 8), "complex": (5, 11, 17), "quaternionic": (11, 23, 35)}
-    ok = chains == expected
-    checks.append(_check("projective-chains", "-", 3, 0 if ok else 1, str(chains)))
-    return checks
+    return [
+        _table("jordan-dims", [JordanElement.space_dim(a) for a in ALGEBRAS], PAPER["jordan-dims"]),
+        *_severi_checks("ambient-m-table", "closed-orbit-n-table"),
+        _table("tkk-dims", [alg.dim for alg in lie], PAPER["tkk-dims"]),
+        _table("str-dims", [alg.str_dim for alg in lie], PAPER["str-dims"]),
+        _table("projective-chains", chains, PAPER["projective-chains"]),
+    ]

@@ -50,7 +50,7 @@ skew-adjoint D block and negates the self-adjoint L block.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -59,8 +59,8 @@ from .bilinear import Bilinear, IntVector
 from .jordan import JordanElement, structure_tensor, trace_form
 from .scalars import Scalar
 
-CASES = ("sp3", "u33", "so12", "e7")
 CASE_TO_ALGEBRA = {"sp3": "R", "u33": "C", "so12": "H", "e7": "O"}
+CASES = tuple(CASE_TO_ALGEBRA)
 ALGEBRA_TO_CASE = {v: k for k, v in CASE_TO_ALGEBRA.items()}
 
 
@@ -279,12 +279,6 @@ class TKKAlgebra:
             raise ValueError("operator does not lie in the structure algebra")
         return self._pivot_coords([ti[r * n + c] for r, c in self._pivots], den)
 
-    def str_coords(self, t):
-        """Coordinates of an operator matrix in the selected str basis, as
-        Fractions."""
-        acc, d = self._str_ints(t)
-        return tuple(Fraction(v, d) for v in acc)
-
     def _build_lie(self, m):
         """Compile the Lie structure constants from M (``_build_str_basis``)
         and the operator entries by the rules in the module docstring, as
@@ -469,6 +463,24 @@ class TKKAlgebra:
         """Row of invariant-form pairings of ``a`` with the standard basis: G a."""
         ga, den = self._gram_times(a)
         return tuple(Fraction(v, den) for v in ga)
+
+    @cached_property
+    def form_definite(self) -> bool:
+        """Whether the form is negative definite on k and positive definite
+        on p: Sylvester's criterion on the Bareiss leading minors, computed on
+        first use."""
+
+        def minors(basis):
+            # K[a][b] = (G v_a).v_b is the Gram up to a positive diagonal congruence
+            cols = [[(j, x) for j, x in enumerate(b.v) if x] for b in basis]
+            gram = [
+                [sum(ga[j] * x for j, x in sb) for sb in cols]
+                for ga, _ in map(self._gram_times, basis)
+            ]
+            return linalg.leading_minors(gram)
+
+        negative_k = all((-1) ** i * d > 0 for i, d in enumerate(minors(self.k_basis()), 1))
+        return negative_k and all(d > 0 for d in minors(self.p_basis()))
 
     def gram_matrix(self):
         """Gram of the invariant form on the standard basis, as a dense matrix."""

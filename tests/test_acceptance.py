@@ -55,7 +55,7 @@ from jordan_strata.strata import (
     rank_k_sample,
     random_element,
 )
-from jordan_strata.suites import moment_suite
+from jordan_strata.suites import run_suite
 from jordan_strata.tkk import CASES as TKK_CASES, tkk_algebra
 
 ALGEBRAS = ("R", "C", "H", "O")
@@ -211,7 +211,7 @@ def test_criterion_5_tkk():
 @report(6, "momentum-map reduction")
 def test_criterion_6_reduction():
     rng = random.Random(106)
-    checks = moment_suite(case=None, samples=50, seed=106)
+    checks = run_suite("moment-identity", samples=50, seed=106)
     for c in checks:
         if c["name"] in ("dagger-defining-identity", "moment-identity", "equivariance"):
             assert c["failures"] == 0, c

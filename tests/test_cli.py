@@ -219,6 +219,15 @@ def test_verify_report_bytes_are_pinned(suite):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGESTS[suite]
 
 
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_a_recorded_verify_command_replays_to_the_same_bytes(suite):
+    # a report records --case=- when no case was named, for every suite
+    rc, out = run_cli(["verify", "--suite", suite, "--samples", "1", "--seed", "3"])
+    report = json.loads(out)
+    assert rc == 0 and report["command"][2] == "--case=-"
+    assert run_cli(report["command"] + ["--seed", str(report["seed"])]) == (rc, out)
+
+
 def test_seed_env_default(monkeypatch, tmp_path):
     monkeypatch.setenv("JORDAN_STRATA_SEED", "17")
     rc, out = run_cli(["verify", "--suite", "dimension-audit"])

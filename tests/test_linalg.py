@@ -8,6 +8,7 @@ from jordan_strata import linalg
 from jordan_strata.cayley_dickson import CDNumber
 from jordan_strata.scalars import Scalar
 from jordan_strata.tkk import tkk_algebra
+from test_tkk import str_coords
 
 SHAPES = [(n, n) for n in range(1, 7)] + [(1, 4), (2, 5), (3, 6), (4, 2), (5, 3), (6, 1)]
 RINGS = [(False, False), (True, False), (False, True), (True, True)]  # (gaussian, tall)
@@ -174,12 +175,12 @@ def test_str_coords_rejects_an_operator_outside_the_structure_algebra():
     n = alg.space.dim
     unit = [[Fraction(int((r, c) == (0, 1))) for c in range(n)] for r in range(n)]
     with pytest.raises(ValueError):
-        alg.str_coords(unit)
+        str_coords(alg, unit)
     op = alg.basis()[n + alg.str_dim - 1].mid
-    coords = alg.str_coords(op)
+    coords = str_coords(alg, op)
     assert coords == tuple(Fraction(int(k == alg.str_dim - 1)) for k in range(alg.str_dim))
     # an operator on J is n x n: no other shape is read, zero or not
     zero = lambda rows, cols: [[Fraction(0)] * cols for _ in range(rows)]
     for bad in (zero(1, 1), zero(n - 1, n), zero(n, n + 1), op[:-1], [row[1:] for row in op]):
         with pytest.raises(ValueError):
-            alg.str_coords(bad)
+            str_coords(alg, bad)

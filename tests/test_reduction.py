@@ -52,6 +52,7 @@ from jordan_strata.scalars import Scalar
 from jordan_strata.strata import rand_cd, rank_k_sample
 from jordan_strata.suites import run_suite
 from test_cdmatrix import reference_mul
+from test_jordan import combine_real_imag
 
 CASES = ("real", "complex", "quaternionic")
 
@@ -80,7 +81,7 @@ def matrix_route_point(alpha: WMap):
         return None
     w, xp = p_projection_blocks(alpha)
     algebra = CASE_ALGEBRA[alpha.case]
-    return JordanElement.combine_real_imag(
+    return combine_real_imag(
         JordanElement.from_matrix(algebra, w), JordanElement.from_matrix(algebra, xp)
     )
 
@@ -557,7 +558,7 @@ def test_hilbert_lift_repeated_invariants():
 def test_hilbert_lift_obstruction_reported():
     # i*E11 with a single column is square-class obstructed over Q(i)
     target = JordanElement.diagonal("R", 0, 0, 0, gaussian=True)
-    bad = JordanElement.combine_real_imag(
+    bad = combine_real_imag(
         JordanElement.zero("R"), JordanElement.diagonal("R", 3, 0, 0)
     )
     assert jordan_rank(bad) == 1

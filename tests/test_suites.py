@@ -1,16 +1,22 @@
 import io
 import json
 import random
+import re
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
 from jordan_strata import cdmatrix as cdm
-from jordan_strata import suites
+from jordan_strata import linalg, suites
 from jordan_strata.cayley_dickson import CDNumber, cd_mul
 from jordan_strata.cli import main
 from jordan_strata.reduction import WMap
 from jordan_strata.strata import rand_cd
+from jordan_strata.tkk import TKKAlgebra
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+CASE_SUITES = sorted(name for name, cases in suites.SUITE_CASES.items() if cases)
 
 
 def test_count_builds_only_the_first_failure_witness_before_moving_on():
@@ -71,9 +77,68 @@ def test_a_wrong_doubling_product_is_reported_with_the_first_pair(monkeypatch):
     ],
 )
 def test_form_definiteness_needs_both_signatures(monkeypatch, minors):
+    # the verdict is cached on the algebra, so the suite gets a fresh one
+    monkeypatch.setattr(suites, "tkk_algebra", TKKAlgebra)
     monkeypatch.setattr(suites.linalg, "leading_minors", lambda gram: minors(len(gram)))
     checks = suites.run_suite("tkk", case="sp3", samples=1)
     assert [c["failures"] for c in checks if c["name"] == "form-definiteness"] == [1]
+
+
+def test_form_definiteness_is_decided_once_per_algebra_and_not_at_build(monkeypatch):
+    grams, leading_minors = [], linalg.leading_minors
+
+    def counted(gram):
+        grams.append(len(gram))
+        return leading_minors(gram)
+
+    monkeypatch.setattr(linalg, "leading_minors", counted)
+    alg = TKKAlgebra("sp3")
+    assert grams == []
+    monkeypatch.setattr(suites, "tkk_algebra", lambda case: alg)
+    for _ in range(2):
+        checks = suites.run_suite("tkk", case="sp3", samples=1)
+        assert [c["failures"] for c in checks if c["name"] == "form-definiteness"] == [0]
+    # one Gram for k and one for p, on the first run only
+    assert grams == [len(alg.k_basis()), len(alg.p_basis())]
+
+
+@pytest.mark.parametrize("suite", CASE_SUITES)
+def test_no_case_dash_and_all_run_the_same_checks(suite):
+    runs = [suites.run_suite(suite, case, samples=1, seed=2) for case in (None, "-", "all")]
+    assert runs[0] == runs[1] == runs[2]
+    assert {c["case"] for c in runs[0]} >= set(suites.SUITE_DEFAULT[suite])
+
+
+@pytest.mark.parametrize(
+    "suite, case", [(s, c) for s in CASE_SUITES for c in suites.SUITE_CASES[s]]
+)
+def test_every_valid_case_passes_at_one_sample(suite, case):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        rc = main(["verify", "--suite", suite, "--case", case, "--samples", "1", "--seed", "4"])
+    assert rc == 0
+    assert json.loads(buf.getvalue())["verdict"] == "pass"
+
+
+def test_jordan_identities_runs_five_algebras_and_accepts_all_eight():
+    ran = {c["case"] for c in suites.run_suite("jordan-identities", samples=1)}
+    assert ran == {"R", "C", "H", "O", "O_C"}
+    assert len(suites.SUITE_CASES["jordan-identities"]) == 8
+    ran = {c["case"] for c in suites.run_suite("jordan-identities", "R_C", samples=1)}
+    assert ran == {"R_C"}
+
+
+def test_readme_case_table_matches_the_registry():
+    lines = README.read_text().splitlines()
+    start = lines.index("| suite | `--case` values | runs with no `--case` |") + 2
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        name, *cells = (re.findall(r"`([^`]+)`", cell) for cell in line.strip("|").split("|"))
+        rows[name[0]] = tuple(tuple(cell) for cell in cells)
+    want = {name: (suites.SUITE_CASES[name], suites.SUITE_DEFAULT[name]) for name in suites.SUITES}
+    assert rows == want
 
 
 def test_a_dagger_without_conjugation_fails_the_defining_identity(monkeypatch):
