@@ -7,15 +7,24 @@ Cayley-Dickson conjugation), with the zero level appearing as a reality /
 Gram-balance condition on C.  Over Q(i) such factorizations carry genuine
 square-class obstructions, so exact lifts only exist on part of the rank
 locus: the lift raises LiftError off it, and `liftable_sample`
-generates test points inside it.  Coverage implemented per case:
+generates test points inside it.
 
-  real          rank 1 fully (pivot classes), rank 2 via an exact
-                conjugate-orthogonal splitting (distinct split invariants),
-                any s >= rank;
+Two rules build C.  A rank-one block kappa b conj(b)^T is read off its pivot
+column: for the first p with m_pp != 0, kappa = m_pp and b = column p over
+m_pp, so b_p = 1 (the real case stores the same piece as (1 / m_pp, column
+p)).  A rank-two block is split by the spectral projector: tr E and tr E^2
+give the two nonzero eigenvalues l1, l2 of E, and for l1 != l2 the piece
+m1 = (E - l2) m / (l1 - l2) has rank one, with m2 = m - m1.  Coverage per
+case:
+
+  real          rank 1 fully; rank 2 by the projector with E = m conj(m)
+                (distinct rational l1, l2, both nonzero) or by a small
+                pivot search (l1 = l2); any s >= rank;
   complex       every reduced point of the rational zero level, rank <= 2
                 (the Gram-balance equation solves in closed form there);
-  quaternionic  rank 1 general up to norm-square classes, rank 2 via the
-                exact spectral splitting of the hermitian pair.
+  quaternionic  rank 1 when the pivot column is rational and kappa is
+                (1 + i c)^2 nu (c rational, nu > 0) or a negative rational;
+                rank 2 by the projector with E = m.
 """
 
 from __future__ import annotations
@@ -34,13 +43,14 @@ from .jordan import (
 )
 from .reduction import (
     CASE_ALGEBRA,
+    CASE_LEVEL,
     LiftError,
     WMap,
     reduced_point,
     zero_level_point,
     zero_level_sample,
 )
-from .scalars import Scalar, SearchExhausted, four_squares, two_squares
+from .scalars import Scalar, SearchExhausted, _rational_sqrt, four_squares, two_squares
 from .strata import draws, rand_cd, rand_scalar
 
 ALGEBRA_CASE = {v: k for k, v in CASE_ALGEBRA.items()}
@@ -85,7 +95,7 @@ def hilbert_lift(z: JordanElement, s: int) -> WMap:
     return alpha
 
 
-# -- shared scalar helpers -------------------------------------------------------
+# -- shared helpers -----------------------------------------------------------------
 
 
 def _gaussian(fr_re, fr_im=0):
@@ -106,15 +116,37 @@ def _columns_for_class(m: Scalar, budget: int):
     return None
 
 
-# -- real case --------------------------------------------------------------------
-
-
 def _herm_dot(u, v):
-    """conj(u)^T v for Scalar vectors."""
-    acc = Scalar.zero(True)
-    for a, b in zip(u, v):
-        acc = acc + a.conjugate() * b
-    return acc
+    """conj(u)^T v, for vectors of Gaussian scalars or of quaternions."""
+    terms = [a.conjugate() * b for a, b in zip(u, v)]
+    return sum(terms[1:], terms[0])
+
+
+def _pivot(m):
+    """The first p with m_pp != 0, or None."""
+    return next((p for p in range(len(m)) if not m[p][p].is_zero()), None)
+
+
+def _split_invariants(tr, tr2):
+    """(l1, l2), the nonzero eigenvalues of a rank-two E from tr E and tr E^2:
+    the roots of t^2 - tr t + (tr^2 - tr2) / 2, or None when irrational."""
+    root = (tr2 + tr2 - tr * tr).sqrt()
+    if root is None:
+        return None
+    half = _gaussian(Fraction(1, 2))
+    return (tr + root) * half, (tr - root) * half
+
+
+def _wmap(case, xi_cols, up_cols, s):
+    """The W-map [Xi; Upsilon] with these columns, padded with zeros to s."""
+    if len(xi_cols) > s:
+        raise LiftError("construction needs more columns than available", "columns-short")
+    pad = [(CDNumber.zero(CASE_LEVEL[case]),) * 3] * (s - len(xi_cols))
+    rows = [tuple(col[i] for col in cols + pad) for cols in (xi_cols, up_cols) for i in range(3)]
+    return WMap(case, rows)
+
+
+# -- real case --------------------------------------------------------------------
 
 
 def _sym_dot(u, m, v):
@@ -129,70 +161,49 @@ def _sym_dot(u, m, v):
     return acc
 
 
-def _real_components(m):
+def _real_rank1(m):
+    """(coeff, v) with m = coeff v v^T, read off the pivot column of m."""
+    p = _pivot(m)
+    if p is None:
+        raise LiftError("rank-one block with isotropic diagonal", "real-isotropic-diagonal")
+    return m[p][p].inverse(), tuple(row[p] for row in m)
+
+
+def _real_components(m, rank):
     """Split symmetric m of rank <= 2 as [(coeff, vector)] with the vectors
     orthogonal for the hermitian form.  Raises LiftError when no exact
     splitting exists."""
-    r = linalg.rank(m)
-    cols = linalg.transpose(m)
-    if r == 1:
-        piv = next(
-            (i for i in range(3) if not m[i][i].is_zero()),
-            None,
-        )
-        if piv is None:
-            raise LiftError("rank-one block with isotropic diagonal", "real-isotropic-diagonal")
-        v = cols[piv]
-        coeff = m[piv][piv].inverse()
-        return [(coeff, v)]
-    if r != 2:
+    if rank == 1:
+        return [_real_rank1(m)]
+    if rank != 2:
         raise LiftError("splitting supports rank one and two only", "real-split-rank")
-    # E = m conj(m): its nonzero eigenvectors give the splitting directions.
-    mbar = tuple(tuple(x.conjugate() for x in row) for row in m)
-    e = linalg.mul(m, mbar)
-    tr = e[0][0] + e[1][1] + e[2][2]
-    e2 = linalg.mul(e, e)
-    tr2 = e2[0][0] + e2[1][1] + e2[2][2]
-    prod = (tr * tr - tr2) * _gaussian(Fraction(1, 2))
-    disc = tr * tr - _gaussian(4) * prod
-    root = disc.sqrt()
-    if root is None:
+    e = linalg.mul(m, tuple(tuple(x.conjugate() for x in row) for row in m))
+    lams = _split_invariants(
+        sum((e[i][i] for i in range(3)), Scalar.zero(True)),
+        sum((e[i][j] * e[j][i] for i in range(3) for j in range(3)), Scalar.zero(True)),
+    )
+    if lams is None:
         raise LiftError("splitting invariants are not rational", "real-split-irrational")
-    lams = ((tr + root) * _gaussian(Fraction(1, 2)), (tr - root) * _gaussian(Fraction(1, 2)))
-    vecs = []
-    if lams[0] != lams[1]:
-        for lam in lams:
-            if lam.is_zero():
-                raise LiftError("degenerate splitting eigenvalue", "real-split-zero-eigenvalue")
-            shifted = tuple(
-                tuple(e[i][j] - (lam if i == j else Scalar.zero(True)) for j in range(3))
-                for i in range(3)
-            )
-            ker = linalg.kernel_basis(shifted)
-            cand = next((k for k in ker if not _sym_dot(k, m, k).is_zero()), None)
-            if cand is None:
-                raise LiftError(
-                    "no usable eigenvector for the splitting", "real-split-no-eigenvector"
-                )
-            vecs.append(cand)
+    lam1, lam2 = lams
+    if lam1 != lam2:
+        if lam1.is_zero() or lam2.is_zero():
+            raise LiftError("degenerate splitting eigenvalue", "real-split-zero-eigenvalue")
+        em = linalg.mul(e, m)
+        m1 = linalg.scale(linalg.sub(em, linalg.scale(m, lam2)), (lam1 - lam2).inverse())
+        out = [_real_rank1(m1), _real_rank1(linalg.sub(m, m1))]
     else:
-        vecs = _repeated_eigen_split(m)
-    out = []
-    for v in vecs:
-        vc = tuple(x.conjugate() for x in v)
-        sq = _sym_dot(vc, m, vc)
-        n = _herm_dot(v, v)
-        coeff = sq * (n * n).inverse()
-        out.append((coeff, v))
+        out = []
+        for v in _repeated_eigen_split(m):
+            vc = tuple(x.conjugate() for x in v)
+            n = _herm_dot(v, v)
+            out.append((_sym_dot(vc, m, vc) * (n * n).inverse(), v))
     # verify the decomposition and the orthogonality exactly
-    v1, v2 = out[0][1], out[1][1]
+    (c1, v1), (c2, v2) = out
     if not _herm_dot(v1, v2).is_zero():
         raise LiftError(
             "splitting directions are not conjugate-orthogonal", "real-split-not-orthogonal"
         )
-    recon = _sym_rank1(out[0][0], v1)
-    recon = linalg.add(recon, _sym_rank1(out[1][0], v2))
-    if recon != linalg.mat(m):
+    if linalg.add(_sym_rank1(c1, v1), _sym_rank1(c2, v2)) != linalg.mat(m):
         raise LiftError("rank-two splitting did not reconstruct the matrix", "real-split-mismatch")
     return out
 
@@ -233,20 +244,20 @@ def _repeated_eigen_split(m):
 
 def _lift_real(z: JordanElement, s: int, rank: int) -> WMap:
     m = linalg.scale(to_symmetric_matrix(z), Scalar(0, 2, True))  # 2i Z
-    comps = _real_components(m)
+    comps = _real_components(m, rank)
     for order in (comps, list(reversed(comps))):
         budgets = _budget_split(s, len(order))
         columns = []
-        ok = True
         for (coeff, v), budget in zip(order, budgets):
             scales = _columns_for_class(coeff, budget)
             if scales is None:
-                ok = False
                 break
-            for x in scales:
-                columns.append(tuple(x * vi for vi in v))
-        if ok:
-            return _alpha_from_c_columns("real", columns, s)
+            columns.extend(tuple(x * vi for vi in v) for x in scales)
+        else:
+            # alpha = [Re C; Im C]
+            xi = [tuple(CDNumber(0, (Scalar(x.re),)) for x in col) for col in columns]
+            up = [tuple(CDNumber(0, (Scalar(x.im),)) for x in col) for col in columns]
+            return _wmap("real", xi, up, s)
     raise LiftError("square-class obstruction in a component", "real-square-class")
 
 
@@ -254,20 +265,6 @@ def _budget_split(s, ncomps):
     if ncomps == 1:
         return [s]
     return [s - (ncomps - 1)] + [1] * (ncomps - 1)
-
-
-def _alpha_from_c_columns(case, columns, s):
-    """Assemble alpha = [Re C; Im C] from Gaussian column vectors (K = R)."""
-    if len(columns) > s:
-        raise LiftError("construction needs more columns than available", "real-columns-short")
-    while len(columns) < s:
-        columns.append((Scalar.zero(True),) * 3)
-    rows = []
-    for i in range(3):
-        rows.append(tuple(CDNumber(0, (Scalar(c[i].re),)) for c in columns))
-    for i in range(3):
-        rows.append(tuple(CDNumber(0, (Scalar(c[i].im),)) for c in columns))
-    return WMap(case, rows)
 
 
 # -- complex case ------------------------------------------------------------------
@@ -306,20 +303,13 @@ def _lift_complex(z: JordanElement, s: int, rank: int) -> WMap:
         raise LiftError("gauge did not balance the Gram matrices", "complex-gauge-unbalanced")
     if linalg.mul(u, cdm.conj_transpose(v)) != linalg.mat(m):
         raise LiftError("gauge broke the factorization", "complex-gauge-mismatch")
-    half = _gaussian(Fraction(1, 2))
-    m_half_i = Scalar(0, Fraction(-1, 2), True)  # 1/(2i)
-    f = linalg.scale(linalg.add(u, v), half)
-    g_mat = linalg.scale(linalg.sub(u, v), m_half_i)
-    rows = []
-    for block in (f, g_mat):
-        for i in range(3):
-            row = []
-            for j in range(len(block[0])):
-                zc = block[i][j]
-                row.append(CDNumber(1, (Scalar(zc.re), Scalar(zc.im))))
-            row.extend(CDNumber.zero(1) for _ in range(s - len(block[0])))
-            rows.append(tuple(row))
-    return WMap("complex", rows)
+    f = linalg.scale(linalg.add(u, v), _gaussian(Fraction(1, 2)))
+    g_mat = linalg.scale(linalg.sub(u, v), _gaussian(0, Fraction(-1, 2)))  # 1/(2i)
+    xi, up = (
+        [tuple(CDNumber(1, (Scalar(x.re), Scalar(x.im))) for x in col) for col in zip(*block)]
+        for block in (f, g_mat)
+    )
+    return _wmap("complex", xi, up, s)
 
 
 def _gram_balance_gauge(n_u, n_v):
@@ -393,78 +383,34 @@ def _lift_quaternionic(z: JordanElement, s: int, rank: int) -> WMap:
     if rank > 2:
         raise LiftError("quaternionic lifts are implemented through rank two", "quat-rank-three")
     m = cdm.scale(z.to_matrix(), Scalar(0, 2, True))
-    if rank == 1:
-        comps = [_quat_rank1_data(m)]
-    else:
-        comps = _quat_split(m)
-    budgets = _budget_split(s, len(comps))
+    comps = [_quat_rank1_data(m)] if rank == 1 else _quat_split(m)
     xi_cols, up_cols = [], []
-    for (b_vec, kappa), budget in zip(comps, budgets):
-        cols = _quat_component_columns(b_vec, kappa, budget)
+    for b_vec, kappa in comps:
+        cols = _quat_component_columns(b_vec, kappa)
         if cols is None:
             raise LiftError("quaternionic component class is not representable", "quat-class")
-        for xi_c, up_c in cols:
-            xi_cols.append(xi_c)
-            up_cols.append(up_c)
-    if len(xi_cols) > s:
-        raise LiftError("construction needs more columns than available", "quat-columns-short")
-    zero_col = tuple(CDNumber.zero(2) for _ in range(3))
-    while len(xi_cols) < s:
-        xi_cols.append(zero_col)
-        up_cols.append(zero_col)
-    rows = [tuple(col[i] for col in cols) for cols in (xi_cols, up_cols) for i in range(3)]
-    return WMap("quaternionic", rows)
+        xi_cols.append(cols[0])
+        up_cols.append(cols[1])
+    return _wmap("quaternionic", xi_cols, up_cols, s)
 
 
 def _quat_rank1_data(m):
-    """Recover (b, kappa) with m = kappa * b conj(b)^T, b a rational
-    quaternion vector and kappa a Gaussian scalar."""
-    piv = next((i for i in range(3) if not m[i][i].is_zero()), None)
-    if piv is None:
+    """(b, kappa) with m = kappa * b conj(b)^T, b a rational quaternion
+    vector with b_p = 1 and kappa = m_pp, read off the pivot column p."""
+    p = _pivot(m)
+    if p is None:
         raise LiftError("isotropic diagonal in the quaternionic block", "quat-isotropic-diagonal")
-    row = m[piv]
-    # find mu in H (x) Q(i) making mu * row entrywise a rational quaternion
-    basis_mu = []
-    for k in range(4):
-        for im in (False, True):
-            c = [Scalar.zero(True)] * 4
-            c[k] = Scalar(0, 1, True) if im else Scalar(1, 0, True)
-            basis_mu.append(CDNumber(2, c))
-    conditions = []  # rows of a rational system: imaginary parts must vanish
-    for entry in row:
-        for mu in basis_mu:
-            prod = cd_mul(mu, entry)
-            conditions.append([c.im for c in prod.coeffs])
-    # system matrix: 8 unknown mu-coordinates -> stack per-entry conditions
-    rows_m = tuple(
-        tuple(Scalar(conditions[e * 8 + k][coord]) for k in range(8))
-        for e in range(len(row))
-        for coord in range(4)
-    )
-    cands = (
-        CDNumber(2, [Scalar(kv[2 * k].re, kv[2 * k + 1].re, gaussian=True) for k in range(4)])
-        for kv in linalg.kernel_basis(rows_m)
-    )
-    mu = next((cand for cand in cands if not cand.is_zero()), None)
-    if mu is None:
-        raise LiftError("no rationalizing factor for the quaternionic ray", "quat-no-rationalizer")
-    b_bar = [cd_mul(mu, entry) for entry in row]
-    b = [q.conjugate() for q in b_bar]
-    if all(q.is_zero() for q in b):
-        raise LiftError("degenerate quaternionic ray", "quat-zero-ray")
-    b_rat = []
-    for q in b:
+    kappa = m[p][p].real()
+    inv = kappa.inverse()
+    b = []
+    for row in m:
+        q = row[p].scale(inv)
         if any(c.im for c in q.coeffs):
-            raise LiftError("ray did not rationalize", "quat-ray-irrational")
-        b_rat.append(CDNumber(2, [Scalar(c.re) for c in q.coeffs]))
-    nb = b_rat[piv].norm()
-    if nb.is_zero():
-        raise LiftError("pivot of the quaternionic ray is isotropic", "quat-isotropic-pivot")
-    kappa = m[piv][piv].real() * nb.to_gaussian().inverse()
-    recon = _quat_rank1(kappa, b_rat)
-    if recon != cdm.from_rows(m):
+            raise LiftError("pivot column of the block is not rational", "quat-ray-irrational")
+        b.append(CDNumber(2, [Scalar(c.re) for c in q.coeffs]))
+    if _quat_rank1(kappa, b) != cdm.from_rows(m):
         raise LiftError("quaternionic ray did not reconstruct the block", "quat-ray-mismatch")
-    return b_rat, kappa
+    return b, kappa
 
 
 def _quat_rank1(kappa, b):
@@ -475,69 +421,47 @@ def _quat_rank1(kappa, b):
 
 
 def _quat_split(m):
-    """Split rank-two m into two commuting rank-one blocks via the exact
-    spectral invariants of the hermitian pair."""
-    tr = cdm.trace_real(m)
+    """Split rank-two m into two commuting rank-one blocks by the spectral
+    projector of E = m."""
     m2 = cdm.mul(m, m)
-    tr2 = cdm.trace_real(m2)
-    half = Scalar(Fraction(1, 2), 0, True)
-    prod = (tr * tr - tr2) * half
-    disc = tr * tr - Scalar(4, 0, True) * prod
-    root = disc.sqrt()
-    if root is None or root.is_zero():
+    lams = _split_invariants(cdm.trace_real(m), cdm.trace_real(m2))
+    if lams is None or lams[0] == lams[1]:
         raise LiftError(
             "quaternionic splitting invariants are not separable", "quat-split-inseparable"
         )
-    lam1 = (tr + root) * half
-    lam2 = (tr - root) * half
-    denom = (lam1 - lam2).inverse()
-    m1 = cdm.scale(cdm.sub(m2, cdm.scale(m, lam2)), denom)
-    m2b = cdm.sub(m, m1)
-    out = [_quat_rank1_data(m1), _quat_rank1_data(m2b)]
-    b1, b2 = out[0][0], out[1][0]
-    cross = CDNumber.zero(2)
-    for p, q in zip(b1, b2):
-        cross = cross + cd_mul(p.conjugate(), q)
-    if not cross.is_zero():
+    lam1, lam2 = lams
+    m1 = cdm.scale(cdm.sub(m2, cdm.scale(m, lam2)), (lam1 - lam2).inverse())
+    out = [_quat_rank1_data(m1), _quat_rank1_data(cdm.sub(m, m1))]
+    if not _herm_dot(out[0][0], out[1][0]).is_zero():
         raise LiftError("split rays are not conjugate-orthogonal", "quat-split-not-orthogonal")
     return out
 
 
-def _quat_component_columns(b, kappa, budget):
-    """Columns (xi, upsilon) realizing kappa * b conj(b)^T with the balance
-    condition; kappa must factor as (1 + i c)^2 * nu with c rational and
-    nu > 0 rational."""
+def _quat_component_columns(b, kappa):
+    """Columns (xi, upsilon) = (a w, c w) with w = b g1, N(g1) = nu and
+    kappa = (a + i c)^2 nu, so that C = xi + i upsilon has C C* = kappa b b*
+    and xi, upsilon balance: (a, c) = (1, c) for kappa = (1 + i c)^2 nu with
+    c rational and nu > 0, and (0, 1) for kappa = -nu < 0.  None otherwise."""
     x, y = kappa.re, kappa.im
     params = None
     if y == 0:
-        if x > 0:
-            params = (Fraction(0), x)
-        elif x < 0:
-            params = (Fraction(2), -x / 3)
+        params = (1, 0, x) if x > 0 else (0, 1, -x)
     else:
-        disc = x * x + y * y
-        from .scalars import _rational_sqrt
-
-        root = _rational_sqrt(disc)
+        root = _rational_sqrt(x * x + y * y)
         if root is not None:
             for r in (root, -root):
                 c = (-x + r) / y
                 if c:
                     nu = y / (2 * c)
                     if nu > 0 and (1 - c * c) * nu == x:
-                        params = (c, nu)
+                        params = (1, c, nu)
                         break
     if params is None:
         return None
-    c, nu = params
-    if budget < 1:
-        return None
-    q = four_squares(nu)
-    g1 = CDNumber(2, [Scalar(t) for t in q])
-    xi_col = tuple(cd_mul(bi, g1) for bi in b)
-    cs = Scalar(c)
-    up_col = tuple(e.scale(cs) for e in xi_col)
-    return [(xi_col, up_col)]
+    a, c, nu = params
+    g1 = CDNumber(2, [Scalar(t) for t in four_squares(nu)])
+    w = tuple(cd_mul(bi, g1) for bi in b)
+    return tuple(e.scale(Scalar(a)) for e in w), tuple(e.scale(Scalar(c)) for e in w)
 
 
 # -- samplers for round-trip tests ---------------------------------------------------
@@ -601,10 +525,7 @@ def _quat_liftable(rank, s, rng):
         comps = [b1]
         if rank == 2:
             w = tuple(rand_cd(2, rng) for _ in range(3))
-            dot = CDNumber.zero(2)
-            for p, q in zip(b1, w):
-                dot = dot + cd_mul(p.conjugate(), q)
-            coeff = dot.scale(Scalar(Fraction(1) / n1))
+            coeff = _herm_dot(b1, w).scale(Scalar(Fraction(1) / n1))
             b2 = tuple(q - cd_mul(p, coeff) for p, q in zip(b1, w))
             if all(q.is_zero() for q in b2):
                 continue

@@ -81,17 +81,16 @@ class LiftError(ValueError):
         "search-cut",
         "missed-zero-level",
         "round-trip-failed",
+        "columns-short",
         "real-isotropic-diagonal",
         "real-split-rank",
         "real-split-irrational",
         "real-split-zero-eigenvalue",
-        "real-split-no-eigenvector",
         "real-split-not-orthogonal",
         "real-split-mismatch",
         "real-repeated-no-span",
         "real-repeated-no-split",
         "real-square-class",
-        "real-columns-short",
         "complex-rank-mismatch",
         "complex-rank-three",
         "complex-pivot-factor",
@@ -103,12 +102,8 @@ class LiftError(ValueError):
         "complex-balance-no-gauge",
         "quat-rank-three",
         "quat-class",
-        "quat-columns-short",
         "quat-isotropic-diagonal",
-        "quat-no-rationalizer",
-        "quat-zero-ray",
         "quat-ray-irrational",
-        "quat-isotropic-pivot",
         "quat-ray-mismatch",
         "quat-split-inseparable",
         "quat-split-not-orthogonal",
@@ -603,9 +598,7 @@ def classify_config(c: OscillatorConfig) -> int:
     For zero angular momentum this equals the Jordan-rank stratum of the
     reduced point of the encoded map.
     """
-    rows = [tuple(Scalar(x) for x in r) for r in c.q]
-    rows += [tuple(Scalar(x) for x in r) for r in c.p]
-    return min(linalg.rank(tuple(rows)), CASE_RANK)
+    return min(linalg.frac_rank(c.q + c.p), CASE_RANK)
 
 
 def oscillator_sample(s, target_rank, rng) -> OscillatorConfig:

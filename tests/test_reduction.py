@@ -10,9 +10,9 @@ from fractions import Fraction
 import pytest
 
 from jordan_strata import cdmatrix as cdm
-from jordan_strata import cli, lifts, scalars
+from jordan_strata import cli, lifts, linalg, scalars
 from jordan_strata.cayley_dickson import CDNumber, cd_mul
-from jordan_strata.jordan import JordanElement, jordan_rank
+from jordan_strata.jordan import JordanElement, from_symmetric_matrix, jordan_rank
 from jordan_strata.lifts import LiftError, hilbert_lift, liftable_sample
 from jordan_strata.reduction import (
     _g_factors,
@@ -553,6 +553,45 @@ def test_hilbert_lift_repeated_invariants():
     alpha = hilbert_lift(z, 2)
     assert cdm.is_zero(mu_h(alpha))
     assert reduced_point(alpha) == z
+
+
+@pytest.mark.parametrize("s", [1, 2])
+def test_negative_real_kappa_lifts(s):
+    # Z = (i/2) E11 has 2i Z = -E11, so kappa = -1 = i^2: over H the whole
+    # factor C = i b g1 sits in the upsilon block; the same point lifts over R
+    half_i = Scalar(0, Fraction(1, 2), True)
+    for algebra in ("R", "H"):
+        z = JordanElement.diagonal(algebra, half_i, 0, 0, gaussian=True)
+        alpha = hilbert_lift(z, s)
+        assert alpha.s == s
+        assert cdm.is_zero(mu_h(alpha))
+        assert reduced_point(alpha) == z
+
+
+def test_rank_two_split_with_an_isotropic_eigenvector():
+    # 2i Z = v1 v1^T + e3 e3^T with v1 = (1, i, 0): v1 is an eigenvector of
+    # m conj(m) with v1^T v1 = 0, and the projector still splits m
+    one, i, o = Scalar(1, 0, True), Scalar(0, 1, True), Scalar.zero(True)
+    v1, e3 = (one, i, o), (o, o, one)
+    m = tuple(tuple(v1[a] * v1[b] + e3[a] * e3[b] for b in range(3)) for a in range(3))
+    z = from_symmetric_matrix(linalg.scale(m, Scalar(0, Fraction(-1, 2), True)))
+    assert jordan_rank(z) == 2
+    for s in (2, 3):
+        alpha = hilbert_lift(z, s)
+        assert cdm.is_zero(mu_h(alpha))
+        assert reduced_point(alpha) == z
+
+
+def test_quaternionic_rank_one_is_read_off_the_pivot_column():
+    rng = random.Random(4)
+    for _ in range(10):
+        z = liftable_sample("quaternionic", 1, 2, rng)
+        m = cdm.scale(z.to_matrix(), Scalar(0, 2, True))
+        p = next(p for p in range(3) if not m[p][p].is_zero())
+        b, kappa = lifts._quat_rank1_data(m)
+        assert b[p] == CDNumber.one(2)
+        assert kappa == m[p][p].real()
+        assert lifts._quat_rank1(kappa, b) == m
 
 
 def test_hilbert_lift_obstruction_reported():
