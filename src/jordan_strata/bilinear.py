@@ -13,14 +13,18 @@ how a ``CDNumber``, a ``JordanElement`` and a ``tkk.TKKElement`` store their
 coordinates (``IntVector``, below), so a product reads its operands'
 integers as they are, sums in Python ints and hands back the integer
 accumulator over the product of the denominators; the caller stores it as
-it is.  ``left`` writes the table out as the integer matrix of y -> x y,
-the left-regular operator on which ``cdmatrix`` multiplies and inverts.
+it is.  ``square`` contracts x with itself on a half table of a
+commutative product, c_ijk + c_jik once per unordered pair i < j and c_iik
+on the diagonal, about half the work of ``contract(x, x)``.  ``left``
+writes the table out as the integer matrix of y -> x y, the left-regular
+operator on which ``cdmatrix`` multiplies and inverts.
 
 ``IntVector`` owns that storage format and its linear structure, written
 once for all three classes: normalization to lowest terms, + and - over the
 lcm of two denominators, negation, scaling by a ``Scalar``, the base-ring
-swap, the zero test, equality and hashing.  ``box`` makes the ``Scalar``
-view of such a vector, when one is asked for.
+swap, the zero test, equality and hashing.  ``scaled`` multiplies such an
+integer vector by a Gaussian integer, and ``box`` makes the ``Scalar`` view
+of such a vector, when one is asked for.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ class Bilinear:
     nonzero integer.
     """
 
-    __slots__ = ("dim", "den", "rows", "_gauss_rows", "_left_rows")
+    __slots__ = ("dim", "den", "rows", "_gauss_rows", "_left_rows", "_half_rows")
 
     def __init__(self, table, den=None):
         """``table[i][j]`` lists the (k, c) with e_i e_j = sum c e_k, or, when
@@ -54,6 +58,7 @@ class Bilinear:
         self.rows = table
         self._gauss_rows = None
         self._left_rows = [None, None]  # left's tables over Q and over Q(i)
+        self._half_rows = [None, None]  # square's tables over Q and over Q(i)
 
     def _gauss(self):
         """The constants on 2n coordinates, compiled on first use."""
@@ -91,6 +96,40 @@ class Bilinear:
                             acc[k] += p * c
         return acc
 
+    def _half(self, gaussian):
+        """square's table, compiled on first use: row i holds, for j >= i,
+        the cell of the unordered pair {i, j}, c_ijk + c_jik = 2 c_ijk off
+        the diagonal and c_iik on it."""
+        if self._half_rows[gaussian] is None:
+            rows = self.rows
+            if any(sorted(rows[i][j]) != sorted(rows[j][i])
+                   for i in range(self.dim) for j in range(i)):
+                raise ValueError("square needs a commutative product table")
+            rows = self._gauss() if gaussian else rows
+            self._half_rows[gaussian] = [
+                [() if j < i else row[j] if j == i else tuple((k, 2 * c) for k, c in row[j])
+                 for j in range(len(row))]
+                for i, row in enumerate(rows)
+            ]
+        return self._half_rows[gaussian]
+
+    def square(self, xv, gaussian=False):
+        """den * (x x) for an integer coordinate vector x (2n long over Q(i))
+        of a commutative product, each unordered pair of coordinates
+        contracted once; ``ValueError`` on a non-commutative table."""
+        rows = self._half(gaussian)
+        acc = [0] * len(xv)
+        xs = [(i, a) for i, a in enumerate(xv) if a]
+        for s, (i, a) in enumerate(xs):
+            row = rows[i]
+            for j, b in xs[s:]:
+                cell = row[j]
+                if cell:
+                    p = a * b
+                    for k, c in cell:
+                        acc[k] += p * c
+        return acc
+
     def left(self, xv, gaussian=False):
         """den * L(x) for an integer coordinate vector x (2n long over Q(i)):
         the integer matrix of y -> x y, row k holding coordinate k of the
@@ -118,6 +157,16 @@ def box(v, den, gaussian):
     return tuple(
         Scalar._of(Fraction(v[k], den), Fraction(v[n + k], den), True) for k in range(n)
     )
+
+
+def scaled(v, a, b=0):
+    """(a + bi) v for integers a, b and an integer vector v (real parts, then
+    imaginary parts over Q(i); b = 0 over Q)."""
+    if not b:
+        return [a * x for x in v]
+    n = len(v) // 2
+    pairs = list(zip(v[:n], v[n:]))  # (a + bi)(x + yi) = (ax - by) + (ay + bx)i
+    return [a * x - b * y for x, y in pairs] + [a * y + b * x for x, y in pairs]
 
 
 class IntVector:
@@ -205,13 +254,7 @@ class IntVector:
         if s.gaussian != self.gaussian:
             raise RingMismatch("scalar ring mismatch")
         (a, b), d = _int_row([s.re, s.im])
-        v, n = self.v, len(self.v) // 2
-        if b:  # (a + bi)(x + yi) = (ax - by) + (ay + bx)i, coordinate by coordinate
-            pairs = list(zip(v[:n], v[n:]))
-            v = [a * x - b * y for x, y in pairs] + [a * y + b * x for x, y in pairs]
-        else:
-            v = [a * x for x in v]
-        return self._like(v, self.den * d)
+        return self._like(scaled(self.v, a, b), self.den * d)
 
     def complexify(self):
         """Base-ring swap Q -> Q(i); already-Gaussian values pass through."""

@@ -15,9 +15,10 @@ terms, so a product reads its operands' integers and is stored as it comes;
 that format and its linear structure (+, -, scaling, equality, hashing)
 live in ``bilinear.IntVector``, and the ``Scalar`` coordinates (``coeffs``)
 are a view for the API, JSON and ``repr``.  The pair recursion itself is
-kept as ``cd_mul_doubling``, an independent route on that view that shares
-no code with the engine, so tests can cross-check the two against each
-other.
+kept as ``cd_mul_doubling``, an independent route on the same stored
+integers (over Q(i), four real recursions on the real and imaginary parts)
+that reads neither the unit table nor the engine, so tests can cross-check
+the two against each other.
 
 Complexification is a base-ring swap (rational -> Gaussian rational), not a
 fourth doubling, so the Gaussian-base level-3 algebra stays 8-dimensional over
@@ -180,21 +181,33 @@ def cd_mul(a: CDNumber, b: CDNumber) -> CDNumber:
     return a._like(table.contract(a.v, b.v, a.gaussian), a.den * b.den * table.den)
 
 
+def _conj(u):
+    return [u[0]] + [-c for c in u[1:]]
+
+
+def _doubling(x, y):
+    """The pair recursion on integer coordinate lists over Q:
+    (p, q) (r, s) = (p r - conj(s) q, s p + q conj(r))."""
+    if len(x) == 1:
+        return [x[0] * y[0]]
+    h = len(x) // 2
+    p, q, r, s = x[:h], x[h:], y[:h], y[h:]
+    first = [u - w for u, w in zip(_doubling(p, r), _doubling(_conj(s), q))]
+    second = [u + w for u, w in zip(_doubling(s, p), _doubling(q, _conj(r)))]
+    return first + second
+
+
 def cd_mul_doubling(a: CDNumber, b: CDNumber) -> CDNumber:
-    """The pair recursion itself, kept as an independent route for tests."""
+    """The pair recursion itself on the stored integers, kept as an
+    independent route for tests; over Q(i), four real recursions."""
     a._check(b)
-    if a.level == 0:
-        return CDNumber(0, (a.coeffs[0] * b.coeffs[0],))
-    half = 1 << (a.level - 1)
-    split = lambda x: (
-        CDNumber(x.level - 1, x.coeffs[:half]),
-        CDNumber(x.level - 1, x.coeffs[half:]),
-    )
-    p, q = split(a)
-    r, s = split(b)
-    first = cd_mul_doubling(p, r) - cd_mul_doubling(s.conjugate(), q)
-    second = cd_mul_doubling(s, p) + cd_mul_doubling(q, r.conjugate())
-    return CDNumber(a.level, first.coeffs + second.coeffs)
+    if not a.gaussian:
+        return a._like(_doubling(a.v, b.v), a.den * b.den)
+    n = len(a.v) // 2
+    ar, ai, br, bi = a.v[:n], a.v[n:], b.v[:n], b.v[n:]
+    re = [u - w for u, w in zip(_doubling(ar, br), _doubling(ai, bi))]
+    im = [u + w for u, w in zip(_doubling(ar, bi), _doubling(ai, br))]
+    return a._like(re + im, a.den * b.den)
 
 
 def cd_conj(a: CDNumber) -> CDNumber:

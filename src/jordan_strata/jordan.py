@@ -27,11 +27,21 @@ T(x, y) = tr(x o y) the trace form (McCrimmon, A Taste of Jordan Algebras):
     x × y = x o y - (t(x) y + t(y) x)/2 + (t(x) t(y) - T(x, y))/2 I,
     sharp(x) = x × x,   det(x) = T(x, sharp(x)) / 3,   sigma2(x) = tr(sharp(x)).
 
+A square (x o x, x × x) contracts each unordered pair of coordinates once
+(``Bilinear.square``).  This × is normalized by x × x = sharp(x), so it is
+half of McCrimmon's x ×_M y = sharp(x + y) - sharp(x) - sharp(y), and his
+quadratic representation U_a x = T(a, x) a - sharp(a) ×_M x reads here
+
+    U_a(x) = T(a, x) a - 2 (sharp(a) × x),
+
+one adjoint and one cross product in place of four Jordan products.
+
 ``jordan_rank`` zero-tests x, x × x and T(x, x × x) as integer vectors.  The
 matrix route ``jordan_mul_matrices`` multiplies the hermitian matrices entry
 by entry with ``cd_mul_doubling`` and reads neither table; the tests build
-on it their oracles x o x - tr(x) x + sigma2(x) I for sharp and
-abc - a N(x) - b N(y) - c N(z) + 2 Re((z x) conj(y)) for det.
+on it their oracles x o x - tr(x) x + sigma2(x) I for sharp,
+abc - a N(x) - b N(y) - c N(z) + 2 Re((z x) conj(y)) for det and
+2 a o (a o x) - (a o a) o x for U_a.
 
 Matrix models used for rank identification:
 
@@ -68,7 +78,7 @@ from math import lcm
 from typing import NamedTuple
 
 from . import linalg
-from .bilinear import Bilinear, IntVector, box
+from .bilinear import Bilinear, IntVector, box, scaled
 from .cayley_dickson import CDNumber, LEVEL_OF_ALGEBRA, cd_mul_doubling, unit_product
 from .scalars import RingMismatch, Scalar
 
@@ -331,6 +341,8 @@ def structure_tensor(algebra: str) -> Bilinear:
 
 def _product(table: Bilinear, x: JordanElement, y: JordanElement) -> JordanElement:
     x._check(y)
+    if x == y:  # each unordered pair of coordinates once
+        return x._like(table.square(x.v, x.gaussian), x.den * x.den * table.den)
     return x._like(table.contract(x.v, y.v, x.gaussian), x.den * y.den * table.den)
 
 
@@ -374,7 +386,7 @@ def _pairing(xv, yv, gaussian):
 def _sharp_ints(x: JordanElement):
     """(sv, ds): sharp(x) = sv / ds, in integers."""
     table = cross_tensor(x.tag)
-    return table.contract(x.v, x.v, x.gaussian), x.den * x.den * table.den
+    return table.square(x.v, x.gaussian), x.den * x.den * table.den
 
 
 def cross(x: JordanElement, y: JordanElement) -> JordanElement:
@@ -427,10 +439,30 @@ def jordan_rank(x: JordanElement) -> int:
     return 2 if _pairing(x.v, sv, x.gaussian) == (0, 0) else 3
 
 
+def _quadratic_rep(a: JordanElement, x: JordanElement, sharp_ints) -> JordanElement:
+    """U_a(x) = T(a, x) a - 2 (a# × x) in integers, given a# = sv / ds."""
+    a._check(x)
+    sv, ds = sharp_ints
+    table = cross_tensor(a.tag)
+    den = ds * x.den * table.den  # that of a# × x; T(a, x) a is over a.den^2 x.den
+    f = den // (a.den * a.den * x.den)
+    re, im = _pairing(a.v, x.v, a.gaussian)
+    tv = scaled(a.v, f * re, f * im)
+    cv = table.contract(sv, x.v, a.gaussian)
+    return a._like([t - 2 * c for t, c in zip(tv, cv)], den)
+
+
 def quadratic_rep(a: JordanElement, x: JordanElement) -> JordanElement:
-    """U_a(x) = 2 a o (a o x) - (a o a) o x; rank preserving for det(a) != 0."""
-    axa = jordan_mul(a, jordan_mul(a, x))
-    return axa + axa - jordan_mul(jordan_mul(a, a), x)
+    """U_a(x) = T(a, x) a - 2 (a# × x); rank preserving for det(a) != 0."""
+    return _quadratic_rep(a, x, _sharp_ints(a))
+
+
+def invertible_quadratic_rep(a: JordanElement, x: JordanElement):
+    """U_a(x) when det(a) != 0, else None; a# is formed once for both."""
+    sharp_ints = _sharp_ints(a)
+    if _pairing(a.v, sharp_ints[0], a.gaussian) == (0, 0):
+        return None
+    return _quadratic_rep(a, x, sharp_ints)
 
 
 # -- matrix models -------------------------------------------------------------

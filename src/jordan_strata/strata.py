@@ -23,6 +23,7 @@ from .jordan import (
     from_general_matrix,
     from_skew_matrix,
     from_symmetric_matrix,
+    invertible_quadratic_rep,
     jordan_rank,
     quadratic_rep,
     sharp,
@@ -156,11 +157,9 @@ def rank1_sample(algebra: str, rng) -> JordanElement:
     """A random rank-one element, as U_A(E11) for random invertible A."""
     e11 = JordanElement.diagonal(algebra, 1, 0, 0, gaussian=True)
     for _ in draws("strata.rank1_sample"):
-        a = random_element(algebra, rng, gaussian=True)
-        if not det(a).is_zero():
-            out = quadratic_rep(a, e11)
-            if not out.is_zero():
-                return out
+        out = invertible_quadratic_rep(random_element(algebra, rng, gaussian=True), e11)
+        if out is not None and not out.is_zero():
+            return out
 
 
 def _draw(rng, n: int, gaussian: bool, span: int):
@@ -195,11 +194,8 @@ def rank_k_sample(algebra: str, k: int, rng, gaussian=True) -> JordanElement:
         return JordanElement.zero(algebra, gaussian)
     seed = JordanElement.diagonal(algebra, 1, 1 if k > 1 else 0, 1 if k > 2 else 0, gaussian)
     for _ in draws("strata.rank_k_sample"):
-        a = random_element(algebra, rng, gaussian)
-        if det(a).is_zero():
-            continue
-        out = quadratic_rep(a, seed)
-        if jordan_rank(out) == k:
+        out = invertible_quadratic_rep(random_element(algebra, rng, gaussian), seed)
+        if out is not None and jordan_rank(out) == k:
             return out
 
 

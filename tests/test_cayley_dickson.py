@@ -66,6 +66,51 @@ def test_table_matches_doubling_recursion():
                 assert cd_mul(a, b) == cd_mul_doubling(a, b)
 
 
+def scalar_doubling(a, b):
+    """The pair recursion (p, q) (r, s) = (p r - conj(s) q, s p + q conj(r))
+    on the Scalar coordinates, one CDNumber per half."""
+    if a.level == 0:
+        return CDNumber(0, (a.coeffs[0] * b.coeffs[0],))
+    half = 1 << (a.level - 1)
+    split = lambda x: (
+        CDNumber(x.level - 1, x.coeffs[:half]),
+        CDNumber(x.level - 1, x.coeffs[half:]),
+    )
+    p, q = split(a)
+    r, s = split(b)
+    first = scalar_doubling(p, r) - scalar_doubling(s.conjugate(), q)
+    second = scalar_doubling(s, p) + scalar_doubling(q, r.conjugate())
+    return CDNumber(a.level, first.coeffs + second.coeffs)
+
+
+@pytest.mark.parametrize("level", range(4))
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_integer_doubling_matches_the_scalar_recursion(level, gaussian):
+    rng = random.Random(20 + 2 * level + gaussian)
+    zero = CDNumber.zero(level, gaussian)
+    for tall in (False, True):
+        for _ in range(8):
+            a, b = (rand_tall(rng, level, gaussian) if tall else rand_cd(rng, level, gaussian)
+                    for _ in range(2))
+            for x, y in ((a, b), (b, a), (a, a), (a, zero)):
+                assert_same(cd_mul_doubling(x, y), scalar_doubling(x, y))
+
+
+def test_integer_doubling_reads_no_table(monkeypatch):
+    from jordan_strata import cayley_dickson
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the doubling route read the unit table or the engine")
+
+    for name in ("_cd_product", "unit_product", "Bilinear"):
+        monkeypatch.setattr(cayley_dickson, name, refuse)
+    rng = random.Random(28)
+    for level in range(4):
+        for gaussian in (False, True):
+            a, b = rand_cd(rng, level, gaussian), rand_cd(rng, level, gaussian)
+            assert cd_mul_doubling(a, b) == scalar_doubling(a, b)
+
+
 def test_composition_norm_all_levels():
     rng = random.Random(3)
     for level in (0, 1, 2, 3):

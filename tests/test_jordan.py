@@ -267,6 +267,29 @@ def test_det_multiplicativity_under_quadratic_rep():
             assert det(quadratic_rep(a, x)) == det(a) * det(a) * det(x)
 
 
+# -- oracle for the quadratic representation: the four-product formula on the
+# matrix route, which reads neither the cross tensor nor the half tables
+
+
+def quadratic_rep_oracle(a, x):
+    """U_a(x) = 2 a o (a o x) - (a o a) o x."""
+    axa = jordan_mul_matrices(a, jordan_mul_matrices(a, x))
+    return axa + axa - jordan_mul_matrices(jordan_mul_matrices(a, a), x)
+
+
+def test_quadratic_rep_matches_the_four_product_oracle():
+    rng = random.Random(46)
+    seen = set()
+    for algebra, gaussian, elts in invariant_samples(rng):
+        zero = JordanElement.zero(algebra, gaussian)
+        # small, ranks 0-3 (singular a among them) and 40-digit elements
+        for a, x in zip(elts, elts[1:] + elts[:1]):
+            for y in (x, zero, a):
+                assert quadratic_rep(a, y) == quadratic_rep_oracle(a, y), (algebra, gaussian)
+            seen.add((algebra, gaussian, jordan_rank(a) < 3))
+    assert len(seen) == 4 * 2 * 2  # every tag, with singular and invertible a
+
+
 # -- oracle for the skew model: psi(X) J6 through the 2x2 block of each unit
 # and a dense product, the route the closed-form blocks replaced
 
