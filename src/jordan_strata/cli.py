@@ -17,7 +17,7 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .jordan import JordanElement, det, jordan_rank, matrix_model_rank, sharp
+from .jordan import JordanElement, jordan_rank, matrix_model_rank, rank_det_sharp
 from .reduction import (
     OscillatorConfig,
     angular_momentum,
@@ -25,7 +25,6 @@ from .reduction import (
     encode_oscillator,
     reduced_point,
 )
-from . import cdmatrix as cdm
 from .scalars import Scalar
 from .strata import plucker, rank1_projective_factor, rank1_sample, segre, veronese
 from .suites import SUITES, run_suite
@@ -156,7 +155,7 @@ def _render(report, fmt):
 
 def cmd_classify(args):
     elt = _decode(JordanElement.from_json, _read_json(args.input))
-    rank = jordan_rank(elt)
+    rank, d, s = rank_det_sharp(elt)
     checks = [
         {
             "name": "classify",
@@ -165,8 +164,8 @@ def cmd_classify(args):
             "failures": 0,
             "witness": None,
             "stratum": rank,
-            "det": det(elt).to_json(),
-            "sharp": sharp(elt).to_json(),
+            "det": d.to_json(),
+            "sharp": s.to_json(),
         }
     ]
     if elt.algebra in ("R", "C", "H") and elt.gaussian:
@@ -254,7 +253,7 @@ def cmd_embed(args):
         if len(parsed) != count or any(len(v) != length for v in parsed):
             raise UsageError(f"{args.kind} expects {what}")
         elt = embedding(*parsed)
-    rank = jordan_rank(elt)
+    rank, _, s = rank_det_sharp(elt)
     record = {
         "name": f"embed-{args.kind}",
         "case": elt.algebra,
@@ -263,7 +262,7 @@ def cmd_embed(args):
         "witness": None if rank == 1 else elt.to_json(),
         "element": elt.to_json(),
         "stratum": rank,
-        "sharp_vanishes": sharp(elt).is_zero(),
+        "sharp_vanishes": s.is_zero(),
     }
     return _report(["embed", args.kind], args.seed, [record])
 

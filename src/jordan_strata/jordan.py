@@ -36,10 +36,16 @@ quadratic representation U_a x = T(a, x) a - sharp(a) ×_M x reads here
 
 one adjoint and one cross product in place of four Jordan products.
 
-``jordan_rank`` zero-tests x, x × x and T(x, x × x) as integer vectors.  The
-matrix route ``jordan_mul_matrices`` multiplies the hermitian matrices entry
-by entry with ``cd_mul_doubling`` and reads neither table; the tests build
-on it their oracles x o x - tr(x) x + sigma2(x) I for sharp,
+``jordan_rank`` zero-tests x, x × x and T(x, x × x) as integer vectors: the
+rank is 0, 1, 2 or 3 as x, sharp(x) or det(x) is the first to be nonzero.
+So one square gives every invariant of a point: ``rank_det_sharp`` returns
+the rank, det(x) and sharp(x) from one x × x, and ``sigma`` reads its
+(tr, sigma2, det) off it; ``jordan_rank``, ``det``, ``sharp`` and ``sigma2``
+each stay for callers that need one invariant.
+
+The matrix route ``jordan_mul_matrices`` multiplies the hermitian matrices
+entry by entry with ``cd_mul_doubling`` and reads neither table; the tests
+build on it their oracles x o x - tr(x) x + sigma2(x) I for sharp,
 abc - a N(x) - b N(y) - c N(z) + 2 Re((z x) conj(y)) for det and
 2 a o (a o x) - (a o a) o x for U_a.
 
@@ -412,16 +418,22 @@ def sigma2(x: JordanElement) -> Scalar:
     return trace(sharp(x))
 
 
+def _det(x: JordanElement, t, ds) -> Scalar:
+    """det(x) = T(x, sharp(x)) / 3 from t = (re, im) of T(x, sv), sharp(x) = sv / ds."""
+    d = 3 * x.den * ds
+    return Scalar(Fraction(t[0], d), Fraction(t[1], d), x.gaussian)
+
+
 def det(x: JordanElement) -> Scalar:
     """det(x) = T(x, sharp(x)) / 3, one integer dot product after the square."""
     sv, ds = _sharp_ints(x)
-    re, im = _pairing(x.v, sv, x.gaussian)
-    return Scalar(Fraction(re, 3 * x.den * ds), Fraction(im, 3 * x.den * ds), x.gaussian)
+    return _det(x, _pairing(x.v, sv, x.gaussian), ds)
 
 
 def sigma(x: JordanElement) -> Sigma:
     """Coefficients (tr, sigma2, det) of the generic characteristic cubic."""
-    return Sigma(trace(x), sigma2(x), det(x))
+    _, d, s = rank_det_sharp(x)
+    return Sigma(trace(x), trace(s), d)
 
 
 def sharp(x: JordanElement) -> JordanElement:
@@ -429,14 +441,27 @@ def sharp(x: JordanElement) -> JordanElement:
     return cross(x, x)
 
 
+def _stratum(xv, sv, gaussian):
+    """(rank, (re, im) of T(x, sv)) for the integer x and a positive multiple
+    sv of sharp(x): the rank is 0, 1, 2 or 3 as x, sharp(x) or T(x, sharp(x))
+    is the first to be nonzero.  x = 0 gives sv = 0, and sv = 0 gives T = 0
+    without a dot product."""
+    if not any(sv):
+        return (1 if any(xv) else 0), (0, 0)
+    t = _pairing(xv, sv, gaussian)
+    return (2 if t == (0, 0) else 3), t
+
+
 def jordan_rank(x: JordanElement) -> int:
     """0-3 by zero tests on the integer x, x × x and T(x, x × x); nothing is boxed."""
-    if not any(x.v):
-        return 0
-    sv, _ = _sharp_ints(x)
-    if not any(sv):
-        return 1
-    return 2 if _pairing(x.v, sv, x.gaussian) == (0, 0) else 3
+    return _stratum(x.v, _sharp_ints(x)[0], x.gaussian)[0]
+
+
+def rank_det_sharp(x: JordanElement):
+    """(jordan_rank(x), det(x), sharp(x)) from one square x × x."""
+    sv, ds = _sharp_ints(x)
+    rank, t = _stratum(x.v, sv, x.gaussian)
+    return rank, _det(x, t, ds), x._like(sv, ds)
 
 
 def _quadratic_rep(a: JordanElement, x: JordanElement, sharp_ints) -> JordanElement:

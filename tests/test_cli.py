@@ -6,6 +6,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from jordan_strata.bilinear import Bilinear
 from jordan_strata.cli import main
 from jordan_strata.jordan import JordanElement, det, jordan_rank, sharp
 from jordan_strata.reduction import (
@@ -17,6 +18,7 @@ from jordan_strata.reduction import (
 )
 from jordan_strata.strata import random_element
 from jordan_strata.suites import SUITES
+from test_jordan import TAGS, classify_element
 
 
 def run_cli(args):
@@ -252,3 +254,77 @@ def test_seed_env_is_read_on_every_call(monkeypatch):
     assert json.loads(out)["seed"] == 9
     monkeypatch.setenv("JORDAN_STRATA_SEED", "not-a-seed")
     assert run_cli(args)[0] == 2
+
+
+# sha256 of the `classify -` reports, ranks 0-3 at small then large height in
+# turn, of each algebra's ``classify_element`` inputs, and of each `embed`
+# report below; no other test pins the bytes of these two verbs
+CLASSIFY_DIGESTS = {
+    "R": "8d2a06a1241483a8f4c3380376dd8b0ca90bd63aa78178a22511184a5409ff77",
+    "R_C": "f41fccec82c81d51823454a233b75a9248e665783eff235d6c9bacb9603a984c",
+    "C": "2ae4dbb5bbac593a9facda226c3ff5e25702bb8bfe47218bf0eb5a3d825e2d0a",
+    "C_C": "5169ed11ff5c858b145ceac28cd0726d0af4eedf48565cef950c0f962c2d8c4d",
+    "H": "7da64149fe8e494711f4a2dc6f8f7e1464a983e5a5c408be93150a3281607829",
+    "H_C": "ed7d3d010ed5a148db7c771735d633d6d3b279943d68fbd202e646d177f15936",
+    "O": "c236ac1d441c6884c941ec69967fcffab0fd9b0f35ead947e66a4866713a431b",
+    "O_C": "7b73da433c2f139bf73615a99b89d56a5bc98287320f76815de1ead00c0a49b4",
+}
+
+EMBED_ARGS = {
+    "veronese": ["--vectors", "[[1,[1,2],-3]]"],
+    "segre": ["--vectors", "[[2,0,[1,3]],[[[1,1],[-1,2]],1,-4]]"],
+    "plucker": ["--vectors", "[[1,0,2,0,-1,3],[0,1,[1,2],4,0,[[0,1],[1,1]]]]"],
+    "octonionic": ["--seed", "4"],
+}
+
+EMBED_DIGESTS = {
+    "octonionic": "14d8cd81a228371141075ed91a2ff076bf580284f61e0210a2339fe978b5d394",
+    "plucker": "72d3cfb5386b6d79142edf06baed14c3a9cca998b92a6ce5351ce5453e810a04",
+    "segre": "7bb3a1aa6c6a37b88b897b47d710a3a97c0cfc4f48166d335fba5b9f90deb9f8",
+    "veronese": "9a88f34b34555a0e77517beaac6aafbfe3b5860c260af7dbbc91a5b8a2d40dae",
+}
+
+
+def classify_on_stdin(monkeypatch, x):
+    # the report echoes the input path, so the input comes on stdin
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(x.to_json())))
+    return run_cli(["classify", "-"])
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_classify_report_bytes_are_pinned(monkeypatch, tag):
+    digest = hashlib.sha256()
+    for rank in range(4):
+        for height in ("small", "large"):
+            rc, out = classify_on_stdin(monkeypatch, classify_element(tag, rank, height))
+            assert rc == 0 and json.loads(out)["checks"][0]["stratum"] == rank
+            digest.update(out.encode())
+    assert digest.hexdigest() == CLASSIFY_DIGESTS[tag]
+
+
+@pytest.mark.parametrize("kind", sorted(EMBED_ARGS))
+def test_embed_report_bytes_are_pinned(kind):
+    rc, out = run_cli(["embed", "--kind", kind] + EMBED_ARGS[kind])
+    assert rc == 0 and json.loads(out)["checks"][0]["sharp_vanishes"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == EMBED_DIGESTS[kind]
+
+
+def test_classify_and_embed_square_once(monkeypatch):
+    # rank, det and sharp of a point come from one x × x
+    calls = []
+    square = Bilinear.square
+
+    def counted(self, xv, gaussian=False):
+        calls.append(self)
+        return square(self, xv, gaussian)
+
+    elements = [(tag, classify_element(tag, rank, "small")) for tag in TAGS for rank in (2, 3)]
+    monkeypatch.setattr(Bilinear, "square", counted)
+    for tag, x in elements:
+        calls.clear()
+        assert classify_on_stdin(monkeypatch, x)[0] == 0
+        assert len(calls) == 1, tag
+    for kind in ("veronese", "segre", "plucker"):
+        calls.clear()
+        assert run_cli(["embed", "--kind", kind] + EMBED_ARGS[kind])[0] == 0
+        assert len(calls) == 1, kind

@@ -21,6 +21,7 @@ from jordan_strata.jordan import (
     matrix_model_rank,
     pfaffian,
     quadratic_rep,
+    rank_det_sharp,
     sharp,
     sigma2,
     to_general_matrix,
@@ -90,6 +91,23 @@ def invariant_samples(rng):
                 )
             ]
             yield algebra, gaussian, elts
+
+
+TAGS = [algebra + suffix for algebra in ALGEBRAS for suffix in ("", "_C")]
+
+
+def classify_element(tag, rank, height):
+    """U_a(x) for x of Jordan rank ``rank`` on the algebra ``tag`` and an
+    invertible a whose parts have up to 1 digit ("small") or 20 ("large"),
+    so a large element has about 40; rank 0 is the zero element."""
+    gaussian = tag.endswith("_C")
+    rng = random.Random(f"{tag}-r{rank}-{height}")
+    x = rank_k_sample(tag[0], rank, rng, gaussian)
+    span = 10**20 if height == "large" else 2
+    while True:
+        a = random_element(tag[0], rng, gaussian, span)
+        if not det(a).is_zero():
+            return quadratic_rep(a, x)
 
 
 def test_unit_and_idempotent():
@@ -413,6 +431,15 @@ def test_sigma_triple():
     # the generic cubic annihilates the diagonal entries
     for lam in (1, 2, 3):
         assert Scalar(lam**3) - s.tr * lam**2 + s.sigma2 * lam - s.det == Scalar(0)
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_rank_det_sharp_is_the_three_invariants(tag):
+    for rank in range(4):
+        for height in ("small", "large"):
+            x = classify_element(tag, rank, height)
+            assert x.is_zero() == (rank == 0) and jordan_rank(x) == rank
+            assert rank_det_sharp(x) == (rank, det(x), sharp(x))
 
 
 def test_dimension_audit():
