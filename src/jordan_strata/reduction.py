@@ -74,28 +74,20 @@ class LiftError(ValueError):
 
     ``reason`` is one of ``REASONS``, a fixed code for each place in ``lifts``
     that gives up, so callers can tally obstructions without parsing the
-    message.
+    message.  "missed-zero-level" and "round-trip-failed" come from the one
+    post-condition of a lift, the final ``zero_level_point`` round trip; the
+    rest name the construction step that found no exact lift.
     """
 
     REASONS = (
         "search-cut",
         "missed-zero-level",
         "round-trip-failed",
-        "columns-short",
-        "real-isotropic-diagonal",
         "real-split-rank",
         "real-split-irrational",
-        "real-split-zero-eigenvalue",
-        "real-split-not-orthogonal",
-        "real-split-mismatch",
-        "real-repeated-no-span",
         "real-repeated-no-split",
         "real-square-class",
-        "complex-rank-mismatch",
         "complex-rank-three",
-        "complex-pivot-factor",
-        "complex-gauge-unbalanced",
-        "complex-gauge-mismatch",
         "complex-balance-not-square",
         "complex-balance-not-norm",
         "complex-balance-discriminant",
@@ -104,9 +96,7 @@ class LiftError(ValueError):
         "quat-class",
         "quat-isotropic-diagonal",
         "quat-ray-irrational",
-        "quat-ray-mismatch",
         "quat-split-inseparable",
-        "quat-split-not-orthogonal",
     )
 
     def __init__(self, message, reason):

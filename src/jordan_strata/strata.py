@@ -313,22 +313,29 @@ def rank1_projective_factor(x: JordanElement):
     Works projectively, so no square classes obstruct it: returns
     ("veronese", v) / ("segre", (u, w)) / ("plucker", (u, w)) with the
     embedded point proportional to x.  Raises for the octonionic algebra and
-    returns None when x is not rank one.
+    off the complexified algebra, and returns None when x is not rank one:
+    the embedding of nonzero vectors has rank one, so the closing ProjPoint
+    test decides the rank.
     """
-    if jordan_rank(x) != 1:
-        return None
+    if not x.gaussian:
+        raise ValueError("projective points live on the complexified algebra")
     if x.algebra == "R":
         m = to_symmetric_matrix(x)
-        piv = next(i for i in range(3) if not m[i][i].is_zero())
+        piv = next((i for i in range(3) if not m[i][i].is_zero()), None)
+        if piv is None:
+            return None
         v = tuple(m[piv])
         if ProjPoint(veronese(v)) != ProjPoint(x):
             return None
         return "veronese", v
     if x.algebra == "C":
         m = to_general_matrix(x)
-        pi, pj = next(
-            (i, j) for i in range(3) for j in range(3) if not m[i][j].is_zero()
+        pivot = next(
+            ((i, j) for i in range(3) for j in range(3) if not m[i][j].is_zero()), None
         )
+        if pivot is None:
+            return None
+        pi, pj = pivot
         u = tuple(m[i][pj] for i in range(3))
         w = tuple(m[pi][j] * m[pi][pj].inverse() for j in range(3))
         if ProjPoint(segre(u, w)) != ProjPoint(x):
@@ -337,8 +344,10 @@ def rank1_projective_factor(x: JordanElement):
     if x.algebra == "H":
         n = to_skew_matrix(x)
         cols = [c for c in zip(*n) if any(not e.is_zero() for e in c)]
+        w = next((c for c in cols[1:] if linalg.rank((cols[0], c)) == 2), None)
+        if w is None:
+            return None
         u = cols[0]
-        w = next(c for c in cols[1:] if linalg.rank((u, c)) == 2)
         if ProjPoint(plucker(u, w)) != ProjPoint(x):
             return None
         return "plucker", (u, w)

@@ -318,7 +318,7 @@ def test_classify_and_embed_square_once(monkeypatch):
         calls.append(self)
         return square(self, xv, gaussian)
 
-    elements = [(tag, classify_element(tag, rank, "small")) for tag in TAGS for rank in (2, 3)]
+    elements = [(tag, classify_element(tag, rank, "small")) for tag in TAGS for rank in (1, 2, 3)]
     monkeypatch.setattr(Bilinear, "square", counted)
     for tag, x in elements:
         calls.clear()

@@ -12,7 +12,12 @@ import pytest
 from jordan_strata import cdmatrix as cdm
 from jordan_strata import cli, lifts, linalg, scalars
 from jordan_strata.cayley_dickson import CDNumber, cd_mul
-from jordan_strata.jordan import JordanElement, from_symmetric_matrix, jordan_rank
+from jordan_strata.jordan import (
+    JordanElement,
+    from_general_matrix,
+    from_symmetric_matrix,
+    jordan_rank,
+)
 from jordan_strata.lifts import LiftError, hilbert_lift, liftable_sample
 from jordan_strata.reduction import (
     _g_factors,
@@ -661,6 +666,130 @@ def test_raised_lift_error_reasons_are_codes():
     with pytest.raises(LiftError, match="^square-sum search cut: ") as info:
         hilbert_lift(z, 2)
     assert info.value.reason == "search-cut"
+
+
+def lift_target(algebra, entries):
+    """The complexified element Z with 2i Z = m, where ``entries`` maps (i, j)
+    to the entry m_ij: a Gaussian scalar, given as an int or a (re, im) pair,
+    over R and C, and a list of four such quaternion coefficients over H.
+    Over R and H each entry also fills (j, i), transposed or conjugated."""
+
+    def gauss(x):
+        re, im = x if isinstance(x, tuple) else (x, 0)
+        return Scalar(Fraction(re), Fraction(im), True)
+
+    over_2i = Scalar(0, Fraction(-1, 2), True)
+    if algebra == "H":
+        m = [[CDNumber.zero(2, True)] * 3 for _ in range(3)]
+        for (i, j), q in entries.items():
+            m[i][j] = CDNumber(2, [gauss(c) for c in q])
+            m[j][i] = m[i][j].conjugate()
+        return JordanElement.from_matrix("H", cdm.scale(cdm.from_rows(m), over_2i))
+    m = [[gauss(0)] * 3 for _ in range(3)]
+    for (i, j), x in entries.items():
+        m[i][j] = gauss(x)
+        if algebra == "R":
+            m[j][i] = m[i][j]
+    build = from_symmetric_matrix if algebra == "R" else from_general_matrix
+    return build(linalg.scale(linalg.mat(m), over_2i))
+
+
+def identity_gauge(n_u, n_v):
+    """A wrong balance gauge: the identity leaves unequal Gram matrices unbalanced."""
+    r = range(len(n_u))
+    return tuple(tuple(Scalar(int(i == j), 0, True) for j in r) for i in r)
+
+
+def lift_of_four_z(case):
+    """A wrong construction step: it lifts 4 Z, a zero-level map with the
+    wrong reduced point."""
+    step = getattr(lifts, f"_lift_{case}")
+    return lambda z, s, rank: step(z.scale(Scalar(4, 0, True)), s, rank)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_round_trip_catches_a_wrong_construction_step(case, monkeypatch):
+    rng = random.Random(22)
+    targets = [liftable_sample(case, rank, 2, rng) for rank in (1, 1, 2, 2)]
+    patches = [(f"_lift_{case}", lift_of_four_z(case), "round-trip-failed")]
+    if case == "complex":
+        patches.append(("_gram_balance_gauge", identity_gauge, "missed-zero-level"))
+    for name, step, reason in patches:
+        with monkeypatch.context() as patched:
+            patched.setattr(lifts, name, step)
+            for z in targets:
+                with pytest.raises(LiftError) as info:
+                    hilbert_lift(z, 2)
+                assert info.value.reason == reason
+    for z in targets:
+        assert reduced_point(hilbert_lift(z, 2)) == z
+
+
+ONE = [1, 0, 0, 0]
+
+# reason -> (algebra, entries of 2i Z, s, patched step or None); the
+# search-cut target is built in the test
+LIFT_ERROR_TARGETS = {
+    # 2i Z = E11 + (1 - i) E12 + E13 has n_v / n_u = 4 = N(1 + i)
+    "missed-zero-level": (
+        "C", {(0, 0): 1, (0, 1): (1, -1), (0, 2): 1}, 1,
+        ("_gram_balance_gauge", identity_gauge),
+    ),
+    "round-trip-failed": ("R", {(0, 0): (0, 2)}, 1, ("_lift_real", lift_of_four_z("real"))),
+    "real-split-rank": ("R", {(0, 0): 1, (1, 1): 1, (2, 2): 1}, 3, None),
+    # E = m^2 has the eigenvalues (7 +- 3 sqrt 5) / 2
+    "real-split-irrational": ("R", {(0, 0): 1, (0, 1): 1, (1, 1): 2}, 2, None),
+    # E = m^2 has the eigenvalue 2 twice; m has the eigenvalues +-sqrt 2
+    "real-repeated-no-split": ("R", {(0, 1): 1, (0, 2): 1}, 2, None),
+    # -6 is no square over Q(i)
+    "real-square-class": ("R", {(0, 0): -6}, 1, None),
+    "complex-rank-three": ("C", {(0, 0): 1, (1, 1): 1, (2, 2): 1}, 3, None),
+    # n_v / n_u = 2 is no rational square
+    "complex-balance-not-square": ("C", {(0, 0): 1, (0, 1): 1}, 1, None),
+    # n_v / n_u = 9 = 3^2, and 3 is no sum of two rational squares
+    "complex-balance-not-norm": ("C", {(0, 0): 1, (0, 1): 2, (0, 2): 2}, 1, None),
+    "complex-balance-discriminant": ("C", {(0, 0): 1, (0, 2): 1, (1, 1): 1}, 2, None),
+    # det(n_v n_u) is a square, but tr(n_v n_u) +- 2 sqrt(det) are not
+    "complex-balance-no-gauge": ("C", {(0, 1): 1, (1, 1): 1, (1, 2): 1}, 2, None),
+    "quat-rank-three": ("H", {(0, 0): ONE, (1, 1): ONE, (2, 2): ONE}, 3, None),
+    # kappa = 1 + i, and 1^2 + 1^2 = 2 is no rational square
+    "quat-class": ("H", {(0, 0): [(1, 1), 0, 0, 0]}, 1, None),
+    # Z_12 = q with N(q) = 1 + i^2 = 0: rank one with a zero diagonal
+    "quat-isotropic-diagonal": ("H", {(0, 1): [1, (0, 1), 0, 0]}, 2, None),
+    "quat-ray-irrational": (
+        "H", {(0, 0): ONE, (0, 1): [(0, 1), 0, 0, 0], (1, 1): [-1, 0, 0, 0]}, 1, None,
+    ),
+    "quat-split-inseparable": ("H", {(0, 0): ONE, (1, 1): ONE}, 2, None),
+}
+
+
+@pytest.mark.parametrize("reason", LiftError.REASONS)
+def test_every_lift_error_reason_is_reached(reason, monkeypatch):
+    if reason == "search-cut":
+        # a liftable point times a 40-digit rational cuts the four-square search
+        z = liftable_sample("quaternionic", 1, 2, random.Random(1))
+        z, s, patch = z.scale(Scalar(Fraction(10**39 + 7), 0, True)), 2, None
+    else:
+        algebra, entries, s, patch = LIFT_ERROR_TARGETS[reason]
+        z = lift_target(algebra, entries)
+    if patch is not None:
+        monkeypatch.setattr(lifts, *patch)
+    with pytest.raises(LiftError) as info:
+        hilbert_lift(z, s)
+    assert info.value.reason == reason
+
+
+def test_repeated_split_tests_the_hermitian_off_diagonal_entry():
+    # E = m conj(m) has a repeated eigenvalue, and the candidate pair
+    # v1 = (0, 0, 3i), v2 = (i, -1, 0) has v1^T m v2 = 0 but
+    # conj(v1)^T m conj(v2) = -6i, so it does not split m
+    z = lift_target("R", {(0, 0): 1, (0, 1): (0, 1), (0, 2): (0, 1), (1, 1): -1,
+                          (1, 2): -1, (2, 2): 2})
+    assert jordan_rank(z) == 2
+    for s in (2, 3):
+        with pytest.raises(LiftError) as info:
+            hilbert_lift(z, s)
+        assert info.value.reason == "real-repeated-no-split"
 
 
 def test_dims_projective_chain():

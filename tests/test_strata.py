@@ -10,6 +10,7 @@ from jordan_strata.cayley_dickson import CDNumber
 from jordan_strata.jordan import (
     JordanElement,
     det,
+    from_symmetric_matrix,
     jordan_rank,
     sharp,
     to_symmetric_matrix,
@@ -259,6 +260,18 @@ def test_image_characterization_reverse():
             assert factor is not None and factor[0] == kind
         y = rank_k_sample(algebra, 2, rng)
         assert rank1_projective_factor(y) is None
+    # the closing projective test decides the rank: zero, rank two and three
+    # (a zero diagonal over R included) all give None
+    o, one = Scalar.zero(True), Scalar(1, 0, True)
+    off_diagonal = from_symmetric_matrix(((o, one, o), (one, o, o), (o, o, o)))
+    assert jordan_rank(off_diagonal) == 2
+    others = [off_diagonal] + [
+        rank_k_sample(algebra, k, rng) for algebra in expected for k in (0, 2, 3)
+    ]
+    for y in others:
+        assert rank1_projective_factor(y) is None
+    with pytest.raises(ValueError, match="octonionic"):
+        rank1_projective_factor(rank_k_sample("O", 2, rng))
 
 
 def test_proj_point_json():
