@@ -7,17 +7,25 @@ A structure-constant table e_i e_j = sum_k c_ijk e_k with rational c_ijk is
 compiled once into integer constants over one common denominator.  Over the
 Gaussian base ring Q(i) the same constants act on 2n rational coordinates
 (the real parts, then the imaginary parts), so one contraction serves both
-rings; that doubled table is compiled on the first Gaussian product only.
-An operand is one integer vector over one positive denominator, which is
-how a ``CDNumber``, a ``JordanElement`` and a ``tkk.TKKElement`` store their
-coordinates (``IntVector``, below), so a product reads its operands'
-integers as they are, sums in Python ints and hands back the integer
-accumulator over the product of the denominators; the caller stores it as
-it is.  ``square`` contracts x with itself on a half table of a
-commutative product, c_ijk + c_jik once per unordered pair i < j and c_iik
-on the diagonal, about half the work of ``contract(x, x)``.  ``left``
-writes the table out as the integer matrix of y -> x y, the left-regular
-operator on which ``cdmatrix`` multiplies and inverts.
+rings; that doubled table is compiled on the first Gaussian ``contract`` or
+``left`` only.  An operand is one integer vector over one positive
+denominator, which is how a ``CDNumber``, a ``JordanElement`` and a
+``tkk.TKKElement`` store their coordinates (``IntVector``, below), so a
+product reads its operands' integers as they are, sums in Python ints and
+hands back the integer accumulator over the product of the denominators;
+the caller stores it as it is.
+
+``contract`` loops over the nonzero coordinates only, because most of its
+operands (brackets, Cayley-Dickson products) are sparse.  ``square`` serves
+a commutative product, whose squared operands are mostly dense: on the
+first square the table is generated, once, into one straight-line Python
+function over the integers, output coordinate k being
+sum_i x_i (sum_{j >= i} c'_ijk x_j) with c' = c on the diagonal and 2c off
+it.  Over Q(i) the same real function squares x = a + bi by polarization,
+x x = (a a - b b) + ((a + b)(a + b) - a a - b b) i, so no Gaussian table is
+built for a square.  ``left`` writes the table out as the integer matrix of
+y -> x y, the left-regular operator on which ``cdmatrix`` multiplies and
+inverts.
 
 ``IntVector`` owns that storage format and its linear structure, written
 once for all three classes: normalization to lowest terms, + and - over the
@@ -29,6 +37,7 @@ of such a vector, when one is asked for.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -45,7 +54,7 @@ class Bilinear:
     nonzero integer.
     """
 
-    __slots__ = ("dim", "den", "rows", "_gauss_rows", "_left_rows", "_half_rows")
+    __slots__ = ("dim", "den", "rows", "_gauss_rows", "_left_rows", "_square_fn")
 
     def __init__(self, table, den=None):
         """``table[i][j]`` lists the (k, c) with e_i e_j = sum c e_k, or, when
@@ -58,7 +67,7 @@ class Bilinear:
         self.rows = table
         self._gauss_rows = None
         self._left_rows = [None, None]  # left's tables over Q and over Q(i)
-        self._half_rows = [None, None]  # square's tables over Q and over Q(i)
+        self._square_fn = None  # square's generated function, serving both rings
 
     def _gauss(self):
         """The constants on 2n coordinates, compiled on first use."""
@@ -96,39 +105,48 @@ class Bilinear:
                             acc[k] += p * c
         return acc
 
-    def _half(self, gaussian):
-        """square's table, compiled on first use: row i holds, for j >= i,
-        the cell of the unordered pair {i, j}, c_ijk + c_jik = 2 c_ijk off
-        the diagonal and c_iik on it."""
-        if self._half_rows[gaussian] is None:
-            rows = self.rows
-            if any(sorted(rows[i][j]) != sorted(rows[j][i])
-                   for i in range(self.dim) for j in range(i)):
+    def _compiled_square(self):
+        """square's real function, generated on the first square: output
+        coordinate k is sum_i x_i (sum_{j >= i} c'_ijk x_j), with c' = c on
+        the diagonal and c_ijk + c_jik = 2 c_ijk off it, one straight-line
+        integer expression per coordinate."""
+        if self._square_fn is None:
+            n, rows = self.dim, self.rows
+            if any(sorted(rows[i][j]) != sorted(rows[j][i]) for i in range(n) for j in range(i)):
                 raise ValueError("square needs a commutative product table")
-            rows = self._gauss() if gaussian else rows
-            self._half_rows[gaussian] = [
-                [() if j < i else row[j] if j == i else tuple((k, 2 * c) for k, c in row[j])
-                 for j in range(len(row))]
-                for i, row in enumerate(rows)
+            terms = [[[] for _ in range(n)] for _ in range(n)]  # terms[k][i]: (j, c') for j >= i
+            for i in range(n):
+                for j in range(i, n):
+                    for k, c in rows[i][j]:
+                        terms[k][i].append((j, c if j == i else 2 * c))
+            monomial = lambda c, j: f"x{j}" if c == 1 else f"-x{j}" if c == -1 else f"{c}*x{j}"
+            coords = [
+                " + ".join(
+                    f"x{i}*({' + '.join(monomial(c, j) for j, c in cs)})"
+                    for i, cs in enumerate(per_i) if cs
+                ) or "0"
+                for per_i in terms
             ]
-        return self._half_rows[gaussian]
+            params = ", ".join(f"x{i}" for i in range(n))
+            src = f"def square({params}):\n    return [{', '.join(coords)}]\n"
+            namespace = {}
+            exec(compile(src, f"<square of a {n}-dimensional table>", "exec"), namespace)
+            self._square_fn = namespace["square"]
+        return self._square_fn
 
     def square(self, xv, gaussian=False):
         """den * (x x) for an integer coordinate vector x (2n long over Q(i))
-        of a commutative product, each unordered pair of coordinates
-        contracted once; ``ValueError`` on a non-commutative table."""
-        rows = self._half(gaussian)
-        acc = [0] * len(xv)
-        xs = [(i, a) for i, a in enumerate(xv) if a]
-        for s, (i, a) in enumerate(xs):
-            row = rows[i]
-            for j, b in xs[s:]:
-                cell = row[j]
-                if cell:
-                    p = a * b
-                    for k, c in cell:
-                        acc[k] += p * c
-        return acc
+        of a commutative product, through one generated integer function of
+        n coordinates; over Q(i), x = a + bi by polarization,
+        x x = (a a - b b) + ((a + b)(a + b) - a a - b b) i.
+        ``ValueError`` on a non-commutative table."""
+        f = self._compiled_square()
+        if not gaussian:
+            return f(*xv)
+        n = self.dim
+        a, b = xv[:n], xv[n:]
+        aa, bb, ss = f(*a), f(*b), f(*map(operator.add, a, b))
+        return [p - q for p, q in zip(aa, bb)] + [s - p - q for s, p, q in zip(ss, aa, bb)]
 
     def left(self, xv, gaussian=False):
         """den * L(x) for an integer coordinate vector x (2n long over Q(i)):

@@ -49,13 +49,55 @@ def test_square_refuses_a_non_commutative_table():
                 t.square([1] * (t.dim * (2 if gaussian else 1)), gaussian)
 
 
-def test_half_table_is_compiled_once_per_ring_on_first_square():
-    t = Bilinear([[((0, 1),), ((1, 1),)], [((1, 1),), ((0, -1),)]])  # the complex numbers
+def square_operands(rng, n, gaussian):
+    """Zero, one and two nonzero coordinates, dense small and dense 40-digit
+    vectors, and over Q(i) purely real and purely imaginary ones."""
+    m = 2 * n if gaussian else n
+    yield [0] * m
+    for count in (1, 2):
+        for _ in range(3):
+            v = [0] * m
+            for k in rng.sample(range(m), min(count, m)):
+                v[k] = rng.choice([-7, -1, 1, 3])
+            yield v
+    for height in (5, 10**40):
+        v = [rng.randint(-height, height) or 1 for _ in range(m)]
+        yield v
+        if gaussian:
+            yield v[:n] + [0] * n
+            yield [0] * n + v[n:]
+
+
+SQUARED_TABLES = [(f"{kind}-{algebra}", TABLES[kind], algebra)
+                  for kind in sorted(TABLES) for algebra in ALGEBRAS]
+SQUARED_TABLES += [(f"cd-{level}", _cd_product, level) for level in (0, 1)]
+
+
+@pytest.mark.parametrize("name, build, arg", SQUARED_TABLES, ids=[t[0] for t in SQUARED_TABLES])
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_compiled_square_agrees_with_the_contraction_loop(name, build, arg, gaussian):
+    t = build(arg)
+    rng = random.Random(f"{name}{gaussian}")
+    for xv in square_operands(rng, t.dim, gaussian):
+        assert t.square(xv, gaussian) == t.contract(xv, xv, gaussian)
+
+
+def test_square_is_compiled_once_per_table_and_serves_both_rings():
+    complex_numbers = [[((0, 1),), ((1, 1),)], [((1, 1),), ((0, -1),)]]
+    t = Bilinear(complex_numbers)
     t.contract([1, 2], [3, 4])
-    assert t._half_rows == [None, None]
+    assert t._square_fn is None
     assert t.square([1, 2]) == [-3, 4]  # (1 + 2i)^2
-    half = t._half_rows[False]
-    assert half is not None and t._half_rows[True] is None
+    fn = t._square_fn
+    assert fn is not None
     t.square([3, 4])
-    assert t._half_rows[False] is half
+    assert t._square_fn is fn
     assert t.square([1, 0, 0, 1], gaussian=True) == [2, 0, 0, 2]  # (1 + i e1)^2 over Q(i)
+    assert t._square_fn is fn and t._gauss_rows is None
+    # compiled on a first Gaussian square just the same, and reused over Q
+    t = Bilinear(complex_numbers)
+    assert t.square([1, 0, 0, 1], gaussian=True) == [2, 0, 0, 2]
+    fn = t._square_fn
+    assert fn is not None and t._gauss_rows is None
+    assert t.square([1, 2]) == [-3, 4]
+    assert t._square_fn is fn

@@ -601,14 +601,13 @@ def test_quaternionic_rank_one_is_read_off_the_pivot_column():
 
 def test_hilbert_lift_obstruction_reported():
     # i*E11 with a single column is square-class obstructed over Q(i)
-    target = JordanElement.diagonal("R", 0, 0, 0, gaussian=True)
     bad = combine_real_imag(
         JordanElement.zero("R"), JordanElement.diagonal("R", 3, 0, 0)
     )
     assert jordan_rank(bad) == 1
-    with pytest.raises(LiftError):
+    with pytest.raises(LiftError) as info:
         hilbert_lift(bad, 1)
-    del target
+    assert info.value.reason == "real-square-class"
 
 
 def test_large_height_lift_fails_fast():

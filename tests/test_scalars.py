@@ -38,6 +38,21 @@ def test_hash_agrees_with_equality():
     assert len({Scalar(1, 2, True), Scalar(1, 2, True), Scalar(1, -2, True)}) == 2
 
 
+def test_reflected_operators_and_truth():
+    assert 3 - Scalar(1, 2, True) == Scalar(2, -2, True)
+    assert 1 / Scalar(0, 1, True) == Scalar(0, -1, True)
+    for gaussian in (False, True):
+        h = Fraction(1, 2) - Scalar(1, 0, gaussian)
+        assert h == Scalar(Fraction(-1, 2), 0, gaussian) and h.gaussian == gaussian
+        q = 1 / Scalar(4, 0, gaussian)
+        assert q == Scalar(Fraction(1, 4), 0, gaussian) and q.gaussian == gaussian
+        with pytest.raises(ZeroDivisionError):
+            1 / Scalar(0, 0, gaussian)
+        assert not Scalar(0, 0, gaussian)
+        assert Scalar(Fraction(-1, 3), 0, gaussian)
+    assert Scalar(0, 1, True)
+
+
 def test_ring_mixing_raises():
     with pytest.raises(RingMismatch):
         Scalar(1) + Scalar(1, 0, True)
