@@ -4,28 +4,26 @@ the ``cdmatrix`` blocks, ``jordan_mul``, the Jordan cross product (``sharp``,
 and the Lie bracket of ``tkk.TKKAlgebra``.
 
 A structure-constant table e_i e_j = sum_k c_ijk e_k with rational c_ijk is
-compiled once into integer constants over one common denominator.  Over the
-Gaussian base ring Q(i) the same constants act on 2n rational coordinates
-(the real parts, then the imaginary parts), so one contraction serves both
-rings; that doubled table is compiled on the first Gaussian ``contract`` or
-``left`` only.  An operand is one integer vector over one positive
-denominator, which is how a ``CDNumber``, a ``JordanElement`` and a
+compiled once into integer constants over one common denominator: the one
+table a product holds, for both base rings.  An operand is one integer
+vector over one positive denominator (real parts, then imaginary parts over
+Q(i)), which is how a ``CDNumber``, a ``JordanElement`` and a
 ``tkk.TKKElement`` store their coordinates (``IntVector``, below), so a
 product reads its operands' integers as they are, sums in Python ints and
 hands back the integer accumulator over the product of the denominators;
 the caller stores it as it is.
 
 ``contract`` loops over the nonzero coordinates only, because most of its
-operands (brackets, Cayley-Dickson products) are sparse.  ``square`` serves
-a commutative product, whose squared operands are mostly dense: on the
-first square the table is generated, once, into one straight-line Python
-function over the integers, output coordinate k being
+operands (brackets, Cayley-Dickson products) are sparse; over Q(i) it meets
+each real cell once per pair of Gaussian coordinates.  ``square`` serves a
+commutative product, whose squared operands are mostly dense: on the first
+square the table is generated, once, into one straight-line Python function
+over the integers, output coordinate k being
 sum_i x_i (sum_{j >= i} c'_ijk x_j) with c' = c on the diagonal and 2c off
 it.  Over Q(i) the same real function squares x = a + bi by polarization,
-x x = (a a - b b) + ((a + b)(a + b) - a a - b b) i, so no Gaussian table is
-built for a square.  ``left`` writes the table out as the integer matrix of
-y -> x y, the left-regular operator on which ``cdmatrix`` multiplies and
-inverts.
+x x = (a a - b b) + ((a + b)(a + b) - a a - b b) i.  ``left`` writes the
+table out as the integer matrix of y -> x y, the left-regular operator on
+which ``cdmatrix`` multiplies and inverts, over Q(i) from L(a) and L(b).
 
 ``IntVector`` owns that storage format and its linear structure, written
 once for all three classes: normalization to lowest terms, + and - over the
@@ -54,7 +52,7 @@ class Bilinear:
     nonzero integer.
     """
 
-    __slots__ = ("dim", "den", "rows", "_gauss_rows", "_left_rows", "_square_fn")
+    __slots__ = ("dim", "den", "rows", "_left_rows", "_square_fn")
 
     def __init__(self, table, den=None):
         """``table[i][j]`` lists the (k, c) with e_i e_j = sum c e_k, or, when
@@ -65,34 +63,29 @@ class Bilinear:
         self.dim = len(table)
         self.den = den
         self.rows = table
-        self._gauss_rows = None
-        self._left_rows = [None, None]  # left's tables over Q and over Q(i)
+        self._left_rows = None  # left's (j, i, c) table, serving both rings
         self._square_fn = None  # square's generated function, serving both rings
-
-    def _gauss(self):
-        """The constants on 2n coordinates, compiled on first use."""
-        if self._gauss_rows is None:
-            n, rows = self.dim, self.rows
-            # (a + bi)(a' + b'i) = (aa' - bb') + (ab' + ba')i, coordinate by coordinate
-            gauss = [[()] * (2 * n) for _ in range(2 * n)]
-            for p in (0, 1):
-                for q in (0, 1):
-                    sign = -1 if p and q else 1
-                    shift = n if p != q else 0
-                    for i in range(n):
-                        for j in range(n):
-                            gauss[p * n + i][q * n + j] = tuple(
-                                (k + shift, sign * c) for k, c in rows[i][j]
-                            )
-            self._gauss_rows = gauss
-        return self._gauss_rows
 
     def contract(self, xv, yv, gaussian=False, acc=None):
         """den * (x y) for integer coordinate vectors x, y (2n long over Q(i)),
-        added into ``acc`` when given."""
-        rows = self._gauss() if gaussian else self.rows
+        added into ``acc`` when given; over Q(i) by the schoolbook rule
+        (a + bi)(c + di) = (ac - bd) + (ad + bc)i on each coordinate pair, so
+        ``contract(x, x)`` stays independent of ``square``'s polarization."""
+        rows, n = self.rows, self.dim
         if acc is None:
             acc = [0] * len(xv)
+        if gaussian:
+            xs = [(rows[i], a, b) for i, (a, b) in enumerate(zip(xv[:n], xv[n:])) if a or b]
+            ys = [(j, c, d) for j, (c, d) in enumerate(zip(yv[:n], yv[n:])) if c or d]
+            for row, a, b in xs:
+                for j, c, d in ys:
+                    cell = row[j]
+                    if cell:
+                        re, im = a * c - b * d, a * d + b * c
+                        for k, e in cell:
+                            acc[k] += re * e
+                            acc[n + k] += im * e
+            return acc
         ys = [(j, b) for j, b in enumerate(yv) if b]
         for i, a in enumerate(xv):
             if a:
@@ -151,14 +144,18 @@ class Bilinear:
     def left(self, xv, gaussian=False):
         """den * L(x) for an integer coordinate vector x (2n long over Q(i)):
         the integer matrix of y -> x y, row k holding coordinate k of the
-        products x e_j."""
-        if self._left_rows[gaussian] is None:
+        products x e_j; L(a + bi) = [[L(a), -L(b)], [L(b), L(a)]] over Q(i)."""
+        if self._left_rows is None:
             # row k lists the (j, i, c) with c the coefficient of e_k in e_i e_j
-            rows = self._gauss() if gaussian else self.rows
-            cs = [(k, j, i, c) for i, r in enumerate(rows) for j, cl in enumerate(r) for k, c in cl]
-            self._left_rows[gaussian] = [[t[1:] for t in cs if t[0] == k] for k in range(len(rows))]
+            cs = [(k, j, i, c) for i, r in enumerate(self.rows)
+                  for j, cell in enumerate(r) for k, c in cell]
+            self._left_rows = [[t[1:] for t in cs if t[0] == k] for k in range(self.dim)]
+        if gaussian:
+            n = self.dim
+            la, lb = self.left(xv[:n]), self.left(xv[n:])
+            return [a + [-c for c in b] for a, b in zip(la, lb)] + [b + a for a, b in zip(la, lb)]
         out = []
-        for row in self._left_rows[gaussian]:
+        for row in self._left_rows:
             m = [0] * len(xv)
             for j, i, c in row:
                 m[j] += c * xv[i]

@@ -154,11 +154,19 @@ def plucker(u, w) -> JordanElement:
 
 
 def rank1_sample(algebra: str, rng) -> JordanElement:
-    """A random rank-one element, as U_A(E11) for random invertible A."""
+    """A random rank-one element, U_A(E11) for random invertible A; U_A keeps
+    the rank, so it is not re-tested (``_transported``)."""
     e11 = JordanElement.diagonal(algebra, 1, 0, 0, gaussian=True)
-    for _ in draws("strata.rank1_sample"):
-        out = invertible_quadratic_rep(random_element(algebra, rng, gaussian=True), e11)
-        if out is not None and not out.is_zero():
+    return _transported(algebra, e11, rng, True, "strata.rank1_sample")
+
+
+def _transported(algebra: str, seed: JordanElement, rng, gaussian: bool, sampler: str):
+    """U_a(seed) for the first random a with det(a) != 0.  U_a then keeps the
+    rank (U_a(x)# = U_{a#}(x#), det U_a(x) = det(a)^2 det(x): McCrimmon, A Taste
+    of Jordan Algebras, II.4), so a rank re-test could only hide a wrong ``jordan_rank``."""
+    for _ in draws(sampler):
+        out = invertible_quadratic_rep(random_element(algebra, rng, gaussian), seed)
+        if out is not None:
             return out
 
 
@@ -189,14 +197,12 @@ def random_element(algebra: str, rng, gaussian=False, span=2) -> JordanElement:
 
 
 def rank_k_sample(algebra: str, k: int, rng, gaussian=True) -> JordanElement:
-    """A random element of Jordan rank exactly k (0 <= k <= 3)."""
+    """An element of Jordan rank k (0 <= k <= 3), U_A(E11 + ... + Ekk) for random
+    invertible A; U_A keeps the rank, so it is not re-tested (``_transported``)."""
     if k == 0:
         return JordanElement.zero(algebra, gaussian)
     seed = JordanElement.diagonal(algebra, 1, 1 if k > 1 else 0, 1 if k > 2 else 0, gaussian)
-    for _ in draws("strata.rank_k_sample"):
-        out = invertible_quadratic_rep(random_element(algebra, rng, gaussian), seed)
-        if out is not None and jordan_rank(out) == k:
-            return out
+    return _transported(algebra, seed, rng, gaussian, "strata.rank_k_sample")
 
 
 def chord(p: ProjPoint, q: ProjPoint, lam: Scalar, mu: Scalar) -> ProjPoint:

@@ -85,8 +85,8 @@ def _commutator(a, b):
 class JordanSpace:
     """Coordinate model of one real Jordan algebra: basis, the compiled
     product (``jordan.structure_tensor``), the diagonal trace-form Gram and
-    the left multiplications L_{e_i} read off the product's structure
-    constants as integer operators (den * L_{e_i}, den the product's)."""
+    the left multiplications L_{e_i} read off the product's ``left`` as
+    sparse integer operators (den * L_{e_i}, den the product's)."""
 
     def __init__(self, algebra: str):
         self.basis = JordanElement.space_basis(algebra)
@@ -94,13 +94,9 @@ class JordanSpace:
         self.product = structure_tensor(algebra)
         # the standard basis is trace-form orthogonal, with norms 1 and 2
         self.gram = tuple(int(trace_form(b, b).re) for b in self.basis)
-        self.lops = []
-        for row in self.product.rows:
-            op = tuple({} for _ in range(self.dim))
-            for j, cell in enumerate(row):
-                for k, c in cell:
-                    op[k][j] = c
-            self.lops.append(op)
+        units = ([int(k == i) for k in range(self.dim)] for i in range(self.dim))
+        self.lops = [tuple({j: c for j, c in enumerate(row) if c} for row in self.product.left(e))
+                     for e in units]
 
 
 @lru_cache(maxsize=None)

@@ -1,3 +1,4 @@
+import operator
 import random
 
 import pytest
@@ -93,11 +94,33 @@ def test_square_is_compiled_once_per_table_and_serves_both_rings():
     t.square([3, 4])
     assert t._square_fn is fn
     assert t.square([1, 0, 0, 1], gaussian=True) == [2, 0, 0, 2]  # (1 + i e1)^2 over Q(i)
-    assert t._square_fn is fn and t._gauss_rows is None
+    assert t._square_fn is fn
     # compiled on a first Gaussian square just the same, and reused over Q
     t = Bilinear(complex_numbers)
     assert t.square([1, 0, 0, 1], gaussian=True) == [2, 0, 0, 2]
     fn = t._square_fn
-    assert fn is not None and t._gauss_rows is None
+    assert fn is not None
     assert t.square([1, 2]) == [-3, 4]
     assert t._square_fn is fn
+
+
+# every table that left or a Gaussian contract serves
+LEFT_TABLES = [(f"cd-{level}", _cd_product, level) for level in range(4)]
+LEFT_TABLES += [(f"{kind}-{algebra}", TABLES[kind], algebra)
+                for kind in sorted(TABLES) for algebra in ALGEBRAS]
+
+
+@pytest.mark.parametrize("name, build, arg", LEFT_TABLES, ids=[t[0] for t in LEFT_TABLES])
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_left_applied_to_y_is_the_contraction(name, build, arg, gaussian):
+    # left over Q(i) is assembled from the real L(a) and L(b), and contract
+    # walks the real cells once per coordinate pair: two routes to x y
+    t = build(arg)
+    m = t.dim * (2 if gaussian else 1)
+    rng = random.Random(f"left{name}{gaussian}")
+    xs, ys = list(operands(rng, m)), list(operands(rng, m))
+    for xv in xs:
+        lx = t.left(xv, gaussian)
+        assert len(lx) == m and all(len(row) == m for row in lx)
+        for yv in ys:
+            assert [sum(map(operator.mul, row, yv)) for row in lx] == t.contract(xv, yv, gaussian)

@@ -10,6 +10,9 @@ from jordan_strata.scalars import RingMismatch, Scalar
 
 # (level, gaussian): levels 0-2 over Q and level 0 over Q(i)
 RINGS = [(0, False), (1, False), (2, False), (0, True)]
+# mul also runs over the non-division rings C and H over Q(i), which the
+# quaternionic lifts multiply and which inverse refuses
+MUL_RINGS = RINGS + [(1, True), (2, True)]
 
 
 def rand_part(rng, tall):
@@ -54,7 +57,7 @@ def reference_mul(a, b):
     return tuple(out)
 
 
-@pytest.mark.parametrize("level, gaussian", RINGS)
+@pytest.mark.parametrize("level, gaussian", MUL_RINGS)
 def test_mul_matches_entrywise_doubling_products(level, gaussian):
     rng = random.Random(100 + 10 * level + gaussian)
     for tall in (False, True):
@@ -68,7 +71,7 @@ def test_mul_matches_entrywise_doubling_products(level, gaussian):
 
 def test_mul_dense_six_by_six_at_every_ring():
     rng = random.Random(7)
-    for level, gaussian in RINGS:
+    for level, gaussian in MUL_RINGS:
         for tall in (False, True):
             a = rand_matrix(rng, 6, 6, level, gaussian, tall, False)
             b = rand_matrix(rng, 6, 6, level, gaussian, tall, False)
@@ -146,7 +149,7 @@ def same(x, y):
     return x == y and hash(x) == hash(y) and (x.v, x.den) == (y.v, y.den)
 
 
-@pytest.mark.parametrize("level, gaussian", RINGS)
+@pytest.mark.parametrize("level, gaussian", MUL_RINGS)
 def test_mul_entries_are_stored_canonically(level, gaussian):
     rng = random.Random(400 + 10 * level + gaussian)
     zero = CDNumber.zero(level, gaussian)

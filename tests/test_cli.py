@@ -6,6 +6,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from jordan_strata import jordan, strata, suites
 from jordan_strata.bilinear import Bilinear
 from jordan_strata.cli import main
 from jordan_strata.jordan import JordanElement, det, jordan_rank, sharp
@@ -328,3 +329,24 @@ def test_classify_and_embed_square_once(monkeypatch):
         calls.clear()
         assert run_cli(["embed", "--kind", kind] + EMBED_ARGS[kind])[0] == 0
         assert len(calls) == 1, kind
+
+
+def test_rank_identification_reports_a_misreported_rank(monkeypatch):
+    # the rank samplers trust U_a to keep the rank of their seed, so a
+    # jordan_rank that reports rank 2 as 1 reaches the check that reads it
+    # instead of stalling the sampler
+    true_rank = jordan.jordan_rank
+
+    def misreported(x):
+        r = true_rank(x)
+        return 1 if r == 2 else r
+
+    for module in (jordan, strata, suites):
+        monkeypatch.setattr(module, "jordan_rank", misreported)
+    rc, out = run_cli(
+        ["verify", "--suite", "rank-identification", "--case", "R", "--samples", "4", "--seed", "1"]
+    )
+    assert rc == 1
+    (check,) = json.loads(out)["checks"]
+    assert check["name"] == "jordan-vs-matrix-rank" and check["failures"] == 1
+    assert check["witness"] is not None
