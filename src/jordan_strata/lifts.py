@@ -7,7 +7,7 @@ Cayley-Dickson conjugation), with the zero level appearing as a reality /
 Gram-balance condition on C.  Over Q(i) such factorizations carry genuine
 square-class obstructions, so exact lifts only exist on part of the rank
 locus: the lift raises LiftError off it, and `liftable_sample`
-generates test points inside it.
+generates test points inside it, of a rank that holds by construction.
 
 Two rules build C.  A rank-one block kappa b conj(b)^T is read off its pivot
 column: for the first p with m_pp != 0, kappa = m_pp and b = column p over
@@ -259,15 +259,9 @@ def _lift_complex(z: JordanElement, s: int, rank: int) -> WMap:
     m = linalg.scale(to_general_matrix(z), Scalar(0, 2, True))  # 2i Z
     if rank > 2:
         raise LiftError("complex lifts are implemented through rank two", "complex-rank-three")
-    cols = linalg.transpose(m)
-    chosen = []
-    for c in cols:
-        trial = chosen + [c]
-        if linalg.rank(tuple(trial)) == len(trial):
-            chosen.append(c)
-        if len(chosen) == rank:
-            break
-    u0 = linalg.transpose(tuple(chosen))  # 3 x rank
+    # the first independent columns; there are `rank`, the matrix rank on C_C
+    pivots = linalg._rref(m)[0]
+    u0 = tuple(tuple(row[c] for c in pivots) for row in m)  # 3 x rank
     u0s = cdm.conj_transpose(u0)
     gram = linalg.mul(u0s, u0)
     w0 = linalg.mul(linalg.inverse(gram), linalg.mul(u0s, m))  # rank x 3
@@ -287,7 +281,11 @@ def _lift_complex(z: JordanElement, s: int, rank: int) -> WMap:
 
 
 def _gram_balance_gauge(n_u, n_v):
-    """g with (g g*) n_u (g g*) = n_v, so that U0 g and V0 (g*)^-1 balance."""
+    """g with (g g*) n_u (g g*) = n_v, so that U0 g and V0 (g*)^-1 balance.
+
+    Rank two: g g* = h = X n_u^-1 with X = (K + sI) / t, K = n_v n_u,
+    s^2 = det K, t^2 = tr K + 2s; X^2 = K by Cayley-Hamilton, so h n_u h = n_v.
+    """
     r = len(n_u)
     if r == 1:
         h = n_v[0][0] * n_u[0][0].inverse()
@@ -322,8 +320,6 @@ def _gram_balance_gauge(n_u, n_v):
         h11 = h[0][0]
         det_h = h[0][0] * h[1][1] - h[0][1] * h[1][0]
         if h11.im or h11.re <= 0 or det_h.im or det_h.re <= 0:
-            continue
-        if linalg.mul(h, linalg.mul(n_u, h)) != linalg.mat(n_v):
             continue
         g = _posdef_factor(h)
         if g is not None:
@@ -435,7 +431,8 @@ def _quat_component_columns(b, kappa):
 
 
 def liftable_sample(case, rank, s, rng) -> JordanElement:
-    """A rank-`rank` complexified element inside the exactly liftable locus."""
+    """A rank-`rank` complexified element inside the exactly liftable locus;
+    the rank holds by construction (see the case samplers) and is not re-tested."""
     if rank == 0:
         return JordanElement.zero(CASE_ALGEBRA[case], gaussian=True)
     if case == "complex":
@@ -447,6 +444,9 @@ def liftable_sample(case, rank, s, rng) -> JordanElement:
 
 
 def _real_liftable(rank, s, rng):
+    """Z = m / (2i), m = V diag(c) V^T: v1, v2 are nonzero (conj(v)^T v > 0 for
+    v != 0) and orthogonal, and each c = x^2 sum t^2 != 0, so m has the rank
+    of V, which on R_C is the Jordan rank."""
     for _ in draws("lifts._real_liftable"):
         v1 = tuple(rand_scalar(rng, True) for _ in range(3))
         if _herm_dot(v1, v1).is_zero():
@@ -456,7 +456,7 @@ def _real_liftable(rank, s, rng):
             w = tuple(rand_scalar(rng, True) for _ in range(3))
             proj = _herm_dot(v1, w) * _herm_dot(v1, v1).inverse()
             v2 = tuple(b - proj * a for a, b in zip(v1, w))
-            if all(x.is_zero() for x in v2) or _herm_dot(v2, v2).is_zero():
+            if all(x.is_zero() for x in v2):
                 continue
             vecs.append(v2)
         budgets = _budget_split(s, rank)
@@ -476,13 +476,13 @@ def _real_liftable(rank, s, rng):
             ]
             if lam[0] == lam[1]:
                 continue
-        z_mat = linalg.scale(m, Scalar(0, Fraction(-1, 2), True))  # Z = M/(2i)
-        elt = from_symmetric_matrix(z_mat)
-        if jordan_rank(elt) == rank:
-            return elt
+        return from_symmetric_matrix(linalg.scale(m, Scalar(0, Fraction(-1, 2), True)))  # M/(2i)
 
 
 def _quat_liftable(rank, s, rng):
+    """Z = m / (2i), m = sum kappa b conj(b)^T: b1, b2 are nonzero and orthogonal,
+    and kappa = (1 + ic)^2 nu != 0 (nu > 0), so the pieces are nonzero multiples
+    of orthogonal rank-one idempotents."""
     for _ in draws("lifts._quat_liftable"):
         b1 = tuple(rand_cd(2, rng) for _ in range(3))
         n1 = sum((q.norm().re for q in b1), Fraction(0))
@@ -507,7 +507,4 @@ def _quat_liftable(rank, s, rng):
             norms = [sum((q.norm().re for q in b), Fraction(0)) for b in comps]
             if kappas[0] * Scalar(norms[0], 0, True) == kappas[1] * Scalar(norms[1], 0, True):
                 continue
-        z_mat = cdm.scale(m, Scalar(0, Fraction(-1, 2), True))
-        elt = JordanElement.from_matrix("H", z_mat)
-        if jordan_rank(elt) == rank:
-            return elt
+        return JordanElement.from_matrix("H", cdm.scale(m, Scalar(0, Fraction(-1, 2), True)))

@@ -23,7 +23,8 @@ where conj is the Cayley-Dickson conjugation only (the complexification unit
 i is untouched), and mu_H = 0 becomes the Gram balance/reality conditions of
 the factorization.  hilbert_lift inverts this factorization over Q(i); exact
 rational lifts only exist on square-class-compatible loci, so the lift
-reports failure outside them and the samplers below generate inside them.
+reports failure outside them and the samplers below generate inside them,
+by construction: ``zero_level_sample`` re-tests neither zero level nor rank.
 
 Both maps are sums over the columns u_t = alpha e_t of K^6, which is how
 ``zero_level_point`` computes them.  With
@@ -460,11 +461,13 @@ def stratum(alpha: WMap) -> int:
 def zero_level_sample(case, s, target_rank, rng, enrich=True) -> WMap:
     """alpha with mu_H(alpha) = 0 and reduced stratum exactly target_rank.
 
-    Construction: xi carries k = target_rank nonzero columns, upsilon is
-    xi (xi* xi)^-1 S on those columns with S hermitian, which forces the
-    momentum balance; the trivial upsilon = 0 family is mixed in.  Optionally
-    the sample is moved by exact G and H group elements, which preserves both
-    the zero level and the stratum.
+    Both hold by construction and are not re-tested.  xi has k = target_rank
+    columns, redrawn until N = xi* xi is invertible, i.e. xi has rank k;
+    upsilon is 0 or xi N^-1 S with S hermitian, so xi* upsilon = S balances
+    mu_H.  Then C = xi (I + iA) with A = N^-1 S, whose eigenvalues are real (A
+    is similar to a hermitian matrix), so in the matrix models (C: e1 -> i;
+    H: 2x2 complex blocks) 2i Z = xi (I + iA)(I + iA*) xi* has rank k.  The
+    optional G and H moves keep the zero level and the stratum.
     """
     k = target_rank
     if not 0 <= k <= min(s, CASE_RANK):
@@ -485,13 +488,10 @@ def zero_level_sample(case, s, target_rank, rng, enrich=True) -> WMap:
             s_herm = _random_hermitian(level, k, rng)
             up1 = cdm.mul(xi1, cdm.mul(ninv, s_herm))
         alpha = WMap(case, [r + z for r, z in zip(xi1 + up1, cdm.zero(6, s - k, level))])
-        if _zero_level_columns(alpha) is None:
-            raise AssertionError("sampler violated the zero level")
         if enrich:
             alpha = _g_move(alpha, _g_factors(case, rng))
             alpha = act_h(alpha, h_group_generators(case, s, rng, count=1)[0])
-        if stratum(alpha) == k:
-            return alpha
+        return alpha
 
 
 def _random_hermitian(level, k, rng, span=2):

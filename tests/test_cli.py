@@ -6,7 +6,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from jordan_strata import jordan, strata, suites
+from jordan_strata import cli, jordan, lifts, reduction, strata, suites
 from jordan_strata.bilinear import Bilinear
 from jordan_strata.cli import main
 from jordan_strata.jordan import JordanElement, det, jordan_rank, sharp
@@ -331,18 +331,23 @@ def test_classify_and_embed_square_once(monkeypatch):
         assert len(calls) == 1, kind
 
 
+def misreport_rank(monkeypatch, modules, true_rank, reported):
+    """Patch ``jordan_rank`` in ``modules`` to report rank ``true_rank`` as ``reported``."""
+    rank = jordan.jordan_rank
+
+    def misreported(x):
+        r = rank(x)
+        return reported if r == true_rank else r
+
+    for module in modules:
+        monkeypatch.setattr(module, "jordan_rank", misreported)
+
+
 def test_rank_identification_reports_a_misreported_rank(monkeypatch):
     # the rank samplers trust U_a to keep the rank of their seed, so a
     # jordan_rank that reports rank 2 as 1 reaches the check that reads it
     # instead of stalling the sampler
-    true_rank = jordan.jordan_rank
-
-    def misreported(x):
-        r = true_rank(x)
-        return 1 if r == 2 else r
-
-    for module in (jordan, strata, suites):
-        monkeypatch.setattr(module, "jordan_rank", misreported)
+    misreport_rank(monkeypatch, (jordan, strata, suites), 2, 1)
     rc, out = run_cli(
         ["verify", "--suite", "rank-identification", "--case", "R", "--samples", "4", "--seed", "1"]
     )
@@ -350,3 +355,28 @@ def test_rank_identification_reports_a_misreported_rank(monkeypatch):
     (check,) = json.loads(out)["checks"]
     assert check["name"] == "jordan-vs-matrix-rank" and check["failures"] == 1
     assert check["witness"] is not None
+
+
+# failing check -> ((case, samples), patched modules, (rank, reported as), failures)
+MISREPORTED_RANKS = {
+    # zero_level_sample builds stratum 3 and does not re-test it
+    "zero-level-strata": (("real", 4), (reduction, suites, lifts, cli), (3, 2), 1),
+    # the quaternionic liftable sampler builds rank 2; the lift then reads it as 1
+    "hilbert-lift-round-trip": (("quaternionic", 8), (lifts,), (2, 1), 4),
+}
+
+
+@pytest.mark.parametrize("check", sorted(MISREPORTED_RANKS))
+def test_reduction_reports_a_misreported_rank(check, monkeypatch):
+    # the dual-pair samplers build their rank by construction, so a jordan_rank
+    # that misreports it fails the check that reads it, with a witness, instead
+    # of stalling the sampler
+    (case, samples), modules, (true_rank, reported), failures = MISREPORTED_RANKS[check]
+    misreport_rank(monkeypatch, modules, true_rank, reported)
+    rc, out = run_cli(
+        ["verify", "--suite", "reduction", "--case", case, "--samples", str(samples), "--seed", "1"]
+    )
+    assert rc == 1
+    failed = [c for c in json.loads(out)["checks"] if c["failures"]]
+    assert [(c["name"], c["failures"]) for c in failed] == [(check, failures)]
+    assert failed[0]["witness"] is not None

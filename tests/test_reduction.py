@@ -724,6 +724,29 @@ def test_round_trip_catches_a_wrong_construction_step(case, monkeypatch):
         assert reduced_point(hilbert_lift(z, 2)) == z
 
 
+def test_gram_balance_gauge_balances_the_lift_grams(monkeypatch):
+    # (g g*) n_u (g g*) = n_v on the Gram pairs the complex lift hands the
+    # gauge, rank one and two, so the contract does not rest on the round trip
+    seen = []
+    gauge = lifts._gram_balance_gauge
+
+    def recorded(n_u, n_v):
+        g = gauge(n_u, n_v)
+        seen.append((n_u, n_v, g))
+        return g
+
+    monkeypatch.setattr(lifts, "_gram_balance_gauge", recorded)
+    rng = random.Random(22)
+    targets = [liftable_sample("complex", rank, 2, rng) for rank in (1, 1, 2, 2)]
+    targets.append(lift_target("C", {(0, 0): 1, (0, 1): (1, -1), (0, 2): 1}))
+    for z in targets:
+        hilbert_lift(z, 2)
+    assert sorted(len(n_u) for n_u, _, _ in seen) == [1, 1, 1, 2, 2]
+    for n_u, n_v, g in seen:
+        h = linalg.mul(g, cdm.conj_transpose(g))
+        assert linalg.mul(h, linalg.mul(n_u, h)) == linalg.mat(n_v)
+
+
 ONE = [1, 0, 0, 0]
 
 # reason -> (algebra, entries of 2i Z, s, patched step or None); the
