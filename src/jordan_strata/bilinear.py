@@ -28,9 +28,10 @@ which ``cdmatrix`` multiplies and inverts, over Q(i) from L(a) and L(b).
 ``IntVector`` owns that storage format and its linear structure, written
 once for all three classes: normalization to lowest terms, + and - over the
 lcm of two denominators, negation, scaling by a ``Scalar``, the base-ring
-swap, the zero test, equality and hashing.  ``scaled`` multiplies such an
-integer vector by a Gaussian integer, and ``box`` makes the ``Scalar`` view
-of such a vector, when one is asked for.
+swap, the zero test, equality, hashing, and the JSON codec, which writes
+and reads the stored integers with no ``Scalar`` in between.  ``scaled``
+multiplies such an integer vector by a Gaussian integer, and ``box`` makes
+the ``Scalar`` view of such a vector, when one is asked for.
 """
 
 from __future__ import annotations
@@ -222,6 +223,18 @@ class IntVector:
         if g != 1:
             v, den = [x // g for x in v], den // g
         return cls._canonical(tag, gaussian, v, den)
+
+    @classmethod
+    def _from_json_fractions(cls, tag, gaussian: bool, pairs):
+        """The value of one ``scalars.json_fractions`` pair per coordinate, over one lcm."""
+        parts = [re for re, _ in pairs] + ([im for _, im in pairs] if gaussian else [])
+        return cls._canonical(tag, gaussian, *_int_row(parts))
+
+    def _json_entries(self):
+        """One JSON scalar per coordinate: x / den as [x // g, den // g], g = gcd(x, den)."""
+        den, n = self.den, len(self.v) // 2
+        e = [[x // (g := gcd(x, den)), den // g] for x in self.v]
+        return [[a, b] for a, b in zip(e[:n], e[n:])] if self.gaussian else e
 
     def _like(self, v, den: int):
         """v / den in the space and ring of self."""

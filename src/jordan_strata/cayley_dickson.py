@@ -12,13 +12,13 @@ integers by the bilinear engine (``bilinear.Bilinear``), which is how
 ``cd_mul`` multiplies.  A ``CDNumber`` is stored in the engine's own
 operand format, one integer vector over one positive denominator in lowest
 terms, so a product reads its operands' integers and is stored as it comes;
-that format and its linear structure (+, -, scaling, equality, hashing)
-live in ``bilinear.IntVector``, and the ``Scalar`` coordinates (``coeffs``)
-are a view for the API, JSON and ``repr``.  The pair recursion itself is
-kept as ``cd_mul_doubling``, an independent route on the same stored
-integers (over Q(i), four real recursions on the real and imaginary parts)
-that reads neither the unit table nor the engine, so tests can cross-check
-the two against each other.
+that format, its linear structure (+, -, scaling, equality, hashing) and
+its JSON codec live in ``bilinear.IntVector``, and the ``Scalar``
+coordinates (``coeffs``) are a view for the API and ``repr``.  The pair
+recursion itself is kept as ``cd_mul_doubling``, an independent route on
+the same stored integers (over Q(i), four real recursions on the real and
+imaginary parts) that reads neither the unit table nor the engine, so
+tests can cross-check the two against each other.
 
 Complexification is a base-ring swap (rational -> Gaussian rational), not a
 fourth doubling, so the Gaussian-base level-3 algebra stays 8-dimensional over
@@ -30,7 +30,7 @@ from __future__ import annotations
 from functools import lru_cache
 from .bilinear import Bilinear, IntVector, box
 from .linalg import _int_row
-from .scalars import RingMismatch, Scalar
+from .scalars import RingMismatch, Scalar, json_fractions
 
 MAX_LEVEL = 3
 
@@ -75,13 +75,7 @@ class CDNumber(IntVector):
 
     def __new__(cls, level: int, coeffs):
         coeffs = tuple(coeffs)
-        if not 0 <= level <= MAX_LEVEL:
-            raise ValueError(f"level must be 0..{MAX_LEVEL}, got {level}")
-        if len(coeffs) != 1 << level:
-            raise ValueError(f"level {level} needs {1 << level} coefficients")
-        g = coeffs[0].gaussian
-        if any(c.gaussian != g for c in coeffs):
-            raise RingMismatch("mixed base rings in one CDNumber")
+        g = _base_ring(level, [c.gaussian for c in coeffs])
         parts = [c.re for c in coeffs] + ([c.im for c in coeffs] if g else [])
         v, den = _int_row(parts)  # least den, so already canonical
         return cls._canonical(level, g, v, den, coeffs)
@@ -156,13 +150,31 @@ class CDNumber(IntVector):
     # -- JSON -------------------------------------------------------------------
 
     def to_json(self):
-        return {"level": self.tag, "coeffs": [c.to_json() for c in self.coeffs]}
+        """Written from the stored integers; no ``Scalar`` view is built."""
+        return {"level": self.tag, "coeffs": self._json_entries()}
 
     @staticmethod
     def from_json(obj) -> "CDNumber":
+        """The constructor's checks and errors; no ``Scalar`` view is built."""
+        return CDNumber._from_json_fractions(*CDNumber._json_fractions(obj))
+
+    @staticmethod
+    def _json_fractions(obj):
+        """(level, base ring, (re, im) per coordinate) of a checked encoding."""
         level = obj["level"]
-        coeffs = [Scalar.from_json(c) for c in obj["coeffs"]]
-        return CDNumber(level, coeffs)
+        fracs = [json_fractions(c) for c in obj["coeffs"]]
+        return level, _base_ring(level, [im is not None for _, im in fracs]), fracs
+
+
+def _base_ring(level, rings):
+    """The common base ring of 2^level coordinates whose rings are ``rings``."""
+    if not 0 <= level <= MAX_LEVEL:
+        raise ValueError(f"level must be 0..{MAX_LEVEL}, got {level}")
+    if len(rings) != 1 << level:
+        raise ValueError(f"level {level} needs {1 << level} coefficients")
+    if rings.count(rings[0]) != len(rings):
+        raise RingMismatch("mixed base rings in one CDNumber")
+    return rings[0]
 
 
 @lru_cache(maxsize=None)

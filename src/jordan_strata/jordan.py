@@ -11,10 +11,10 @@ of the level matching the algebra tag.  Over the rational base ring these are
 the four euclidean algebras; swapping the base ring to Q(i) gives their
 complexifications.  An element is stored in the bilinear engine's operand
 format, one integer vector over one positive denominator
-(``bilinear.IntVector``, which also owns +, -, scaling, equality and
-hashing), so every product and invariant reads the stored integers and a
-product is stored as the engine hands it back; ``diag`` and ``off`` are
-views.
+(``bilinear.IntVector``, which also owns +, -, scaling, equality, hashing
+and the JSON codec), so every product and invariant reads the stored
+integers, a product is stored as the engine hands it back, and JSON is
+written and read from the integers; ``diag`` and ``off`` are views.
 
 The Jordan product x o y = (xy + yx)/2 runs on structure constants.  The
 table ``_mult_table`` is generated straight from the Cayley-Dickson unit
@@ -86,7 +86,7 @@ from typing import NamedTuple
 from . import linalg
 from .bilinear import Bilinear, IntVector, box, scaled
 from .cayley_dickson import CDNumber, LEVEL_OF_ALGEBRA, cd_mul_doubling, unit_product
-from .scalars import RingMismatch, Scalar
+from .scalars import RingMismatch, Scalar, json_fractions
 
 ALGEBRAS = ("R", "C", "H", "O")
 
@@ -111,19 +111,9 @@ class JordanElement(IntVector):
     algebra = IntVector.tag  # the tag slot itself, read as fast as any slot
 
     def __new__(cls, algebra: str, diag, off):
-        if algebra not in ALGEBRAS:
-            raise ValueError(f"unknown algebra tag {algebra!r}")
+        diag, off = tuple(diag), tuple(off)
+        g = _base_ring(algebra, [s.gaussian for s in diag], [(q.level, q.gaussian) for q in off])
         level = LEVEL_OF_ALGEBRA[algebra]
-        diag = tuple(diag)
-        off = tuple(off)
-        if len(diag) != 3 or len(off) != 3:
-            raise ValueError("need 3 diagonal scalars and 3 off-diagonal entries")
-        g = diag[0].gaussian
-        if any(s.gaussian != g for s in diag):
-            raise RingMismatch("mixed base rings on the diagonal")
-        for q in off:
-            if q.level != level or q.gaussian != g:
-                raise RingMismatch("off-diagonal entry has wrong level or ring")
         parts = [s.re for s in diag] + ([s.im for s in diag] if g else [])
         # the lcm of every coordinate's denominator, so already canonical
         den = lcm(*[f.denominator for f in parts], *[q.den for q in off])
@@ -248,21 +238,40 @@ class JordanElement(IntVector):
     # -- JSON --------------------------------------------------------------------
 
     def to_json(self):
+        """Written from the stored integers; no ``Scalar`` view is built."""
+        e, level, w = self._json_entries(), self.level, 1 << self.level
         return {
             "algebra": self.algebra,
             "complexified": self.gaussian,
-            "diag": [s.to_json() for s in self.diag],
-            "off": [q.to_json() for q in self.off],
+            "diag": e[:3],
+            "off": [{"level": level, "coeffs": e[a : a + w]} for a in range(3, len(e), w)],
         }
 
     @staticmethod
     def from_json(obj) -> "JordanElement":
-        diag = [Scalar.from_json(s) for s in obj["diag"]]
-        off = [CDNumber.from_json(q) for q in obj["off"]]
-        elt = JordanElement(obj["algebra"], diag, off)
-        if bool(obj.get("complexified")) != elt.gaussian:
+        """The constructor's checks and errors; no ``Scalar`` view is built until one is read."""
+        diag = [json_fractions(s) for s in obj["diag"]]
+        off = [CDNumber._json_fractions(q) for q in obj["off"]]
+        algebra = obj["algebra"]
+        g = _base_ring(algebra, [im is not None for _, im in diag], [(lv, r) for lv, r, _ in off])
+        if bool(obj.get("complexified")) != g:
             raise ValueError("complexified flag contradicts coefficient encoding")
-        return elt
+        fracs = diag + [f for _, _, fs in off for f in fs]
+        return JordanElement._from_json_fractions(algebra, g, fracs)
+
+
+def _base_ring(algebra, diag_rings, off_shapes):
+    """The common base ring, once the shape and the rings of the entries check."""
+    if algebra not in ALGEBRAS:
+        raise ValueError(f"unknown algebra tag {algebra!r}")
+    if len(diag_rings) != 3 or len(off_shapes) != 3:
+        raise ValueError("need 3 diagonal scalars and 3 off-diagonal entries")
+    g = diag_rings[0]
+    if diag_rings.count(g) != 3:
+        raise RingMismatch("mixed base rings on the diagonal")
+    if off_shapes.count((LEVEL_OF_ALGEBRA[algebra], g)) != 3:
+        raise RingMismatch("off-diagonal entry has wrong level or ring")
+    return g
 
 
 def _mat_mul(a, b):

@@ -203,13 +203,19 @@ class Scalar:
 
     @staticmethod
     def from_json(obj) -> "Scalar":
-        if not isinstance(obj, (list, tuple)) or len(obj) != 2:
-            raise ValueError(f"bad scalar encoding: {obj!r}")
-        if isinstance(obj[0], (list, tuple)):
-            (rn, rd), (im_n, im_d) = obj
-            return Scalar(Fraction(rn, rd), Fraction(im_n, im_d), gaussian=True)
-        n, d = obj
-        return Scalar(Fraction(n, d))
+        re, im = json_fractions(obj)
+        return Scalar(re, im or 0, im is not None)
+
+
+def json_fractions(obj):
+    """(re, im) Fractions of a scalar's JSON encoding, im None over Q; its one reader."""
+    if not isinstance(obj, (list, tuple)) or len(obj) != 2:
+        raise ValueError(f"bad scalar encoding: {obj!r}")
+    if isinstance(obj[0], (list, tuple)):
+        (rn, rd), (im_n, im_d) = obj
+        return Fraction(rn, rd), Fraction(im_n, im_d)
+    n, d = obj
+    return Fraction(n, d), None
 
 
 def _rational_sqrt(q: Fraction):

@@ -1,12 +1,15 @@
 import operator
 import random
+from fractions import Fraction
 
 import pytest
 
 from jordan_strata.bilinear import Bilinear
-from jordan_strata.cayley_dickson import _cd_product
-from jordan_strata.jordan import ALGEBRAS, cross_tensor, structure_tensor
+from jordan_strata.cayley_dickson import CDNumber, _cd_product
+from jordan_strata.jordan import ALGEBRAS, JordanElement, cross_tensor, structure_tensor
+from jordan_strata.scalars import Scalar
 from jordan_strata.tkk import tkk_algebra
+from test_jordan import TAGS
 
 TABLES = {"structure": structure_tensor, "cross": cross_tensor}
 
@@ -124,3 +127,100 @@ def test_left_applied_to_y_is_the_contraction(name, build, arg, gaussian):
         assert len(lx) == m and all(len(row) == m for row in lx)
         for yv in ys:
             assert [sum(map(operator.mul, row, yv)) for row in lx] == t.contract(xv, yv, gaussian)
+
+
+# -- the JSON codec: the per-coordinate Scalar encoding is its oracle
+
+
+def per_coordinate_json(x):
+    """The encoding read off the Scalar views, one ``Scalar.to_json`` per coordinate."""
+    if isinstance(x, CDNumber):
+        return {"level": x.level, "coeffs": [c.to_json() for c in x.coeffs]}
+    return {
+        "algebra": x.algebra,
+        "complexified": x.gaussian,
+        "diag": [s.to_json() for s in x.diag],
+        "off": [per_coordinate_json(q) for q in x.off],
+    }
+
+
+def coordinate_samples(rng, n, gaussian):
+    """Scalar coordinate lists of length n: zero, all ones, one unit, sparse,
+    dense small and dense 40-digit fractions over unrelated denominators."""
+
+    def frac(height):
+        return Fraction(rng.randint(-height, height), rng.randint(1, height))
+
+    def scalar(height):
+        return Scalar(frac(height), frac(height) if gaussian else 0, gaussian)
+
+    zero = Scalar(0, 0, gaussian)
+    yield [zero] * n
+    yield [Scalar(1, 0, gaussian)] * n
+    unit = [zero] * n
+    unit[rng.randrange(n)] = Scalar(1, 0, gaussian)
+    yield unit
+    sparse = [zero] * n
+    for k in rng.sample(range(n), min(n, 2)):
+        sparse[k] = scalar(9)
+    yield sparse
+    for height in (9, 10**40):
+        yield [scalar(height) for _ in range(n)]
+
+
+def assert_codec_round_trip(x, decode):
+    enc = x.to_json()
+    assert x._view is None  # the encoder reads the integers, not a view
+    assert enc == per_coordinate_json(x)
+    y = decode(enc)
+    assert y._view is None  # so does the decoder; a view is boxed on first read
+    assert (y.v, y.den, hash(y)) == (x.v, x.den, hash(x))
+    assert per_coordinate_json(y) == enc
+
+
+@pytest.mark.parametrize("tag", TAGS)
+def test_jordan_json_is_the_per_coordinate_scalar_encoding(tag):
+    algebra, gaussian = tag[0], tag.endswith("_C")
+    rng = random.Random(f"codec-{tag}")
+    for coords in coordinate_samples(rng, JordanElement.space_dim(algebra), gaussian):
+        x = JordanElement.from_coords(algebra, coords, gaussian)
+        assert_codec_round_trip(x, JordanElement.from_json)
+
+
+@pytest.mark.parametrize("level", range(4))
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_cd_json_is_the_per_coordinate_scalar_encoding(level, gaussian):
+    rng = random.Random(f"codec-{level}-{gaussian}")
+    for coeffs in coordinate_samples(rng, 1 << level, gaussian):
+        x = CDNumber(level, coeffs)
+        x = CDNumber._of(level, gaussian, x.v, x.den)  # the same value with no view kept
+        assert_codec_round_trip(x, CDNumber.from_json)
+
+
+@pytest.mark.parametrize("entry", [[2, 4], [1, -2], [0, 7]])
+def test_unreduced_entries_decode_as_the_constructor_route(entry):
+    # an unreduced fraction, a negative denominator, a zero over a denominator
+    # other than 1: each is stored, hashed and written back as its lowest terms
+    q = Fraction(*entry)
+    for gaussian in (False, True):
+        enc = [entry, [3, -6]] if gaussian else entry
+        s = Scalar(q, Fraction(-1, 2) if gaussian else 0, gaussian)
+        third = Scalar(Fraction(1, 3), 0, gaussian)
+        pairs = [
+            (
+                CDNumber.from_json({"level": 1, "coeffs": [enc, third.to_json()]}),
+                CDNumber(1, (s, third)),
+            ),
+            (
+                JordanElement.from_json({
+                    "algebra": "R",
+                    "complexified": gaussian,
+                    "diag": [enc, third.to_json(), enc],
+                    "off": [{"level": 0, "coeffs": [enc]}] * 3,
+                }),
+                JordanElement("R", (s, third, s), [CDNumber(0, (s,))] * 3),
+            ),
+        ]
+        for decoded, built in pairs:
+            assert (decoded.v, decoded.den, hash(decoded)) == (built.v, built.den, hash(built))
+            assert decoded.to_json() == built.to_json() == per_coordinate_json(built)

@@ -84,6 +84,46 @@ def test_classify_bad_json_exits_2(tmp_path, capsys):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+def edit(*path, value):
+    """An edit of a JSON value: the node at ``path`` becomes ``value``."""
+
+    def change(obj):
+        for key in path[:-1]:
+            obj = obj[key]
+        obj[path[-1]] = value
+
+    return change
+
+
+# each edit of a valid H element's encoding that classify must refuse
+MALFORMED_CLASSIFY = {
+    "rings-mixed-diag-vs-off": edit(
+        "off", 1, value={"level": 2, "coeffs": [[[1, 1], [0, 1]]] + [[[0, 1], [0, 1]]] * 3}
+    ),
+    "off-of-wrong-level": edit("off", 0, value={"level": 1, "coeffs": [[0, 1], [0, 1]]}),
+    "level-4": edit("off", 2, "level", value=4),
+    "level-minus-1": edit("off", 2, "level", value=-1),
+    "level-string": edit("off", 2, "level", value="0"),
+    "coefficient-count": edit("off", 0, "coeffs", value=[[0, 1]] * 3),
+    "float-leaf": edit("diag", 0, value=[1.5, 1]),
+    "zero-denominator-in-off": edit("off", 1, "coeffs", 1, value=[2, 0]),
+    "complexified-flag": edit("complexified", value=True),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CLASSIFY))
+def test_malformed_classify_input_exits_2(case, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    obj = JordanElement.identity("H").to_json()
+    MALFORMED_CLASSIFY[case](obj)
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    rc, out = run_cli(["classify", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_classify_accepts_projective_points(tmp_path):
     from jordan_strata.strata import ProjPoint, rank1_sample
 

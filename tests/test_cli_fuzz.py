@@ -16,6 +16,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from jordan_strata.cli import main
 from jordan_strata.reduction import oscillator_sample
 from jordan_strata.strata import rank_k_sample
+from test_jordan import classify_element
 
 ROUNDS = 120
 TIME_LIMIT_S = 10
@@ -91,6 +92,10 @@ def valid_inputs(rng):
             elt = rank_k_sample(algebra, rng.randint(0, 3), rng, gaussian=gaussian).to_json()
             out.append(("classify", elt))
     out.append(("classify", {**rank_k_sample("H", 1, rng).to_json(), "projective": True}))
+    # 40-digit entries: U_a(x) with a of height about 10^20, as in the large
+    # benchmark cells, the input whose decoding and rendering cost the most
+    for tag, rank in (("H_C", 1), ("H_C", 3), ("O_C", 2)):
+        out.append(("classify", classify_element(tag, rank, "large").to_json()))
     for s, k in ((2, 1), (3, 2), (3, 0)):
         out.append(("reduce", oscillator_sample(s, k, rng).to_json()))
     out.append(("veronese", [[1, [1, 2], [[0, 1], [1, 3]]]]))
