@@ -7,18 +7,19 @@ Levels 0..3 double the base ring, with the product convention
 
 fixed once for the whole package.  The signed basis multiplication table is
 generated from this recursion (``unit_product``, never entered by hand),
-compiled once per level into a sparse integer tensor and contracted in
-integers by the bilinear engine (``bilinear.Bilinear``), which is how
-``cd_mul`` multiplies.  A ``CDNumber`` is stored in the engine's own
-operand format, one integer vector over one positive denominator in lowest
-terms, so a product reads its operands' integers and is stored as it comes;
-that format, its linear structure (+, -, scaling, equality, hashing) and
-its JSON codec live in ``bilinear.IntVector``, and the ``Scalar``
-coordinates (``coeffs``) are a view for the API and ``repr``.  The pair
-recursion itself is kept as ``cd_mul_doubling``, an independent route on
-the same stored integers (over Q(i), four real recursions on the real and
-imaginary parts) that reads neither the unit table nor the engine, so
-tests can cross-check the two against each other.
+compiled once per level into a sparse integer tensor and multiplied in
+integers by the generated code of the bilinear engine
+(``bilinear.Bilinear.product``), which is how ``cd_mul`` multiplies.  A
+``CDNumber`` is stored in the engine's own operand format, one integer
+vector over one positive denominator in lowest terms, so a product reads its
+operands' integers and is stored as it comes; that format, its linear
+structure (+, -, scaling, equality, hashing) and its JSON codec live in
+``bilinear.IntVector``, and the ``Scalar`` coordinates (``coeffs``) are a
+view for the API and ``repr``.  The pair recursion itself is kept as
+``cd_mul_doubling``, an independent route on the same stored integers (over
+Q(i), four real recursions on the real and imaginary parts) that reads
+neither the unit table nor the engine, so tests can cross-check the two
+against each other.
 
 Complexification is a base-ring swap (rational -> Gaussian rational), not a
 fourth doubling, so the Gaussian-base level-3 algebra stays 8-dimensional over
@@ -30,7 +31,7 @@ from __future__ import annotations
 from functools import lru_cache
 from .bilinear import Bilinear, IntVector, box
 from .linalg import _int_row
-from .scalars import RingMismatch, Scalar, json_fractions
+from .scalars import RingMismatch, Scalar, json_fractions, json_int
 
 MAX_LEVEL = 3
 
@@ -161,7 +162,7 @@ class CDNumber(IntVector):
     @staticmethod
     def _json_fractions(obj):
         """(level, base ring, (re, im) per coordinate) of a checked encoding."""
-        level = obj["level"]
+        level = json_int(obj["level"])
         fracs = [json_fractions(c) for c in obj["coeffs"]]
         return level, _base_ring(level, [im is not None for _, im in fracs]), fracs
 
@@ -190,7 +191,7 @@ def cd_mul(a: CDNumber, b: CDNumber) -> CDNumber:
     """Bilinear product through the compiled basis table, on the stored integers."""
     a._check(b)
     table = _cd_product(a.tag)
-    return a._like(table.contract(a.v, b.v, a.gaussian), a.den * b.den * table.den)
+    return a._like(table.product(a.v, b.v, a.gaussian), a.den * b.den * table.den)
 
 
 def _conj(u):

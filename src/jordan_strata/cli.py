@@ -14,7 +14,6 @@ import json
 import os
 import random
 import sys
-from fractions import Fraction
 from functools import lru_cache
 
 from .jordan import JordanElement, jordan_rank, matrix_model_rank, rank_det_sharp
@@ -25,7 +24,7 @@ from .reduction import (
     encode_oscillator,
     reduced_point,
 )
-from .scalars import Scalar
+from .scalars import Scalar, json_fractions
 from .strata import plucker, rank1_projective_factor, rank1_sample, segre, veronese
 from .suites import SUITES, run_suite
 
@@ -118,14 +117,11 @@ def _decode(decoder, obj):
 
 
 def _scalar_from_entry(entry) -> Scalar:
-    if isinstance(entry, int):
+    """A vector entry: a bare integer or a scalar encoding, over Q(i)."""
+    if type(entry) is int:  # not a JSON boolean
         return Scalar(entry, 0, True)
-    if isinstance(entry, list) and len(entry) == 2:
-        if isinstance(entry[0], int):
-            return Scalar(Fraction(entry[0], entry[1]), 0, True)
-        (rn, rd), (im_n, im_d) = entry
-        return Scalar(Fraction(rn, rd), Fraction(im_n, im_d), True)
-    raise UsageError(f"cannot parse scalar entry {entry!r}")
+    re, im = json_fractions(entry)
+    return Scalar(re, im or 0, True)
 
 
 def _report(command, seed, checks):

@@ -19,22 +19,26 @@ written and read from the integers; ``diag`` and ``off`` are views.
 The Jordan product x o y = (xy + yx)/2 runs on structure constants.  The
 table ``_mult_table`` is generated straight from the Cayley-Dickson unit
 table by the hermitian-matrix rule, compiled once into a sparse integer
-tensor (``structure_tensor``) and contracted in integers by the bilinear
-engine.  The invariants run on a second table read off it on first use
-(``cross_tensor``), the Freudenthal cross product, with t the trace and
-T(x, y) = tr(x o y) the trace form (McCrimmon, A Taste of Jordan Algebras):
+tensor (``structure_tensor``) and multiplied in integers by the bilinear
+engine's generated code.  The invariants run on a second table read off it
+on first use (``cross_tensor``), the Freudenthal cross product, with t the
+trace and T(x, y) = tr(x o y) the trace form (McCrimmon, A Taste of Jordan
+Algebras):
 
     x × y = x o y - (t(x) y + t(y) x)/2 + (t(x) t(y) - T(x, y))/2 I,
     sharp(x) = x × x,   det(x) = T(x, sharp(x)) / 3,   sigma2(x) = tr(sharp(x)).
 
-A square (x o x, x × x) contracts each unordered pair of coordinates once
-(``Bilinear.square``).  This × is normalized by x × x = sharp(x), so it is
+A square (x o x, x × x) takes each unordered pair of coordinates once
+(``Bilinear.square``), and a product of two elements runs through
+``Bilinear.product``, which pays for the nonzero coordinates of its first
+operand.  This × is normalized by x × x = sharp(x), so it is
 half of McCrimmon's x ×_M y = sharp(x + y) - sharp(x) - sharp(y), and his
 quadratic representation U_a x = T(a, x) a - sharp(a) ×_M x reads here
 
     U_a(x) = T(a, x) a - 2 (sharp(a) × x),
 
-one adjoint and one cross product in place of four Jordan products.
+one adjoint and one cross product in place of four Jordan products; the
+cross product is taken as x × sharp(a), since x is the sparse operand.
 
 ``jordan_rank`` zero-tests x, x × x and T(x, x × x) as integer vectors: the
 rank is 0, 1, 2 or 3 as x, sharp(x) or det(x) is the first to be nonzero.
@@ -358,7 +362,7 @@ def _product(table: Bilinear, x: JordanElement, y: JordanElement) -> JordanEleme
     x._check(y)
     if x == y:  # each unordered pair of coordinates once
         return x._like(table.square(x.v, x.gaussian), x.den * x.den * table.den)
-    return x._like(table.contract(x.v, y.v, x.gaussian), x.den * y.den * table.den)
+    return x._like(table.product(x.v, y.v, x.gaussian), x.den * y.den * table.den)
 
 
 def jordan_mul(x: JordanElement, y: JordanElement) -> JordanElement:
@@ -482,7 +486,7 @@ def _quadratic_rep(a: JordanElement, x: JordanElement, sharp_ints) -> JordanElem
     f = den // (a.den * a.den * x.den)
     re, im = _pairing(a.v, x.v, a.gaussian)
     tv = scaled(a.v, f * re, f * im)
-    cv = table.contract(sv, x.v, a.gaussian)
+    cv = table.product(x.v, sv, a.gaussian)  # x × a#: x is the sparse one in every sampler
     return a._like([t - 2 * c for t, c in zip(tv, cv)], den)
 
 

@@ -60,7 +60,7 @@ from . import linalg
 from .bilinear import Bilinear
 from .cayley_dickson import LEVEL_OF_ALGEBRA, CDNumber, unit_product
 from .jordan import JordanElement, jordan_rank
-from .scalars import Scalar
+from .scalars import Scalar, json_int
 from .strata import draws, rand_cd, rand_cd_matrix
 
 CASE_ALGEBRA = {"real": "R", "complex": "C", "quaternionic": "H"}
@@ -555,8 +555,8 @@ class OscillatorConfig:
 
     @staticmethod
     def from_json(obj):
-        q = [[Fraction(n, d) for n, d in row] for row in obj["q"]]
-        p = [[Fraction(n, d) for n, d in row] for row in obj["p"]]
+        q = [[Fraction(json_int(n), json_int(d)) for n, d in row] for row in obj["q"]]
+        p = [[Fraction(json_int(n), json_int(d)) for n, d in row] for row in obj["p"]]
         return OscillatorConfig(q, p)
 
 

@@ -207,15 +207,26 @@ class Scalar:
         return Scalar(re, im or 0, im is not None)
 
 
+def json_int(x) -> int:
+    """An integer of a JSON encoding; a JSON boolean, an int in Python, is not one."""
+    if type(x) is not int:
+        raise ValueError(f"expected an integer, got {x!r}")
+    return x
+
+
 def json_fractions(obj):
     """(re, im) Fractions of a scalar's JSON encoding, im None over Q; its one reader."""
     if not isinstance(obj, (list, tuple)) or len(obj) != 2:
         raise ValueError(f"bad scalar encoding: {obj!r}")
     if isinstance(obj[0], (list, tuple)):
         (rn, rd), (im_n, im_d) = obj
-        return Fraction(rn, rd), Fraction(im_n, im_d)
-    n, d = obj
-    return Fraction(n, d), None
+        if type(rn) is type(rd) is type(im_n) is type(im_d) is int:  # not a JSON boolean
+            return Fraction(rn, rd), Fraction(im_n, im_d)
+    else:
+        n, d = obj
+        if type(n) is type(d) is int:
+            return Fraction(n, d), None
+    raise ValueError(f"bad scalar encoding: {obj!r}, whose entries must be integers")
 
 
 def _rational_sqrt(q: Fraction):

@@ -6,8 +6,16 @@ import pytest
 
 from jordan_strata.bilinear import Bilinear
 from jordan_strata.cayley_dickson import CDNumber, _cd_product
-from jordan_strata.jordan import ALGEBRAS, JordanElement, cross_tensor, structure_tensor
+from jordan_strata.jordan import (
+    ALGEBRAS,
+    JordanElement,
+    cross_tensor,
+    jordan_mul,
+    rank_det_sharp,
+    structure_tensor,
+)
 from jordan_strata.scalars import Scalar
+from jordan_strata.strata import random_element
 from jordan_strata.tkk import tkk_algebra
 from test_jordan import TAGS
 
@@ -107,7 +115,7 @@ def test_square_is_compiled_once_per_table_and_serves_both_rings():
     assert t._square_fn is fn
 
 
-# every table that left or a Gaussian contract serves
+# every table that left, product or a Gaussian contract serves
 LEFT_TABLES = [(f"cd-{level}", _cd_product, level) for level in range(4)]
 LEFT_TABLES += [(f"{kind}-{algebra}", TABLES[kind], algebra)
                 for kind in sorted(TABLES) for algebra in ALGEBRAS]
@@ -127,6 +135,74 @@ def test_left_applied_to_y_is_the_contraction(name, build, arg, gaussian):
         assert len(lx) == m and all(len(row) == m for row in lx)
         for yv in ys:
             assert [sum(map(operator.mul, row, yv)) for row in lx] == t.contract(xv, yv, gaussian)
+
+
+def product_operands(rng, n, gaussian):
+    """(x, y) pairs of integer vectors: dense, a one-coordinate x, a
+    one-coordinate y, both one-coordinate, an all-zero x or y, and dense
+    40-digit ones; over Q(i) a single coordinate is real or imaginary."""
+    m = 2 * n if gaussian else n
+
+    def dense(height):
+        return [rng.randint(-height, height) for _ in range(m)]
+
+    def one():
+        v = [0] * m
+        v[rng.randrange(m)] = rng.choice([-7, -1, 1, 3])
+        return v
+
+    for _ in range(3):
+        yield dense(5), dense(5)
+        yield one(), dense(5)
+        yield dense(5), one()
+        yield one(), one()
+    yield [0] * m, dense(5)
+    yield dense(5), [0] * m
+    yield dense(10**40), dense(10**40)
+    yield one(), dense(10**40)
+    yield dense(10**40), one()
+
+
+@pytest.mark.parametrize("name, build, arg", LEFT_TABLES, ids=[t[0] for t in LEFT_TABLES])
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_compiled_product_agrees_with_the_contraction_loop(name, build, arg, gaussian):
+    # over Q(i) product takes Karatsuba's three real products and contract
+    # the schoolbook pair walk: two routes to x y
+    t = build(arg)
+    rng = random.Random(f"product{name}{gaussian}")
+    for xv, yv in product_operands(rng, t.dim, gaussian):
+        assert t.product(xv, yv, gaussian) == t.contract(xv, yv, gaussian)
+        assert t.product(tuple(xv), tuple(yv), gaussian) == t.contract(xv, yv, gaussian)
+
+
+def test_only_a_product_of_two_elements_compiles_a_product():
+    # the benchmark's set-up squares the identity of each algebra: building a
+    # table, a self-product and a square must generate no product function
+    structure_tensor.cache_clear()
+    cross_tensor.cache_clear()
+    _cd_product.cache_clear()
+    rng = random.Random(26)
+    for algebra in ALGEBRAS:
+        for gaussian in (False, True):
+            one = JordanElement.identity(algebra, gaussian)
+            x = random_element(algebra, rng, gaussian)
+            assert jordan_mul(one, one) == one
+            jordan_mul(x, x)
+            rank_det_sharp(x)
+    for level in (0, 1):
+        _cd_product(level).square([1] * (1 << level))
+    tables = [f(a) for f in TABLES.values() for a in ALGEBRAS]
+    tables += [_cd_product(level) for level in range(4)]
+    assert all(t._product_fn is None for t in tables)
+    # the first product of two elements compiles it, once for both rings
+    x, y = random_element("O", rng), random_element("O", rng)
+    assert x != y
+    jordan_mul(x, y)
+    fn = structure_tensor("O")._product_fn
+    assert fn is not None
+    jordan_mul(x.complexify(), y.complexify())
+    assert structure_tensor("O")._product_fn is fn
+    assert cross_tensor("O")._product_fn is None
 
 
 # -- the JSON codec: the per-coordinate Scalar encoding is its oracle

@@ -95,7 +95,19 @@ def edit(*path, value):
     return change
 
 
-# each edit of a valid H element's encoding that classify must refuse
+def on(tag, change):
+    """``change`` made to the identity of ``tag`` in place of the H element."""
+
+    def replace(obj):
+        obj.clear()
+        obj.update(JordanElement.identity(tag).to_json())
+        change(obj)
+
+    return replace
+
+
+# each edit of a valid H element's encoding that classify must refuse; a JSON
+# boolean is an int in Python, so each boolean stands where it would decode as 1
 MALFORMED_CLASSIFY = {
     "rings-mixed-diag-vs-off": edit(
         "off", 1, value={"level": 2, "coeffs": [[[1, 1], [0, 1]]] + [[[0, 1], [0, 1]]] * 3}
@@ -108,7 +120,34 @@ MALFORMED_CLASSIFY = {
     "float-leaf": edit("diag", 0, value=[1.5, 1]),
     "zero-denominator-in-off": edit("off", 1, "coeffs", 1, value=[2, 0]),
     "complexified-flag": edit("complexified", value=True),
+    "boolean-numerator": on("C", edit("diag", 0, value=[True, 2])),
+    "boolean-denominator": on("R", edit("diag", 1, value=[1, True])),
+    "boolean-level": on("C", edit("off", 2, "level", value=True)),
+    "boolean-off-coefficient": on("C", edit("off", 0, "coeffs", 1, value=[True, 1])),
 }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["embed", "--kind", "veronese", "--vectors", "[[true,0,0]]"],
+        ["embed", "--kind", "veronese", "--vectors", "[[[true,1],0,0]]"],
+        ["embed", "--kind", "segre", "--vectors", "[[1,0,0],[0,[1,true],0]]"],
+        ["reduce", {"q": [[True], [0], [0]], "p": [[0], [0], [0]]}],
+        ["reduce", {"q": [[[1, 1]], [[0, 1]], [[0, 1]]], "p": [[[1, True]], [0], [0]]}],
+    ],
+    ids=["veronese-bare", "veronese-numerator", "segre-denominator", "reduce-bare", "reduce-pair"],
+)
+def test_boolean_integers_exit_2(argv, tmp_path, capsys):
+    if argv[0] == "reduce":
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(argv[1]))
+        argv = ["reduce", str(path)]
+    capsys.readouterr()
+    rc, out = run_cli(argv)
+    err = capsys.readouterr().err
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_CLASSIFY))

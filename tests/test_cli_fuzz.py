@@ -115,6 +115,22 @@ def run(verb, text, tmp_path):
         return main(argv)
 
 
+def test_boolean_leaves_exit_2(tmp_path):
+    # a JSON boolean is an int in Python: in place of any integer of a valid
+    # input it must be refused, not read as 0 or 1
+    rng = random.Random(26)
+    for verb, obj in valid_inputs(rng):
+        paths = [path for path, value in nodes(obj) if type(value) is int]
+        for path in rng.sample(paths, min(len(paths), 4)):
+            for flag in (True, False):
+                bad = copy.deepcopy(obj)
+                parent = bad
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = flag
+                assert run(verb, json.dumps(bad), tmp_path) == 2, (verb, path, flag)
+
+
 def test_cli_exit_codes_under_mutated_input(tmp_path):
     rng = random.Random(2024)
     seeds = valid_inputs(rng)
