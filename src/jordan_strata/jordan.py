@@ -72,6 +72,10 @@ Matrix models used for rank identification:
     q = (b - c)/2 + (b + c)/(2i) e1 - (p + d)/2 e2 + (d - p)/(2i) e3.
     Jordan rank is half the matrix rank there, and det(X) = Pf(psi(X) J6),
     the pfaffian normalized by Pf(J6) = +1 (J6 is the model of the identity).
+    ``matrix_model_rank`` ranks the model as a skew rational 12x12 matrix:
+    each entry a + bi becomes [[a, b], [b, -a]] = rho(a + bi) diag(1, -1),
+    with rho the ring map of ``linalg``, so the matrix stays skew, its rank is
+    twice the rank over Q(i), and ``linalg.skew_rank`` ranks it.
 
 Each model is one closed-form pair (``to_*_matrix`` / ``from_*_matrix``) on
 Scalar arithmetic; none reads the structure tables, so ``matrix_model_rank``
@@ -630,8 +634,9 @@ def matrix_model_rank(x: JordanElement) -> int:
     if x.algebra == "C":
         return linalg.rank(to_general_matrix(x))
     if x.algebra == "H":
-        r = linalg.rank(to_skew_matrix(x))
-        if r % 2:
-            raise ArithmeticError("skew model rank must be even")
-        return r // 2
+        rows = []  # a + bi -> [[a, b], [b, -a]] (module docstring)
+        for row in to_skew_matrix(x):
+            rows.append([y for z in row for y in (z.re, z.im)])
+            rows.append([y for z in row for y in (z.im, -z.re)])
+        return linalg.skew_rank(rows) // 4
     raise ValueError("no classical matrix model for the octonionic algebra")

@@ -1,17 +1,21 @@
 """Exact linear algebra over Scalar entries (Q or Q(i)).
 
-Matrices are tuples of row-tuples and everything is fraction-exact.  Every
-row reduction -- rank, solve, inverse and kernel here, the structure-algebra
-span of ``tkk``, the bivector ranks of ``poisson`` and the inverses of
-``cdmatrix`` -- goes through one fraction-free integer echelon (``_Echelon``).
-A Q(i) matrix reaches it through the interleaved realification
+Matrices are tuples of row-tuples and everything is fraction-exact.  The
+row reductions of the routes -- rank, solve, inverse and kernel here, the
+structure-algebra span of ``tkk``, the route bivector rank
+``poisson_rank_at`` and the inverses of ``cdmatrix`` -- go through one
+fraction-free integer echelon (``_Echelon``).  A Q(i) matrix reaches it
+through the interleaved realification
 
     rho: a + bi -> [[a, -b], [b, a]],
 
 an injective ring map, so RREF(rho A) = rho(RREF A) and every result over
-Q(i) is read off the even columns of a rational one.  The cofactor
-``determinant``, ``congruent_diagonal`` and the Bareiss ``leading_minors``
-stay independent of the echelon.
+Q(i) is read off the even columns of a rational one.  The two skew rank
+oracles, ``poisson_rank_at_matrix`` and the H model of
+``jordan.matrix_model_rank``, rank through ``skew_rank`` instead, a 2x2-pivot
+elimination that shares only the clearing of denominators (``_int_row``) with
+the echelon.  The cofactor ``determinant``, ``congruent_diagonal`` and the
+Bareiss ``leading_minors`` stay independent of both.
 """
 
 from __future__ import annotations
@@ -72,6 +76,51 @@ def frac_rank(rows) -> int:
     for row in rows:
         ech.insert(row)
     return len(ech.pivots)
+
+
+def skew_rank(rows) -> int:
+    """Rank of a skew-symmetric rational (Fraction or int entry) matrix.
+
+    Bunch's 2x2-pivot elimination (Math. Comp. 38, 1982), kept in integers:
+    for a pivot a = A_pq != 0 the Schur complement S of the block on {p, q}
+    is skew again, with a S_ij = a A_ij + A_qi A_pj - A_pi A_qj, and
+    rank A = 2 + rank S.  Only the upper triangle is stored, u[i][j - i - 1]
+    = A_ij for j > i, and each complement is divided by the gcd of its
+    entries.  Raises ValueError unless the matrix is square and skew.
+    """
+    n = len(rows)
+    if any(len(row) != n for row in rows):
+        raise ValueError("not a square matrix")
+    if any(rows[i][j] != -rows[j][i] for i in range(n) for j in range(i, n)):
+        raise ValueError("not a skew-symmetric matrix")
+    flat = _int_row([x for i, row in enumerate(rows) for x in row[i + 1 :]])[0]
+    u, k = [], 0
+    for i in range(n):
+        u.append(flat[k : k + n - 1 - i])
+        k += n - 1 - i
+    rank = 0
+    while True:
+        # rows before the first nonzero one are zero on both sides of the diagonal
+        p = next((i for i, row in enumerate(u) if any(row)), None)
+        if p is None:
+            return rank
+        rank += 2
+        up = u[p]
+        off = next(c for c, x in enumerate(up) if x)
+        a, q = up[off], p + 1 + off
+        uq = u[q]
+        rest = [i for i in range(p + 1, len(u)) if i != q]
+        ap = [up[i - p - 1] for i in rest]  # A_pi
+        aq = [-u[i][q - i - 1] if i < q else uq[i - q - 1] for i in rest]  # A_qi
+        s_rows = []
+        for s, i in enumerate(rest):
+            ui, api, aqi = u[i], ap[s], aq[s]
+            s_rows.append([
+                a * ui[j - i - 1] + aqi * apj - api * aqj
+                for j, apj, aqj in zip(rest[s + 1 :], ap[s + 1 :], aq[s + 1 :])
+            ])
+        g = gcd(*[x for row in s_rows for x in row])
+        u = [[x // g for x in row] for row in s_rows] if g > 1 else s_rows
 
 
 # -- the elimination core --------------------------------------------------------

@@ -332,7 +332,7 @@ def poisson_rank_at_matrix(case, m) -> int:
                 acc += term if sgn > 0 else -term
             row.append(-acc)
         rows.append(row)
-    return linalg.frac_rank(rows)
+    return linalg.skew_rank(rows)
 
 
 def matrix_p_element(case, xc: JordanElement):

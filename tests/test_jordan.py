@@ -408,6 +408,25 @@ def test_skew_model_round_trip_and_half_rank():
         assert linalg.rank(a) == 2 * jordan_rank(x)
 
 
+def test_skew_model_rank_is_half_the_echelon_rank():
+    # matrix_model_rank ranks the skew realification through linalg.skew_rank;
+    # the echelon ranks the model over Q(i) itself
+    rng = random.Random(12)
+    seen = set()
+    for algebra, gaussian, elts in invariant_samples(rng):
+        if algebra != "H":
+            continue
+        for x in elts:
+            k = matrix_model_rank(x)
+            assert k == linalg.rank(to_skew_matrix(x)) // 2 == jordan_rank(x)
+            seen.add((gaussian, k))
+    assert seen == {(g, k) for g in (False, True) for k in range(4)}
+    # the ring map rho: a + bi -> [[a, -b], [b, a]] does not keep the model skew
+    x = rank_k_sample("H", 2, rng)
+    with pytest.raises(ValueError, match="not a skew-symmetric matrix"):
+        linalg.skew_rank(linalg._realify(to_skew_matrix(x)))
+
+
 def test_general_matrix_model_is_jordan_isomorphism():
     rng = random.Random(11)
     half = Scalar(Fraction(1, 2), 0, True)

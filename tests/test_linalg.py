@@ -130,6 +130,67 @@ def test_frac_rank_matches_scalar_rank():
             assert linalg.frac_rank([[x.re for x in row] for row in a]) == linalg.rank(a)
 
 
+def rand_skew(rng, n, rank, entry):
+    """The n x n skew matrix sum (u v^T - v u^T) over rank / 2 pairs u, v of
+    vectors drawn from ``entry()``: rank at most ``rank``, generically equal."""
+    a = [[0] * n for _ in range(n)]
+    for _ in range(rank // 2):
+        u = [entry() for _ in range(n)]
+        v = [entry() for _ in range(n)]
+        for i in range(n):
+            for j in range(n):
+                a[i][j] += u[i] * v[j] - v[i] * u[j]
+    return a
+
+
+def test_skew_rank_matches_frac_rank_at_every_even_rank():
+    rng = random.Random(9)
+    entries = {
+        "small": lambda: rng.randint(-3, 3),
+        "sparse": lambda: rng.choice((0, 0, 0, 0, 1, -1, 2)),  # zero rows and columns
+        "40-digit": lambda: rng.randint(-10**40, 10**40),
+        "fraction": lambda: Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**40)),
+    }
+    for name, entry in entries.items():
+        seen = set()
+        for n in range(1, 11):
+            for rank in range(0, n + 1, 2):
+                a = rand_skew(rng, n, rank, entry)
+                r = linalg.skew_rank(a)
+                assert r == linalg.frac_rank(a) and r <= rank, (name, a)
+                seen.add(r)
+        assert seen == set(range(0, 11, 2)), name
+
+
+def test_skew_rank_is_full_exactly_when_the_cofactor_determinant_is_nonzero():
+    rng = random.Random(10)
+    seen = set()
+    for n in range(1, 7):
+        for _ in range(25):
+            raw = [[rng.choice((0, 0, 1, -1, 2, Fraction(1, 3))) for _ in range(n)]
+                   for _ in range(n)]
+            a = [[raw[i][j] - raw[j][i] for j in range(n)] for i in range(n)]
+            singular = linalg.determinant(tuple(tuple(Scalar(x) for x in row) for row in a)).is_zero()
+            assert (linalg.skew_rank(a) == n) != singular
+            seen.add((n % 2, singular))
+    assert seen == {(0, False), (0, True), (1, True)}
+
+
+def test_skew_rank_of_the_empty_and_1x1_matrices_and_of_malformed_input():
+    assert linalg.skew_rank([]) == 0
+    assert linalg.skew_rank([[0]]) == linalg.skew_rank([[Fraction(0)]]) == 0
+    assert linalg.skew_rank([[0, Fraction(-1, 2)], [Fraction(1, 2), 0]]) == 2
+    with pytest.raises(ValueError, match="not a square matrix"):
+        linalg.skew_rank([[0, 1, 2], [-1, 0, 3]])
+    with pytest.raises(ValueError, match="not a square matrix"):
+        linalg.skew_rank([[0, 1], [-1]])
+    # a nonzero diagonal, a symmetric pair, or a lower triangle that is not
+    # minus the upper one is refused, though the upper triangle alone is skew
+    for bad in ([[1]], [[0, 1], [1, 0]], [[0, 1, 2], [-1, 0, 3], [-2, 3, 0]]):
+        with pytest.raises(ValueError, match="not a skew-symmetric matrix"):
+            linalg.skew_rank(bad)
+
+
 @pytest.mark.parametrize("level, gaussian", [(0, False), (0, True), (1, False), (2, False)])
 def test_cdmatrix_inverse(level, gaussian):
     rng = random.Random(5 + level)

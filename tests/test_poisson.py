@@ -5,6 +5,7 @@ from functools import lru_cache
 import pytest
 
 from jordan_strata import linalg
+from jordan_strata.jordan import jordan_rank, matrix_model_rank
 from jordan_strata.poisson import (
     PolyFn,
     case_poisson,
@@ -216,6 +217,34 @@ def test_tkk_and_matrix_ranks_agree_on_p(case):
         r_tkk = poisson_rank_at(embed_reduced_point(xc))
         r_mat = poisson_rank_at_matrix(case, matrix_p_element(case, xc))
         assert r_tkk == r_mat
+
+
+def test_the_rank_oracles_share_no_kernel_with_their_routes(monkeypatch):
+    # the routes rank through the echelon (poisson_rank_at) or the cross
+    # product (jordan_rank); the oracles poisson_rank_at_matrix and the skew
+    # model of matrix_model_rank rank through linalg.skew_rank
+    rng = random.Random(8)
+    xc = rank_k_sample("H", 2, rng)
+    p, m = embed_reduced_point(xc), matrix_p_element("quaternionic", xc)
+    rank = poisson_rank_at(p)
+
+    def broken(*args):
+        raise RuntimeError("kernel shared with the route")
+
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg, "_Echelon", broken)
+        assert poisson_rank_at_matrix("quaternionic", m) == rank
+        assert matrix_model_rank(xc) == 2
+        with pytest.raises(RuntimeError):
+            poisson_rank_at(p)
+    with monkeypatch.context() as mp:
+        mp.setattr(linalg, "skew_rank", broken)
+        assert poisson_rank_at(p) == rank
+        assert jordan_rank(xc) == 2
+        with pytest.raises(RuntimeError):
+            poisson_rank_at_matrix("quaternionic", m)
+        with pytest.raises(RuntimeError):
+            matrix_model_rank(xc)
 
 
 def test_ad_invariance_of_rank():
