@@ -2,7 +2,9 @@
 reduce oscillator configurations and evaluate the homogeneous embeddings.
 
 All verbs are thin wrappers over the library; reports are deterministic for
-a fixed seed and are emitted as JSON (machine) or text (human).  Exit codes:
+a fixed seed and are emitted as JSON (machine) or text (human).  Every number
+a verb reads or prints goes through the codec in ``scalars``, and every check
+record starts as ``suites.check`` before the verb adds its own keys.  Exit codes:
 0 every check passed, 1 a mathematical check failed (the report carries an
 exact witness), 2 usage or parse errors.
 """
@@ -24,9 +26,9 @@ from .reduction import (
     encode_oscillator,
     reduced_point,
 )
-from .scalars import Scalar, json_fractions
+from .scalars import Scalar, json_entry, rational_to_json
 from .strata import plucker, rank1_projective_factor, rank1_sample, segre, veronese
-from .suites import SUITES, run_suite
+from .suites import SUITES, check, run_suite
 
 DEFAULT_SEED_ENV = "JORDAN_STRATA_SEED"
 
@@ -49,10 +51,7 @@ def main(argv=None) -> int:
             with open(args.out, "w") as fh:
                 fh.write(out)
                 fh.write("\n")
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (UsageError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(out if args.format == "json" else out.rstrip("\n"))
@@ -117,10 +116,8 @@ def _decode(decoder, obj):
 
 
 def _scalar_from_entry(entry) -> Scalar:
-    """A vector entry: a bare integer or a scalar encoding, over Q(i)."""
-    if type(entry) is int:  # not a JSON boolean
-        return Scalar(entry, 0, True)
-    re, im = json_fractions(entry)
+    """A vector entry, read over Q(i)."""
+    re, im = json_entry(entry)
     return Scalar(re, im or 0, True)
 
 
@@ -152,30 +149,20 @@ def _render(report, fmt):
 def cmd_classify(args):
     elt = _decode(JordanElement.from_json, _read_json(args.input))
     rank, d, s = rank_det_sharp(elt)
-    checks = [
-        {
-            "name": "classify",
-            "case": elt.algebra + ("_C" if elt.gaussian else ""),
-            "samples": 1,
-            "failures": 0,
-            "witness": None,
-            "stratum": rank,
-            "det": d.to_json(),
-            "sharp": s.to_json(),
-        }
-    ]
+    record = check("classify", elt.algebra + ("_C" if elt.gaussian else ""), 1, 0)
+    record.update(stratum=rank, det=d.to_json(), sharp=s.to_json())
     if elt.algebra in ("R", "C", "H") and elt.gaussian:
-        checks[0]["matrix_rank"] = matrix_model_rank(elt)
+        record["matrix_rank"] = matrix_model_rank(elt)
         if rank == 1:
             factor = rank1_projective_factor(elt)
             if factor is not None:
                 kind, data = factor
                 vectors = [data] if kind == "veronese" else list(data)
-                checks[0]["rank1_factor"] = {
+                record["rank1_factor"] = {
                     "kind": kind,
                     "vectors": [[s.to_json() for s in vec] for vec in vectors],
                 }
-    return _report(["classify", args.input], args.seed, checks)
+    return _report(["classify", args.input], args.seed, [record])
 
 
 def cmd_verify(args):
@@ -195,21 +182,14 @@ def cmd_verify(args):
 
 
 def cmd_reduce(args):
-    config = _decode(
-        lambda obj: OscillatorConfig.from_json(_normalize_config(obj)), _read_json(args.input)
-    )
+    config = _decode(OscillatorConfig.from_json, _read_json(args.input))
     j = angular_momentum(config)
-    j_zero = all(x == 0 for row in j for x in row)
-    record = {
-        "name": "reduce",
-        "case": "real",
-        "samples": 1,
-        "failures": 0,
-        "witness": None,
-        "angular_momentum": [[[x.numerator, x.denominator] for x in row] for row in j],
-        "mechanical_stratum": classify_config(config),
-    }
-    if j_zero:
+    record = check("reduce", "real", 1, 0)
+    record.update(
+        angular_momentum=[[rational_to_json(x) for x in row] for row in j],
+        mechanical_stratum=classify_config(config),
+    )
+    if all(x == 0 for row in j for x in row):
         alpha = encode_oscillator(config)
         z = reduced_point(alpha)
         record["reduced_point"] = z.to_json()
@@ -217,13 +197,6 @@ def cmd_reduce(args):
     else:
         record["obstruction"] = "nonzero angular momentum"
     return _report(["reduce", args.input], args.seed, [record])
-
-
-def _normalize_config(obj):
-    def norm(rows):
-        return [[x if isinstance(x, list) else [x, 1] for x in row] for row in rows]
-
-    return {"q": norm(obj["q"]), "p": norm(obj["p"])}
 
 
 # kind -> (embedding, number of vectors, their length, usage wording)
@@ -250,16 +223,10 @@ def cmd_embed(args):
             raise UsageError(f"{args.kind} expects {what}")
         elt = embedding(*parsed)
     rank, _, s = rank_det_sharp(elt)
-    record = {
-        "name": f"embed-{args.kind}",
-        "case": elt.algebra,
-        "samples": 1,
-        "failures": 0 if rank == 1 else 1,
-        "witness": None if rank == 1 else elt.to_json(),
-        "element": elt.to_json(),
-        "stratum": rank,
-        "sharp_vanishes": s.is_zero(),
-    }
+    element = elt.to_json()
+    failed = rank != 1
+    record = check(f"embed-{args.kind}", elt.algebra, 1, int(failed), element if failed else None)
+    record.update(element=element, stratum=rank, sharp_vanishes=s.is_zero())
     return _report(["embed", args.kind], args.seed, [record])
 
 

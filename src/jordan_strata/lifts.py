@@ -285,6 +285,11 @@ def _gram_balance_gauge(n_u, n_v):
 
     Rank two: g g* = h = X n_u^-1 with X = (K + sI) / t, K = n_v n_u,
     s^2 = det K, t^2 = tr K + 2s; X^2 = K by Cayley-Hamilton, so h n_u h = n_v.
+    The + roots always serve: K is similar to n_u^1/2 n_v n_u^1/2, with
+    eigenvalues l1, l2 > 0, so s = sqrt(l1 l2) and t = sqrt(l1) + sqrt(l2)
+    give X the eigenvalues sqrt(l1), sqrt(l2), and h is the geometric mean of
+    n_u^-1 and n_v (Bhatia, Positive Definite Matrices, ch. 4), hermitian
+    positive definite.  (-s gives X eigenvalues of both signs: h indefinite.)
     """
     r = len(n_u)
     if r == 1:
@@ -303,42 +308,30 @@ def _gram_balance_gauge(n_u, n_v):
     sd = det_k.sqrt()
     if sd is None:
         raise LiftError("balance discriminant is not a square", "complex-balance-discriminant")
-    tr_k = k[0][0] + k[1][1]
-    for sign in (1, -1):
-        sds = sd if sign > 0 else -sd
-        t2 = tr_k + sds + sds
-        t = t2.sqrt()
-        if t is None or t.is_zero():
-            continue
-        x = linalg.scale(
-            linalg.add(k, ((sds, Scalar.zero(True)), (Scalar.zero(True), sds))),
-            t.inverse(),
-        )
-        h = linalg.mul(x, linalg.inverse(n_u))
-        if h != cdm.conj_transpose(h):
-            continue
-        h11 = h[0][0]
-        det_h = h[0][0] * h[1][1] - h[0][1] * h[1][0]
-        if h11.im or h11.re <= 0 or det_h.im or det_h.re <= 0:
-            continue
-        g = _posdef_factor(h)
+    t = (k[0][0] + k[1][1] + sd + sd).sqrt()
+    if t is not None:
+        zero = Scalar.zero(True)
+        x = linalg.scale(linalg.add(k, ((sd, zero), (zero, sd))), t.inverse())
+        g = _posdef_factor(linalg.mul(x, linalg.inverse(n_u)))
         if g is not None:
             return g
     raise LiftError("no exact balance gauge found", "complex-balance-no-gauge")
 
 
 def _posdef_factor(h):
-    """g with g g* = h for hermitian positive definite 2x2 h over Q(i), or
-    None when det h is not a sum of two rational squares."""
-    h11 = h[0][0].re
-    q = four_squares(h11)
+    """g with g g* = h for hermitian 2x2 h over Q(i), or None when h is not
+    positive definite (the precondition of ``four_squares`` on h11) or det h
+    is not a sum of two rational squares."""
+    h11, det_h = h[0][0], h[0][0] * h[1][1] - h[0][1] * h[1][0]
+    if h11.im or h11.re <= 0 or det_h.im or det_h.re <= 0:
+        return None
+    q = four_squares(h11.re)
     row1 = (Scalar(q[0], q[1], True), Scalar(q[2], q[3], True))
-    det_h = (h[0][0] * h[1][1] - h[0][1] * h[1][0]).re
-    pair = two_squares(det_h)
+    pair = two_squares(det_h.re)
     if pair is None:
         return None
-    nu = Scalar(pair[0], pair[1], True) * Scalar(h11, 0, True).inverse()
-    mu = h[1][0] * h[0][0].inverse()
+    nu = Scalar(pair[0], pair[1], True) * h11.inverse()
+    mu = h[1][0] * h11.inverse()
     perp = (-row1[1].conjugate(), row1[0].conjugate())
     row2 = tuple(mu * a + nu * b for a, b in zip(row1, perp))
     return row1, row2

@@ -34,7 +34,7 @@ from math import lcm
 
 from . import cdmatrix as cdm
 from . import linalg
-from .cayley_dickson import CDNumber
+from .cayley_dickson import CDNumber, unit_product
 from .jordan import JordanElement
 from .reduction import CASE_LEVEL
 from .tkk import ALGEBRA_TO_CASE, TKKAlgebra, TKKElement, tkk_algebra
@@ -277,24 +277,14 @@ def poisson_rank_at_matrix(case, m) -> int:
     basis entries are signed units, the whole bivector assembles by integer
     coefficient permutations after one common rescaling of the element.
     """
-    from math import gcd
-
-    from .cayley_dickson import unit_product
-
+    if any(q.gaussian for row in m for q in row):
+        raise ValueError("matrix-model elements live on the rational base")
     sparse = _sparse_g_basis(case)
     level = CASE_LEVEL[case]
     width = 1 << level
     n = len(m)
-    den = 1
-    for row in m:
-        for q in row:
-            for c in q.coeffs:
-                if c.im:
-                    raise ValueError("matrix-model elements live on the rational base")
-                den = den * c.re.denominator // gcd(den, c.re.denominator)
-    m_int = [
-        [[int(c.re * den) for c in q.coeffs] for q in row] for row in m
-    ]
+    den = lcm(*(q.den for row in m for q in row))
+    m_int = [[[x * (den // q.den) for x in q.v] for q in row] for row in m]
     dim = len(sparse)
     left = {}  # (k): permutation data for e_k * q
     right = {}

@@ -60,7 +60,7 @@ from . import linalg
 from .bilinear import Bilinear
 from .cayley_dickson import LEVEL_OF_ALGEBRA, CDNumber, unit_product
 from .jordan import JordanElement, jordan_rank
-from .scalars import Scalar, json_int
+from .scalars import Scalar, json_int, json_rational, rational_to_json
 from .strata import draws, rand_cd, rand_cd_matrix
 
 CASE_ALGEBRA = {"real": "R", "complex": "C", "quaternionic": "H"}
@@ -168,7 +168,7 @@ class WMap:
     def from_json(obj):
         matrix = [[CDNumber.from_json(q) for q in row] for row in obj["matrix"]]
         w = WMap(obj["case"], matrix)
-        if w.s != obj["s"]:
+        if w.s != json_int(obj["s"]):
             raise ValueError("column count disagrees with the encoding")
         return w
 
@@ -548,15 +548,12 @@ class OscillatorConfig:
         return len(self.q[0])
 
     def to_json(self):
-        return {
-            "q": [[[x.numerator, x.denominator] for x in row] for row in self.q],
-            "p": [[[x.numerator, x.denominator] for x in row] for row in self.p],
-        }
+        return {k: [[rational_to_json(x) for x in row] for row in getattr(self, k)] for k in "qp"}
 
     @staticmethod
     def from_json(obj):
-        q = [[Fraction(json_int(n), json_int(d)) for n, d in row] for row in obj["q"]]
-        p = [[Fraction(json_int(n), json_int(d)) for n, d in row] for row in obj["p"]]
+        """Entries are [n, d] pairs or bare integers."""
+        q, p = ([[json_rational(x, entry=True) for x in row] for row in obj[k]] for k in "qp")
         return OscillatorConfig(q, p)
 
 

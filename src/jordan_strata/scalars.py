@@ -4,6 +4,10 @@ Every ring element in this package ultimately reduces to a Scalar, so this
 module is the exactness substrate: no float enters or leaves any computation.
 A Scalar carries a ring tag; mixing the two rings raises, promotion is always
 explicit via to_gaussian().
+
+It is also the one codec of every number on the JSON wire: ``json_int`` (an
+integer), ``json_fractions`` (a scalar), ``json_entry`` (a vector entry, which
+may be a bare integer), ``json_rational`` (a rational) and ``rational_to_json``.
 """
 
 from __future__ import annotations
@@ -195,11 +199,8 @@ class Scalar:
 
     def to_json(self):
         if not self.gaussian:
-            return [self.re.numerator, self.re.denominator]
-        return [
-            [self.re.numerator, self.re.denominator],
-            [self.im.numerator, self.im.denominator],
-        ]
+            return rational_to_json(self.re)
+        return [rational_to_json(self.re), rational_to_json(self.im)]
 
     @staticmethod
     def from_json(obj) -> "Scalar":
@@ -227,6 +228,25 @@ def json_fractions(obj):
         if type(n) is type(d) is int:
             return Fraction(n, d), None
     raise ValueError(f"bad scalar encoding: {obj!r}, whose entries must be integers")
+
+
+def json_entry(obj):
+    """(re, im) of a vector entry of ``embed`` or ``reduce``: a scalar, or a
+    bare integer (never a JSON boolean, an int in Python)."""
+    return (Fraction(obj), None) if type(obj) is int else json_fractions(obj)
+
+
+def json_rational(obj, entry=False) -> Fraction:
+    """A rational field: [n, d], or a bare integer if ``entry``; never the Q(i) form."""
+    re, im = (json_entry if entry else json_fractions)(obj)
+    if im is not None:
+        raise ValueError(f"expected a rational, got {obj!r}")
+    return re
+
+
+def rational_to_json(q: Fraction):
+    """The [n, d] of a rational, in lowest terms (``IntVector`` writes its own)."""
+    return [q.numerator, q.denominator]
 
 
 def _rational_sqrt(q: Fraction):

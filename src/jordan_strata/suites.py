@@ -141,7 +141,8 @@ def run_suite(name, case=None, samples=25, seed=0):
     return SUITES[name](cases, samples, random.Random(seed))
 
 
-def _check(name, case, samples, failures, witness=None):
+def check(name, case, samples, failures, witness=None):
+    """The check record of every report; a verb adds its own keys to it."""
     return {
         "name": name,
         "case": case or "-",
@@ -163,12 +164,12 @@ def _count(name, case, iterator):
             failures += 1
             if failures == 1:
                 witness = wit()
-    return _check(name, case, n, failures, witness)
+    return check(name, case, n, failures, witness)
 
 
 def _table(name, got, want, case="-"):
     """The record of a computed row of the paper's numbers against ``PAPER``."""
-    return _check(name, case, len(want), 0 if got == want else 1, str(got))
+    return check(name, case, len(want), 0 if got == want else 1, str(got))
 
 
 def _severi_checks(m_name, n_name):
@@ -180,7 +181,7 @@ def _severi_checks(m_name, n_name):
     return [
         _table(m_name, m, PAPER["m"]),
         _table(n_name, n, PAPER["n"]),
-        _check("critical-relation", "-", 4, 0 if rel else 1),
+        check("critical-relation", "-", 4, 0 if rel else 1),
     ]
 
 
@@ -240,7 +241,7 @@ def division_algebra_suite(cases, samples, rng):
     for level in (0, 1, 2):
         units = cd_basis(level)
         bad = sum(not cd_associator(*t).is_zero() for t in product(units, repeat=3))
-        checks.append(_check(f"associative-level-{level}", "-", len(units) ** 3, bad))
+        checks.append(check(f"associative-level-{level}", "-", len(units) ** 3, bad))
     witness = next(
         (
             f"({a!r}, {b!r}, {c!r})"
@@ -250,11 +251,11 @@ def division_algebra_suite(cases, samples, rng):
         None,
     )
     checks.append(
-        _check("octonion-nonassociativity-witness", "O", 512, 0 if witness else 1, witness)
+        check("octonion-nonassociativity-witness", "O", 512, 0 if witness else 1, witness)
     )
     iso = CDNumber(3, [Scalar(1, 0, True), Scalar(0, 1, True)] + [Scalar.zero(True)] * 6)
     checks.append(
-        _check(
+        check(
             "gaussian-norm-isotropy",
             "O_C",
             1,
@@ -370,7 +371,7 @@ def singular_locus_suite(cases, samples, rng):
     checks = _severi_checks("ambient-dims-m", "closed-orbit-dims-n")
     audit = closure_chain_audit(rng, samples=max(2, samples // 10))
     checks.append(
-        _check("degeneration-rank-bound", "-", 1, 0 if audit["rank_never_exceeds"] else 1)
+        check("degeneration-rank-bound", "-", 1, 0 if audit["rank_never_exceeds"] else 1)
     )
     for algebra in ALGEBRAS:
         def gradient():
@@ -428,10 +429,10 @@ def tkk_suite(cases, samples, rng):
         i = TKK_CASES.index(cname)
         sdim, gdim = PAPER["str-dims"][i], PAPER["tkk-dims"][i]
         checks.append(
-            _check("str-dimension", cname, 1, 0 if alg.str_dim == sdim else 1, str(alg.str_dim))
+            check("str-dimension", cname, 1, 0 if alg.str_dim == sdim else 1, str(alg.str_dim))
         )
         checks.append(
-            _check("algebra-dimension", cname, 1, 0 if alg.dim == gdim else 1, str(alg.dim))
+            check("algebra-dimension", cname, 1, 0 if alg.dim == gdim else 1, str(alg.dim))
         )
 
         def rand_elt():
@@ -457,11 +458,11 @@ def tkk_suite(cases, samples, rng):
         z = alg.h_element()
         k_basis, p_basis = alg.k_basis(), alg.p_basis()
         bad = sum(0 if alg.bracket(z, kb).is_zero() else 1 for kb in k_basis)
-        checks.append(_check("h-element-central", cname, len(k_basis), bad))
+        checks.append(check("h-element-central", cname, len(k_basis), bad))
         bad = sum(
             0 if alg.bracket(z, alg.bracket(z, pb)) == (-pb) else 1 for pb in p_basis
         )
-        checks.append(_check("h-element-square", cname, len(p_basis), bad))
+        checks.append(check("h-element-square", cname, len(p_basis), bad))
         bad = sum(
             0
             if alg.p_to_complexified(alg.bracket(z, pb))
@@ -469,13 +470,13 @@ def tkk_suite(cases, samples, rng):
             else 1
             for pb in p_basis
         )
-        checks.append(_check("complex-structure-intertwines", cname, len(p_basis), bad))
+        checks.append(check("complex-structure-intertwines", cname, len(p_basis), bad))
 
         d = alg.grading_element()
         xp = alg.element(plus=random_element(alg.algebra, rng))
         ym = alg.element(minus=random_element(alg.algebra, rng))
         ok = alg.bracket(d, xp) == xp and alg.bracket(d, ym) == (-ym)
-        checks.append(_check("grading-element", cname, 2, 0 if ok else 1))
+        checks.append(check("grading-element", cname, 2, 0 if ok else 1))
 
         def invariance():
             for _ in range(samples):
@@ -488,7 +489,7 @@ def tkk_suite(cases, samples, rng):
         checks.append(_count("form-ad-invariance", cname, invariance()))
 
         size = len(k_basis) + len(p_basis)
-        checks.append(_check("form-definiteness", cname, size, int(not alg.form_definite)))
+        checks.append(check("form-definiteness", cname, size, int(not alg.form_definite)))
 
         def brackets_split():
             for _ in range(max(4, samples // 4)):
@@ -623,7 +624,7 @@ def moment_suite(cases, samples, rng):
                     real_basis.append(WMap(cname, rows))
         rank = linalg.rank(symplectic_gram(real_basis))
         checks.append(
-            _check("symplectic-nondegenerate", cname, width, 0 if rank == width else 1, str(rank))
+            check("symplectic-nondegenerate", cname, width, 0 if rank == width else 1, str(rank))
         )
     return checks
 
@@ -706,7 +707,7 @@ def oscillator_suite(cases, samples, rng):
 
     zero = OscillatorConfig([[0] * 3] * 3, [[0] * 3] * 3)
     ok = classify_config(zero) == 0 and stratum(encode_oscillator(zero)) == 0
-    checks.append(_check("zero-configuration", "real", 1, 0 if ok else 1))
+    checks.append(check("zero-configuration", "real", 1, 0 if ok else 1))
     return checks
 
 
@@ -726,11 +727,11 @@ def poisson_suite(cases, samples, rng):
             if len(vals) != 1:
                 bad += 1
                 witness = f"stratum {k}: ranks {sorted(vals)}"
-        checks.append(_check("rank-constant-per-stratum", cname, 3 * samples, bad, witness))
+        checks.append(check("rank-constant-per-stratum", cname, 3 * samples, bad, witness))
         seq = [min(per_stratum[k]) for k in (1, 2, 3)]
         ok = seq[0] < seq[1] < seq[2]
         checks.append(
-            _check("rank-strictly-monotone", cname, 3, 0 if ok else 1, str(seq))
+            check("rank-strictly-monotone", cname, 3, 0 if ok else 1, str(seq))
         )
     for cname in cases:
         tkk_case = ALGEBRA_TO_CASE[CASE_ALGEBRA[cname]]
@@ -763,7 +764,7 @@ def poisson_suite(cases, samples, rng):
         x = rank_k_sample("O", k, rng)
         vals.append(poisson_rank_at(embed_reduced_point(x)))
     checks.append(
-        _check("e7-embedded-rank-monotone", "e7", 2, 0 if vals[0] < vals[1] else 1, str(vals))
+        check("e7-embedded-rank-monotone", "e7", 2, 0 if vals[0] < vals[1] else 1, str(vals))
     )
     return checks
 

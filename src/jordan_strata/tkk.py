@@ -57,7 +57,7 @@ from typing import NamedTuple
 from . import linalg
 from .bilinear import Bilinear, IntVector
 from .jordan import JordanElement, structure_tensor, trace_form
-from .scalars import Scalar
+from .scalars import json_rational, rational_to_json
 
 CASE_TO_ALGEBRA = {"sp3": "R", "u33": "C", "so12": "H", "e7": "O"}
 CASES = tuple(CASE_TO_ALGEBRA)
@@ -182,13 +182,13 @@ class TKKElement(IntVector):
         return {
             "case": self.case,
             "plus": self.plus.to_json(),
-            "mid": [[Scalar(x).to_json() for x in row] for row in self.mid],
+            "mid": [[rational_to_json(x) for x in row] for row in self.mid],
             "minus": self.minus.to_json(),
         }
 
     @staticmethod
     def from_json(obj) -> "TKKElement":
-        mid = [[Scalar.from_json(x).re for x in row] for row in obj["mid"]]
+        mid = [[json_rational(x) for x in row] for row in obj["mid"]]
         return TKKElement(
             obj["case"],
             JordanElement.from_json(obj["plus"]),

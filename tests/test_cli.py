@@ -163,6 +163,46 @@ def test_malformed_classify_input_exits_2(case, tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+def reduce_config():
+    """A valid reduce input: pairs and bare integers, three particles in R^2."""
+    return {"q": [[[1, 2], 0], [0, 1], [0, 0]], "p": [[0, 0], [[-1, 3], 0], [0, 0]]}
+
+
+# each edit of a valid reduce input that reduce must refuse
+MALFORMED_REDUCE = {
+    "three-entry-pair": edit("q", 0, 0, value=[1, 2, 3]),
+    "gaussian-pair": edit("q", 0, 0, value=[[1, 2], [0, 1]]),
+    "float": edit("p", 1, 1, value=0.5),
+    "string": edit("q", 1, 1, value="1"),
+    "zero-denominator": edit("p", 0, 0, value=[1, 0]),
+    "missing-p": lambda obj: obj.pop("p"),
+    "two-particles": lambda obj: obj["q"].pop(),
+    "ragged-widths": edit("p", 2, value=[0, 0, 0]),
+    "non-list-q": edit("q", value=5),
+    "bare-integer-row": edit("q", 2, value=0),
+}
+
+
+def test_the_reduce_input_the_table_edits_is_valid(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(reduce_config()))
+    rc, out = run_cli(["reduce", str(path)])
+    assert rc == 0 and json.loads(out)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_REDUCE))
+def test_malformed_reduce_input_exits_2(case, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    obj = reduce_config()
+    MALFORMED_REDUCE[case](obj)
+    path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    rc, out = run_cli(["reduce", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_classify_accepts_projective_points(tmp_path):
     from jordan_strata.strata import ProjPoint, rank1_sample
 

@@ -859,3 +859,11 @@ def test_wmap_json_round_trip():
         assert WMap.from_json(alpha.to_json()) == alpha
     c = oscillator_sample(3, 2, rng)
     assert OscillatorConfig.from_json(c.to_json()).q == c.q
+
+
+def test_wmap_json_column_count_is_an_integer():
+    obj = WMap.zero("real", 1).to_json()
+    assert WMap.from_json(obj).s == 1
+    obj["s"] = True  # a JSON boolean, equal to 1 in Python
+    with pytest.raises(ValueError):
+        WMap.from_json(obj)

@@ -5,7 +5,16 @@ from math import isqrt
 import pytest
 
 from jordan_strata import scalars
-from jordan_strata.scalars import RingMismatch, Scalar, SearchExhausted, four_squares, two_squares
+from jordan_strata.scalars import (
+    RingMismatch,
+    Scalar,
+    SearchExhausted,
+    four_squares,
+    json_entry,
+    json_rational,
+    rational_to_json,
+    two_squares,
+)
 
 
 def test_field_ops_rational():
@@ -113,3 +122,14 @@ def test_square_sum_searches_are_bounded(monkeypatch):
 def test_json_round_trip():
     for s in (Scalar(Fraction(-7, 3)), Scalar(Fraction(1, 2), Fraction(-5, 4), True)):
         assert Scalar.from_json(s.to_json()) == s
+
+
+def test_one_codec_reads_entries_and_rationals():
+    assert json_entry(-3) == (Fraction(-3), None)
+    assert json_entry([[1, 2], [3, 4]]) == (Fraction(1, 2), Fraction(3, 4))
+    assert json_rational([6, -4]) == Fraction(-3, 2)
+    assert json_rational(5, entry=True) == Fraction(5)
+    assert rational_to_json(Fraction(6, -4)) == [-3, 2] == Scalar(Fraction(-3, 2)).to_json()
+    for bad, entry in ((5, False), (True, True), ([[1, 1], [0, 1]], True), ([1, 2, 3], True)):
+        with pytest.raises(ValueError):
+            json_rational(bad, entry=entry)

@@ -534,3 +534,12 @@ def test_repr_and_json_are_pinned(case):
         assert r == PINNED_REPR[case]
     assert hashlib.sha256(r.encode()).hexdigest() == PINNED_REPR_SHA256[case]
     assert hashlib.sha256(j.encode()).hexdigest() == PINNED_JSON_SHA256[case]
+
+
+def test_mid_entries_decode_as_rationals_only():
+    alg = tkk_algebra("sp3")
+    obj = alg.basis()[alg.space.dim + 1].to_json()
+    assert all(len(x) == 2 and type(x[0]) is int for row in obj["mid"] for x in row)
+    obj["mid"][0][0] = [obj["mid"][0][0], [1, 1]]  # an imaginary part, once dropped silently
+    with pytest.raises(ValueError, match="expected a rational"):
+        TKKElement.from_json(obj)
