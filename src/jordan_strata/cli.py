@@ -51,10 +51,12 @@ def main(argv=None) -> int:
             with open(args.out, "w") as fh:
                 fh.write(out)
                 fh.write("\n")
+        print(out if args.format == "json" else out.rstrip("\n"), flush=True)
     except (UsageError, ValueError, KeyError, OSError) as exc:
+        if isinstance(exc, BrokenPipeError):  # stdout closed early: the exit flush must not raise
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    print(out if args.format == "json" else out.rstrip("\n"))
     return 0 if report["verdict"] == "pass" else 1
 
 

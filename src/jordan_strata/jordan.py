@@ -68,18 +68,22 @@ Matrix models used for rank identification:
 
         psi(q) J2 = [[-(c2 + i c3), c0 + i c1], [-(c0 - i c1), -c2 + i c3]],
 
-    and a block [[p, b], [c, d]] reads back as
-    q = (b - c)/2 + (b + c)/(2i) e1 - (p + d)/2 e2 + (d - p)/(2i) e3.
-    Jordan rank is half the matrix rank there, and det(X) = Pf(psi(X) J6),
-    the pfaffian normalized by Pf(J6) = +1 (J6 is the model of the identity).
-    ``matrix_model_rank`` ranks the model as a skew rational 12x12 matrix:
-    each entry a + bi becomes [[a, b], [b, -a]] = rho(a + bi) diag(1, -1),
-    with rho the ring map of ``linalg``, so the matrix stays skew, its rank is
-    twice the rank over Q(i), and ``linalg.skew_rank`` ranks it.
+    and the diagonal entry d of X gives the block d J2.  Jordan rank is half
+    the matrix rank there, and det(X) = Pf(psi(X) J6), the pfaffian
+    normalized by Pf(J6) = +1 (J6 is the model of the identity).
 
-Each model is one closed-form pair (``to_*_matrix`` / ``from_*_matrix``) on
-Scalar arithmetic; none reads the structure tables, so ``matrix_model_rank``
-stays an independent check of ``jordan_rank``.
+Each model is one formula: a table (``_model``) whose entry (r, c) is a sum
+of terms i^u X_k over the coordinates X_k, read on the stored integers, so
+the entries are Gaussian integers over the element's denominator.  Its
+inverse is the mean of i^-u times the entries a coordinate enters, exact as
+the terms of two coordinates are orthogonal.  ``to_*_matrix`` boxes the
+entries, ``from_*_matrix`` clears denominators once, ``strata`` forms v v^T,
+u w^T and u ^ w on them, and ``matrix_model_rank`` writes each entry a + bi
+as [[a, b], [b, -a]] = rho(a + bi) diag(1, -1), rho the ring map of
+``linalg``: a rational matrix of twice the rank, skew again for H, ranked by
+``linalg.skew_rank`` for H and ``linalg.frac_rank`` for R and C.  No model
+reads the structure tables, so ``matrix_model_rank`` stays an independent
+check of ``jordan_rank``.
 """
 
 from __future__ import annotations
@@ -509,30 +513,102 @@ def invertible_quadratic_rep(a: JordanElement, x: JordanElement):
 
 # -- matrix models -------------------------------------------------------------
 
-_HALF = Scalar(Fraction(1, 2), 0, True)
-_IHALF = Scalar(0, Fraction(-1, 2), True)  # 1/(2i)
-_I = Scalar.i()
+_PAIRS = ((1, 2), (0, 2), (0, 1))  # the positions (i, j) of x, y and z
+
+
+def _gaussian_map(rows, n):
+    """Sparse integer rows of y -> z, z_r the sum of w i^u y_k over the terms
+    (k, u, w) of rows[r], with y (2n long) and z stored as real parts, then
+    imaginary parts."""
+    re = [[(k + n * (u & 1), w if u in (0, 3) else -w) for k, u, w in row] for row in rows]
+    im = [[(k + n * (1 - (u & 1)), w if u < 2 else -w) for k, u, w in row] for row in rows]
+    return re + im
+
+
+def _apply(rows, y):
+    return [sum([w * y[k] for k, w in row]) for row in rows]
+
+
+@lru_cache(maxsize=None)
+def _model(algebra: str):
+    """(size, forward, inverse, den): the ``_gaussian_map`` rows of the model
+    of ``algebra`` (module docstring), size x size, and of den times its inverse."""
+    if algebra not in ("R", "C", "H"):
+        raise ValueError("no classical matrix model for the octonionic algebra")
+    w, size = 1 << LEVEL_OF_ALGEBRA[algebra], 6 if algebra == "H" else 3
+    upper = {}
+    for p, (i, j) in enumerate(_PAIRS):  # diagonal entry p and off-diagonal X_ij
+        c = range(3 + w * p, 3 + w * (p + 1))  # the coordinates of X_ij
+        if algebra == "H":  # d J2 and psi(X_ij) J2
+            c0, c1, c2, c3 = c
+            r, s = 2 * i, 2 * j
+            upper.update({(2 * p, 2 * p + 1): [(p, 0)],
+                          (r, s): [(c2, 2), (c3, 3)], (r, s + 1): [(c0, 0), (c1, 1)],
+                          (r + 1, s): [(c0, 2), (c1, 1)], (r + 1, s + 1): [(c2, 2), (c3, 1)]})
+        else:  # d and a + b e1 -> a + b i
+            upper.update({(p, p): [(p, 0)], (i, j): list(zip(c, (0, 1)))})
+    cells = {}  # the mirror entry is minus the entry for H (skew), its conjugate else
+    for (r, s), terms in upper.items():
+        cells[r, s], cells[s, r] = terms, [(k, u ^ 2 if size == 6 else -u % 4) for k, u in terms]
+    entries = [cells.get((r, s), ()) for r in range(size) for s in range(size)]
+    entered = [[] for _ in range(JordanElement.space_dim(algebra))]
+    for e, terms in enumerate(entries):
+        for k, u in terms:
+            entered[k].append((e, -u % 4))
+    den = lcm(*map(len, entered))
+    forward = _gaussian_map([[(k, u, 1) for k, u in t] for t in entries], len(entered))
+    inverse = _gaussian_map([[(e, u, den // len(t)) for e, u in t] for t in entered], len(entries))
+    return size, forward, inverse, den
+
+
+def _model_ints(x: JordanElement):
+    """(size, m): the model of x is m / x.den, m its entries as Gaussian
+    integers, the real parts row by row, then the imaginary parts."""
+    size, forward, _, _ = _model(x.algebra)
+    return size, _apply(forward, x.v if x.gaussian else x.v + (0,) * len(x.v))
+
+
+def _from_model_ints(algebra: str, m, den: int, gaussian=True) -> JordanElement:
+    """The element whose model is m / den (``_model_ints`` form); m must lie in
+    the image, and its imaginary parts are dropped unless ``gaussian``."""
+    _, _, inverse, d = _model(algebra)
+    v = _apply(inverse, m)
+    return JordanElement._of(algebra, gaussian, v if gaussian else v[: len(v) // 2], den * d)
+
+
+def _boxed_model(x: JordanElement, algebra: str, name: str, gaussian: bool):
+    if x.algebra != algebra:
+        raise ValueError(f"{name} model needs algebra {algebra}")
+    size, m = _model_ints(x)
+    e = box(m if gaussian else m[: len(m) // 2], x.den, gaussian)
+    return tuple(e[r : r + size] for r in range(0, len(e), size))
+
+
+def _unboxed_model(algebra: str, a, shape: str | None) -> JordanElement:
+    """The element of the Scalar model matrix ``a``, over the ring of its
+    entries (always Q(i) off algebra R): denominators cleared once, then the
+    inverse map; ValueError unless ``a`` is ``shape``, the image, when one is named."""
+    size = _model(algebra)[0]
+    e = [z for row in a for z in row]
+    if len(a) != size or len(e) != size * size:
+        raise ValueError(f"need a {size}x{size} matrix")
+    if any(z.gaussian != e[0].gaussian for z in e):
+        raise RingMismatch("mixed base rings in the matrix")
+    m, den = linalg._int_row([z.re for z in e] + [z.im for z in e])
+    x = _from_model_ints(algebra, m, den, algebra != "R" or e[0].gaussian)
+    if shape and any(p * den != q * x.den for p, q in zip(_model_ints(x)[1], m)):
+        raise ValueError(f"matrix is not {shape}")
+    return x
 
 
 def to_symmetric_matrix(x: JordanElement):
-    """Algebra R: the element as a plain symmetric 3x3 scalar matrix."""
-    if x.algebra != "R":
-        raise ValueError("symmetric model needs algebra R")
-    (a, b, c), (p, q, r) = x.diag, (o.real() for o in x.off)
-    return ((a, r, q), (r, b, p), (q, p, c))
+    """Algebra R: the element as a plain symmetric 3x3 matrix over its ring."""
+    return _boxed_model(x, "R", "symmetric", x.gaussian)
 
 
 def from_symmetric_matrix(m) -> JordanElement:
     """Inverse of to_symmetric_matrix, over the ring of the entries."""
-    if any(m[i][j] != m[j][i] for i, j in ((0, 1), (0, 2), (1, 2))):
-        raise ValueError("matrix is not symmetric")
-    off = (m[1][2], m[0][2], m[0][1])
-    return JordanElement("R", (m[0][0], m[1][1], m[2][2]), (CDNumber(0, (s,)) for s in off))
-
-
-def _cd1_to_scalar(q: CDNumber) -> Scalar:
-    a, b = q.coeffs
-    return Scalar(a.re - b.im, a.im + b.re, gaussian=True)
+    return _unboxed_model("R", m, "symmetric")
 
 
 def to_general_matrix(x: JordanElement):
@@ -541,60 +617,22 @@ def to_general_matrix(x: JordanElement):
     On the complexified algebra this is a linear bijection onto all of M3 and
     a Jordan-algebra isomorphism onto symmetrized matrix multiplication.
     """
-    if x.algebra != "C":
-        raise ValueError("general-matrix model needs algebra C")
-    m = x.to_matrix()
-    return tuple(tuple(_cd1_to_scalar(m[i][j]) for j in range(3)) for i in range(3))
+    return _boxed_model(x, "C", "general-matrix", True)
 
 
 def from_general_matrix(m) -> JordanElement:
-    """Inverse of to_general_matrix; accepts any 3x3 Q(i) matrix."""
-    rows = tuple(
-        tuple(
-            CDNumber(1, ((m[i][j] + m[j][i]) * _HALF, (m[i][j] - m[j][i]) * _IHALF))
-            for j in range(3)
-        )
-        for i in range(3)
-    )
-    return JordanElement.from_matrix("C", rows)
-
-
-def _skew_block(q: CDNumber):
-    """The block psi(q) J2 of the skew model (module docstring), as rows."""
-    c0, c1, c2, c3 = (c.to_gaussian() for c in q.coeffs)
-    ic1, ic3 = _I * c1, _I * c3
-    return (-(c2 + ic3), c0 + ic1), (ic1 - c0, ic3 - c2)
+    """Inverse of to_general_matrix; accepts any 3x3 matrix."""
+    return _unboxed_model("C", m, None)
 
 
 def to_skew_matrix(x: JordanElement):
-    """Algebra H: psi(X) J6, a skew-symmetric 6x6 matrix over Q(i), written
-    block by block; block (j, i) is minus the transpose of block (i, j)."""
-    if x.algebra != "H":
-        raise ValueError("skew model needs algebra H")
-    zero = Scalar.zero(True)
-    a = [[zero] * 6 for _ in range(6)]
-    for k, d in enumerate(x.diag):
-        d = d.to_gaussian()
-        a[2 * k][2 * k + 1], a[2 * k + 1][2 * k] = d, -d
-    for (i, j), q in zip(((1, 2), (0, 2), (0, 1)), x.off):
-        for r, row in enumerate(_skew_block(q)):
-            for c, e in enumerate(row):
-                a[2 * i + r][2 * j + c], a[2 * j + c][2 * i + r] = e, -e
-    return tuple(map(tuple, a))
+    """Algebra H: psi(X) J6, a skew-symmetric 6x6 matrix over Q(i)."""
+    return _boxed_model(x, "H", "skew", True)
 
 
 def from_skew_matrix(a) -> JordanElement:
-    """Inverse of to_skew_matrix on skew-symmetric input: block [[p, b], [c, d]]
-    is the quaternion (b - c)/2 + (b + c)/(2i) e1 - (p + d)/2 e2 + (d - p)/(2i) e3."""
-    if any(a[i][j] != -a[j][i] for i in range(6) for j in range(i, 6)):
-        raise ValueError("matrix is not skew-symmetric")
-
-    def quaternion(i, j):
-        (p, b), (c, d) = a[2 * i][2 * j : 2 * j + 2], a[2 * i + 1][2 * j : 2 * j + 2]
-        return CDNumber(2, ((b - c) * _HALF, (b + c) * _IHALF, -(p + d) * _HALF, (d - p) * _IHALF))
-
-    diag = tuple(a[2 * k][2 * k + 1] for k in range(3))
-    return JordanElement("H", diag, (quaternion(1, 2), quaternion(0, 2), quaternion(0, 1)))
+    """Inverse of to_skew_matrix on skew-symmetric input."""
+    return _unboxed_model("H", a, "skew-symmetric")
 
 
 def pfaffian(a) -> Scalar:
@@ -628,15 +666,15 @@ def _pf(a) -> Scalar:
 
 
 def matrix_model_rank(x: JordanElement) -> int:
-    """Ordinary matrix rank in the classical model (halved for algebra H)."""
-    if x.algebra == "R":
-        return linalg.rank(to_symmetric_matrix(x))
-    if x.algebra == "C":
-        return linalg.rank(to_general_matrix(x))
+    """Matrix rank of the classical model (halved for algebra H), from the
+    stored integers (module docstring)."""
+    size, m = _model_ints(x)
+    n = size * size
+    rows = []
+    for r in range(0, n, size):
+        pairs = list(zip(m[r : r + size], m[n + r : n + r + size]))
+        rows.append([y for a, b in pairs for y in (a, b)])
+        rows.append([y for a, b in pairs for y in (b, -a)])
     if x.algebra == "H":
-        rows = []  # a + bi -> [[a, b], [b, -a]] (module docstring)
-        for row in to_skew_matrix(x):
-            rows.append([y for z in row for y in (z.re, z.im)])
-            rows.append([y for z in row for y in (z.im, -z.re)])
         return linalg.skew_rank(rows) // 4
-    raise ValueError("no classical matrix model for the octonionic algebra")
+    return linalg.frac_rank(rows) // 2

@@ -4,7 +4,10 @@ chords of the rank-one locus, and the gradient of the cubic norm.
 
 Everything is projective-exact: proportionality over Q(i) is decided by
 cross-multiplication, and all rank and gradient statements are zero tests in
-exact arithmetic.
+exact arithmetic.  The embeddings and ``rank1_projective_factor`` work on the
+classical models of ``jordan`` as Gaussian integers over one denominator:
+v v^T, u w^T and u ^ w are formed there and mapped back by the models'
+inverse, with no Scalar arithmetic.
 """
 
 from __future__ import annotations
@@ -18,18 +21,14 @@ from .bilinear import box
 from .cayley_dickson import CDNumber
 from .jordan import (
     JordanElement,
+    _from_model_ints,
+    _model_ints,
     cross,
     det,
-    from_general_matrix,
-    from_skew_matrix,
-    from_symmetric_matrix,
     invertible_quadratic_rep,
     jordan_rank,
     quadratic_rep,
     sharp,
-    to_general_matrix,
-    to_skew_matrix,
-    to_symmetric_matrix,
 )
 from .scalars import Scalar
 
@@ -113,44 +112,49 @@ class ProjPoint:
         return ProjPoint(JordanElement.from_json(obj))
 
 
-def _gauss_vec(v):
-    """A vector of Scalars or rationals as Scalars over Q(i)."""
-    return tuple(
-        c.to_gaussian() if isinstance(c, Scalar) else Scalar(Fraction(c), 0, True) for c in v
-    )
+def _embed(algebra: str, u, w, den: int = 1, skew=False) -> JordanElement:
+    """The element whose model is u w^T / den, or u ^ w / den = (u w^T - w u^T) / den
+    when ``skew``, for vectors u, w of Gaussian integers (re, im)."""
+    n = len(u)
+    cells = [(a * c - b * d, a * d + b * c) for a, b in u for c, d in w]
+    if skew:  # u ^ w = u w^T - (u w^T)^T
+        t = [cells[j * n + i] for i in range(n) for j in range(n)]
+        cells = [(p - r, q - s) for (p, q), (r, s) in zip(cells, t)]
+    return _from_model_ints(algebra, [c[0] for c in cells] + [c[1] for c in cells], den)
+
+
+def _embedding(algebra: str, vectors, length: int, skew=False) -> JordanElement:
+    """``_embed`` of Scalar or rational vectors, denominators cleared once."""
+    if any(len(v) != length for v in vectors):
+        raise ValueError(f"the model of {algebra} needs {length}-vectors")
+    ints, den = linalg._int_row([
+        p for v in vectors for c in v
+        for p in ((c.re, c.im) if isinstance(c, Scalar) else (Fraction(c), 0))
+    ])
+    pairs = list(zip(ints[::2], ints[1::2]))
+    u, w = pairs[:length], pairs[-length:]
+    x = _embed(algebra, u, w, den * den, skew)
+    if x.is_zero():
+        raise ValueError("vectors are linearly dependent" if skew else "zero vector")
+    return x
 
 
 def veronese(v) -> JordanElement:
-    """v -> v v^T, a rank-one symmetric matrix (algebra R, complexified)."""
-    v = _gauss_vec(v)
-    if all(c.is_zero() for c in v):
-        raise ValueError("zero vector")
-    return from_symmetric_matrix(tuple(tuple(a * b for b in v) for a in v))
+    """v -> v v^T in Gaussian integers, a rank-one symmetric matrix (algebra R, complexified)."""
+    return _embedding("R", [v], 3)
 
 
 def segre(u, w) -> JordanElement:
-    """(u, w) -> u w^T in the full-matrix model (algebra C, complexified)."""
-    u, w = _gauss_vec(u), _gauss_vec(w)
-    if all(c.is_zero() for c in u) or all(c.is_zero() for c in w):
-        raise ValueError("zero vector")
-    m = tuple(tuple(u[i] * w[j] for j in range(3)) for i in range(3))
-    return from_general_matrix(m)
+    """(u, w) -> u w^T in Gaussian integers, the full-matrix model (algebra C, complexified)."""
+    return _embedding("C", [u, w], 3)
 
 
 def plucker(u, w) -> JordanElement:
-    """(u, w) -> u ^ w in the skew model (algebra H, complexified).
+    """(u, w) -> u ^ w in Gaussian integers, the skew model (algebra H, complexified).
 
     Inputs are 6-vectors; they must be linearly independent.
     """
-    u, w = _gauss_vec(u), _gauss_vec(w)
-    if len(u) != 6 or len(w) != 6:
-        raise ValueError("plucker needs two 6-vectors")
-    skew = tuple(
-        tuple(u[i] * w[j] - u[j] * w[i] for j in range(6)) for i in range(6)
-    )
-    if all(x.is_zero() for row in skew for x in row):
-        raise ValueError("vectors are linearly dependent")
-    return from_skew_matrix(skew)
+    return _embedding("H", [u, w], 6, skew=True)
 
 
 def rank1_sample(algebra: str, rng) -> JordanElement:
@@ -321,40 +325,35 @@ def rank1_projective_factor(x: JordanElement):
     embedded point proportional to x.  Raises for the octonionic algebra and
     off the complexified algebra, and returns None when x is not rank one:
     the embedding of nonzero vectors has rank one, so the closing ProjPoint
-    test decides the rank.
+    test decides the rank.  The model of x, its pivot and its vectors stay
+    Gaussian integers over x.den; only the returned vectors are boxed.
     """
     if not x.gaussian:
         raise ValueError("projective points live on the complexified algebra")
-    if x.algebra == "R":
-        m = to_symmetric_matrix(x)
-        piv = next((i for i in range(3) if not m[i][i].is_zero()), None)
-        if piv is None:
-            return None
-        v = tuple(m[piv])
-        if ProjPoint(veronese(v)) != ProjPoint(x):
-            return None
-        return "veronese", v
-    if x.algebra == "C":
-        m = to_general_matrix(x)
-        pivot = next(
-            ((i, j) for i in range(3) for j in range(3) if not m[i][j].is_zero()), None
-        )
+    size, m = _model_ints(x)
+    n = size * size
+    rows = [list(zip(m[r : r + size], m[n + r : n + r + size])) for r in range(0, n, size)]
+    nonzero = lambda c: c != (0, 0)
+    if x.algebra != "H":  # m_pq m = col_q row_p^T on the closed orbit
+        pivot = next(((i, j) for i in range(3) for j in range(3) if nonzero(rows[i][j])), None)
         if pivot is None:
             return None
-        pi, pj = pivot
-        u = tuple(m[i][pj] for i in range(3))
-        w = tuple(m[pi][j] * m[pi][pj].inverse() for j in range(3))
-        if ProjPoint(segre(u, w)) != ProjPoint(x):
-            return None
-        return "segre", (u, w)
-    if x.algebra == "H":
-        n = to_skew_matrix(x)
-        cols = [c for c in zip(*n) if any(not e.is_zero() for e in c)]
-        w = next((c for c in cols[1:] if linalg.rank((cols[0], c)) == 2), None)
+        u = [row[pivot[1]] for row in rows]
+        w = u if x.algebra == "R" else rows[pivot[0]]  # over R then p = q and v = col_p
+    else:  # the first nonzero column and the first one independent of it
+        cols = [c for c in zip(*rows) if any(map(nonzero, c))]
+        w = next((c for c in cols[1:] if not _embed("H", cols[0], c, skew=True).is_zero()), None)
         if w is None:
             return None
         u = cols[0]
-        if ProjPoint(plucker(u, w)) != ProjPoint(x):
-            return None
-        return "plucker", (u, w)
-    raise ValueError("no classical factorization for the octonionic algebra")
+    if ProjPoint(_embed(x.algebra, u, w, skew=x.algebra == "H")) != ProjPoint(x):
+        return None
+    vec = lambda v: box([a for a, _ in v] + [b for _, b in v], x.den, True)
+    if x.algebra == "R":
+        return "veronese", vec(u)
+    if x.algebra == "H":
+        return "plucker", (vec(u), vec(w))
+    c, d = rows[pivot[0]][pivot[1]]
+    q = c * c + d * d  # w / (c + di) = w (c - di) / q
+    w = [Scalar._of(Fraction(a * c + b * d, q), Fraction(b * c - a * d, q), True) for a, b in w]
+    return "segre", (vec(u), tuple(w))

@@ -1,7 +1,10 @@
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
 import pytest
@@ -499,3 +502,23 @@ def test_reduction_reports_a_misreported_rank(check, monkeypatch):
     failed = [c for c in json.loads(out)["checks"] if c["failures"]]
     assert [(c["name"], c["failures"]) for c in failed] == [(check, failures)]
     assert failed[0]["witness"] is not None
+
+
+@pytest.mark.parametrize("run", range(5))
+def test_a_closed_stdout_exits_2_without_a_traceback(run):
+    # the reader goes away before the report is written: a usage-level error
+    # (exit 2, one error line), not a mathematical failure (exit 1) and no traceback
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    args = ["verify", "--suite", "rank-identification", "--samples", "2", "--seed", "1",
+            "--format", "text"]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "jordan_strata.cli", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, text=True,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=100) == 2, err
+    assert "Traceback" not in err
+    assert [line for line in err.splitlines() if line] == ["error: [Errno 32] Broken pipe"]

@@ -5,7 +5,7 @@ from math import gcd
 import pytest
 
 from jordan_strata import jordan, linalg
-from jordan_strata.bilinear import box
+from jordan_strata.bilinear import Bilinear, box
 from jordan_strata.cayley_dickson import CDNumber, cd_mul_doubling
 from jordan_strata.jordan import (
     ALGEBRAS,
@@ -31,7 +31,16 @@ from jordan_strata.jordan import (
     trace_form,
 )
 from jordan_strata.scalars import Scalar
-from jordan_strata.strata import _sharp_derivative, random_element, rank_k_sample
+from jordan_strata.strata import (
+    ProjPoint,
+    _sharp_derivative,
+    plucker,
+    random_element,
+    rank1_projective_factor,
+    rank_k_sample,
+    segre,
+    veronese,
+)
 
 
 def combine_real_imag(re_part, im_part):
@@ -656,3 +665,165 @@ def test_immutable():
     x.split_real_imag(), x.coords(), x.to_json()
     assert (x.v, x.den, y.v, y.den) == before
     assert type(x.v) is tuple and type(x.diag) is tuple and type(x.off) is tuple
+
+
+# -- the matrix models on the stored integers against the Scalar formulas they
+# replaced, entry by entry and read from the diag and off views; the models
+# share the integer tables, so these oracles check the tables themselves
+
+_HALF, _IHALF, _I = Scalar(Fraction(1, 2), 0, True), Scalar(0, Fraction(-1, 2), True), Scalar.i()
+
+
+def symmetric_oracle(x):
+    (a, b, c), (p, q, r) = x.diag, (o.real() for o in x.off)
+    return ((a, r, q), (r, b, p), (q, p, c))
+
+
+def general_oracle(x):
+    m = x.to_matrix()
+    lift = lambda q: Scalar(q.coeffs[0].re - q.coeffs[1].im, q.coeffs[0].im + q.coeffs[1].re, True)
+    return tuple(tuple(lift(m[i][j]) for j in range(3)) for i in range(3))
+
+
+def from_symmetric_oracle(m):
+    off = (m[1][2], m[0][2], m[0][1])
+    return JordanElement("R", (m[0][0], m[1][1], m[2][2]), (CDNumber(0, (s,)) for s in off))
+
+
+def from_general_oracle(m):
+    rows = tuple(
+        tuple(
+            CDNumber(1, ((m[i][j] + m[j][i]) * _HALF, (m[i][j] - m[j][i]) * _IHALF))
+            for j in range(3)
+        )
+        for i in range(3)
+    )
+    return JordanElement.from_matrix("C", rows)
+
+
+def from_skew_oracle(a):
+    """Block [[p, b], [c, d]] is (b - c)/2 + (b + c)/(2i) e1 - (p + d)/2 e2 + (d - p)/(2i) e3."""
+
+    def quaternion(i, j):
+        (p, b), (c, d) = a[2 * i][2 * j : 2 * j + 2], a[2 * i + 1][2 * j : 2 * j + 2]
+        return CDNumber(2, ((b - c) * _HALF, (b + c) * _IHALF, -(p + d) * _HALF, (d - p) * _IHALF))
+
+    diag = tuple(a[2 * k][2 * k + 1] for k in range(3))
+    return JordanElement("H", diag, (quaternion(1, 2), quaternion(0, 2), quaternion(0, 1)))
+
+
+def _gauss_vec(v):
+    return tuple(
+        c.to_gaussian() if isinstance(c, Scalar) else Scalar(Fraction(c), 0, True) for c in v
+    )
+
+
+def veronese_oracle(v):
+    v = _gauss_vec(v)
+    return from_symmetric_oracle(tuple(tuple(a * b for b in v) for a in v))
+
+
+def segre_oracle(u, w):
+    u, w = _gauss_vec(u), _gauss_vec(w)
+    return from_general_oracle(tuple(tuple(u[i] * w[j] for j in range(3)) for i in range(3)))
+
+
+def plucker_oracle(u, w):
+    u, w = _gauss_vec(u), _gauss_vec(w)
+    return from_skew_oracle(tuple(tuple(u[i] * w[j] - u[j] * w[i] for j in range(6)) for i in range(6)))
+
+
+MODELS = {  # algebra -> (to, from, the oracle of to, the oracle of from)
+    "R": (to_symmetric_matrix, from_symmetric_matrix, symmetric_oracle, from_symmetric_oracle),
+    "C": (to_general_matrix, from_general_matrix, general_oracle, from_general_oracle),
+    "H": (to_skew_matrix, from_skew_matrix, skew_oracle, from_skew_oracle),
+}
+EMBEDDINGS = {"veronese": (veronese, veronese_oracle), "segre": (segre, segre_oracle),
+              "plucker": (plucker, plucker_oracle)}
+
+
+def large_model_elements():
+    """(tag, k, x): ``classify_element`` at 40-digit height, R, C and H over both rings."""
+    for tag in ("R", "R_C", "C", "C_C", "H", "H_C"):
+        for k in range(4):
+            yield tag, k, classify_element(tag, k, "large")
+
+
+def test_models_at_40_digit_height():
+    for tag, k, x in large_model_elements():
+        to, back, to_oracle, back_oracle = MODELS[tag[0]]
+        m = to(x)
+        assert m == to_oracle(x), tag
+        # off R the model lives over Q(i), so a rational element comes back complexified
+        same = x if x.gaussian or tag == "R" else x.complexify()
+        assert back(m) == back_oracle(m) == same, tag
+        assert matrix_model_rank(x) == jordan_rank(x) == k, tag
+
+
+def test_rank_one_factors_at_40_digit_height():
+    kinds = {"R": "veronese", "C": "segre", "H": "plucker"}
+    for tag, k, x in large_model_elements():
+        xc = x.complexify()
+        factor = rank1_projective_factor(xc)
+        if k != 1:
+            assert factor is None, tag
+            continue
+        kind, data = factor
+        assert kind == kinds[tag[0]]
+        vectors = [data] if kind == "veronese" else data
+        assert ProjPoint(EMBEDDINGS[kind][0](*vectors)) == ProjPoint(xc), tag
+
+
+def big_gaussian(rng):
+    """A Gaussian rational with 40-digit parts over unrelated denominators, or now and
+    then a bare integer or a rational Scalar."""
+    part = lambda: Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**40))
+    roll = rng.random()
+    if roll < 0.1:
+        return rng.randint(-3, 3)
+    if roll < 0.2:
+        return Scalar(part())
+    return Scalar(part(), part(), True)
+
+
+def test_embeddings_match_the_scalar_formulas_at_40_digit_height():
+    rng = random.Random(29)
+    for kind, (embedding, oracle) in EMBEDDINGS.items():
+        count, length = {"veronese": (1, 3), "segre": (2, 3), "plucker": (2, 6)}[kind]
+        for _ in range(12):
+            vectors = [[big_gaussian(rng) for _ in range(length)] for _ in range(count)]
+            x = embedding(*vectors)
+            assert x == oracle(*vectors) and jordan_rank(x) == 1, kind
+    u = [big_gaussian(rng) for _ in range(6)]
+    with pytest.raises(ValueError, match="dependent"):
+        plucker(u, [c * 3 for c in u])
+    with pytest.raises(ValueError, match="zero vector"):
+        segre([0, 0, 0], [1, 2, 3])
+
+
+def test_the_models_read_no_structure_table(monkeypatch):
+    # the models never reach the bilinear engine behind jordan_rank, so a wrong
+    # structure table cannot agree with itself through matrix_model_rank
+    elements = list(large_model_elements())
+    factors = [rank1_projective_factor(x.complexify()) for _, _, x in elements]
+    rng = random.Random(30)
+    vectors = {
+        kind: [[big_gaussian(rng) for _ in range(n)] for _ in range(count)]
+        for kind, (count, n) in {"veronese": (1, 3), "segre": (2, 3), "plucker": (2, 6)}.items()
+    }
+    embedded = {kind: EMBEDDINGS[kind][1](*vs) for kind, vs in vectors.items()}
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("structure table read")
+
+    for name in ("square", "product", "contract", "left"):
+        monkeypatch.setattr(Bilinear, name, broken)
+    for (tag, k, x), factor in zip(elements, factors):
+        to, back, _, _ = MODELS[tag[0]]
+        assert matrix_model_rank(x) == k, tag
+        assert back(to(x)) == (x if x.gaussian or tag == "R" else x.complexify()), tag
+        assert rank1_projective_factor(x.complexify()) == factor, tag
+    for kind, vs in vectors.items():
+        assert EMBEDDINGS[kind][0](*vs) == embedded[kind]
+    with pytest.raises(RuntimeError):
+        jordan_rank(elements[-1][2])
