@@ -45,9 +45,11 @@ inverts, over Q(i) from L(a) and L(b).
 once for all three classes: normalization to lowest terms, + and - over the
 lcm of two denominators, negation, scaling by a ``Scalar``, the base-ring
 swap, the zero test, equality, hashing, and the JSON codec, which writes
-and reads the stored integers with no ``Scalar`` in between.  ``scaled``
-multiplies such an integer vector by a Gaussian integer, and ``box`` makes
-the ``Scalar`` view of such a vector, when one is asked for.
+and reads the stored integers with no ``Scalar`` in between.  A value holds
+only its integers: ``box`` makes the ``Scalar`` coordinates of such a
+vector, boxed from the integers on each read.  ``over_lcm`` puts several
+values over one common denominator, and ``scaled`` multiplies an integer
+vector by a Gaussian integer.
 """
 
 from __future__ import annotations
@@ -246,6 +248,13 @@ def box(v, den, gaussian):
     )
 
 
+def over_lcm(values):
+    """(vs, d): the integer vectors of ``values`` over the lcm d of their
+    denominators, ``vs[i] / d`` the value ``values[i]``."""
+    d = lcm(*[x.den for x in values])
+    return [x.v if x.den == d else [c * (d // x.den) for c in x.v] for x in values], d
+
+
 def scaled(v, a, b=0):
     """(a + bi) v for integers a, b and an integer vector v (real parts, then
     imaginary parts over Q(i); b = 0 over Q)."""
@@ -264,18 +273,19 @@ class IntVector:
 
     ``tag`` names the space the vector lives in (a Cayley-Dickson level, a
     Jordan algebra, a TKK case) and ``gaussian`` its base ring; values of
-    different tags or rings never mix.  ``_view`` holds a subclass's ``Scalar`` view, kept
-    from construction or built on first read.  Subclasses build values in
-    ``__new__``, so every value is made by ``_canonical``.
+    different tags or rings never mix.  A value holds no ``Scalar`` state:
+    a subclass's ``Scalar`` coordinates are boxed from the integers on each
+    read.  Subclasses build values in ``__new__``, so every value is made by
+    ``_canonical``.
     """
 
-    __slots__ = ("tag", "gaussian", "v", "den", "_view")
+    __slots__ = ("tag", "gaussian", "v", "den")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def _canonical(cls, tag, gaussian: bool, v, den: int, view=None):
+    def _canonical(cls, tag, gaussian: bool, v, den: int):
         """The value v / den for an int sequence v and den > 0 already in
         lowest terms, as ``linalg._int_row`` makes them."""
         x = object.__new__(cls)
@@ -284,7 +294,6 @@ class IntVector:
         set_(x, "gaussian", gaussian)
         set_(x, "v", tuple(v))
         set_(x, "den", den)
-        set_(x, "_view", view)
         return x
 
     @classmethod

@@ -14,12 +14,12 @@ integers by the generated code of the bilinear engine
 vector over one positive denominator in lowest terms, so a product reads its
 operands' integers and is stored as it comes; that format, its linear
 structure (+, -, scaling, equality, hashing) and its JSON codec live in
-``bilinear.IntVector``, and the ``Scalar`` coordinates (``coeffs``) are a
-view for the API and ``repr``.  The pair recursion itself is kept as
-``cd_mul_doubling``, an independent route on the same stored integers (over
-Q(i), four real recursions on the real and imaginary parts) that reads
-neither the unit table nor the engine, so tests can cross-check the two
-against each other.
+``bilinear.IntVector``, and the ``Scalar`` coordinates (``coeffs``), for
+the API and ``repr``, are boxed from the integers on each read.  The pair
+recursion itself is kept as ``cd_mul_doubling``, an independent route on
+the same stored integers (over Q(i), four real recursions on the real and
+imaginary parts) that reads neither the unit table nor the engine, so tests
+can cross-check the two against each other.
 
 Complexification is a base-ring swap (rational -> Gaussian rational), not a
 fourth doubling, so the Gaussian-base level-3 algebra stays 8-dimensional over
@@ -67,8 +67,8 @@ class CDNumber(IntVector):
 
     Stored as ``v / den`` (``bilinear.IntVector``, whose ``tag`` is the
     level): ``v`` holds 2^level ints over Q and twice as many over Q(i).
-    ``coeffs`` keeps the Scalars a number was built from, or boxes an engine
-    result on first use.
+    ``coeffs`` boxes the Scalars from the integers on each read; the
+    constructor checks the Scalars it is given and keeps only their integers.
     """
 
     __slots__ = ()
@@ -79,7 +79,7 @@ class CDNumber(IntVector):
         g = _base_ring(level, [c.gaussian for c in coeffs])
         parts = [c.re for c in coeffs] + ([c.im for c in coeffs] if g else [])
         v, den = _int_row(parts)  # least den, so already canonical
-        return cls._canonical(level, g, v, den, coeffs)
+        return cls._canonical(level, g, v, den)
 
     # -- constructors ---------------------------------------------------------
 
@@ -105,10 +105,8 @@ class CDNumber(IntVector):
 
     @property
     def coeffs(self):
-        """The coordinates as Scalars."""
-        if self._view is None:
-            object.__setattr__(self, "_view", box(self.v, self.den, self.gaussian))
-        return self._view
+        """The coordinates as Scalars, boxed from the integers."""
+        return box(self.v, self.den, self.gaussian)
 
     @property
     def algebra(self) -> str:
@@ -151,12 +149,12 @@ class CDNumber(IntVector):
     # -- JSON -------------------------------------------------------------------
 
     def to_json(self):
-        """Written from the stored integers; no ``Scalar`` view is built."""
+        """Written from the stored integers; no ``Scalar`` is built."""
         return {"level": self.tag, "coeffs": self._json_entries()}
 
     @staticmethod
     def from_json(obj) -> "CDNumber":
-        """The constructor's checks and errors; no ``Scalar`` view is built."""
+        """The constructor's checks and errors; no ``Scalar`` is built."""
         return CDNumber._from_json_fractions(*CDNumber._json_fractions(obj))
 
     @staticmethod

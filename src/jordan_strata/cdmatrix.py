@@ -16,10 +16,10 @@ look inside an entry; ``conj_transpose`` serves ``Scalar`` matrices as well.
 
 from __future__ import annotations
 
-from math import lcm
 from operator import mul as _times
 
 from . import linalg
+from .bilinear import over_lcm
 from .cayley_dickson import CDNumber, _cd_product
 from .linalg import add, neg, sub
 from .linalg import mat as from_rows
@@ -97,12 +97,11 @@ def inverse(a):
 
 
 def _over_lcm(entries, first):
-    """(vs, d): the integer coordinates of ``entries``, each checked against
-    the level and ring of ``first``, over the lcm d of their denominators."""
+    """``bilinear.over_lcm`` of ``entries``, each checked against the level
+    and ring of ``first``."""
     for x in entries:
         first._check(x)
-    d = lcm(*[x.den for x in entries])
-    return [x.v if x.den == d else [c * (d // x.den) for c in x.v] for x in entries], d
+    return over_lcm(entries)
 
 
 def _block_row(row, first):

@@ -14,7 +14,8 @@ format, one integer vector over one positive denominator
 (``bilinear.IntVector``, which also owns +, -, scaling, equality, hashing
 and the JSON codec), so every product and invariant reads the stored
 integers, a product is stored as the engine hands it back, and JSON is
-written and read from the integers; ``diag`` and ``off`` are views.
+written and read from the integers; ``diag``, ``off`` and ``coords()`` are
+boxed from the integers on each read.
 
 The Jordan product x o y = (xy + yx)/2 runs on structure constants.  The
 table ``_mult_table`` is generated straight from the Cayley-Dickson unit
@@ -116,8 +117,9 @@ class JordanElement(IntVector):
     ``v / den`` (``bilinear.IntVector``, whose ``tag`` is the algebra) in
     ``coords`` order: a, b, c, then the units of x, y and z, the real parts
     first and, over Q(i), then the imaginary parts.  ``diag`` (3 Scalars)
-    and ``off`` (3 CDNumbers) are views, kept from construction or built on
-    first read."""
+    and ``off`` (3 CDNumbers) are boxed from the integers on each read; the
+    constructor checks the entries it is given and keeps only their
+    integers."""
 
     __slots__ = ()
     algebra = IntVector.tag  # the tag slot itself, read as fast as any slot
@@ -133,7 +135,7 @@ class JordanElement(IntVector):
         ov = [q.v if q.den == den else [c * (den // q.den) for c in q.v] for q in off]
         w = 1 << level
         v = dv[:3] + [c for o in ov for c in o[:w]] + dv[3:] + [c for o in ov for c in o[w:]]
-        return cls._canonical(algebra, g, v, den, (diag, off))
+        return cls._canonical(algebra, g, v, den)
 
     # -- basic structure -------------------------------------------------------
 
@@ -141,27 +143,21 @@ class JordanElement(IntVector):
     def level(self) -> int:
         return LEVEL_OF_ALGEBRA[self.tag]
 
-    def _views(self):
-        """(diag, off), boxed from the integers on first use."""
-        if self._view is None:
-            v, den, g, level = self.v, self.den, self.gaussian, self.level
-            n, w = len(v) // (2 if g else 1), 1 << level
-            off = tuple(
-                CDNumber._of(level, g, v[a : a + w] + v[n + a : n + a + w], den)
-                for a in range(3, n, w)
-            )
-            object.__setattr__(self, "_view", (box(v[:3] + v[n : n + 3], den, g), off))
-        return self._view
-
     @property
     def diag(self):
         """The diagonal (a, b, c) as Scalars."""
-        return self._views()[0]
+        v, n = self.v, len(self.v) // (2 if self.gaussian else 1)
+        return box(v[:3] + v[n : n + 3], self.den, self.gaussian)
 
     @property
     def off(self):
         """The off-diagonal entries (x, y, z) = (X_23, X_13, X_12) as CDNumbers."""
-        return self._views()[1]
+        v, den, g, level = self.v, self.den, self.gaussian, self.level
+        n, w = len(v) // (2 if g else 1), 1 << level
+        return tuple(
+            CDNumber._of(level, g, v[a : a + w] + v[n + a : n + a + w], den)
+            for a in range(3, n, w)
+        )
 
     @staticmethod
     def zero(algebra: str, gaussian=False) -> "JordanElement":
@@ -210,9 +206,9 @@ class JordanElement(IntVector):
     # -- coordinates (used by the operator layer) -------------------------------
 
     def coords(self):
-        """Flat coordinate tuple: 3 diagonal scalars then 3 * 2^level slots."""
-        diag, off = self._views()
-        return diag + tuple(c for q in off for c in q.coeffs)
+        """Flat coordinate tuple: 3 diagonal scalars then 3 * 2^level slots,
+        the storage order."""
+        return box(self.v, self.den, self.gaussian)
 
     @staticmethod
     def from_coords(algebra: str, coords, gaussian=False) -> "JordanElement":
@@ -250,7 +246,7 @@ class JordanElement(IntVector):
     # -- JSON --------------------------------------------------------------------
 
     def to_json(self):
-        """Written from the stored integers; no ``Scalar`` view is built."""
+        """Written from the stored integers; no ``Scalar`` is built."""
         e, level, w = self._json_entries(), self.level, 1 << self.level
         return {
             "algebra": self.algebra,
@@ -261,7 +257,7 @@ class JordanElement(IntVector):
 
     @staticmethod
     def from_json(obj) -> "JordanElement":
-        """The constructor's checks and errors; no ``Scalar`` view is built until one is read."""
+        """The constructor's checks and errors; no ``Scalar`` is built."""
         diag = [json_fractions(s) for s in obj["diag"]]
         off = [CDNumber._json_fractions(q) for q in obj["off"]]
         algebra = obj["algebra"]

@@ -366,9 +366,9 @@ def _quat_rank1_data(m):
     b = []
     for row in m:
         q = row[p].scale(inv)
-        if any(c.im for c in q.coeffs):
+        if any(q.v[4:]):
             raise LiftError("pivot column of the block is not rational", "quat-ray-irrational")
-        b.append(CDNumber(2, [Scalar(c.re) for c in q.coeffs]))
+        b.append(CDNumber._of(2, False, q.v[:4], q.den))
     return b, kappa
 
 

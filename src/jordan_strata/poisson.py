@@ -262,8 +262,8 @@ def _sparse_g_basis(case):
             for c, v in enumerate(row):
                 if v.is_zero():
                     continue
-                k = next(i for i, x in enumerate(v.coeffs) if not x.is_zero())
-                sgn = 1 if v.coeffs[k].re > 0 else -1
+                k = next(i for i, x in enumerate(v.v) if x)
+                sgn = 1 if v.v[k] > 0 else -1
                 entries.append((r, c, k, sgn))
         sparse.append(tuple(entries))
     return tuple(sparse)

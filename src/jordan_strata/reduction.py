@@ -57,8 +57,8 @@ from math import lcm
 
 from . import cdmatrix as cdm
 from . import linalg
-from .bilinear import Bilinear
-from .cayley_dickson import LEVEL_OF_ALGEBRA, CDNumber, unit_product
+from .bilinear import Bilinear, over_lcm
+from .cayley_dickson import LEVEL_OF_ALGEBRA, CDNumber, cd_mul, unit_product
 from .jordan import JordanElement, jordan_rank
 from .scalars import Scalar, json_int, json_rational, rational_to_json
 from .strata import draws, rand_cd, rand_cd_matrix
@@ -194,8 +194,6 @@ def b_form(case, u, v):
     level = CASE_LEVEL[case]
     g = u[0].gaussian
     acc = CDNumber.zero(level, g)
-    from .cayley_dickson import cd_mul
-
     for r in range(3):
         acc = acc + cd_mul(u[r].conjugate(), v[r + 3])
         acc = acc - cd_mul(u[r + 3].conjugate(), v[r])
@@ -215,9 +213,8 @@ def symplectic_gram(maps, others=None):
         raise ValueError("case or size mismatch")
 
     def coords(w):  # rows 0-2 first, so the halves are the xi and upsilon blocks
-        entries = [x for row in w.matrix for x in row]
-        den = lcm(*[x.den for x in entries])
-        v = [c * (den // x.den) for x in entries for c in x.v]
+        vs, den = over_lcm([x for row in w.matrix for x in row])
+        v = [c for u in vs for c in u]
         return v[: len(v) // 2], v[len(v) // 2 :], den
 
     def omega(a, b, zero=Scalar.zero()):
@@ -414,8 +411,8 @@ def _zero_level_columns(alpha: WMap):
     d = 1 << CASE_LEVEL[alpha.case]
     cols = []
     for col in zip(*alpha.matrix):
-        den = lcm(*[x.den for x in col])
-        u = [c * (den // x.den) for x in col for c in x.v]
+        vs, den = over_lcm(col)
+        u = [c for v in vs for c in v]
         if not any(u):
             continue
         cols.append((u, den))
@@ -591,6 +588,6 @@ def classify_config(c: OscillatorConfig) -> int:
 def oscillator_sample(s, target_rank, rng) -> OscillatorConfig:
     """A zero-angular-momentum configuration with the given stratum."""
     alpha = zero_level_sample("real", s, target_rank, rng)
-    q = tuple(tuple(x.coeffs[0].re for x in row) for row in alpha.matrix[:3])
-    p = tuple(tuple(x.coeffs[0].re for x in row) for row in alpha.matrix[3:])
+    q = tuple(tuple(Fraction(x.v[0], x.den) for x in row) for row in alpha.matrix[:3])
+    p = tuple(tuple(Fraction(x.v[0], x.den) for x in row) for row in alpha.matrix[3:])
     return OscillatorConfig(q, p)

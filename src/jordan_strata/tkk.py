@@ -99,11 +99,6 @@ class JordanSpace:
                      for e in units]
 
 
-@lru_cache(maxsize=None)
-def jordan_space(algebra: str) -> JordanSpace:
-    return JordanSpace(algebra)
-
-
 class StrBasisOp(NamedTuple):
     """A selected structure-algebra basis operator, rows / den with integer
     sparse rows, and its provenance, which the Lie table and the invariant
@@ -205,7 +200,7 @@ class TKKAlgebra:
     def __init__(self, case: str):
         self.case = case
         self.algebra = CASE_TO_ALGEBRA[case]
-        self.space = jordan_space(self.algebra)
+        self.space = JordanSpace(self.algebra)
         self._build_lie(self._build_str_basis())
         self._build_gram()
 

@@ -543,9 +543,9 @@ def assert_same(x, y):
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)
 @pytest.mark.parametrize("gaussian", [False, True])
-def test_coords_read_the_kept_view(algebra, gaussian):
-    # coords() hands back the Scalars of the diag/off view (kept from the
-    # constructor, or boxed once from an engine result), not a fresh boxing
+def test_coords_are_the_boxed_integers(algebra, gaussian):
+    # coords() boxes the stored integers on each read, whichever route made
+    # the value (the constructor, an engine result, a sum)
     rng = random.Random(700 + 2 * ALGEBRAS.index(algebra) + gaussian)
     dim = JordanElement.space_dim(algebra)
     big = lambda: Fraction(rng.randint(-10**40, 10**40), rng.randint(1, 10**40))
@@ -558,7 +558,6 @@ def test_coords_read_the_kept_view(algebra, gaussian):
         c = z.coords()
         assert c == box(z.v, z.den, z.gaussian)
         assert len(c) == dim and all(type(s) is Scalar and s.gaussian == gaussian for s in c)
-        assert all(a is b for a, b in zip(z.coords(), c))
 
 
 @pytest.mark.parametrize("algebra", ALGEBRAS)
