@@ -433,7 +433,7 @@ def liftable_sample(case, rank, s, rng) -> JordanElement:
         return reduced_point(zero_level_sample(case, s, rank, rng, enrich=False))
     if case == "real":
         return _real_liftable(rank, s, rng)
-    return _quat_liftable(rank, s, rng)
+    return _quat_liftable(rank, rng)
 
 
 def _real_liftable(rank, s, rng):
@@ -472,7 +472,7 @@ def _real_liftable(rank, s, rng):
         return from_symmetric_matrix(linalg.scale(m, Scalar(0, Fraction(-1, 2), True)))  # M/(2i)
 
 
-def _quat_liftable(rank, s, rng):
+def _quat_liftable(rank, rng):
     """Z = m / (2i), m = sum kappa b conj(b)^T: b1, b2 are nonzero and orthogonal,
     and kappa = (1 + ic)^2 nu != 0 (nu > 0), so the pieces are nonzero multiples
     of orthogonal rank-one idempotents."""

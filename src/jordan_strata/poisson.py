@@ -325,7 +325,7 @@ def poisson_rank_at_matrix(case, m) -> int:
     return linalg.skew_rank(rows)
 
 
-def matrix_p_element(case, xc: JordanElement):
+def matrix_p_element(xc: JordanElement):
     """The matrix-model p-element [[w, x_p], [x_p, -w]] of w + i x_p."""
     re_part, im_part = xc.split_real_imag()
     w = re_part.to_matrix()

@@ -41,7 +41,7 @@ keep as the oracle.
 
 Group moves are applied by their factors.  An element of G = U(V, B) is drawn
 as y = [[I, X], [0, I]] diag(g, (g*)^-1) [[I, 0], [Y, I]] with X, Y hermitian;
-``g_group_generators`` forms y blockwise and the sampler moves alpha by the
+``g_group_element`` forms y blockwise and the sampler moves alpha by the
 factors without forming y.  Words in H are built by column operations on the
 identity and are unitary, so ``act_h`` multiplies by x* for x^-1.  The
 oscillator's angular momentum J = mu_H is one integer pass over the upper
@@ -267,7 +267,7 @@ def moment_identity_residual_g(alpha: WMap, eta, delta: WMap) -> Scalar:
     return lhs - rhs
 
 
-def in_lie_h(case, xi) -> bool:
+def in_lie_h(xi) -> bool:
     """Anti-hermitian for the standard positive form on K^s."""
     return cdm.is_zero(cdm.add(xi, cdm.conj_transpose(xi)))
 
@@ -279,33 +279,30 @@ def in_lie_g(case, m) -> bool:
     return cdm.is_zero(lhs)
 
 
-# -- group generators (exact rational points, used for equivariance tests) ------
+# -- group elements (exact rational points, used for equivariance tests) --------
 
 
-def h_group_generators(case, s, rng, count=2):
-    """Random unitary words of three exact generators of H = O(s) / U(s) / Sp(s):
+def h_group_element(case, s, rng):
+    """A random unitary word of three exact generators of H = O(s) / U(s) / Sp(s):
     a column swap, a column times a signed unit, a 3-4-5 rotation of two."""
     level = CASE_LEVEL[case]
-    out = []
-    for _ in range(count):
-        cols = [list(c) for c in cdm.identity(s, level)]
-        for _ in range(3):
-            kind = rng.choice(["perm", "unit", "rot"] if s > 1 else ["unit"])
-            if kind == "unit":
-                i, k = rng.randrange(s), rng.randrange(1 << level)
-                u = CDNumber.unit(level, k).scale(rng.choice([1, -1]))
-                cols[i] = [x * u for x in cols[i]]
-                continue
-            i, j = rng.sample(range(s), 2)
-            if kind == "perm":
-                cols[i], cols[j] = cols[j], cols[i]
-            else:  # columns (i, j) -> (3 c_i + 4 c_j, 3 c_j - 4 c_i) / 5
-                cols[i], cols[j] = (
-                    [_turn(a, b, 4) for a, b in zip(cols[i], cols[j])],
-                    [_turn(b, a, -4) for a, b in zip(cols[i], cols[j])],
-                )
-        out.append(tuple(zip(*cols)))
-    return out
+    cols = [list(c) for c in cdm.identity(s, level)]
+    for _ in range(3):
+        kind = rng.choice(["perm", "unit", "rot"] if s > 1 else ["unit"])
+        if kind == "unit":
+            i, k = rng.randrange(s), rng.randrange(1 << level)
+            u = CDNumber.unit(level, k).scale(rng.choice([1, -1]))
+            cols[i] = [x * u for x in cols[i]]
+            continue
+        i, j = rng.sample(range(s), 2)
+        if kind == "perm":
+            cols[i], cols[j] = cols[j], cols[i]
+        else:  # columns (i, j) -> (3 c_i + 4 c_j, 3 c_j - 4 c_i) / 5
+            cols[i], cols[j] = (
+                [_turn(a, b, 4) for a, b in zip(cols[i], cols[j])],
+                [_turn(b, a, -4) for a, b in zip(cols[i], cols[j])],
+            )
+    return tuple(zip(*cols))
 
 
 def _turn(a, b, d):
@@ -322,15 +319,12 @@ def _g_factors(case, rng):
     return x, g, h, _random_hermitian(level, 3, rng, span=1)
 
 
-def g_group_generators(case, rng, count=2):
-    """Random elements y = [[g + X h Y, X h], [h Y, h]] of G = U(V, B)."""
-    out = []
-    for _ in range(count):
-        x, g, h, y = _g_factors(case, rng)
-        xh = cdm.mul(x, h)
-        left = cdm.add(g, cdm.mul(xh, y)) + cdm.mul(h, y)
-        out.append(tuple(a + b for a, b in zip(left, xh + h)))
-    return out
+def g_group_element(case, rng):
+    """A random element y = [[g + X h Y, X h], [h Y, h]] of G = U(V, B)."""
+    x, g, h, y = _g_factors(case, rng)
+    xh = cdm.mul(x, h)
+    left = cdm.add(g, cdm.mul(xh, y)) + cdm.mul(h, y)
+    return tuple(a + b for a, b in zip(left, xh + h))
 
 
 def _g_block_diag(case, rng):
@@ -487,7 +481,7 @@ def zero_level_sample(case, s, target_rank, rng, enrich=True) -> WMap:
         alpha = WMap(case, [r + z for r, z in zip(xi1 + up1, cdm.zero(6, s - k, level))])
         if enrich:
             alpha = _g_move(alpha, _g_factors(case, rng))
-            alpha = act_h(alpha, h_group_generators(case, s, rng, count=1)[0])
+            alpha = act_h(alpha, h_group_element(case, s, rng))
         return alpha
 
 

@@ -23,7 +23,7 @@ from .jordan import (
     JordanElement,
     _from_model_ints,
     _model_ints,
-    cross,
+    cross_tensor,
     det,
     invertible_quadratic_rep,
     jordan_rank,
@@ -226,8 +226,8 @@ def cubic_gradient(x: JordanElement) -> JordanElement:
 
     Vanishes exactly on the rank <= 1 locus, which is the algebraic singular
     locus of the cubic hypersurface.  Its linearization at x in direction h
-    is 2 x × h (``_sharp_derivative``), whose kernel at E11 is the tangent
-    space of the closed orbit.
+    is 2 x × h, whose kernel at E11 is the tangent space of the closed orbit
+    (``closed_orbit_tangent_dim`` ranks the operator h -> E11 × h).
     """
     return sharp(x)
 
@@ -256,18 +256,11 @@ def det_curve_coefficients(x: JordanElement, h: JordanElement):
 @lru_cache(maxsize=None)
 def closed_orbit_tangent_dim(algebra: str) -> int:
     """dim of the affine cone over the closed orbit, from the tangent space
-    of {sharp = 0} at E11 (exact kernel of the linearized adjugate)."""
-    e11 = JordanElement.diagonal(algebra, 1, 0, 0, gaussian=True)
-    basis = JordanElement.space_basis(algebra, gaussian=True)
-    cols = [_sharp_derivative(e11, h).coords() for h in basis]
-    m = tuple(zip(*cols))  # rows indexed by output coordinate
-    return len(basis) - linalg.rank(m)
-
-
-def _sharp_derivative(x: JordanElement, h: JordanElement) -> JordanElement:
-    """d/dt sharp(x + t h) at t = 0, which is 2 x × h."""
-    xh = cross(x, h)
-    return xh + xh
+    of {sharp = 0} at E11: the kernel of h -> E11 × h, ranked on the integer
+    operator of ``cross_tensor``.  E11 is rational, so the rank over Q is
+    the rank over Q(i)."""
+    e11 = JordanElement.diagonal(algebra, 1, 0, 0)
+    return len(e11.v) - linalg.frac_rank(cross_tensor(algebra).left(e11.v))
 
 
 def closure_chain_audit(rng, samples=20):

@@ -6,7 +6,7 @@ import pytest
 
 from jordan_strata import jordan, linalg
 from jordan_strata.bilinear import Bilinear, box
-from jordan_strata.cayley_dickson import CDNumber, cd_mul_doubling
+from jordan_strata.cayley_dickson import CDNumber, cd_mul, cd_mul_doubling
 from jordan_strata.jordan import (
     ALGEBRAS,
     JordanElement,
@@ -33,8 +33,8 @@ from jordan_strata.jordan import (
 from jordan_strata.scalars import Scalar
 from jordan_strata.strata import (
     ProjPoint,
-    _sharp_derivative,
     plucker,
+    rand_cd,
     random_element,
     rank1_projective_factor,
     rank_k_sample,
@@ -515,7 +515,7 @@ def test_sharp_polarization_is_twice_the_cross_product():
             j = (i + 2) % len(small)
             h = small[j]
             lhs = sharp_oracle(x + h) - oracle[i] - oracle[j]
-            assert _sharp_derivative(x, h) == lhs
+            assert cross(x, h) + cross(x, h) == lhs
             assert sharp(x + h) - sharp(x) - sharp(h) == lhs
 
 
@@ -826,3 +826,34 @@ def test_the_models_read_no_structure_table(monkeypatch):
         assert EMBEDDINGS[kind][0](*vs) == embedded[kind]
     with pytest.raises(RuntimeError):
         jordan_rank(elements[-1][2])
+
+
+def test_the_oracles_read_no_structure_table(monkeypatch):
+    # cd_mul_doubling, jordan_mul_matrices and the cofactor determinant are the
+    # oracles of cd_mul, jordan_mul and det, so they must answer without the
+    # bilinear engine behind those routes
+    rng = random.Random(31)
+    rings = (False, True)
+    cd_pairs = [
+        (rand_cd(level, rng, g), rand_cd(level, rng, g)) for level in range(4) for g in rings
+    ]
+    pairs = [
+        (random_element(a, rng, g), random_element(a, rng, g)) for a in ALGEBRAS for g in rings
+    ]
+    models = [(a, random_element(a, rng, g)) for a in ("R", "C") for g in rings for _ in range(3)]
+    cd_products = [cd_mul(a, b) for a, b in cd_pairs]
+    products = [jordan_mul(x, y) for x, y in pairs]
+    dets = [det(x).to_gaussian() for _, x in models]
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("structure table read")
+
+    for name in ("square", "product", "contract", "left"):
+        monkeypatch.setattr(Bilinear, name, broken)
+    assert [cd_mul_doubling(a, b) for a, b in cd_pairs] == cd_products
+    assert [jordan_mul_matrices(x, y) for x, y in pairs] == products
+    model = {"R": to_symmetric_matrix, "C": to_general_matrix}
+    assert [linalg.determinant(model[a](x)).to_gaussian() for a, x in models] == dets
+    for route, args in ((cd_mul, cd_pairs[-1]), (jordan_mul, pairs[-1]), (det, models[-1][1:])):
+        with pytest.raises(RuntimeError):
+            route(*args)

@@ -236,13 +236,13 @@ def test_closed_orbit_tangent_dims_are_ranked_once(monkeypatch):
 
     def counted_rank(m):
         ranks.append(len(m[0]))
-        return rank(m)
+        return frac_rank(m)
 
-    rank = linalg.rank
-    monkeypatch.setattr(linalg, "rank", counted_rank)
+    frac_rank = linalg.frac_rank
+    monkeypatch.setattr(linalg, "frac_rank", counted_rank)
     closed_orbit_tangent_dim.cache_clear()
     assert [closed_orbit_tangent_dim(a) for a in ALGEBRAS] == [3, 5, 9, 17]
-    assert ranks == [6, 9, 15, 27]  # one rank of the linearized adjugate per algebra
+    assert ranks == [6, 9, 15, 27]  # one rank of the cross operator at E11 per algebra
     assert [closed_orbit_tangent_dim(a) for a in ALGEBRAS] == [3, 5, 9, 17]
     assert len(ranks) == 4
 
@@ -362,16 +362,20 @@ SAMPLER_DRAWS = {
     "zero_level_sample": lambda rng: [
         reduction.zero_level_sample(c, 3, k, rng) for c in CASES for k in (1, 2, 3)
     ],
-    "h_group_generators": lambda rng: [reduction.h_group_generators(c, 3, rng) for c in CASES],
-    "g_group_generators": lambda rng: [reduction.g_group_generators(c, rng) for c in CASES],
+    "h_group_element": lambda rng: [
+        [reduction.h_group_element(c, 3, rng) for _ in range(2)] for c in CASES
+    ],
+    "g_group_element": lambda rng: [
+        [reduction.g_group_element(c, rng) for _ in range(2)] for c in CASES
+    ],
     "oscillator_sample": lambda rng: [reduction.oscillator_sample(3, k, rng) for k in range(4)],
     "liftable_sample": lambda rng: [liftable_sample(c, k, 2, rng) for c in CASES for k in (1, 2)],
 }
 
 # sha256 of the JSON of those outputs, seed 0 then seed 1.
 SAMPLER_SHA256 = {
-    "g_group_generators": "08ea344120615bf070a576f612dbd5e9be7e975b03005f6f2922a32da275f740",
-    "h_group_generators": "6818025010f4700925e73700adff36295be6eca6726b7676f53aed442d63f26e",
+    "g_group_element": "08ea344120615bf070a576f612dbd5e9be7e975b03005f6f2922a32da275f740",
+    "h_group_element": "6818025010f4700925e73700adff36295be6eca6726b7676f53aed442d63f26e",
     "liftable_sample": "9890d8b34f23fbb5e578acc7f49832c6d5e9836bac583708bb1e7f054145b10e",
     "oscillator_sample": "a60bd61b806a1b00cecab5f0992fd40ef8594e58e70f0c1d98c848d15133dda8",
     "rand_cd": "f634358d24506b9fbd095a011198d143658a35d573e768551d0138ba4e940ed4",
