@@ -8,7 +8,7 @@ compiled once into integer constants over one common denominator: the one
 table a product holds, for both base rings.  An operand is one integer
 vector over one positive denominator (real parts, then imaginary parts over
 Q(i)), which is how a ``CDNumber``, a ``JordanElement`` and a
-``tkk.TKKElement`` store their coordinates (``IntVector``, below), so a
+``tkk.TKKElement`` store their coordinates (``scalars.IntVector``), so a
 product reads its operands' integers as they are, sums in Python ints and
 hands back the integer accumulator over the product of the denominators;
 the caller stores it as it is.
@@ -41,27 +41,19 @@ less ``lie`` time.  ``left`` writes the table out as the integer matrix of
 y -> x y, the left-regular operator on which ``cdmatrix`` multiplies and
 inverts, over Q(i) from L(a) and L(b).
 
-``IntVector`` owns that storage format and its linear structure, written
-once for all three classes: normalization to lowest terms, + and - over the
-lcm of two denominators, negation, scaling by a ``Scalar``, the base-ring
-swap, the zero test, equality, hashing, and the JSON codec, which writes
-and reads the stored integers with no ``Scalar`` in between.  A value holds
-only its integers: ``box`` makes the ``Scalar`` coordinates of such a
-vector, boxed from the integers on each read.  ``over_lcm`` puts several
-values over one common denominator, and ``scaled`` multiplies an integer
-vector by a Gaussian integer.
+Two helpers serve the values on that storage: ``box`` makes the ``Scalar``
+coordinates of an integer vector, which a value boxes from its integers on
+each read, and ``over_lcm`` puts several values over one common
+denominator.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
-from .linalg import _int_row
-from .scalars import RingMismatch, Scalar
-
-_ZERO = Fraction(0)
+from .scalars import Scalar
 
 
 class Bilinear:
@@ -241,11 +233,9 @@ def box(v, den, gaussian):
     """The Scalars v / den, one per coordinate of an integer vector (real
     parts, then imaginary parts over Q(i))."""
     if not gaussian:
-        return tuple(Scalar._of(Fraction(x, den), _ZERO, False) for x in v)
+        return tuple(Scalar._of(None, False, (x,), den) for x in v)
     n = len(v) // 2
-    return tuple(
-        Scalar._of(Fraction(v[k], den), Fraction(v[n + k], den), True) for k in range(n)
-    )
+    return tuple(Scalar._of(None, True, p, den) for p in zip(v[:n], v[n:]))
 
 
 def over_lcm(values):
@@ -253,131 +243,3 @@ def over_lcm(values):
     denominators, ``vs[i] / d`` the value ``values[i]``."""
     d = lcm(*[x.den for x in values])
     return [x.v if x.den == d else [c * (d // x.den) for c in x.v] for x in values], d
-
-
-def scaled(v, a, b=0):
-    """(a + bi) v for integers a, b and an integer vector v (real parts, then
-    imaginary parts over Q(i); b = 0 over Q)."""
-    if not b:
-        return [a * x for x in v]
-    n = len(v) // 2
-    pairs = list(zip(v[:n], v[n:]))  # (a + bi)(x + yi) = (ax - by) + (ay + bx)i
-    return [a * x - b * y for x, y in pairs] + [a * y + b * x for x, y in pairs]
-
-
-class IntVector:
-    """An exact vector stored as ``v / den``: ``v`` a tuple of ints, the real
-    parts and, over Q(i), then the imaginary parts; ``den`` > 0 and
-    gcd(den, *v) = 1, so a value has one storage, and equality and hashing
-    compare integers.
-
-    ``tag`` names the space the vector lives in (a Cayley-Dickson level, a
-    Jordan algebra, a TKK case) and ``gaussian`` its base ring; values of
-    different tags or rings never mix.  A value holds no ``Scalar`` state:
-    a subclass's ``Scalar`` coordinates are boxed from the integers on each
-    read.  Subclasses build values in ``__new__``, so every value is made by
-    ``_canonical``.
-    """
-
-    __slots__ = ("tag", "gaussian", "v", "den")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @classmethod
-    def _canonical(cls, tag, gaussian: bool, v, den: int):
-        """The value v / den for an int sequence v and den > 0 already in
-        lowest terms, as ``linalg._int_row`` makes them."""
-        x = object.__new__(cls)
-        set_ = object.__setattr__
-        set_(x, "tag", tag)
-        set_(x, "gaussian", gaussian)
-        set_(x, "v", tuple(v))
-        set_(x, "den", den)
-        return x
-
-    @classmethod
-    def _of(cls, tag, gaussian: bool, v, den: int):
-        """The value v / den for an int sequence v and den > 0, normalized."""
-        g = gcd(den, *v)
-        if g != 1:
-            v, den = [x // g for x in v], den // g
-        return cls._canonical(tag, gaussian, v, den)
-
-    @classmethod
-    def _from_json_fractions(cls, tag, gaussian: bool, pairs):
-        """The value of one ``scalars.json_fractions`` pair per coordinate, over one lcm."""
-        parts = [re for re, _ in pairs] + ([im for _, im in pairs] if gaussian else [])
-        return cls._canonical(tag, gaussian, *_int_row(parts))
-
-    def _json_entries(self):
-        """One JSON scalar per coordinate: x / den as [x // g, den // g], g = gcd(x, den)."""
-        den, n = self.den, len(self.v) // 2
-        e = [[x // (g := gcd(x, den)), den // g] for x in self.v]
-        return [[a, b] for a, b in zip(e[:n], e[n:])] if self.gaussian else e
-
-    def _like(self, v, den: int):
-        """v / den in the space and ring of self."""
-        return self._of(self.tag, self.gaussian, v, den)
-
-    def _check(self, other):
-        if type(other) is not type(self):
-            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
-        if other.tag != self.tag or other.gaussian != self.gaussian:
-            raise RingMismatch(f"{type(self).__name__} space or base-ring mismatch")
-
-    def _combine(self, other, sign: int):
-        """self + sign * other over the lcm of the two denominators.
-
-        Both operands are in lowest terms, so a prime dividing only one
-        denominator cannot divide every numerator of the sum, and for a prime
-        dividing both the lcm holds no higher power of it than g = gcd(da, db)
-        does: the sum is normalized by gcd(g, *v), and is stored as it is when
-        g = 1.
-        """
-        self._check(other)
-        da, db = self.den, other.den
-        g = gcd(da, db)
-        fa, fb = db // g, sign * (da // g)
-        v, den = [a * fa + b * fb for a, b in zip(self.v, other.v)], da * fa
-        if g != 1:
-            h = gcd(g, *v)
-            if h != 1:
-                v, den = [x // h for x in v], den // h
-        return self._canonical(self.tag, self.gaussian, v, den)
-
-    def __add__(self, other):
-        return self._combine(other, 1)
-
-    def __sub__(self, other):
-        return self._combine(other, -1)
-
-    def __neg__(self):
-        return self._canonical(self.tag, self.gaussian, [-a for a in self.v], self.den)  # still lowest terms
-
-    def scale(self, s):
-        """s times self, for a Scalar (or a rational) s of the same base ring."""
-        if not isinstance(s, Scalar):
-            s = Scalar(Fraction(s), 0, self.gaussian)
-        if s.gaussian != self.gaussian:
-            raise RingMismatch("scalar ring mismatch")
-        (a, b), d = _int_row([s.re, s.im])
-        return self._like(scaled(self.v, a, b), self.den * d)
-
-    def complexify(self):
-        """Base-ring swap Q -> Q(i); already-Gaussian values pass through."""
-        if self.gaussian:
-            return self
-        return self._canonical(self.tag, True, self.v + (0,) * len(self.v), self.den)
-
-    def is_zero(self) -> bool:
-        return not any(self.v)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        # the length of v tells the ring apart within a space
-        return self.tag == other.tag and self.den == other.den and self.v == other.v
-
-    def __hash__(self):
-        return hash((self.tag, self.den, self.v))

@@ -13,8 +13,8 @@ integers by the generated code of the bilinear engine
 ``CDNumber`` is stored in the engine's own operand format, one integer
 vector over one positive denominator in lowest terms, so a product reads its
 operands' integers and is stored as it comes; that format, its linear
-structure (+, -, scaling, equality, hashing) and its JSON codec live in
-``bilinear.IntVector``, and the ``Scalar`` coordinates (``coeffs``), for
+structure (+, -, scaling, equality, hashing) and its JSON writer live in
+``scalars.IntVector``, and the ``Scalar`` coordinates (``coeffs``), for
 the API and ``repr``, are boxed from the integers on each read.  The pair
 recursion itself is kept as ``cd_mul_doubling``, an independent route on
 the same stored integers (over Q(i), four real recursions on the real and
@@ -29,9 +29,8 @@ its base ring and is not the sedenion algebra.
 from __future__ import annotations
 
 from functools import lru_cache
-from .bilinear import Bilinear, IntVector, box
-from .linalg import _int_row
-from .scalars import RingMismatch, Scalar, json_fractions, json_int
+from .bilinear import Bilinear, box, over_lcm
+from .scalars import IntVector, RingMismatch, Scalar, json_fractions, json_int
 
 MAX_LEVEL = 3
 
@@ -65,10 +64,11 @@ def unit_product(level: int, i: int, j: int):
 class CDNumber(IntVector):
     """Element of the level-``level`` Cayley-Dickson algebra over Q or Q(i).
 
-    Stored as ``v / den`` (``bilinear.IntVector``, whose ``tag`` is the
+    Stored as ``v / den`` (``scalars.IntVector``, whose ``tag`` is the
     level): ``v`` holds 2^level ints over Q and twice as many over Q(i).
     ``coeffs`` boxes the Scalars from the integers on each read; the
-    constructor checks the Scalars it is given and keeps only their integers.
+    constructor checks the Scalars it is given and keeps only their integers,
+    over the lcm of their denominators.
     """
 
     __slots__ = ()
@@ -77,9 +77,8 @@ class CDNumber(IntVector):
     def __new__(cls, level: int, coeffs):
         coeffs = tuple(coeffs)
         g = _base_ring(level, [c.gaussian for c in coeffs])
-        parts = [c.re for c in coeffs] + ([c.im for c in coeffs] if g else [])
-        v, den = _int_row(parts)  # least den, so already canonical
-        return cls._canonical(level, g, v, den)
+        vs, den = over_lcm(coeffs)  # the lcm, so already canonical
+        return cls._canonical(level, g, [x[k] for k in range(1 + g) for x in vs], den)
 
     # -- constructors ---------------------------------------------------------
 

@@ -23,7 +23,7 @@ from .bilinear import over_lcm
 from .cayley_dickson import CDNumber, _cd_product
 from .linalg import add, neg, sub
 from .linalg import mat as from_rows
-from .scalars import Scalar
+from .scalars import Scalar, _int_row
 
 
 def zero(m, n, level, gaussian=False):
@@ -91,7 +91,7 @@ def inverse(a):
     )
     # column j of rows i .. i + w - 1 holds the coordinates of entry (i / w, j)
     return tuple(
-        tuple(first._like(*linalg._int_row(x)) for x in zip(*cols[i : i + w]))
+        tuple(first._like(*_int_row(x)) for x in zip(*cols[i : i + w]))
         for i in range(0, len(cols), w)
     )
 

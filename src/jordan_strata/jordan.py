@@ -11,8 +11,8 @@ of the level matching the algebra tag.  Over the rational base ring these are
 the four euclidean algebras; swapping the base ring to Q(i) gives their
 complexifications.  An element is stored in the bilinear engine's operand
 format, one integer vector over one positive denominator
-(``bilinear.IntVector``, which also owns +, -, scaling, equality, hashing
-and the JSON codec), so every product and invariant reads the stored
+(``scalars.IntVector``, which also owns +, -, scaling, equality, hashing
+and the JSON writer), so every product and invariant reads the stored
 integers, a product is stored as the engine hands it back, and JSON is
 written and read from the integers; ``diag``, ``off`` and ``coords()`` are
 boxed from the integers on each read.
@@ -97,9 +97,9 @@ from math import lcm
 from typing import NamedTuple
 
 from . import linalg
-from .bilinear import Bilinear, IntVector, box, scaled
+from .bilinear import Bilinear, box, over_lcm
 from .cayley_dickson import CDNumber, LEVEL_OF_ALGEBRA, cd_mul_doubling, unit_product
-from .scalars import RingMismatch, Scalar, json_fractions
+from .scalars import IntVector, RingMismatch, Scalar, json_fractions, scaled
 
 ALGEBRAS = ("R", "C", "H", "O")
 
@@ -114,7 +114,7 @@ class Sigma(NamedTuple):
 
 class JordanElement(IntVector):
     """A hermitian 3x3 matrix over the algebra ``algebra``, stored as
-    ``v / den`` (``bilinear.IntVector``, whose ``tag`` is the algebra) in
+    ``v / den`` (``scalars.IntVector``, whose ``tag`` is the algebra) in
     ``coords`` order: a, b, c, then the units of x, y and z, the real parts
     first and, over Q(i), then the imaginary parts.  ``diag`` (3 Scalars)
     and ``off`` (3 CDNumbers) are boxed from the integers on each read; the
@@ -127,14 +127,10 @@ class JordanElement(IntVector):
     def __new__(cls, algebra: str, diag, off):
         diag, off = tuple(diag), tuple(off)
         g = _base_ring(algebra, [s.gaussian for s in diag], [(q.level, q.gaussian) for q in off])
-        level = LEVEL_OF_ALGEBRA[algebra]
-        parts = [s.re for s in diag] + ([s.im for s in diag] if g else [])
-        # the lcm of every coordinate's denominator, so already canonical
-        den = lcm(*[f.denominator for f in parts], *[q.den for q in off])
-        dv = [f.numerator * (den // f.denominator) for f in parts]
-        ov = [q.v if q.den == den else [c * (den // q.den) for c in q.v] for q in off]
-        w = 1 << level
-        v = dv[:3] + [c for o in ov for c in o[:w]] + dv[3:] + [c for o in ov for c in o[w:]]
+        vs, den = over_lcm(diag + off)  # the lcm, so already canonical
+        widths = (1, 1, 1) + (1 << LEVEL_OF_ALGEBRA[algebra],) * 3
+        # the real parts of the six entries, then their imaginary parts
+        v = [c for k in range(1 + g) for x, n in zip(vs, widths) for c in x[k * n : k * n + n]]
         return cls._canonical(algebra, g, v, den)
 
     # -- basic structure -------------------------------------------------------
@@ -218,8 +214,9 @@ class JordanElement(IntVector):
             raise ValueError(f"algebra {algebra} needs {JordanElement.space_dim(algebra)} coordinates")
         if any(c.gaussian != gaussian for c in coords):
             raise RingMismatch("coordinate ring does not match the gaussian flag")
-        parts = [c.re for c in coords] + ([c.im for c in coords] if gaussian else [])
-        return JordanElement._canonical(algebra, gaussian, *linalg._int_row(parts))
+        vs, den = over_lcm(coords)  # the lcm, so already canonical
+        v = [x[k] for k in range(1 + gaussian) for x in vs]  # real parts, then imaginary parts
+        return JordanElement._canonical(algebra, gaussian, v, den)
 
     @staticmethod
     def space_dim(algebra: str) -> int:
@@ -262,7 +259,10 @@ class JordanElement(IntVector):
         off = [CDNumber._json_fractions(q) for q in obj["off"]]
         algebra = obj["algebra"]
         g = _base_ring(algebra, [im is not None for _, im in diag], [(lv, r) for lv, r, _ in off])
-        if bool(obj.get("complexified")) != g:
+        flag = obj.get("complexified", False)  # absent reads as false
+        if type(flag) is not bool:
+            raise ValueError(f"the complexified flag must be a JSON boolean, got {flag!r}")
+        if flag != g:
             raise ValueError("complexified flag contradicts coefficient encoding")
         fracs = diag + [f for _, _, fs in off for f in fs]
         return JordanElement._from_json_fractions(algebra, g, fracs)
@@ -312,7 +312,6 @@ def jordan_mul_matrices(x: JordanElement, y: JordanElement) -> JordanElement:
     return JordanElement.from_matrix(x.algebra, m)
 
 
-@lru_cache(maxsize=None)
 def _mult_table(algebra: str):
     """Sparse structure constants of the Jordan product in the coordinate basis.
 
@@ -419,15 +418,15 @@ def cross(x: JordanElement, y: JordanElement) -> JordanElement:
 
 def trace(x: JordanElement) -> Scalar:
     v, n = x.v, len(x.v) // 2
-    im = Fraction(v[n] + v[n + 1] + v[n + 2], x.den) if x.gaussian else 0
-    return Scalar(Fraction(v[0] + v[1] + v[2], x.den), im, x.gaussian)
+    t = (v[0] + v[1] + v[2], v[n] + v[n + 1] + v[n + 2]) if x.gaussian else (v[0] + v[1] + v[2],)
+    return Scalar._of(None, x.gaussian, t, x.den)
 
 
 def trace_form(x: JordanElement, y: JordanElement) -> Scalar:
     """tr(x o y); symmetric, bilinear, positive definite over the rational base."""
     x._check(y)
-    re, im = _pairing(x.v, y.v, x.gaussian)
-    return Scalar(Fraction(re, x.den * y.den), Fraction(im, x.den * y.den), x.gaussian)
+    t = _pairing(x.v, y.v, x.gaussian)
+    return Scalar._of(None, x.gaussian, t if x.gaussian else t[:1], x.den * y.den)
 
 
 def sigma2(x: JordanElement) -> Scalar:
@@ -437,8 +436,7 @@ def sigma2(x: JordanElement) -> Scalar:
 
 def _det(x: JordanElement, t, ds) -> Scalar:
     """det(x) = T(x, sharp(x)) / 3 from t = (re, im) of T(x, sv), sharp(x) = sv / ds."""
-    d = 3 * x.den * ds
-    return Scalar(Fraction(t[0], d), Fraction(t[1], d), x.gaussian)
+    return Scalar._of(None, x.gaussian, t if x.gaussian else t[:1], 3 * x.den * ds)
 
 
 def det(x: JordanElement) -> Scalar:
@@ -590,7 +588,8 @@ def _unboxed_model(algebra: str, a, shape: str | None) -> JordanElement:
         raise ValueError(f"need a {size}x{size} matrix")
     if any(z.gaussian != e[0].gaussian for z in e):
         raise RingMismatch("mixed base rings in the matrix")
-    m, den = linalg._int_row([z.re for z in e] + [z.im for z in e])
+    pairs, den = over_lcm([z.complexify() for z in e])  # (re, im) over one den
+    m = [p[k] for k in (0, 1) for p in pairs]
     x = _from_model_ints(algebra, m, den, algebra != "R" or e[0].gaussian)
     if shape and any(p * den != q * x.den for p, q in zip(_model_ints(x)[1], m)):
         raise ValueError(f"matrix is not {shape}")

@@ -13,8 +13,9 @@ an injective ring map, so RREF(rho A) = rho(RREF A) and every result over
 Q(i) is read off the even columns of a rational one.  The two skew rank
 oracles, ``poisson_rank_at_matrix`` and the H model of
 ``jordan.matrix_model_rank``, rank through ``skew_rank`` instead, a 2x2-pivot
-elimination that shares only the clearing of denominators (``_int_row``) with
-the echelon.  The cofactor ``determinant``, ``congruent_diagonal`` and the
+elimination that shares no step with the echelon: both only clear the
+denominators of their rows with ``scalars._int_row``, the helper every value
+is built with.  The cofactor ``determinant``, ``congruent_diagonal`` and the
 Bareiss ``leading_minors`` stay independent of both.
 """
 
@@ -22,9 +23,9 @@ from __future__ import annotations
 
 from bisect import bisect
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .scalars import Scalar
+from .scalars import Scalar, _int_row
 
 
 def mat(rows):
@@ -180,17 +181,6 @@ def _eliminate(row, prow, p):
 def _primitive(row):
     g = gcd(*row)
     return [x // g for x in row] if g > 1 else row
-
-
-def _int_row(xs):
-    """(row, den): the integer row den * xs for the least such den."""
-    # a list, not a generator: CPython builds the argument tuple of a
-    # generator by resizing, and such tuples pile up on its tuple free list
-    dens = [x.denominator for x in xs]
-    den = lcm(*dens)
-    if den == 1:
-        return [x.numerator for x in xs], 1
-    return [x.numerator * (den // d) for x, d in zip(xs, dens)], den
 
 
 def _realify(a):

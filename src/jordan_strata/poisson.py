@@ -37,6 +37,7 @@ from . import linalg
 from .cayley_dickson import CDNumber, unit_product
 from .jordan import JordanElement
 from .reduction import CASE_LEVEL
+from .scalars import _int_row
 from .tkk import ALGEBRA_TO_CASE, TKKAlgebra, TKKElement, tkk_algebra
 
 
@@ -143,7 +144,7 @@ class CasePoisson:
         if self._bivector_polys is not None:
             return self._bivector_polys
         inv = linalg._inverse_columns(self.alg.gram_matrix())
-        ints, inv_den = linalg._int_row([x for row in inv for x in row])
+        ints, inv_den = _int_row([x for row in inv for x in row])
         n = self.dim
         # G^-1 is symmetric: row j lists the (a, (G^-1)_aj)
         ginv = [[(a, v) for a, v in enumerate(ints[j * n : (j + 1) * n]) if v] for j in range(n)]

@@ -13,11 +13,10 @@ inverse, with no Scalar arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from . import linalg
-from .bilinear import box
+from .bilinear import box, over_lcm
 from .cayley_dickson import CDNumber
 from .jordan import (
     JordanElement,
@@ -127,11 +126,8 @@ def _embedding(algebra: str, vectors, length: int, skew=False) -> JordanElement:
     """``_embed`` of Scalar or rational vectors, denominators cleared once."""
     if any(len(v) != length for v in vectors):
         raise ValueError(f"the model of {algebra} needs {length}-vectors")
-    ints, den = linalg._int_row([
-        p for v in vectors for c in v
-        for p in ((c.re, c.im) if isinstance(c, Scalar) else (Fraction(c), 0))
-    ])
-    pairs = list(zip(ints[::2], ints[1::2]))
+    entries = [c if isinstance(c, Scalar) else Scalar(c) for v in vectors for c in v]
+    pairs, den = over_lcm([c.complexify() for c in entries])  # (re, im) over one den
     u, w = pairs[:length], pairs[-length:]
     x = _embed(algebra, u, w, den * den, skew)
     if x.is_zero():
@@ -253,7 +249,6 @@ def det_curve_coefficients(x: JordanElement, h: JordanElement):
     return sol
 
 
-@lru_cache(maxsize=None)
 def closed_orbit_tangent_dim(algebra: str) -> int:
     """dim of the affine cone over the closed orbit, from the tangent space
     of {sharp = 0} at E11: the kernel of h -> E11 × h, ranked on the integer
@@ -348,5 +343,5 @@ def rank1_projective_factor(x: JordanElement):
         return "plucker", (vec(u), vec(w))
     c, d = rows[pivot[0]][pivot[1]]
     q = c * c + d * d  # w / (c + di) = w (c - di) / q
-    w = [Scalar._of(Fraction(a * c + b * d, q), Fraction(b * c - a * d, q), True) for a, b in w]
+    w = [Scalar._of(None, True, (a * c + b * d, b * c - a * d), q) for a, b in w]
     return "segre", (vec(u), tuple(w))

@@ -20,7 +20,7 @@ with the complexified Jordan algebra sends (x, L_w, x) to w/2 + i x, and
 ad(z) then corresponds to multiplication by i.
 
 An element is one integer vector over one denominator, the bilinear
-engine's operand format (``bilinear.IntVector``), laid out as plus | str |
+engine's operand format (``scalars.IntVector``), laid out as plus | str |
 minus: Jordan coordinates, coordinates in the selected basis B_k of str(J),
 Jordan coordinates.  The first n = dim J
 operators B_k are L_{e_0}..L_{e_{n-1}}, so L_w has coordinates w in this
@@ -55,9 +55,9 @@ from math import gcd, lcm
 from typing import NamedTuple
 
 from . import linalg
-from .bilinear import Bilinear, IntVector
+from .bilinear import Bilinear
 from .jordan import JordanElement, structure_tensor, trace_form
-from .scalars import json_rational, rational_to_json
+from .scalars import IntVector, _int_row, json_rational, rational_to_json
 
 CASE_TO_ALGEBRA = {"sp3": "R", "u33": "C", "so12": "H", "e7": "O"}
 CASES = tuple(CASE_TO_ALGEBRA)
@@ -112,7 +112,7 @@ class StrBasisOp(NamedTuple):
 
 class TKKElement(IntVector):
     """An element of a case algebra, stored as ``v / den``
-    (``bilinear.IntVector``, whose ``tag`` is the case; always over Q) in the
+    (``scalars.IntVector``, whose ``tag`` is the case; always over Q) in the
     standard basis, plus | str | minus; ``plus``, ``mid`` and ``minus`` are
     read back from it."""
 
@@ -237,7 +237,7 @@ class TKKAlgebra:
         self._pivots = [divmod(p, n) for p in ech.pivots]
         b_p = [[op.rows[r].get(c, 0) * (den * den // op.den) for r, c in self._pivots]
                for op in ops]
-        inv, d = linalg._int_row([x for row in linalg._inverse_columns(b_p) for x in row])
+        inv, d = _int_row([x for row in linalg._inverse_columns(b_p) for x in row])
         g = gcd(d, den * den)  # b_p is den^2 B[:, P]
         self._inv_den, f = d // g, den * den // g
         self._inv_rows = [[x * f for x in inv[k * s : (k + 1) * s]] for k in range(s)]
@@ -265,7 +265,7 @@ class TKKAlgebra:
         n = self.space.dim
         if len(t) != n or any(len(row) != n for row in t):
             raise ValueError(f"an operator on J is a {n}x{n} matrix")
-        ti, den = linalg._int_row([Fraction(x) for row in t for x in row])
+        ti, den = _int_row([Fraction(x) for row in t for x in row])
         if any(self._str_echelon.reduce(ti)):
             raise ValueError("operator does not lie in the structure algebra")
         return self._pivot_coords([ti[r * n + c] for r, c in self._pivots], den)
@@ -485,7 +485,7 @@ class TKKAlgebra:
         """The element with the rational coordinates ``coords``, dim of them."""
         if len(coords) != self.dim:
             raise ValueError(f"case {self.case} needs {self.dim} coordinates")
-        v, den = linalg._int_row([Fraction(c) for c in coords])
+        v, den = _int_row([Fraction(c) for c in coords])
         return TKKElement._canonical(self.case, False, v, den)
 
 

@@ -98,12 +98,12 @@ def edit(*path, value):
     return change
 
 
-def on(tag, change):
+def on(tag, change, gaussian=False):
     """``change`` made to the identity of ``tag`` in place of the H element."""
 
     def replace(obj):
         obj.clear()
-        obj.update(JordanElement.identity(tag).to_json())
+        obj.update(JordanElement.identity(tag, gaussian).to_json())
         change(obj)
 
     return replace
@@ -123,6 +123,12 @@ MALFORMED_CLASSIFY = {
     "float-leaf": edit("diag", 0, value=[1.5, 1]),
     "zero-denominator-in-off": edit("off", 1, "coeffs", 1, value=[2, 0]),
     "complexified-flag": edit("complexified", value=True),
+    # a flag that is present is a JSON boolean, whatever its truth value
+    "complexified-zero": edit("complexified", value=0),
+    "complexified-null": edit("complexified", value=None),
+    "complexified-empty-string": edit("complexified", value=""),
+    "complexified-no": edit("complexified", value="no"),
+    "complexified-false-string-on-q-i": on("H", edit("complexified", value="false"), gaussian=True),
     "boolean-numerator": on("C", edit("diag", 0, value=[True, 2])),
     "boolean-denominator": on("R", edit("diag", 1, value=[1, True])),
     "boolean-level": on("C", edit("off", 2, "level", value=True)),
@@ -164,6 +170,30 @@ def test_malformed_classify_input_exits_2(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert rc == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_every_decoder_names_the_json_boolean_rule_of_the_complexified_flag():
+    from jordan_strata.strata import ProjPoint
+    from jordan_strata.tkk import TKKElement, tkk_algebra
+
+    for gaussian in (False, True):
+        obj = JordanElement.identity("H", gaussian).to_json()
+        for flag in (0, 1, None, "", "no", "false"):
+            obj["complexified"] = flag
+            with pytest.raises(ValueError, match="must be a JSON boolean"):
+                JordanElement.from_json(obj)
+    obj = JordanElement.identity("R").to_json()
+    del obj["complexified"]  # absent reads as false
+    assert JordanElement.from_json(obj) == JordanElement.identity("R")
+    point = ProjPoint(JordanElement.identity("C", True)).to_json()
+    point["complexified"] = "true"
+    with pytest.raises(ValueError, match="must be a JSON boolean"):
+        ProjPoint.from_json(point)
+    alg = tkk_algebra("sp3")
+    element = alg.from_coords([1] * alg.dim).to_json()
+    element["minus"]["complexified"] = 0
+    with pytest.raises(ValueError, match="must be a JSON boolean"):
+        TKKElement.from_json(element)
 
 
 def reduce_config():

