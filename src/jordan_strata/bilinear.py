@@ -39,7 +39,7 @@ to cost an 8.9 MB compile transient (``lie`` peak memory 25.5 -> 33.7 MB),
 and in pieces of 100-400 terms 0.75 MB more resident memory for 9-13%
 less ``lie`` time.  ``left`` writes the table out as the integer matrix of
 y -> x y, the left-regular operator on which ``cdmatrix`` multiplies and
-inverts, over Q(i) from L(a) and L(b).
+``linalg`` eliminates (a Scalar through the level-0 table).
 
 Two helpers serve the values on that storage: ``box`` makes the ``Scalar``
 coordinates of an integer vector, which a value boxes from its integers on
@@ -74,7 +74,7 @@ class Bilinear:
         self.dim = len(table)
         self.den = den
         self.rows = table
-        self._left_rows = None  # left's (j, i, c) table, serving both rings
+        self._left_rows = None  # left's (j, i, c) tables, one per ring
         self._square_fn = None  # square's generated function, serving both rings
         self._product_fn = None  # product's generated function, serving both rings
 
@@ -200,15 +200,17 @@ class Bilinear:
         products x e_j; L(a + bi) = [[L(a), -L(b)], [L(b), L(a)]] over Q(i)."""
         if self._left_rows is None:
             # row k lists the (j, i, c) with c the coefficient of e_k in e_i e_j
+            n = self.dim
             cs = [(k, j, i, c) for i, r in enumerate(self.rows)
                   for j, cell in enumerate(r) for k, c in cell]
-            self._left_rows = [[t[1:] for t in cs if t[0] == k] for k in range(self.dim)]
-        if gaussian:
-            n = self.dim
-            la, lb = self.left(xv[:n]), self.left(xv[n:])
-            return [a + [-c for c in b] for a, b in zip(la, lb)] + [b + a for a, b in zip(la, lb)]
+            real = [[t[1:] for t in cs if t[0] == k] for k in range(n)]
+            # the same over Q(i): the blocks of L(a + bi) as terms on (a, b)
+            gauss = [r + [(n + j, n + i, -c) for j, i, c in r] for r in real] + [
+                [(j, n + i, c) for j, i, c in r] + [(n + j, i, c) for j, i, c in r] for r in real
+            ]
+            self._left_rows = (real, gauss)
         out = []
-        for row in self._left_rows:
+        for row in self._left_rows[gaussian]:
             m = [0] * len(xv)
             for j, i, c in row:
                 m[j] += c * xv[i]

@@ -15,11 +15,13 @@ vector over one positive denominator in lowest terms, so a product reads its
 operands' integers and is stored as it comes; that format, its linear
 structure (+, -, scaling, equality, hashing) and its JSON writer live in
 ``scalars.IntVector``, and the ``Scalar`` coordinates (``coeffs``), for
-the API and ``repr``, are boxed from the integers on each read.  The pair
-recursion itself is kept as ``cd_mul_doubling``, an independent route on
-the same stored integers (over Q(i), four real recursions on the real and
-imaginary parts) that reads neither the unit table nor the engine, so tests
-can cross-check the two against each other.
+the API and ``repr``, are boxed from the integers on each read;
+``block_row`` writes a matrix row, of CDNumbers or Scalars, out as the
+integer rows on which ``cdmatrix`` multiplies and ``linalg`` eliminates.
+The pair recursion itself is kept as ``cd_mul_doubling``, an independent
+route on the same stored integers (over Q(i), four real recursions on the
+real and imaginary parts) that reads neither the unit table nor the engine,
+so tests can cross-check the two against each other.
 
 Complexification is a base-ring swap (rational -> Gaussian rational), not a
 fourth doubling, so the Gaussian-base level-3 algebra stays 8-dimensional over
@@ -182,6 +184,25 @@ def _cd_product(level: int) -> Bilinear:
     return Bilinear(
         [[(unit_product(level, i, j),) for j in range(n)] for i in range(n)]
     )
+
+
+def checked_lcm(values, first):
+    """``over_lcm`` of matrix entries, each checked against ``first``."""
+    for x in values:
+        IntVector._check(first, x)
+    return over_lcm(values)
+
+
+def block_row(row, first):
+    """(block, d) with block / d the rows of (L(x_0) | ... | L(x_n)), L the
+    left-regular operator of ``Bilinear.left``, for a matrix row of values
+    checked against ``first``.  The one place an entry's type picks its
+    table: a CDNumber its level's, a Scalar level 0's, whose L is [[a]] over
+    Q and rho(a + bi) = [[a, -b], [b, a]] over Q(i)."""
+    vs, d = checked_lcm(row, first)
+    table = _cd_product(0 if type(first) is Scalar else first.level)
+    ls = [table.left(v, first.gaussian) for v in vs]
+    return [[c for m in ls for c in m[k]] for k in range(len(first.v))], d * table.den
 
 
 def cd_mul(a: CDNumber, b: CDNumber) -> CDNumber:

@@ -30,8 +30,6 @@ from .scalars import Scalar, json_entry, rational_to_json
 from .strata import plucker, rank1_projective_factor, rank1_sample, segre, veronese
 from .suites import SUITES, check, run_suite
 
-DEFAULT_SEED_ENV = "JORDAN_STRATA_SEED"
-
 
 class UsageError(Exception):
     pass
@@ -43,8 +41,6 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        if args.seed is None:  # read on every call, never frozen into the parser
-            args.seed = int(os.environ.get(DEFAULT_SEED_ENV, "0"))
         report = args.handler(args)
         out = _render(report, args.format)
         if args.out:
@@ -69,7 +65,7 @@ def _build_parser():
     def common(p):
         p.add_argument("--out", default=None, help="write the full report here")
         p.add_argument("--format", choices=("json", "text"), default="json")
-        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("classify", help="stratify a Jordan element from JSON")
     p.add_argument("input", help="path to the element JSON, or - for stdin")

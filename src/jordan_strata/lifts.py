@@ -26,6 +26,11 @@ case:
                 (1 + i c)^2 nu (c rational, nu > 0) or a negative rational;
                 rank 2 by the projector with E = m.
 
+The real and complex cases work on Scalar matrices over Q(i), the
+quaternionic case on CDNumber matrices; all multiply through
+``cdmatrix.mul``, the vector products too, and invert through
+``linalg.inverse``, on the stored integers.
+
 A lift has one post-condition: `hilbert_lift` reduces the map it built with
 `zero_level_point` and raises LiftError with reason "missed-zero-level" (off
 the zero level) or "round-trip-failed" (a different point) unless it gets Z
@@ -124,10 +129,14 @@ def _columns_for_class(m: Scalar, budget: int):
     return None
 
 
+def _col(v):
+    """The column matrix of a vector."""
+    return tuple((x,) for x in v)
+
+
 def _herm_dot(u, v):
     """conj(u)^T v, for vectors of Gaussian scalars or of quaternions."""
-    terms = [a.conjugate() * b for a, b in zip(u, v)]
-    return sum(terms[1:], terms[0])
+    return cdm.mul(cdm.conj_transpose(_col(u)), _col(v))[0][0]
 
 
 def _pivot(m):
@@ -157,14 +166,7 @@ def _wmap(case, xi_cols, up_cols, s):
 
 def _sym_dot(u, m, v):
     """u^T m v (no conjugation)."""
-    acc = Scalar.zero(True)
-    for i, a in enumerate(u):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(v):
-            if not (m[i][j].is_zero() or b.is_zero()):
-                acc = acc + a * m[i][j] * b
-    return acc
+    return cdm.mul(cdm.mul((tuple(u),), m), _col(v))[0][0]
 
 
 def _real_rank1(m):
@@ -181,7 +183,7 @@ def _real_components(m, rank):
         return [_real_rank1(m)]
     if rank != 2:
         raise LiftError("splitting supports rank one and two only", "real-split-rank")
-    e = linalg.mul(m, tuple(tuple(x.conjugate() for x in row) for row in m))
+    e = cdm.mul(m, cdm.conj_transpose(m))  # m conj(m), m symmetric
     lams = _split_invariants(
         sum((e[i][i] for i in range(3)), Scalar.zero(True)),
         sum((e[i][j] * e[j][i] for i in range(3) for j in range(3)), Scalar.zero(True)),
@@ -190,9 +192,9 @@ def _real_components(m, rank):
         raise LiftError("splitting invariants are not rational", "real-split-irrational")
     lam1, lam2 = lams
     if lam1 != lam2:
-        em = linalg.mul(e, m)
-        m1 = linalg.scale(linalg.sub(em, linalg.scale(m, lam2)), (lam1 - lam2).inverse())
-        return [_real_rank1(m1), _real_rank1(linalg.sub(m, m1))]
+        em = cdm.mul(e, m)
+        m1 = cdm.scale(cdm.sub(em, cdm.scale(m, lam2)), (lam1 - lam2).inverse())
+        return [_real_rank1(m1), _real_rank1(cdm.sub(m, m1))]
     out = []
     for v in _repeated_eigen_split(m):
         vc = tuple(x.conjugate() for x in v)
@@ -202,12 +204,13 @@ def _real_components(m, rank):
 
 
 def _sym_rank1(coeff, v):
-    return tuple(tuple(coeff * v[i] * v[j] for j in range(3)) for i in range(3))
+    """coeff v v^T."""
+    return cdm.scale(cdm.mul(_col(v), (tuple(v),)), coeff)
 
 
 def _repeated_eigen_split(m):
     """Fallback for a repeated splitting invariant: search small pivots."""
-    cols = [c for c in linalg.transpose(m) if any(not x.is_zero() for x in c)]
+    cols = [c for c in zip(*m) if any(not x.is_zero() for x in c)]
     u1 = cols[0]
     u2 = next(c for c in cols[1:] if linalg.rank((u1, c)) == 2)
     cands = [_gaussian(t) for t in (0, 1, -1, 2, -2)] + [
@@ -228,7 +231,7 @@ def _repeated_eigen_split(m):
 
 
 def _lift_real(z: JordanElement, s: int, rank: int) -> WMap:
-    m = linalg.scale(to_symmetric_matrix(z), Scalar(0, 2, True))  # 2i Z
+    m = cdm.scale(to_symmetric_matrix(z), Scalar(0, 2, True))  # 2i Z
     comps = _real_components(m, rank)
     for order in (comps, list(reversed(comps))):
         budgets = _budget_split(s, len(order))
@@ -240,8 +243,8 @@ def _lift_real(z: JordanElement, s: int, rank: int) -> WMap:
             columns.extend(tuple(x * vi for vi in v) for x in scales)
         else:
             # alpha = [Re C; Im C]
-            xi = [tuple(CDNumber(0, (Scalar(x.re),)) for x in col) for col in columns]
-            up = [tuple(CDNumber(0, (Scalar(x.im),)) for x in col) for col in columns]
+            xi = [tuple(CDNumber._of(0, False, x.v[:1], x.den) for x in col) for col in columns]
+            up = [tuple(CDNumber._of(0, False, x.v[1:], x.den) for x in col) for col in columns]
             return _wmap("real", xi, up, s)
     raise LiftError("square-class obstruction in a component", "real-square-class")
 
@@ -256,25 +259,26 @@ def _budget_split(s, ncomps):
 
 
 def _lift_complex(z: JordanElement, s: int, rank: int) -> WMap:
-    m = linalg.scale(to_general_matrix(z), Scalar(0, 2, True))  # 2i Z
+    m = cdm.scale(to_general_matrix(z), Scalar(0, 2, True))  # 2i Z
     if rank > 2:
         raise LiftError("complex lifts are implemented through rank two", "complex-rank-three")
     # the first independent columns; there are `rank`, the matrix rank on C_C
     pivots = linalg._rref(m)[0]
     u0 = tuple(tuple(row[c] for c in pivots) for row in m)  # 3 x rank
     u0s = cdm.conj_transpose(u0)
-    gram = linalg.mul(u0s, u0)
-    w0 = linalg.mul(linalg.inverse(gram), linalg.mul(u0s, m))  # rank x 3
+    gram = cdm.mul(u0s, u0)
+    w0 = cdm.mul(linalg.inverse(gram), cdm.mul(u0s, m))  # rank x 3
     v0 = cdm.conj_transpose(w0)  # 3 x rank
     n_u = gram
-    n_v = linalg.mul(cdm.conj_transpose(v0), v0)
+    n_v = cdm.mul(cdm.conj_transpose(v0), v0)
     g = _gram_balance_gauge(n_u, n_v)
-    u = linalg.mul(u0, g)
-    v = linalg.mul(v0, linalg.inverse(cdm.conj_transpose(g)))
-    f = linalg.scale(linalg.add(u, v), _gaussian(Fraction(1, 2)))
-    g_mat = linalg.scale(linalg.sub(u, v), _gaussian(0, Fraction(-1, 2)))  # 1/(2i)
+    u = cdm.mul(u0, g)
+    v = cdm.mul(v0, linalg.inverse(cdm.conj_transpose(g)))
+    f = cdm.scale(cdm.add(u, v), _gaussian(Fraction(1, 2)))
+    g_mat = cdm.scale(cdm.sub(u, v), _gaussian(0, Fraction(-1, 2)))  # 1/(2i)
+    # a + bi in C_C is (a, b) in C: the same integers, over Q
     xi, up = (
-        [tuple(CDNumber(1, (Scalar(x.re), Scalar(x.im))) for x in col) for col in zip(*block)]
+        [tuple(CDNumber._of(1, False, x.v, x.den) for x in col) for col in zip(*block)]
         for block in (f, g_mat)
     )
     return _wmap("complex", xi, up, s)
@@ -303,7 +307,7 @@ def _gram_balance_gauge(n_u, n_v):
         if pair is None:
             raise LiftError("rank-one balance is not a Gaussian norm", "complex-balance-not-norm")
         return ((Scalar(pair[0], pair[1], True),),)
-    k = linalg.mul(n_v, n_u)
+    k = cdm.mul(n_v, n_u)
     det_k = k[0][0] * k[1][1] - k[0][1] * k[1][0]
     sd = det_k.sqrt()
     if sd is None:
@@ -311,8 +315,8 @@ def _gram_balance_gauge(n_u, n_v):
     t = (k[0][0] + k[1][1] + sd + sd).sqrt()
     if t is not None:
         zero = Scalar.zero(True)
-        x = linalg.scale(linalg.add(k, ((sd, zero), (zero, sd))), t.inverse())
-        g = _posdef_factor(linalg.mul(x, linalg.inverse(n_u)))
+        x = cdm.scale(cdm.add(k, ((sd, zero), (zero, sd))), t.inverse())
+        g = _posdef_factor(cdm.mul(x, linalg.inverse(n_u)))
         if g is not None:
             return g
     raise LiftError("no exact balance gauge found", "complex-balance-no-gauge")
@@ -462,14 +466,14 @@ def _real_liftable(rank, s, rng):
             coeffs.append(x * x * _gaussian(sum(t * t for t in witness)))
         m = _sym_rank1(coeffs[0], vecs[0])
         if rank == 2:
-            m = linalg.add(m, _sym_rank1(coeffs[1], vecs[1]))
+            m = cdm.add(m, _sym_rank1(coeffs[1], vecs[1]))
             lam = [
                 (c * c.conjugate()) * _herm_dot(v, v) * _herm_dot(v, v)
                 for c, v in zip(coeffs, vecs)
             ]
             if lam[0] == lam[1]:
                 continue
-        return from_symmetric_matrix(linalg.scale(m, Scalar(0, Fraction(-1, 2), True)))  # M/(2i)
+        return from_symmetric_matrix(cdm.scale(m, Scalar(0, Fraction(-1, 2), True)))  # M/(2i)
 
 
 def _quat_liftable(rank, rng):

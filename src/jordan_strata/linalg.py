@@ -1,22 +1,26 @@
-"""Exact linear algebra over Scalar entries (Q or Q(i)).
+"""Exact elimination over Q and Q(i): ranks, solutions, inverses and kernels.
 
 Matrices are tuples of row-tuples and everything is fraction-exact.  The
 row reductions of the routes -- rank, solve, inverse and kernel here, the
-structure-algebra span of ``tkk``, the route bivector rank
-``poisson_rank_at`` and the inverses of ``cdmatrix`` -- go through one
-fraction-free integer echelon (``_Echelon``).  A Q(i) matrix reaches it
-through the interleaved realification
+structure-algebra span of ``tkk`` and the route bivector rank
+``poisson_rank_at`` -- go through one fraction-free integer echelon
+(``_Echelon``).  A Scalar matrix reaches it as the integer block rows of
+``cayley_dickson.block_row``, read from the stored integers, each row over
+its own lcm (a row scaling leaves the RREF as it is).  Over Q(i) they are
+the rows of the interleaved realification, the L of the level-0 table,
 
     rho: a + bi -> [[a, -b], [b, a]],
 
 an injective ring map, so RREF(rho A) = rho(RREF A) and every result over
-Q(i) is read off the even columns of a rational one.  The two skew rank
-oracles, ``poisson_rank_at_matrix`` and the H model of
-``jordan.matrix_model_rank``, rank through ``skew_rank`` instead, a 2x2-pivot
-elimination that shares no step with the echelon: both only clear the
-denominators of their rows with ``scalars._int_row``, the helper every value
-is built with.  The cofactor ``determinant``, ``congruent_diagonal`` and the
-Bareiss ``leading_minors`` stay independent of both.
+Q(i) is read off the even columns of a rational one.  ``inverse`` serves the
+CDNumber matrices of ``cdmatrix`` too.  The two skew rank oracles,
+``poisson_rank_at_matrix`` and the H model of ``jordan.matrix_model_rank``,
+rank through ``skew_rank`` instead, a 2x2-pivot elimination that shares no
+step with the echelon: both only clear the denominators of their rows with
+``scalars._int_row``, the helper every value is built with.  The cofactor
+``determinant``, ``congruent_diagonal`` and the Bareiss ``leading_minors``
+stay independent of both; the first two are the only functions here with
+``Scalar`` arithmetic.
 """
 
 from __future__ import annotations
@@ -25,50 +29,8 @@ from bisect import bisect
 from fractions import Fraction
 from math import gcd
 
+from .cayley_dickson import block_row
 from .scalars import Scalar, _int_row
-
-
-def mat(rows):
-    return tuple(tuple(r) for r in rows)
-
-
-def transpose(a):
-    return tuple(zip(*a))
-
-
-def add(a, b):
-    return tuple(tuple(x + y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def sub(a, b):
-    return tuple(tuple(x - y for x, y in zip(ra, rb)) for ra, rb in zip(a, b))
-
-
-def scale(a, s):
-    return tuple(tuple(s * x for x in row) for row in a)
-
-
-def neg(a):
-    return tuple(tuple(-x for x in row) for row in a)
-
-
-def mul(a, b):
-    bt = tuple(zip(*b))
-    out = []
-    for row in a:
-        out_row = []
-        for col in bt:
-            acc = None
-            for x, y in zip(row, col):
-                if x.is_zero() or y.is_zero():
-                    continue
-                term = x * y
-                acc = term if acc is None else acc + term
-            if acc is None:
-                acc = Scalar.zero(row[0].gaussian)
-            out_row.append(acc)
-        out.append(tuple(out_row))
-    return tuple(out)
 
 
 def frac_rank(rows) -> int:
@@ -183,29 +145,28 @@ def _primitive(row):
     return [x // g for x in row] if g > 1 else row
 
 
-def _realify(a):
-    """Rational matrix of a Scalar matrix: its real parts over Q, rho over Q(i)."""
-    if not a[0][0].gaussian:
-        return [[x.re for x in row] for row in a]
-    out = []
-    for row in a:
-        out.append([y for x in row for y in (x.re, -x.im)])
-        out.append([y for x in row for y in (x.im, x.re)])
-    return out
-
-
 def _rref(a):
-    """Pivot columns of RREF(a) over the entry field, and a reader of its
-    entries.  Over Q(i) the real pivots of rho(a) come in pairs (2c, 2c + 1)
-    and row 2r holds row r of RREF(a) as (Re, -Im) pairs."""
+    """Pivot columns of RREF(a) over the Scalar field of its entries, and a
+    reader ``entry(r, c, sign)`` of sign times its entries.  The echelon
+    holds the block rows of a, each over its own lcm; over Q(i) the real
+    pivots of rho(a) come in pairs (2c, 2c + 1) and row 2r holds row r of
+    RREF(a) as (Re, -Im) pairs."""
+    first = a[0][0]
+    w = len(first.v)
     ech = _Echelon()
-    for row in _realify(a):
-        ech.insert(row)
-    if not a[0][0].gaussian:
-        return ech.pivots, lambda r, c: Scalar(ech.entry(r, c))
-    return [p // 2 for p in ech.pivots[::2]], lambda r, c: Scalar(
-        ech.entry(2 * r, 2 * c), -ech.entry(2 * r, 2 * c + 1), True
-    )
+    for row in a:
+        for r in block_row(row, first)[0]:
+            ech.insert(r)
+
+    def entry(r, c, sign=1):
+        row = ech.rows[w * r]
+        p = sign * row[ech.pivots[w * r]]
+        v = row[w * c : w * c + w]
+        if w == 2:
+            v[1] = -v[1]
+        return first._like(v, p) if p > 0 else first._like([-x for x in v], -p)
+
+    return [p // w for p in ech.pivots[::w]], entry
 
 
 def _inverse_columns(m, d=1, dens=None):
@@ -259,12 +220,31 @@ def solve(a, b):
 
 
 def inverse(a):
-    if not a[0][0].gaussian:
-        return tuple(tuple(Scalar(x) for x in row) for row in _inverse_columns(_realify(a)))
-    cols = _inverse_columns(_realify(a), 2)  # rows 2i and 2i + 1: Re and Im of row i
+    """The inverse of a square Scalar matrix; ``cdmatrix.inverse`` is the
+    same implementation (``_inverse``) under its own name."""
+    return _inverse(a)
+
+
+def _inverse(a):
+    """Inverse of a square matrix of Scalars, or of CDNumbers at an
+    associative division level (0..2 over Q, 0 over Q(i)).
+
+    The block matrix (L(a_ij)) inverts to (L((a^-1)_ij)), and column 0 of
+    L(x) holds the coordinates of x.  Raises ValueError when ``a`` is not
+    square and ZeroDivisionError when it is singular.
+    """
+    first = a[0][0]
+    w = len(first.v)
+    if first.gaussian and w > 2:
+        raise ValueError("inverse over a non-division ring is not supported")
+    blocks = [block_row(row, first) for row in a]
+    cols = _inverse_columns(
+        [r for block, _ in blocks for r in block], w, [d for _, d in blocks for _ in range(w)]
+    )
+    # column j of rows i .. i + w - 1 holds the coordinates of entry (i / w, j)
     return tuple(
-        tuple(Scalar(re, im, True) for re, im in zip(re_row, im_row))
-        for re_row, im_row in zip(cols[::2], cols[1::2])
+        tuple(first._like(*_int_row(x)) for x in zip(*cols[i : i + w]))
+        for i in range(0, len(cols), w)
     )
 
 
@@ -281,7 +261,7 @@ def kernel_basis(a):
         v = [Scalar.zero(gaussian)] * ncols
         v[fc] = Scalar.one(gaussian)
         for r, c in enumerate(pivots):
-            v[c] = -entry(r, fc)
+            v[c] = entry(r, fc, -1)
         out.append(tuple(v))
     return out
 

@@ -5,6 +5,7 @@ import pytest
 
 from jordan_strata import cdmatrix as cdm
 from jordan_strata.cayley_dickson import CDNumber, cd_mul, cd_mul_doubling
+from jordan_strata.jordan import JordanElement
 from jordan_strata.reduction import CASE_LEVEL, WMap, symplectic_form, symplectic_gram
 from jordan_strata.scalars import RingMismatch, Scalar
 
@@ -89,6 +90,23 @@ def test_mul_checks_every_entry_ring():
         cdm.mul(((one, CDNumber.zero(2)),), ((CDNumber.zero(1),), (one,)))
     with pytest.raises(ValueError, match="inner dimensions"):
         cdm.mul(((one, one),), ((one,),))
+    # a Scalar multiplies as a level-0 number but is no CDNumber: a matrix
+    # mixing the two types is refused wherever the Scalar stands
+    for x, s in ((CDNumber.one(0), Scalar(1)), (CDNumber.one(0, True), Scalar(1, 0, True))):
+        for a in (((x, s), (x, x)), ((s, x), (x, x)), ((x, x), (x, s))):
+            with pytest.raises(TypeError):
+                cdm.mul(a, ((x, x), (x, x)))
+            with pytest.raises(TypeError):
+                cdm.mul(((x, x), (x, x)), a)
+            with pytest.raises(TypeError):
+                cdm.mul(((s, s), (s, s)), a)
+            with pytest.raises(TypeError):
+                cdm.inverse(a)
+    # and a Scalar, which has no level, is no off-diagonal Jordan entry and no W-map entry
+    with pytest.raises(AttributeError, match="level"):
+        JordanElement("R", [Scalar(1)] * 3, [Scalar(1)] * 3)
+    with pytest.raises(AttributeError, match="level"):
+        WMap("real", [[Scalar(1)]] * 6)
 
 
 def reference_omega(alpha, beta):

@@ -302,6 +302,12 @@ def test_verify_deterministic_and_pass():
     rc2, out2 = run_cli(args)
     assert rc1 == rc2 == 0
     assert out1 == out2
+    assert json.loads(out1)["seed"] == 11
+    # the seed is --seed's alone, 0 when it is not given
+    rc, out = run_cli(args[:-2])
+    assert rc == 0 and json.loads(out)["seed"] == 0
+    rc, out = run_cli(args[:-1] + ["9"])
+    assert rc == 0 and json.loads(out)["seed"] == 9
 
 
 def test_verify_unknown_suite_exits_2(capsys):
@@ -381,32 +387,6 @@ def test_a_recorded_verify_command_replays_to_the_same_bytes(suite):
     report = json.loads(out)
     assert rc == 0 and report["command"][2] == "--case=-"
     assert run_cli(report["command"] + ["--seed", str(report["seed"])]) == (rc, out)
-
-
-def test_seed_env_default(monkeypatch, tmp_path):
-    monkeypatch.setenv("JORDAN_STRATA_SEED", "17")
-    rc, out = run_cli(["verify", "--suite", "dimension-audit"])
-    assert rc == 0
-    assert json.loads(out)["seed"] == 17
-
-
-def test_seed_env_is_read_on_every_call(monkeypatch):
-    # the parser is built once per process; the env default must not be
-    # frozen into it at the first build
-    args = ["verify", "--suite", "dimension-audit"]
-    seeds = []
-    for value in ("5", "23"):
-        monkeypatch.setenv("JORDAN_STRATA_SEED", value)
-        rc, out = run_cli(args)
-        assert rc == 0
-        seeds.append(json.loads(out)["seed"])
-    monkeypatch.delenv("JORDAN_STRATA_SEED")
-    rc, out = run_cli(args)
-    assert seeds == [5, 23] and json.loads(out)["seed"] == 0
-    rc, out = run_cli(args + ["--seed", "9"])
-    assert json.loads(out)["seed"] == 9
-    monkeypatch.setenv("JORDAN_STRATA_SEED", "not-a-seed")
-    assert run_cli(args)[0] == 2
 
 
 # sha256 of the `classify -` reports, ranks 0-3 at small then large height in

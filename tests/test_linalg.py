@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import add
 
 import pytest
 
@@ -25,13 +27,31 @@ def rand_scalar(rng, gaussian, tall):
     return Scalar(part(), part() if gaussian else 0, gaussian)
 
 
+def school_mul(a, b):
+    """The schoolbook product, entry (i, j) the sum of a_ik b_kj in the entries'
+    own arithmetic (``Scalar`` or ``cd_mul``): it reads no block row, so it
+    checks the products that ``linalg`` and ``cdmatrix`` read off L(x)."""
+    return tuple(
+        tuple(reduce(add, (x * y for x, y in zip(row, col))) for col in zip(*b)) for row in a
+    )
+
+
 def rand_matrix(rng, m, n, gaussian, tall, rank=None):
     """An m x n matrix; with ``rank`` given, a product of m x rank and rank x n."""
     if rank is None:
         return tuple(tuple(rand_scalar(rng, gaussian, tall) for _ in range(n)) for _ in range(m))
     u = rand_matrix(rng, m, rank, gaussian, tall)
     v = rand_matrix(rng, rank, n, gaussian, tall)
-    return linalg.mul(u, v) if rank else ((Scalar.zero(gaussian),) * n,) * m
+    return school_mul(u, v) if rank else ((Scalar.zero(gaussian),) * n,) * m
+
+
+def over_row_dens(rng, a):
+    """``a`` with each row divided by its own 40-digit denominator."""
+    out = []
+    for row in a:
+        d = rng.randint(1, 10**40)
+        out.append(tuple(x * Fraction(1, d) for x in row))
+    return tuple(out)
 
 
 def identity(n, gaussian):
@@ -40,15 +60,21 @@ def identity(n, gaussian):
 
 
 def mat_vec(a, v):
-    return tuple(row[0] for row in linalg.mul(a, tuple((x,) for x in v)))
+    return tuple(row[0] for row in school_mul(a, tuple((x,) for x in v)))
 
 
 def cases(seed):
+    """Random matrices of every shape over Q and Q(i), of full and of lower
+    rank, at small and 40-digit height, and at 40-digit height with a
+    different denominator per row."""
     rng = random.Random(seed)
     for gaussian, tall in RINGS:
         for m, n in SHAPES:
             for rank in (None, rng.randint(0, min(m, n))):
-                yield rng, gaussian, tall, rand_matrix(rng, m, n, gaussian, tall, rank)
+                a = rand_matrix(rng, m, n, gaussian, tall, rank)
+                yield rng, gaussian, tall, a
+                if tall:
+                    yield rng, gaussian, tall, over_row_dens(rng, a)
 
 
 def test_solve_in_and_outside_the_column_space():
@@ -69,7 +95,7 @@ def test_solve_in_and_outside_the_column_space():
         )
         a0 = a[:-1] + ((Scalar.zero(gaussian),) * n,)
         b0 = mat_vec(a0, x)[:-1] + (Scalar.one(gaussian),)
-        assert linalg.solve(linalg.mul(low, a0), mat_vec(low, b0)) is None
+        assert linalg.solve(school_mul(low, a0), mat_vec(low, b0)) is None
 
 
 def test_kernel_basis_is_killed_and_has_the_right_size():
@@ -89,7 +115,8 @@ def test_inverse_and_rank_against_the_cofactor_determinant():
         invertible = not linalg.determinant(a).is_zero()
         assert (linalg.rank(a) == n) == invertible
         if invertible:
-            assert linalg.mul(a, linalg.inverse(a)) == identity(n, gaussian)
+            inv = linalg.inverse(a)
+            assert school_mul(a, inv) == school_mul(inv, a) == identity(n, gaussian)
         else:
             with pytest.raises(ZeroDivisionError):
                 linalg.inverse(a)
@@ -207,8 +234,7 @@ def test_cdmatrix_inverse(level, gaussian):
         except ZeroDivisionError:
             continue
         ident = cdm.identity(n, level, gaussian)
-        assert cdm.mul(a, inv) == ident
-        assert cdm.mul(inv, a) == ident
+        assert school_mul(a, inv) == school_mul(inv, a) == ident
     with pytest.raises(ZeroDivisionError, match="singular matrix"):
         cdm.inverse((a[0],) + a[:-1])
     one = CDNumber.one(1, gaussian=True)

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 from jordan_strata import cdmatrix as cdm
-from jordan_strata import cli, lifts, linalg, scalars
+from jordan_strata import cli, lifts, scalars
 from jordan_strata.cayley_dickson import CDNumber, cd_mul
 from jordan_strata.jordan import (
     JordanElement,
@@ -58,6 +58,7 @@ from jordan_strata.strata import rand_cd, rank_k_sample
 from jordan_strata.suites import run_suite
 from test_cdmatrix import reference_mul
 from test_jordan import combine_real_imag
+from test_linalg import school_mul
 
 CASES = ("real", "complex", "quaternionic")
 
@@ -580,7 +581,7 @@ def test_rank_two_split_with_an_isotropic_eigenvector():
     one, i, o = Scalar(1, 0, True), Scalar(0, 1, True), Scalar.zero(True)
     v1, e3 = (one, i, o), (o, o, one)
     m = tuple(tuple(v1[a] * v1[b] + e3[a] * e3[b] for b in range(3)) for a in range(3))
-    z = from_symmetric_matrix(linalg.scale(m, Scalar(0, Fraction(-1, 2), True)))
+    z = from_symmetric_matrix(cdm.scale(m, Scalar(0, Fraction(-1, 2), True)))
     assert jordan_rank(z) == 2
     for s in (2, 3):
         alpha = hilbert_lift(z, s)
@@ -691,7 +692,7 @@ def lift_target(algebra, entries):
         if algebra == "R":
             m[j][i] = m[i][j]
     build = from_symmetric_matrix if algebra == "R" else from_general_matrix
-    return build(linalg.scale(linalg.mat(m), over_2i))
+    return build(cdm.scale(cdm.from_rows(m), over_2i))
 
 
 def identity_gauge(n_u, n_v):
@@ -744,8 +745,8 @@ def test_gram_balance_gauge_balances_the_lift_grams(monkeypatch):
         hilbert_lift(z, 2)
     assert sorted(len(n_u) for n_u, _, _ in seen) == [1, 1, 1, 2, 2]
     for n_u, n_v, g in seen:
-        h = linalg.mul(g, cdm.conj_transpose(g))
-        assert linalg.mul(h, linalg.mul(n_u, h)) == linalg.mat(n_v)
+        h = school_mul(g, cdm.conj_transpose(g))
+        assert school_mul(h, school_mul(n_u, h)) == cdm.from_rows(n_v)
 
 
 ONE = [1, 0, 0, 0]

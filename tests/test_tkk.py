@@ -377,7 +377,7 @@ def test_z_spans_center_of_k():
         for y in kb:
             row.extend(alg.bracket(x, y).coords)
         rows.append(tuple(Scalar(v) for v in row))
-    ker = linalg.kernel_basis(linalg.transpose(linalg.mat(rows)))
+    ker = linalg.kernel_basis(tuple(zip(*rows)))
     assert len(ker) == 1
     zc = tuple(Scalar(v) for v in
                [Fraction(c) for c in _k_coords(alg, z)])
