@@ -184,10 +184,9 @@ def _real_components(m, rank):
     if rank != 2:
         raise LiftError("splitting supports rank one and two only", "real-split-rank")
     e = cdm.mul(m, cdm.conj_transpose(m))  # m conj(m), m symmetric
-    lams = _split_invariants(
-        sum((e[i][i] for i in range(3)), Scalar.zero(True)),
-        sum((e[i][j] * e[j][i] for i in range(3) for j in range(3)), Scalar.zero(True)),
-    )
+    lams = _split_invariants(*(
+        sum((a[i][i] for i in range(3)), Scalar.zero(True)) for a in (e, cdm.mul(e, e))
+    ))
     if lams is None:
         raise LiftError("splitting invariants are not rational", "real-split-irrational")
     lam1, lam2 = lams

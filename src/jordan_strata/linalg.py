@@ -1,23 +1,24 @@
 """Exact elimination over Q and Q(i): ranks, solutions, inverses and kernels.
 
-Matrices are tuples of row-tuples and everything is fraction-exact.  The
-row reductions of the routes -- rank, solve, inverse and kernel here, the
-structure-algebra span of ``tkk`` and the route bivector rank
-``poisson_rank_at`` -- go through one fraction-free integer echelon
-(``_Echelon``).  A Scalar matrix reaches it as the integer block rows of
-``cayley_dickson.block_row``, read from the stored integers, each row over
-its own lcm (a row scaling leaves the RREF as it is).  Over Q(i) they are
-the rows of the interleaved realification, the L of the level-0 table,
+Matrices are tuples of row-tuples and everything is exact.  The row
+reductions of the routes -- rank, solve, inverse and kernel here, the
+str(J) basis and inverse of ``tkk``, the Gram inverse of ``poisson`` and the
+route bivector rank ``poisson_rank_at`` -- go through one fraction-free
+echelon (``_Echelon``) that takes integer rows and gives integers back, an
+inverse as integer rows over one denominator.  A Scalar matrix reaches it as
+the integer block rows of ``cayley_dickson.block_row``, each row over its
+own lcm (a row scaling leaves the RREF as it is).  Over Q(i) they are the
+rows of the interleaved realification, the L of the level-0 table,
 
     rho: a + bi -> [[a, -b], [b, a]],
 
 an injective ring map, so RREF(rho A) = rho(RREF A) and every result over
 Q(i) is read off the even columns of a rational one.  ``inverse`` serves the
-CDNumber matrices of ``cdmatrix`` too.  The two skew rank oracles,
-``poisson_rank_at_matrix`` and the H model of ``jordan.matrix_model_rank``,
-rank through ``skew_rank`` instead, a 2x2-pivot elimination that shares no
-step with the echelon: both only clear the denominators of their rows with
-``scalars._int_row``, the helper every value is built with.  The cofactor
+CDNumber matrices of ``cdmatrix`` too.  ``frac_rank`` and ``skew_rank`` are
+the only entry points that clear rational rows, with ``scalars._int_row``.
+The two skew rank oracles, ``poisson_rank_at_matrix`` and the H model of
+``jordan.matrix_model_rank``, rank through ``skew_rank``, a 2x2-pivot
+elimination that shares no step with the echelon.  The cofactor
 ``determinant``, ``congruent_diagonal`` and the Bareiss ``leading_minors``
 stay independent of both; the first two are the only functions here with
 ``Scalar`` arithmetic.
@@ -26,18 +27,18 @@ stay independent of both; the first two are the only functions here with
 from __future__ import annotations
 
 from bisect import bisect
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .cayley_dickson import block_row
 from .scalars import Scalar, _int_row
 
 
 def frac_rank(rows) -> int:
-    """Rank of a rational (Fraction or int entry) matrix."""
+    """Rank of a rational (Fraction or int entry) matrix; each row is cleared
+    of its denominators first, which leaves the rank as it is."""
     ech = _Echelon()
     for row in rows:
-        ech.insert(row)
+        ech.insert(_int_row(row)[0])
     return len(ech.pivots)
 
 
@@ -112,8 +113,8 @@ class _Echelon:
         return row
 
     def insert(self, row) -> bool:
-        """Add a rational row; False, and no change, when it is in the span."""
-        row = self.reduce(_int_row(row)[0])
+        """Add an integer row; False, and no change, when it is in the span."""
+        row = self.reduce(row)
         piv = next((c for c, x in enumerate(row) if x), None)
         if piv is None:
             return False
@@ -125,11 +126,6 @@ class _Echelon:
         self.pivots.insert(k, piv)
         self.rows.insert(k, row)
         return True
-
-    def entry(self, r, c) -> Fraction:
-        """Entry (r, c) of the RREF."""
-        row = self.rows[r]
-        return Fraction(row[c], row[self.pivots[r]])
 
 
 def _eliminate(row, prow, p):
@@ -170,15 +166,17 @@ def _rref(a):
 
 
 def _inverse_columns(m, d=1, dens=None):
-    """Columns 0, d, 2d, ... of the inverse of the square rational matrix
-    with rows m[r] / dens[r] (all dens 1 when not given).
+    """(rows, den), integer rows with rows / den columns 0, d, 2d, ... of the
+    inverse of the square integer matrix with rows m[r] / dens[r] (all dens 1
+    when not given).
 
     For m = phi(A), with phi a ring map sending each entry to a d x d block
     whose column 0 holds the entry's coordinates, these columns are the
     coordinates of A^-1.  Row r of (m / dens | I) is row r of (m | dens[r] I)
     over dens[r], so a denominator only rescales its own identity column.
-    Raises ValueError when m is not square and ZeroDivisionError when it is
-    singular.
+    Echelon row r is row r of the inverse over its pivot, and den is the lcm
+    of the pivots.  Raises ValueError when m is not square and
+    ZeroDivisionError when it is singular.
     """
     size = len(m)
     if any(len(row) != size for row in m):
@@ -189,7 +187,8 @@ def _inverse_columns(m, d=1, dens=None):
         ech.insert(list(row) + [e if r == c else 0 for c in range(0, size, d)])
     if ech.pivots[size - 1 : size] != [size - 1]:
         raise ZeroDivisionError("singular matrix")
-    return [[ech.entry(r, size + j) for j in range(size // d)] for r in range(size)]
+    den = lcm(*[row[r] for r, row in enumerate(ech.rows)])
+    return [[x * (den // row[r]) for x in row[size:]] for r, row in enumerate(ech.rows)], den
 
 
 # -- elimination over the Scalar fields --------------------------------------------
@@ -238,12 +237,12 @@ def _inverse(a):
     if first.gaussian and w > 2:
         raise ValueError("inverse over a non-division ring is not supported")
     blocks = [block_row(row, first) for row in a]
-    cols = _inverse_columns(
+    cols, den = _inverse_columns(
         [r for block, _ in blocks for r in block], w, [d for _, d in blocks for _ in range(w)]
     )
     # column j of rows i .. i + w - 1 holds the coordinates of entry (i / w, j)
     return tuple(
-        tuple(first._like(*_int_row(x)) for x in zip(*cols[i : i + w]))
+        tuple(first._like(col, den) for col in zip(*cols[i : i + w]))
         for i in range(0, len(cols), w)
     )
 

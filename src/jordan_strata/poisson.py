@@ -6,8 +6,10 @@ brackets P_ab = {x_a, x_b}, computed once per algebra:
 
     {f, g} = sum_{a<b} (d_a f d_b g - d_b f d_a g) P_ab.
 
-With G the Gram of the invariant form, x_a = form(u_a, .) for u_a = G^-1 e_a,
-and invariance gives P_ab(x) = form([x, u_a], u_b) = ([x, u_a])_b, that is
+With G the Gram of the invariant form, x_a = form(u_a, .) for u_a = G^-1 e_a
+(G^-1 read as integer rows over one denominator off the integer echelon of
+``linalg``), and invariance gives P_ab(x) = form([x, u_a], u_b) = ([x, u_a])_b,
+that is
 
     P_ab(x) = sum_{j,m} (G^-1)_aj c_mj^b x_m
 
@@ -30,14 +32,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, lcm
 
 from . import cdmatrix as cdm
 from . import linalg
 from .cayley_dickson import CDNumber, unit_product
 from .jordan import JordanElement
 from .reduction import CASE_LEVEL
-from .scalars import _int_row
 from .tkk import ALGEBRA_TO_CASE, TKKAlgebra, TKKElement, tkk_algebra
 
 
@@ -143,13 +144,15 @@ class CasePoisson:
         """
         if self._bivector_polys is not None:
             return self._bivector_polys
-        inv = linalg._inverse_columns(self.alg.gram_matrix())
-        ints, inv_den = _int_row([x for row in inv for x in row])
-        n = self.dim
-        # G^-1 is symmetric: row j lists the (a, (G^-1)_aj)
-        ginv = [[(a, v) for a, v in enumerate(ints[j * n : (j + 1) * n]) if v] for j in range(n)]
+        alg, n = self.alg, self.dim
+        gram = [[d.get(j, 0) for j in range(n)] for d in map(dict, alg.gram_rows)]
+        # G = gram / gram_den and G^-1 = inv / inv_den, symmetric, which h takes to
+        # lowest terms; row j lists the (a, (G^-1)_aj)
+        inv, inv_den = linalg._inverse_columns(gram, 1, [alg.gram_den] * n)
+        h = gcd(inv_den, *[x for row in inv for x in row])
+        ginv = [[(a, v // h) for a, v in enumerate(row) if v] for row in inv]
         acc = {}
-        for m, row in enumerate(self.alg.lie.rows):
+        for m, row in enumerate(alg.lie.rows):
             for j, cell in enumerate(row):
                 for b, c in cell:
                     for a, g in ginv[j]:
@@ -157,7 +160,7 @@ class CasePoisson:
                             form = acc.setdefault((a, b), {})
                             form[m] = form.get(m, 0) + g * c
         table = {ab: tuple((m, p) for m, p in sorted(f.items()) if p) for ab, f in acc.items()}
-        self._bivector_polys = (self.alg.lie.den * inv_den, {k: t for k, t in table.items() if t})
+        self._bivector_polys = (alg.lie.den * inv_den // h, {k: t for k, t in table.items() if t})
         return self._bivector_polys
 
     def bracket(self, f: PolyFn, g: PolyFn) -> PolyFn:

@@ -186,9 +186,9 @@ def rand_cd(level: int, rng, gaussian=False, span=2) -> CDNumber:
     return CDNumber._of(level, gaussian, _draw(rng, 1 << level, gaussian, span), 2)
 
 
-def rand_cd_matrix(level: int, rows: int, cols: int, rng, span=2) -> tuple:
+def rand_cd_matrix(level: int, rows: int, cols: int, rng) -> tuple:
     """A rows x cols matrix of ``rand_cd`` entries, drawn row by row."""
-    return tuple(tuple(rand_cd(level, rng, span=span) for _ in range(cols)) for _ in range(rows))
+    return tuple(tuple(rand_cd(level, rng) for _ in range(cols)) for _ in range(rows))
 
 
 def random_element(algebra: str, rng, gaussian=False, span=2) -> JordanElement:

@@ -26,7 +26,8 @@ Jordan coordinates.  The first n = dim J
 operators B_k are L_{e_0}..L_{e_{n-1}}, so L_w has coordinates w in this
 "L block"; the rest (the "D block") are the independent commutators
 [L_{e_i}, L_{e_j}] in order.  An operator known to lie in str(J) has
-coordinates t[P] B[:, P]^-1, P the pivots of the basis echelon.
+coordinates t[P] B[:, P]^-1, P the pivots of the basis echelon, with
+B[:, P]^-1 the integer rows over one denominator of ``linalg``'s echelon.
 The structure constants of [b_i, b_j] = sum_k c_ij^k b_k are built once, in
 integers, from M[i][j], the coordinates of [L_{e_i}, L_{e_j}], and the
 operator entries: each [L_x, L_y] is a derivation D, and [D, L_x] = L_{Dx}
@@ -232,15 +233,11 @@ class TKKAlgebra:
         self.str_dim = s = len(ops)
         self.dim = 2 * n + s
         self._str_echelon = ech
-        # B is independent, so B restricted to the pivot columns P is
-        # invertible; keep B[:, P]^-1 as integer rows over one denominator
+        # B is independent, so B[:, P], row k b_p[k] / ops[k].den, is invertible;
+        # keep its inverse as integer rows over one denominator
         self._pivots = [divmod(p, n) for p in ech.pivots]
-        b_p = [[op.rows[r].get(c, 0) * (den * den // op.den) for r, c in self._pivots]
-               for op in ops]
-        inv, d = _int_row([x for row in linalg._inverse_columns(b_p) for x in row])
-        g = gcd(d, den * den)  # b_p is den^2 B[:, P]
-        self._inv_den, f = d // g, den * den // g
-        self._inv_rows = [[x * f for x in inv[k * s : (k + 1) * s]] for k in range(s)]
+        b_p = [[op.rows[r].get(c, 0) for r, c in self._pivots] for op in ops]
+        self._inv_rows, self._inv_den = linalg._inverse_columns(b_p, 1, [op.den for op in ops])
         m = [[()] * n for _ in range(n)]
         for i, j, op in comms:
             acc = self._pivot_coords([op[r].get(c, 0) for r, c in self._pivots], 1)[0]

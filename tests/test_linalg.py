@@ -7,7 +7,7 @@ import pytest
 
 from jordan_strata import cdmatrix as cdm
 from jordan_strata import linalg
-from jordan_strata.cayley_dickson import CDNumber
+from jordan_strata.cayley_dickson import CDNumber, block_row
 from jordan_strata.scalars import Scalar
 from jordan_strata.tkk import tkk_algebra
 from test_tkk import str_coords
@@ -108,18 +108,35 @@ def test_kernel_basis_is_killed_and_has_the_right_size():
 
 
 def test_inverse_and_rank_against_the_cofactor_determinant():
+    # the integer core on its own: the inverse of diag(2, 3) has echelon
+    # pivots 2 and 3, so its rows come over their lcm
+    assert linalg._inverse_columns([[2, 0], [0, 3]]) == ([[3, 0], [0, 2]], 6)
     for _, gaussian, _, a in cases(3):
         n = len(a)
         if len(a[0]) != n:
             continue
         invertible = not linalg.determinant(a).is_zero()
         assert (linalg.rank(a) == n) == invertible
+        # m / dens is a's block-row matrix (over Q(i) its realification), each
+        # row over its own denominator; rows / den are columns 0, w, 2w, ... of
+        # its inverse, so the integer product m rows is den diag(dens) there
+        w = len(a[0][0].v)
+        blocks = [block_row(row, a[0][0]) for row in a]
+        m = [r for block, _ in blocks for r in block]
+        dens = [d for _, d in blocks for _ in range(w)]
         if invertible:
             inv = linalg.inverse(a)
             assert school_mul(a, inv) == school_mul(inv, a) == identity(n, gaussian)
+            rows, den = linalg._inverse_columns(m, w, dens)
+            assert all(type(x) is int for row in rows for x in row)
+            assert school_mul(m, rows) == tuple(
+                tuple(den * dens[r] if r == w * c else 0 for c in range(n)) for r in range(w * n)
+            )
         else:
             with pytest.raises(ZeroDivisionError):
                 linalg.inverse(a)
+            with pytest.raises(ZeroDivisionError):
+                linalg._inverse_columns(m, w, dens)
 
 
 def test_leading_minors_against_the_cofactor_determinant():
@@ -155,6 +172,9 @@ def test_frac_rank_matches_scalar_rank():
     for _, gaussian, _, a in cases(4):
         if not gaussian:
             assert linalg.frac_rank([[x.re for x in row] for row in a]) == linalg.rank(a)
+    # frac_rank clears each row; the echelon itself takes integer rows only
+    with pytest.raises(TypeError):
+        linalg._Echelon().insert([Fraction(1, 2), 1])
 
 
 def rand_skew(rng, n, rank, entry):

@@ -77,8 +77,8 @@ def test_proj_point_equality_is_proportionality():
 def test_rand_cd_matrix_draws_row_by_row():
     for level in (0, 1, 2):
         a, b = random.Random(level), random.Random(level)
-        m = rand_cd_matrix(level, 3, 2, a, span=3)
-        assert m == tuple(tuple(rand_cd(level, b, span=3) for _ in range(2)) for _ in range(3))
+        m = rand_cd_matrix(level, 3, 2, a)
+        assert m == tuple(tuple(rand_cd(level, b) for _ in range(2)) for _ in range(3))
         assert a.getstate() == b.getstate()
 
 
