@@ -3,9 +3,9 @@ the ``cdmatrix`` blocks, ``jordan_mul``, the Jordan cross product (``sharp``,
 ``det``, ``jordan_rank``), the coordinate product of ``tkk.JordanSpace``
 and the Lie bracket of ``tkk.TKKAlgebra``.
 
-A structure-constant table e_i e_j = sum_k c_ijk e_k with rational c_ijk is
-compiled once into integer constants over one common denominator: the one
-table a product holds, for both base rings.  An operand is one integer
+A structure-constant table e_i e_j = sum_k c_ijk e_k arrives as integer
+rows over one stated denominator, c_ijk = c / den: the one table a product
+holds, for both base rings.  An operand is one integer
 vector over one positive denominator (real parts, then imaginary parts over
 Q(i)), which is how a ``CDNumber``, a ``JordanElement`` and a
 ``tkk.TKKElement`` store their coordinates (``scalars.IntVector``), so a
@@ -50,7 +50,6 @@ denominator.
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from math import lcm
 
 from .scalars import Scalar
@@ -65,12 +64,7 @@ class Bilinear:
 
     __slots__ = ("dim", "den", "rows", "_left_rows", "_square_fn", "_product_fn")
 
-    def __init__(self, table, den=None):
-        """``table[i][j]`` lists the (k, c) with e_i e_j = sum c e_k, or, when
-        ``den`` is given, already the integer rows over that denominator."""
-        if den is None:
-            den = lcm(*[Fraction(c).denominator for row in table for cell in row for _, c in cell])
-            table = [[tuple((k, int(c * den)) for k, c in cell) for cell in row] for row in table]
+    def __init__(self, table, den):
         self.dim = len(table)
         self.den = den
         self.rows = table

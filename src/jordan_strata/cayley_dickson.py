@@ -109,10 +109,6 @@ class CDNumber(IntVector):
         """The coordinates as Scalars, boxed from the integers."""
         return box(self.v, self.den, self.gaussian)
 
-    @property
-    def algebra(self) -> str:
-        return LEVEL_NAMES[self.tag]
-
     # -- multiplicative structure ---------------------------------------------
 
     def __mul__(self, other):
@@ -181,9 +177,7 @@ def _base_ring(level, rings):
 def _cd_product(level: int) -> Bilinear:
     """The signed unit table of one level, compiled for the bilinear engine."""
     n = 1 << level
-    return Bilinear(
-        [[(unit_product(level, i, j),) for j in range(n)] for i in range(n)]
-    )
+    return Bilinear([[(unit_product(level, i, j),) for j in range(n)] for i in range(n)], 1)
 
 
 def checked_lcm(values, first):
@@ -258,5 +252,5 @@ def cd_associator(a: CDNumber, b: CDNumber, c: CDNumber) -> CDNumber:
     return cd_mul(cd_mul(a, b), c) - cd_mul(a, cd_mul(b, c))
 
 
-def basis(level: int, gaussian=False):
-    return [CDNumber.unit(level, k, gaussian) for k in range(1 << level)]
+def basis(level: int):
+    return [CDNumber.unit(level, k) for k in range(1 << level)]

@@ -30,8 +30,8 @@ def from_rows(rows):
     return tuple(tuple(r) for r in rows)
 
 
-def zero(m, n, level, gaussian=False):
-    z = CDNumber.zero(level, gaussian)
+def zero(m, n, level):
+    z = CDNumber.zero(level)
     return tuple((z,) * n for _ in range(m))
 
 

@@ -223,11 +223,11 @@ class JordanElement(IntVector):
         return 3 + 3 * (1 << LEVEL_OF_ALGEBRA[algebra])
 
     @staticmethod
-    def space_basis(algebra: str, gaussian=False):
-        dim = JordanElement.space_dim(algebra) * (2 if gaussian else 1)
+    def space_basis(algebra: str):
+        dim = JordanElement.space_dim(algebra)
         return [
-            JordanElement._canonical(algebra, gaussian, [int(i == k) for i in range(dim)], 1)
-            for k in range(JordanElement.space_dim(algebra))
+            JordanElement._canonical(algebra, False, [int(i == k) for i in range(dim)], 1)
+            for k in range(dim)
         ]
 
     def split_real_imag(self):
@@ -313,11 +313,13 @@ def jordan_mul_matrices(x: JordanElement, y: JordanElement) -> JordanElement:
 
 
 def _mult_table(algebra: str):
-    """Sparse structure constants of the Jordan product in the coordinate basis.
+    """Sparse structure constants of the Jordan product in the coordinate
+    basis, as integer rows over 2: cell (i, j) lists the (k, c) with
+    e_i o e_j = sum (c / 2) e_k.
 
     Generated straight from the Cayley-Dickson unit table: each basis element
     is a hermitian 3x3 matrix of integer coefficient dicts {unit: coeff},
-    and e_i o e_j = (e_i e_j + e_j e_i) / 2 is read back into coordinates.
+    and twice e_i o e_j = e_i e_j + e_j e_i is read back into coordinates.
     It never calls ``jordan_mul_matrices``, which therefore stays an
     independent check of the product that this table drives.
     """
@@ -349,16 +351,15 @@ def _mult_table(algebra: str):
             twice = lambda pos, u: xy.get(pos, {}).get(u, 0) + yx.get(pos, {}).get(u, 0)
             coords = [twice((k, k), 0) for k in range(3)]
             coords += [twice(pos, u) for pos, u in offs]
-            table[i][j] = table[j][i] = tuple(
-                (k, Fraction(c, 2)) for k, c in enumerate(coords) if c
-            )
+            table[i][j] = table[j][i] = tuple((k, c) for k, c in enumerate(coords) if c)
     return tuple(tuple(r) for r in table)
 
 
 @lru_cache(maxsize=None)
 def structure_tensor(algebra: str) -> Bilinear:
-    """The Jordan structure constants compiled for the bilinear engine."""
-    return Bilinear(_mult_table(algebra))
+    """The Jordan structure constants compiled for the bilinear engine: the
+    integer rows of ``_mult_table`` over 2."""
+    return Bilinear(_mult_table(algebra), 2)
 
 
 def _product(table: Bilinear, x: JordanElement, y: JordanElement) -> JordanElement:

@@ -111,21 +111,17 @@ def hilbert_lift(z: JordanElement, s: int) -> WMap:
 # -- shared helpers -----------------------------------------------------------------
 
 
-def _gaussian(fr_re, fr_im=0):
-    return Scalar(Fraction(fr_re), Fraction(fr_im), gaussian=True)
-
-
 def _columns_for_class(m: Scalar, budget: int):
     """Column scales (x * t for t in witness) with sum of squares = m."""
     for witness in _WITNESSES:
         if len(witness) > budget:
             continue
         t_sum = sum(t * t for t in witness)
-        q = m * _gaussian(t_sum).inverse()
+        q = m * Scalar(t_sum, 0, True).inverse()
         x = q.sqrt()
         if x is None or x.is_zero():
             continue
-        return tuple(x * _gaussian(t) for t in witness)
+        return tuple(x * Scalar(t, 0, True) for t in witness)
     return None
 
 
@@ -150,7 +146,7 @@ def _split_invariants(tr, tr2):
     root = (tr2 + tr2 - tr * tr).sqrt()
     if root is None:
         return None
-    half = _gaussian(Fraction(1, 2))
+    half = Scalar(Fraction(1, 2), 0, True)
     return (tr + root) * half, (tr - root) * half
 
 
@@ -212,7 +208,7 @@ def _repeated_eigen_split(m):
     cols = [c for c in zip(*m) if any(not x.is_zero() for x in c)]
     u1 = cols[0]
     u2 = next(c for c in cols[1:] if linalg.rank((u1, c)) == 2)
-    cands = [_gaussian(t) for t in (0, 1, -1, 2, -2)] + [
+    cands = [Scalar(t, 0, True) for t in (0, 1, -1, 2, -2)] + [
         Scalar(0, 1, True),
         Scalar(0, -1, True),
     ]
@@ -273,8 +269,8 @@ def _lift_complex(z: JordanElement, s: int, rank: int) -> WMap:
     g = _gram_balance_gauge(n_u, n_v)
     u = cdm.mul(u0, g)
     v = cdm.mul(v0, linalg.inverse(cdm.conj_transpose(g)))
-    f = cdm.scale(cdm.add(u, v), _gaussian(Fraction(1, 2)))
-    g_mat = cdm.scale(cdm.sub(u, v), _gaussian(0, Fraction(-1, 2)))  # 1/(2i)
+    f = cdm.scale(cdm.add(u, v), Scalar(Fraction(1, 2), 0, True))
+    g_mat = cdm.scale(cdm.sub(u, v), Scalar(0, Fraction(-1, 2), True))  # 1/(2i)
     # a + bi in C_C is (a, b) in C: the same integers, over Q
     xi, up = (
         [tuple(CDNumber._of(1, False, x.v, x.den) for x in col) for col in zip(*block)]
@@ -462,7 +458,7 @@ def _real_liftable(rank, s, rng):
             x = rand_scalar(rng, True)
             if x.is_zero():
                 x = Scalar(1, 1, True)
-            coeffs.append(x * x * _gaussian(sum(t * t for t in witness)))
+            coeffs.append(x * x * Scalar(sum(t * t for t in witness), 0, True))
         m = _sym_rank1(coeffs[0], vecs[0])
         if rank == 2:
             m = cdm.add(m, _sym_rank1(coeffs[1], vecs[1]))

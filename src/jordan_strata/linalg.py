@@ -165,10 +165,9 @@ def _rref(a):
     return [p // w for p in ech.pivots[::w]], entry
 
 
-def _inverse_columns(m, d=1, dens=None):
+def _inverse_columns(m, d, dens):
     """(rows, den), integer rows with rows / den columns 0, d, 2d, ... of the
-    inverse of the square integer matrix with rows m[r] / dens[r] (all dens 1
-    when not given).
+    inverse of the square integer matrix with rows m[r] / dens[r].
 
     For m = phi(A), with phi a ring map sending each entry to a d x d block
     whose column 0 holds the entry's coordinates, these columns are the
@@ -183,8 +182,7 @@ def _inverse_columns(m, d=1, dens=None):
         raise ValueError("not a square matrix")
     ech = _Echelon()
     for r, row in enumerate(m):
-        e = dens[r] if dens else 1
-        ech.insert(list(row) + [e if r == c else 0 for c in range(0, size, d)])
+        ech.insert(list(row) + [dens[r] if r == c else 0 for c in range(0, size, d)])
     if ech.pivots[size - 1 : size] != [size - 1]:
         raise ZeroDivisionError("singular matrix")
     den = lcm(*[row[r] for r, row in enumerate(ech.rows)])

@@ -137,7 +137,7 @@ class CasePoisson:
     def bivector_polys(self):
         """The coordinate brackets P_ab(x) = {x_a, x_b} for a < b, as (den,
         table): ``table[(a, b)]`` lists the (m, p) with P_ab = sum (p / den) x_m
-        and p a nonzero integer.
+        and p a nonzero integer, den and the p in lowest terms.
 
         P_ab(x) = sum_{j,m} (G^-1)_aj c_mj^b x_m, one pass over the structure
         constants c of ``alg.lie`` and the few nonzeros of G^-1.
@@ -159,8 +159,11 @@ class CasePoisson:
                         if a < b:
                             form = acc.setdefault((a, b), {})
                             form[m] = form.get(m, 0) + g * c
-        table = {ab: tuple((m, p) for m, p in sorted(f.items()) if p) for ab, f in acc.items()}
-        self._bivector_polys = (alg.lie.den * inv_den // h, {k: t for k, t in table.items() if t})
+        # one division by their common factor puts den and the p in lowest terms
+        den = alg.lie.den * inv_den // h
+        cf = gcd(den, *[p for f in acc.values() for p in f.values()])
+        table = {ab: tuple((m, p // cf) for m, p in sorted(f.items()) if p) for ab, f in acc.items()}
+        self._bivector_polys = (den // cf, {k: t for k, t in table.items() if t})
         return self._bivector_polys
 
     def bracket(self, f: PolyFn, g: PolyFn) -> PolyFn:

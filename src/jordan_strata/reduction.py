@@ -107,18 +107,6 @@ class LiftError(ValueError):
         self.reason = reason
 
 
-@lru_cache(maxsize=None)
-def bmatrix(case):
-    level = CASE_LEVEL[case]
-    z, o = CDNumber.zero(level), CDNumber.one(level)
-    rows = []
-    for i in range(3):
-        rows.append(tuple(z if j != i + 3 else o for j in range(6)))
-    for i in range(3):
-        rows.append(tuple(z if j != i else -o for j in range(6)))
-    return tuple(rows)
-
-
 class WMap:
     """A K-linear map K^s -> K^6, stored as a 6 x s matrix over K."""
 
@@ -272,11 +260,21 @@ def in_lie_h(xi) -> bool:
     return cdm.is_zero(cdm.add(xi, cdm.conj_transpose(xi)))
 
 
-def in_lie_g(case, m) -> bool:
-    """conj(M)^T B + B M = 0 for the case form B."""
-    b = bmatrix(case)
-    lhs = cdm.add(cdm.mul(cdm.conj_transpose(m), b), cdm.mul(b, m))
-    return cdm.is_zero(lhs)
+def in_lie_g(m) -> bool:
+    """conj(M)^T B + B M = 0 for B = [[0, I3], [-I3, 0]], read off the 3x3
+    blocks M = [[A, X], [Y, D]]: the left side is
+
+        [[Y - conj(Y)^T, D + conj(A)^T], [-A - conj(D)^T, conj(X)^T - X]],
+
+    so it vanishes exactly when X and Y are hermitian and D = -conj(A)^T."""
+    star = cdm.conj_transpose
+    a, x = [r[:3] for r in m[:3]], [r[3:] for r in m[:3]]
+    y, d = [r[:3] for r in m[3:]], [r[3:] for r in m[3:]]
+    return (
+        cdm.is_zero(cdm.sub(x, star(x)))
+        and cdm.is_zero(cdm.sub(y, star(y)))
+        and cdm.is_zero(cdm.add(d, star(a)))
+    )
 
 
 # -- group elements (exact rational points, used for equivariance tests) --------

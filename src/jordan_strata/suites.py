@@ -561,7 +561,7 @@ def moment_suite(cases, samples, rng):
         def membership():
             for _ in range(samples):
                 alpha = rand_wmap()
-                ok = in_lie_h(mu_h(alpha)) and in_lie_g(cname, mu_g(alpha))
+                ok = in_lie_h(mu_h(alpha)) and in_lie_g(mu_g(alpha))
                 yield ok, lambda: repr(alpha.matrix)
 
         checks.append(_count("momentum-membership", cname, membership()))

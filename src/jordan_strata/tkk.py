@@ -84,17 +84,17 @@ def _commutator(a, b):
 
 
 class JordanSpace:
-    """Coordinate model of one real Jordan algebra: basis, the compiled
+    """Coordinate model of one real Jordan algebra: its dimension, the compiled
     product (``jordan.structure_tensor``), the diagonal trace-form Gram and
     the left multiplications L_{e_i} read off the product's ``left`` as
     sparse integer operators (den * L_{e_i}, den the product's)."""
 
     def __init__(self, algebra: str):
-        self.basis = JordanElement.space_basis(algebra)
-        self.dim = len(self.basis)
+        basis = JordanElement.space_basis(algebra)
+        self.dim = len(basis)
         self.product = structure_tensor(algebra)
         # the standard basis is trace-form orthogonal, with norms 1 and 2
-        self.gram = tuple(int(trace_form(b, b).re) for b in self.basis)
+        self.gram = tuple(int(trace_form(b, b).re) for b in basis)
         units = ([int(k == i) for k in range(self.dim)] for i in range(self.dim))
         self.lops = [tuple({j: c for j, c in enumerate(row) if c} for row in self.product.left(e))
                      for e in units]
@@ -469,14 +469,6 @@ class TKKAlgebra:
 
         negative_k = all((-1) ** i * d > 0 for i, d in enumerate(minors(self.k_basis()), 1))
         return negative_k and all(d > 0 for d in minors(self.p_basis()))
-
-    def gram_matrix(self):
-        """Gram of the invariant form on the standard basis, as a dense matrix."""
-        g = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for i, row in enumerate(self.gram_rows):
-            for j, v in row:
-                g[i][j] = Fraction(v, self.gram_den)
-        return tuple(tuple(r) for r in g)
 
     def from_coords(self, coords) -> TKKElement:
         """The element with the rational coordinates ``coords``, dim of them."""

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from jordan_strata import bilinear, cayley_dickson, jordan, strata
+from jordan_strata import bilinear, cayley_dickson, jordan, linalg, strata
 from jordan_strata.bilinear import Bilinear
 from jordan_strata.cayley_dickson import CDNumber, _cd_product
 from jordan_strata.jordan import (
@@ -62,6 +62,13 @@ def test_square_refuses_a_non_commutative_table():
                 t.square([1] * (t.dim * (2 if gaussian else 1)), gaussian)
 
 
+def test_the_engine_and_the_elimination_core_hold_no_fraction():
+    # tables arrive as integer rows over one denominator and the echelon
+    # eliminates on integers, so neither module has a Fraction to reach for
+    for module in (bilinear, linalg):
+        assert all(v is not Fraction for v in vars(module).values()), module.__name__
+
+
 def square_operands(rng, n, gaussian):
     """Zero, one and two nonzero coordinates, dense small and dense 40-digit
     vectors, and over Q(i) purely real and purely imaginary ones."""
@@ -97,7 +104,7 @@ def test_compiled_square_agrees_with_the_contraction_loop(name, build, arg, gaus
 
 def test_square_is_compiled_once_per_table_and_serves_both_rings():
     complex_numbers = [[((0, 1),), ((1, 1),)], [((1, 1),), ((0, -1),)]]
-    t = Bilinear(complex_numbers)
+    t = Bilinear(complex_numbers, 1)
     t.contract([1, 2], [3, 4])
     assert t._square_fn is None
     assert t.square([1, 2]) == [-3, 4]  # (1 + 2i)^2
@@ -108,7 +115,7 @@ def test_square_is_compiled_once_per_table_and_serves_both_rings():
     assert t.square([1, 0, 0, 1], gaussian=True) == [2, 0, 0, 2]  # (1 + i e1)^2 over Q(i)
     assert t._square_fn is fn
     # compiled on a first Gaussian square just the same, and reused over Q
-    t = Bilinear(complex_numbers)
+    t = Bilinear(complex_numbers, 1)
     assert t.square([1, 0, 0, 1], gaussian=True) == [2, 0, 0, 2]
     fn = t._square_fn
     assert fn is not None

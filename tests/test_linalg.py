@@ -110,7 +110,7 @@ def test_kernel_basis_is_killed_and_has_the_right_size():
 def test_inverse_and_rank_against_the_cofactor_determinant():
     # the integer core on its own: the inverse of diag(2, 3) has echelon
     # pivots 2 and 3, so its rows come over their lcm
-    assert linalg._inverse_columns([[2, 0], [0, 3]]) == ([[3, 0], [0, 2]], 6)
+    assert linalg._inverse_columns([[2, 0], [0, 3]], 1, [1, 1]) == ([[3, 0], [0, 2]], 6)
     for _, gaussian, _, a in cases(3):
         n = len(a)
         if len(a[0]) != n:
@@ -274,7 +274,7 @@ def test_inverse_rejects_a_non_square_matrix(m, n):
         with pytest.raises(ValueError, match="not a square matrix"):
             cdm.inverse(((one,) * n,) * m)
     with pytest.raises(ValueError, match="not a square matrix"):
-        linalg._inverse_columns([[1, 0, 0], [0, 1, 0]])
+        linalg._inverse_columns([[1, 0, 0], [0, 1, 0]], 1, [1, 1])
 
 
 def test_str_coords_rejects_an_operator_outside_the_structure_algebra():

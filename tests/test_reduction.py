@@ -26,6 +26,7 @@ from jordan_strata.reduction import (
     CASE_LEVEL,
     OscillatorConfig,
     WMap,
+    _random_hermitian,
     act_g,
     act_h,
     angular_momentum,
@@ -54,7 +55,8 @@ from jordan_strata.reduction import (
 from jordan_strata import suites
 from jordan_strata.cli import main
 from jordan_strata.scalars import Scalar
-from jordan_strata.strata import rand_cd, rank_k_sample
+from jordan_strata.poisson import matrix_g_basis
+from jordan_strata.strata import rand_cd, rand_cd_matrix, rank_k_sample
 from jordan_strata.suites import run_suite
 from test_cdmatrix import reference_mul
 from test_jordan import combine_real_imag
@@ -138,8 +140,6 @@ def rand_lie_h(case, s, rng):
 
 
 def rand_lie_g(case, rng):
-    from jordan_strata.reduction import _random_hermitian
-
     level = CASE_LEVEL[case]
     a = cdm.from_rows(
         [
@@ -194,7 +194,68 @@ def test_zero_map_and_membership(case):
     for _ in range(10):
         alpha = rand_wmap(case, 2, rng)
         assert in_lie_h(mu_h(alpha))
-        assert in_lie_g(case, mu_g(alpha))
+        assert in_lie_g(mu_g(alpha))
+
+
+def lie_g_by_definition(case, m):
+    """conj(M)^T B + B M = 0 with B = [[0, I3], [-I3, 0]] written out and
+    multiplied by ``cdm.mul``: the oracle of ``in_lie_g``'s block test."""
+    level = CASE_LEVEL[case]
+    z, o = CDNumber.zero(level), CDNumber.one(level)
+    b = [[o if j == i + 3 else -o if i == j + 3 else z for j in range(6)] for i in range(6)]
+    return cdm.is_zero(cdm.add(cdm.mul(cdm.conj_transpose(m), b), cdm.mul(b, m)))
+
+
+def with_entry_added(m, i, j, q):
+    """m with q added to its entry (i, j)."""
+    return tuple(tuple(x + q if (r, c) == (i, j) else x for c, x in enumerate(row))
+                 for r, row in enumerate(m))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_lie_membership_refuses_each_broken_condition(case):
+    # M = [[A, X], [Y, D]] lies in Lie(G) exactly when X and Y are hermitian
+    # and D = -conj(A)^T; a unit added to one entry of a member breaks one of
+    # the three, and a unit added to a member of Lie(H) breaks skew-hermitian
+    rng = random.Random(11)
+    level = CASE_LEVEL[case]
+    one = CDNumber.one(level)
+    members = [mu_g(rand_wmap(case, 2, rng)) for _ in range(3)] + matrix_g_basis(case)[:: 1 + level]
+    for eta in members:
+        assert in_lie_g(eta)
+        u = CDNumber.unit(level, rng.randrange(1 << level))
+        for i, j in ((0, 4), (4, 0), (3, 3)):  # X[0][1], Y[1][0], D[0][0]
+            broken = with_entry_added(eta, i, j, one if (i, j) == (3, 3) else u)
+            assert not in_lie_g(broken), (i, j)
+            assert not lie_g_by_definition(case, broken), (i, j)
+    for _ in range(3):
+        xi = mu_h(rand_wmap(case, 2, rng))
+        assert in_lie_h(xi)
+        assert not in_lie_h(with_entry_added(xi, 0, 0, one))
+        assert not in_lie_h(with_entry_added(xi, 0, 1, CDNumber.unit(level, rng.randrange(1 << level))))
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_lie_g_block_test_agrees_with_the_definition(case):
+    # every way of drawing the blocks: X and Y hermitian or not, D equal to
+    # -conj(A)^T, to +conj(A)^T or drawn freely
+    rng = random.Random(12)
+    level = CASE_LEVEL[case]
+    star = cdm.conj_transpose
+    kinds = [(hx, hy, kd) for hx in (False, True) for hy in (False, True)
+             for kd in ("minus", "plus", "free")]
+    for hermitian_x, hermitian_y, kind_d in kinds * 2:
+        a = rand_cd_matrix(level, 3, 3, rng)
+        x, y = (_random_hermitian(level, 3, rng) if h else rand_cd_matrix(level, 3, 3, rng)
+                for h in (hermitian_x, hermitian_y))
+        if kind_d == "free":
+            d = rand_cd_matrix(level, 3, 3, rng)
+        else:
+            d = star(a) if kind_d == "plus" else cdm.neg(star(a))
+        m = tuple(ra + rb for ra, rb in zip(a, x)) + tuple(ra + rb for ra, rb in zip(y, d))
+        verdict = in_lie_g(m)
+        assert verdict == lie_g_by_definition(case, m)
+        assert verdict == (hermitian_x and hermitian_y and kind_d == "minus")
 
 
 @pytest.mark.parametrize("case", CASES)
@@ -205,7 +266,7 @@ def test_moment_identity_exact(case):
         delta = rand_wmap(case, 2, rng)
         xi = rand_lie_h(case, 2, rng)
         eta = rand_lie_g(case, rng)
-        assert in_lie_h(xi) and in_lie_g(case, eta)
+        assert in_lie_h(xi) and in_lie_g(eta)
         assert moment_identity_residual_h(alpha, xi, delta).is_zero()
         assert moment_identity_residual_g(alpha, eta, delta).is_zero()
         assert moment_identity_check(alpha, xi, delta, side="h").is_zero()
