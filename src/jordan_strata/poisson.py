@@ -30,7 +30,6 @@ reduction pipeline feeds.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -39,34 +38,46 @@ from . import linalg
 from .cayley_dickson import CDNumber, unit_product
 from .jordan import JordanElement
 from .reduction import CASE_LEVEL
+from .scalars import _int_row
 from .tkk import ALGEBRA_TO_CASE, TKKAlgebra, TKKElement, tkk_algebra
 
 
 class PolyFn:
     """Sparse polynomial on a case algebra in basis coordinates.
 
-    Terms map a monomial to a nonzero rational coefficient.  A monomial is the
-    sorted tuple of its variable indices, so x_0^2 x_3 is (0, 0, 3) and the
-    empty tuple is the constant term.
+    A value is stored as integers over one denominator, like an
+    ``IntVector``: ``nums`` maps a monomial to a nonzero integer numerator and
+    the polynomial is sum nums[k] x^k / den, with den > 0 and gcd(den, *nums)
+    = 1, so a value has one storage and equality compares integers.  A
+    monomial is the sorted tuple of its variable indices, so x_0^2 x_3 is
+    (0, 0, 3) and the empty tuple is the constant term.
     """
 
-    __slots__ = ("case", "dim", "terms")
+    __slots__ = ("case", "dim", "nums", "den")
 
-    def __init__(self, case, dim, terms=None):
-        object.__setattr__(self, "case", case)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", {k: c for k, c in (terms or {}).items() if c})
+    def __init__(self, case, dim, nums=None, den=1):
+        nums = {k: c for k, c in (nums or {}).items() if c}
+        g = gcd(den, *nums.values())
+        if g != 1:
+            nums, den = {k: c // g for k, c in nums.items()}, den // g
+        set_ = object.__setattr__
+        set_(self, "case", case)
+        set_(self, "dim", dim)
+        set_(self, "nums", nums)
+        set_(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyFn is immutable")
 
     @staticmethod
     def coordinate(case, dim, i):
-        return PolyFn(case, dim, {(i,): Fraction(1)})
+        return PolyFn(case, dim, {(i,): 1})
 
     @staticmethod
     def linear(case, dim, coeffs):
-        return PolyFn(case, dim, {(i,): Fraction(c) for i, c in enumerate(coeffs)})
+        """sum_i coeffs[i] x_i for rational coeffs, cleared over their lcm."""
+        nums, den = _int_row(coeffs)
+        return PolyFn(case, dim, {(i,): c for i, c in enumerate(nums)}, den)
 
     def _check(self, other):
         if self.case != other.case or self.dim != other.dim:
@@ -74,32 +85,36 @@ class PolyFn:
 
     def __add__(self, other):
         self._check(other)
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            terms[k] = terms.get(k, 0) + c
-        return PolyFn(self.case, self.dim, terms)
+        den = lcm(self.den, other.den)
+        a, b = den // self.den, den // other.den
+        nums = {k: a * c for k, c in self.nums.items()}
+        for k, c in other.nums.items():
+            nums[k] = nums.get(k, 0) + b * c
+        return PolyFn(self.case, self.dim, nums, den)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = Fraction(c)
-        return PolyFn(self.case, self.dim, {k: c * v for k, v in self.terms.items()})
+        """c f for a rational c."""
+        n, den = c.numerator, self.den * c.denominator
+        return PolyFn(self.case, self.dim, {k: n * v for k, v in self.nums.items()}, den)
 
     def __mul__(self, other):
         self._check(other)
-        return PolyFn(self.case, self.dim, _mul_into({}, self.terms, other.terms))
+        nums = _mul_into({}, self.nums, other.nums)
+        return PolyFn(self.case, self.dim, nums, self.den * other.den)
 
     def is_zero(self):
-        return not self.terms
+        return not self.nums
 
     def __eq__(self, other):
         if not isinstance(other, PolyFn):
             return NotImplemented
-        return self.case == other.case and self.terms == other.terms
+        return self.case == other.case and self.den == other.den and self.nums == other.nums
 
     def __repr__(self):
-        return f"PolyFn({self.case}, {len(self.terms)} terms)"
+        return f"PolyFn({self.case}, {len(self.nums)} terms)"
 
 
 def _mul_into(acc, p, q):
@@ -112,17 +127,14 @@ def _mul_into(acc, p, q):
 
 
 def _scaled_partials(f: PolyFn):
-    """(den, d) with den the least common denominator of f's coefficients and
-    d[a] the partial of den * f in x_a, as {monomial: nonzero int}."""
-    den = lcm(*[c.denominator for c in f.terms.values()])
+    """d with d[a] the partial of den * f in x_a, as {monomial: nonzero int}."""
     out = {}
-    for key, c in f.terms.items():
-        n = c.numerator * (den // c.denominator)
+    for key, n in f.nums.items():
         # removing one x_a from distinct monomials leaves distinct monomials
         for a in set(key):
             j = key.index(a)
             out.setdefault(a, {})[key[:j] + key[j + 1 :]] = n * key.count(a)
-    return den, out
+    return out
 
 
 class CasePoisson:
@@ -169,10 +181,9 @@ class CasePoisson:
     def bracket(self, f: PolyFn, g: PolyFn) -> PolyFn:
         """{f, g} = sum_{a<b} (d_a f d_b g - d_b f d_a g) P_ab, contracted in
         integers as sum_a d_a f h_a with h_a = sum_b P_ab d_b g (P_ba = -P_ab),
-        then divided once by the product of the three denominators."""
+        over the product of the three denominators."""
         pden, table = self.bivector_polys()
-        fden, df = _scaled_partials(f)
-        gden, dg = _scaled_partials(g)
+        df, dg = _scaled_partials(f), _scaled_partials(g)
         h = {}
         for (a, b), form in table.items():
             for r, s, sign in ((a, b, 1), (b, a, -1)):
@@ -181,17 +192,16 @@ class CasePoisson:
         acc = {}
         for a, ha in h.items():
             _mul_into(acc, df[a], ha)
-        den = pden * fden * gden
-        return PolyFn(self.case, self.dim, {k: Fraction(v, den) for k, v in acc.items()})
+        return PolyFn(self.case, self.dim, acc, pden * f.den * g.den)
 
     def casimir(self) -> PolyFn:
         """form(x, x) = sum_ij G_ij x_i x_j."""
-        alg, terms = self.alg, {}
+        alg, nums = self.alg, {}
         for i, row in enumerate(alg.gram_rows):
             for j, v in row:
                 key = (i, j) if i <= j else (j, i)
-                terms[key] = terms.get(key, 0) + Fraction(v, alg.gram_den)
-        return PolyFn(self.case, self.dim, terms)
+                nums[key] = nums.get(key, 0) + v
+        return PolyFn(self.case, self.dim, nums, alg.gram_den)
 
     def linear_fn(self, u: TKKElement) -> PolyFn:
         """f_u(x) = form(u, x)."""
@@ -224,56 +234,40 @@ def embed_reduced_point(xc: JordanElement) -> TKKElement:
 # -- matrix-realization bivector rank for the classical cases --------------------
 
 
-def matrix_g_basis(case):
-    """Basis of u(V, B) in the graded block form [[A, x], [y, -conj(A)^T]]."""
-    level = CASE_LEVEL[case]
-    width = 1 << level
-    out = []
-    zero6 = [[CDNumber.zero(level) for _ in range(6)] for _ in range(6)]
-    # A-part: arbitrary 3x3 over K
-    for r in range(3):
-        for c in range(3):
-            for k in range(width):
-                m = [row[:] for row in zero6]
-                u = CDNumber.unit(level, k)
-                m[r][c] = u
-                m[3 + c][3 + r] = -u.conjugate()
-                out.append(cdm.from_rows(m))
-    # x-part and y-part: hermitian 3x3 over K
-    for block in (0, 1):
-        rows_off = (0, 3) if block == 0 else (3, 0)
-        for i in range(3):
-            m = [row[:] for row in zero6]
-            m[rows_off[0] + i][rows_off[1] + i] = CDNumber.one(level)
-            out.append(cdm.from_rows(m))
-        for i in range(3):
-            for j in range(i + 1, 3):
-                for k in range(width):
-                    m = [row[:] for row in zero6]
-                    u = CDNumber.unit(level, k)
-                    m[rows_off[0] + i][rows_off[1] + j] = u
-                    m[rows_off[0] + j][rows_off[1] + i] = u.conjugate()
-                    out.append(cdm.from_rows(m))
-    return out
-
-
 @lru_cache(maxsize=None)
 def _sparse_g_basis(case):
-    """Basis entries as (row, col, unit index, sign); every entry of every
-    basis matrix is a signed Cayley-Dickson unit."""
-    basis = matrix_g_basis(case)
-    sparse = []
-    for e in basis:
-        entries = []
-        for r, row in enumerate(e):
-            for c, v in enumerate(row):
-                if v.is_zero():
-                    continue
-                k = next(i for i, x in enumerate(v.v) if x)
-                sgn = 1 if v.v[k] > 0 else -1
-                entries.append((r, c, k, sgn))
-        sparse.append(tuple(entries))
-    return tuple(sparse)
+    """Basis of u(V, B) in the graded block form [[A, x], [y, -conj(A)^T]], each
+    element as its entries (row, col, unit index, sign): every entry is a signed
+    Cayley-Dickson unit, since conj(e_k) = e_k for k = 0 and -e_k otherwise."""
+    # (k, s) with conj(e_k) = s e_k
+    units = [(k, 1 if k == 0 else -1) for k in range(1 << CASE_LEVEL[case])]
+    # A-part: arbitrary 3x3 over K
+    out = [
+        ((r, c, k, 1), (3 + c, 3 + r, k, -s)) for r in range(3) for c in range(3) for k, s in units
+    ]
+    # x-part and y-part: hermitian 3x3 over K
+    for ro, co in ((0, 3), (3, 0)):
+        out += [((ro + i, co + i, 0, 1),) for i in range(3)]
+        out += [
+            ((ro + i, co + j, k, 1), (ro + j, co + i, k, s))
+            for i in range(3)
+            for j in range(i + 1, 3)
+            for k, s in units
+        ]
+    return tuple(out)
+
+
+def matrix_g_basis(case):
+    """The 6x6 matrices of ``_sparse_g_basis``."""
+    level = CASE_LEVEL[case]
+    out = []
+    for entries in _sparse_g_basis(case):
+        m = [[CDNumber.zero(level)] * 6 for _ in range(6)]
+        for r, c, k, sgn in entries:
+            u = CDNumber.unit(level, k)
+            m[r][c] = u if sgn > 0 else -u
+        out.append(cdm.from_rows(m))
+    return out
 
 
 def poisson_rank_at_matrix(case, m) -> int:

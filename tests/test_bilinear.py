@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from jordan_strata import bilinear, cayley_dickson, jordan, linalg, strata
+from jordan_strata import bilinear, cayley_dickson, jordan, linalg, poisson, strata
 from jordan_strata.bilinear import Bilinear
 from jordan_strata.cayley_dickson import CDNumber, _cd_product
 from jordan_strata.jordan import (
@@ -63,9 +63,10 @@ def test_square_refuses_a_non_commutative_table():
 
 
 def test_the_engine_and_the_elimination_core_hold_no_fraction():
-    # tables arrive as integer rows over one denominator and the echelon
-    # eliminates on integers, so neither module has a Fraction to reach for
-    for module in (bilinear, linalg):
+    # tables arrive as integer rows over one denominator, the echelon
+    # eliminates on integers and polynomials hold integers over one
+    # denominator, so no such module has a Fraction to reach for
+    for module in (bilinear, linalg, poisson):
         assert all(v is not Fraction for v in vars(module).values()), module.__name__
 
 

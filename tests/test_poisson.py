@@ -17,7 +17,7 @@ from jordan_strata.poisson import (
     poisson_rank_at_matrix,
 )
 from jordan_strata.reduction import CASE_ALGEBRA, in_lie_g, mu_g, zero_level_sample
-from jordan_strata.scalars import Scalar
+from jordan_strata.scalars import Scalar, _int_row
 from jordan_strata.strata import rank_k_sample
 from jordan_strata.tkk import tkk_algebra
 
@@ -27,7 +27,8 @@ TKK_OF = {"real": "sp3", "complex": "u33", "quaternionic": "so12"}
 def evaluate(f: PolyFn, coords):
     """f at the rational point ``coords``, summed monomial by monomial."""
     acc = Fraction(0)
-    for key, c in f.terms.items():
+    for key, c in f.nums.items():
+        c = Fraction(c, f.den)
         for var in key:
             c *= coords[var]
         acc += c
@@ -36,13 +37,13 @@ def evaluate(f: PolyFn, coords):
 
 def partial(f: PolyFn, i):
     """The partial derivative of f in x_i, monomial by monomial."""
-    terms = {}
-    for key, c in f.terms.items():
+    nums = {}
+    for key, c in f.nums.items():
         if i in key:
             # removing one x_i from distinct monomials leaves distinct monomials
             j = key.index(i)
-            terms[key[:j] + key[j + 1 :]] = c * key.count(i)
-    return PolyFn(f.case, f.dim, terms)
+            nums[key[:j] + key[j + 1 :]] = c * key.count(i)
+    return PolyFn(f.case, f.dim, nums, f.den)
 
 
 def test_polynomials():
@@ -57,7 +58,7 @@ def test_polynomials():
     assert evaluate(h, coords) == 5
     # a monomial is the sorted tuple of its variables: x_0^3 x_1 is (0, 0, 0, 1)
     m = f * f * f * g
-    assert m.terms == {(0, 0, 0, 1): 1}
+    assert m == PolyFn("sp3", 21, {(0, 0, 0, 1): 1})
     assert partial(m, 0) == (f * f * g).scale(3)
     assert partial(m, 1) == f * f * f
     assert f * g == g * f
@@ -70,6 +71,29 @@ def test_polynomials():
     )
     coords[2] = Fraction(-1, 2)
     assert evaluate(cubic, coords) == Fraction(883, 84)
+
+
+def test_polynomials_are_integers_over_one_denominator():
+    cp = case_poisson("u33")
+    alg = cp.alg
+    u = alg.from_coords([Fraction(k % 5 - 2, k % 3 + 1) for k in range(alg.dim)])
+    v = alg.from_coords([Fraction(k % 7 - 3, 2) for k in range(alg.dim)])
+    f, g = cp.linear_fn(u), cp.linear_fn(v)
+    cas = cp.casimir()
+    values = [cas, f, g, cp.bracket(f, g), cp.bracket(f * g, g), f + g, f - g, f * g, cas * f]
+    values += [f.scale(Fraction(-3, 4)), g.scale(6), cas.scale(Fraction(2, 9))]
+    for p in values:
+        assert not p.is_zero()
+        assert all(type(c) is int and c for c in p.nums.values())
+        assert p.den > 0 and gcd(p.den, *p.nums.values()) == 1
+    assert (f - f).nums == {} and (f - f).den == 1
+    # one storage: equal rationals compare equal whatever built them
+    half = PolyFn.linear("u33", 36, [Fraction(1, 2)])
+    assert half == PolyFn.linear("u33", 36, [Fraction(2, 4)]) == PolyFn("u33", 36, {(0,): 2}, 4)
+    assert PolyFn.linear("u33", 36, [1, 0, 3]) == PolyFn("u33", 36, {(0,): 2, (2,): 6}, 2)
+    for p in values:
+        assert p.scale(2).scale(Fraction(1, 2)) == p
+        assert p.scale(Fraction(2, 3)) + p.scale(Fraction(1, 3)) == p
 
 
 def test_linear_functions_bracket_to_lie_bracket():
@@ -154,9 +178,11 @@ def gradient_route_bracket(case, f, g):
     gf, gg = gradient(f), gradient(g)
     terms = {}
     for (i, j), lam_ij in lam.items():
-        for k, c in ((gf[i] * gg[j] - gf[j] * gg[i]) * lam_ij).terms.items():
-            terms[k] = terms.get(k, 0) + c
-    return PolyFn(case, dim, terms)
+        p = (gf[i] * gg[j] - gf[j] * gg[i]) * lam_ij
+        for k, c in p.nums.items():
+            terms[k] = terms.get(k, 0) + Fraction(c, p.den)
+    nums, den = _int_row(list(terms.values()))
+    return PolyFn(case, dim, dict(zip(terms, nums)), den)
 
 
 @pytest.mark.parametrize(
@@ -184,7 +210,7 @@ def test_bracket_matches_gradient_route(case, kinds):
     f, g = (make[kind]() for kind in kinds.split("-"))
     assert not f.is_zero() and not g.is_zero()
     expected = gradient_route_bracket(case, f, g)
-    assert cp.bracket(f, g).terms == expected.terms
+    assert cp.bracket(f, g) == expected
     assert expected.is_zero() == (kinds.split("-")[0] == "casimir")
 
 

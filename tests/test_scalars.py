@@ -103,7 +103,7 @@ def test_square_sums_keep_the_first_decomposition_of_the_full_search():
                     if a * a + b * b + c * c + e * e == m:
                         return a, b, c, e
 
-    for m in range(1, 1500):
+    for m in range(1500):
         two = two_squares(Fraction(m))
         assert (None if two is None else tuple(two)) == two_full(m)
         assert tuple(four_squares(Fraction(m))) == four_full(m)
